@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .grassmann import graded_sort
 from .linalg import fraction_gcd, integer_kernel, invariant_factors, smith_normal_form
 
 Simplex = Tuple[int, ...]
@@ -27,28 +28,13 @@ class NerveError(ValueError):
     pass
 
 
-def _sort_simplex(simplex: Iterable[int]) -> Tuple[int, Simplex]:
-    items = list(simplex)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(items)):
-        if items[i] == items[i - 1]:
-            return 0, ()
-    return sign, tuple(items)
-
-
 class NerveComplex:
     """Abstract nerve: sorted simplices per dimension, integer boundaries."""
 
     def __init__(self, simplices: Iterable[Sequence[int]]):
         by_dim: Dict[int, set] = {k: set() for k in range(MAX_DIM + 1)}
         for s in simplices:
-            sign, canon = _sort_simplex(s)
+            sign, canon = graded_sort(s)
             if sign == 0:
                 raise NerveError(f"degenerate simplex {tuple(s)}")
             k = len(canon) - 1
@@ -80,9 +66,6 @@ class NerveComplex:
                 out[r][c] += (-1) ** j
         return out
 
-    def vertex_count(self) -> int:
-        return len(self.simplices[0])
-
 
 def build_nerve(simplices: Iterable[Sequence[int]]) -> NerveComplex:
     nerve = NerveComplex(simplices)
@@ -110,7 +93,7 @@ class CechCochain:
         self.values: Dict[Simplex, Fraction] = {}
         if values:
             for key, val in values.items():
-                sign, canon = _sort_simplex(key)
+                sign, canon = graded_sort(key)
                 if sign == 0:
                     raise NerveError(f"degenerate simplex {tuple(key)}")
                 if canon not in nerve.index[degree]:
@@ -122,7 +105,7 @@ class CechCochain:
                     self.values[canon] = val
 
     def __call__(self, *simplex: int) -> Fraction:
-        sign, canon = _sort_simplex(simplex)
+        sign, canon = graded_sort(simplex)
         if sign == 0:
             return Fraction(0)
         return self.values.get(canon, Fraction(0)) * sign

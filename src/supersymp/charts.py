@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from .grassmann import DimensionError, GrassmannNumber, default_generator_count
+from .grassmann import DimensionError, Graded, GrassmannNumber, default_generator_count, graded_sort
 from .scalars import GaussianRational
 
 ExpKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (even exponents, odd word)
@@ -110,32 +110,7 @@ class Chart:
         return VectorField(self, comps)
 
 
-def _odd_word_product(w1: Tuple[int, ...], w2: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
-    """Sign and sorted concatenation of two odd coordinate words."""
-    if not w1:
-        return 1, w2
-    if not w2:
-        return 1, w1
-    out = []
-    i = j = 0
-    sign = 1
-    while i < len(w1) and j < len(w2):
-        if w1[i] == w2[j]:
-            return 0, ()
-        if w1[i] < w2[j]:
-            out.append(w1[i])
-            i += 1
-        else:
-            if (len(w1) - i) % 2:
-                sign = -sign
-            out.append(w2[j])
-            j += 1
-    out.extend(w1[i:])
-    out.extend(w2[j:])
-    return sign, tuple(out)
-
-
-class SuperFunction:
+class SuperFunction(Graded):
     """Polynomial superfunction in canonical form."""
 
     __slots__ = ("chart", "terms")
@@ -174,9 +149,6 @@ class SuperFunction:
     def total_degree(self) -> int:
         return max((sum(e) + len(w) for (e, w) in self.terms), default=0)
 
-    def monomials(self) -> Iterable[ExpKey]:
-        return self.terms.keys()
-
     # -- parity ------------------------------------------------------------
 
     def parity_part(self, parity: int) -> "SuperFunction":
@@ -188,23 +160,6 @@ class SuperFunction:
             if not part.is_zero():
                 out[(e, w)] = part
         return SuperFunction(self.chart, out)
-
-    def homogeneous_parts(self) -> Dict[int, "SuperFunction"]:
-        parts = {}
-        for p in (0, 1):
-            f = self.parity_part(p)
-            if not f.is_zero():
-                parts[p] = f
-        return parts
-
-    def is_homogeneous(self) -> bool:
-        return len(self.homogeneous_parts()) <= 1
-
-    def parity(self) -> int:
-        parts = self.homogeneous_parts()
-        if len(parts) > 1:
-            raise ValueError("superfunction is not homogeneous")
-        return next(iter(parts), 0)
 
     # -- ring operations ------------------------------------------------------
 
@@ -236,7 +191,7 @@ class SuperFunction:
         out: Dict[ExpKey, GrassmannNumber] = {}
         for (e1, w1), c1 in self.terms.items():
             for (e2, w2), c2 in other.terms.items():
-                sign_w, w = _odd_word_product(w1, w2)
+                sign_w, w = graded_sort(w1 + w2)
                 if sign_w == 0:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -376,11 +331,7 @@ class SuperFunction:
         return f"<SuperFunction {self} on {self.chart.name}>"
 
 
-def partial(f: SuperFunction, coord: str) -> SuperFunction:
-    return f.partial(coord)
-
-
-class CFunction:
+class CFunction(Graded):
     """C-valued function f = f0*c0 + f1*c1 on a chart."""
 
     __slots__ = ("f0", "f1")
@@ -394,12 +345,6 @@ class CFunction:
     @property
     def chart(self) -> Chart:
         return self.f0.chart
-
-    @staticmethod
-    def from_parts(chart: Chart, f0=None, f1=None) -> "CFunction":
-        f0 = chart.zero() if f0 is None else f0
-        f1 = chart.zero() if f1 is None else f1
-        return CFunction(f0, f1)
 
     def component(self, alpha: int) -> SuperFunction:
         return self.f0 if alpha == 0 else self.f1
@@ -417,15 +362,6 @@ class CFunction:
     def parity_part(self, parity: int) -> "CFunction":
         """Homogeneous part of the C-valued function, c-basis parities included."""
         return CFunction(self.f0.parity_part(parity), self.f1.parity_part((parity + 1) % 2))
-
-    def is_homogeneous(self) -> bool:
-        return sum(1 for p in (0, 1) if not self.parity_part(p).is_zero()) <= 1
-
-    def parity(self) -> int:
-        nonzero = [p for p in (0, 1) if not self.parity_part(p).is_zero()]
-        if len(nonzero) > 1:
-            raise ValueError("C-valued function is not homogeneous")
-        return nonzero[0] if nonzero else 0
 
     def __add__(self, other: "CFunction") -> "CFunction":
         return CFunction(self.f0 + other.f0, self.f1 + other.f1)
@@ -453,7 +389,7 @@ class CFunction:
     __repr__ = __str__
 
 
-class VectorField:
+class VectorField(Graded):
     """First-order differential operator X = sum_z X^z d/dz, coefficients left."""
 
     __slots__ = ("chart", "components")
@@ -485,23 +421,6 @@ class VectorField:
             if not part.is_zero():
                 comps[name] = part
         return VectorField(self.chart, comps)
-
-    def homogeneous_parts(self) -> Dict[int, "VectorField"]:
-        out = {}
-        for p in (0, 1):
-            part = self.parity_part(p)
-            if not part.is_zero():
-                out[p] = part
-        return out
-
-    def is_homogeneous(self) -> bool:
-        return len(self.homogeneous_parts()) <= 1
-
-    def parity(self) -> int:
-        parts = self.homogeneous_parts()
-        if len(parts) > 1:
-            raise ValueError("vector field is not homogeneous")
-        return next(iter(parts), 0)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if other.chart != self.chart:

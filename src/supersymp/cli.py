@@ -6,7 +6,8 @@ orbits, finite-cover periods and prequantization, connection operators, and
 the bundled-example verifier.  Output is a single JSON report on stdout.
 
 Exit codes: 0 when the requested claims are verified, 1 when a computation
-ran but refuted a claim, 2 on errors (parse failures, bad options).
+ran but refuted a claim, 2 on errors (parse failures, bad options, input the
+engine cannot compute with).
 """
 
 from __future__ import annotations
@@ -607,11 +608,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, DslError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+    except Exception as exc:
+        # any failure to compute is an error (2), never a refutation (1)
+        msg = str(exc) if isinstance(exc, (CliError, DslError)) else f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": msg}), file=sys.stderr)
         return 2
 
 

@@ -12,6 +12,8 @@ i_X(df) = Xf on the nose.
 
 Sign rules, used consistently everywhere (degrees k, parities a):
 
+* normal ordering a word is `grassmann.graded_sort`, the package's one
+  Koszul rule, with the odd differentials as its odd letters;
 * commuting two homogeneous factors costs (-1)^(k1*k2 + a1*a2), so
   dz ^ dw = -(-1)^(eps z * eps w) dw ^ dz and a function f moves through a
   differential word W at cost (-1)^(eps f * eps W);
@@ -28,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .charts import CFunction, Chart, ChartMismatch, SuperFunction, VectorField
+from .grassmann import Graded, graded_sort
 from .scalars import GaussianRational
 
 Word = Tuple[int, ...]  # indices into chart.coords
@@ -61,27 +64,14 @@ def canonicalize_word(chart: Chart, word: Word) -> Tuple[int, Optional[Word]]:
 
     Returns (sign, word), or (0, None) when a repeated even differential
     forces the term to vanish.  Adjacent transposition of dz and dw costs
-    -(-1)^(eps z * eps w): -1 unless both are odd.
+    -(-1)^(eps z * eps w): -1 unless both are odd (see `graded_sort`).
     """
-    letters = list(word)
     p = len(chart.even)
-    sign = 1
-    # insertion sort; words are short
-    for i in range(1, len(letters)):
-        j = i
-        while j > 0 and letters[j - 1] > letters[j]:
-            a, b = letters[j - 1], letters[j]
-            if not (a >= p and b >= p):
-                sign = -sign
-            letters[j - 1], letters[j] = b, a
-            j -= 1
-    for i in range(1, len(letters)):
-        if letters[i] == letters[i - 1] and letters[i] < p:
-            return 0, None
-    return sign, tuple(letters)
+    sign, letters = graded_sort(word, lambda z: z >= p)
+    return (0, None) if sign == 0 else (sign, letters)
 
 
-class KForm:
+class KForm(Graded):
     """Graded differential form of homogeneous degree k."""
 
     __slots__ = ("chart", "degree", "terms")
@@ -133,23 +123,6 @@ class KForm:
             if not part.is_zero():
                 out[w] = part
         return KForm(self.chart, self.degree, out)
-
-    def homogeneous_parts(self) -> Dict[int, "KForm"]:
-        parts = {}
-        for p in (0, 1):
-            f = self.parity_part(p)
-            if not f.is_zero():
-                parts[p] = f
-        return parts
-
-    def is_homogeneous(self) -> bool:
-        return len(self.homogeneous_parts()) <= 1
-
-    def parity(self) -> int:
-        parts = self.homogeneous_parts()
-        if len(parts) > 1:
-            raise ValueError("form is not homogeneous")
-        return next(iter(parts), 0)
 
     # -- linear structure ------------------------------------------------------
 
@@ -243,13 +216,6 @@ def wedge(a: KForm, b: KForm) -> KForm:
                     coeff = -coeff
                 _add_term(out, word, coeff)
     return KForm(chart, a.degree + b.degree, out)
-
-
-def wedge_all(*forms: KForm) -> KForm:
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = wedge(acc, f)
-    return acc
 
 
 def _ext_d_kform(w: KForm) -> KForm:
@@ -411,12 +377,8 @@ def lift_function(f: SuperFunction, target: Chart) -> SuperFunction:
         e2 = [0] * len(target.even)
         for i, exp in enumerate(e):
             e2[even_map[i]] = exp
-        w2 = tuple(sorted(odd_map[j] for j in w))
-        # odd_map is increasing on every chart extension used here, so no
-        # resorting sign can appear; guard anyway
-        if list(w2) != [odd_map[j] for j in w]:
-            raise ValueError("chart extension must preserve odd coordinate order")
-        terms[(tuple(e2), w2)] = c
+        sign, w2 = graded_sort(odd_map[j] for j in w)
+        terms[(tuple(e2), w2)] = c if sign > 0 else -c
     return SuperFunction(target, terms)
 
 

@@ -4,13 +4,22 @@ Elements of Lambda_N over Q(i): finite sums  sum_S  c_S * th_{s1}...th_{sk}
 indexed by strictly sorted subsets S of {1..N}.  The generators th_k
 anticommute, so the algebra is Z/2-graded by |S| mod 2; the scalar part
 (S empty) is the body.
+
+This module also holds what every graded type in the package shares:
+
+* `graded_sort` is the one Koszul sign rule.  Grassmann indices, odd
+  coordinate words, differential words, Chevalley-Eilenberg arguments and
+  Cech simplices are all put in order by it, each with its own notion of
+  which letters are odd;
+* `Graded` is the one parity protocol (`homogeneous_parts`,
+  `is_homogeneous`, `parity`) over each class's `parity_part`.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .scalars import GaussianRational
 
@@ -38,36 +47,64 @@ class DimensionError(ValueError):
     """Operands built over different generator counts."""
 
 
-def _merge_sign(a: Index, b: Index) -> Tuple[int, Index]:
-    """Sign and sorted union of two disjoint sorted index tuples.
+def graded_sort(
+    items: Iterable[int], odd: Optional[Callable[[int], bool]] = None
+) -> Tuple[int, Index]:
+    """Sort a word of graded letters, tracking the Koszul sign.
 
-    Returns sign 0 when the tuples intersect (a squared generator).
+    Returns (sign, sorted tuple).  Swapping adjacent letters a and b costs -1
+    unless odd(a) and odd(b); a repeated letter gives (0, ()) unless it is
+    odd.  With odd=None every letter anticommutes with every other and
+    squares to zero, as Grassmann generators and simplex vertices do.
     """
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    out = []
-    i = j = 0
+    letters = list(items)
+    if len(letters) < 2:
+        return 1, tuple(letters)
     sign = 1
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return 0, ()
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a) - i generators of a
-            if (len(a) - i) % 2:
+    # insertion sort; words are short
+    for i in range(1, len(letters)):
+        x = letters[i]
+        j = i
+        while j > 0 and letters[j - 1] > x:
+            if odd is None or not (odd(x) and odd(letters[j - 1])):
                 sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+            letters[j] = letters[j - 1]
+            j -= 1
+        letters[j] = x
+        # the sorted prefix holds any earlier copy of x right before it
+        if j > 0 and letters[j - 1] == x and (odd is None or not odd(x)):
+            return 0, ()
+    return sign, tuple(letters)
 
 
-class GrassmannNumber:
+class Graded:
+    """Parity protocol of a Z/2-graded type.
+
+    Subclasses define `parity_part(p)` and `is_zero()`; the rest follows.
+    """
+
+    __slots__ = ()
+
+    def homogeneous_parts(self) -> Dict[int, "Graded"]:
+        parts = {}
+        for p in (0, 1):
+            part = self.parity_part(p)
+            if not part.is_zero():
+                parts[p] = part
+        return parts
+
+    def is_homogeneous(self) -> bool:
+        return len(self.homogeneous_parts()) <= 1
+
+    def parity(self) -> int:
+        """Parity of a homogeneous element (0 for the zero element)."""
+        parts = self.homogeneous_parts()
+        if len(parts) > 1:
+            raise ValueError(f"{type(self).__name__} is not homogeneous")
+        return next(iter(parts), 0)
+
+
+class GrassmannNumber(Graded):
     """Element of Lambda_N with Gaussian-rational coefficients."""
 
     __slots__ = ("n", "terms")
@@ -127,27 +164,8 @@ class GrassmannNumber:
             self.n, {k: v for k, v in self.terms.items() if len(k) % 2 == parity}
         )
 
-    def homogeneous_parts(self) -> Dict[int, "GrassmannNumber"]:
-        out = {}
-        for p in (0, 1):
-            part = self.parity_part(p)
-            if part.terms:
-                out[p] = part
-        return out
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        parities = {len(k) % 2 for k in self.terms}
-        return len(parities) <= 1
-
-    def parity(self) -> int:
-        """Parity of a homogeneous element (0 for the zero element)."""
-        parities = {len(k) % 2 for k in self.terms}
-        if len(parities) > 1:
-            raise ValueError("element is not homogeneous")
-        return parities.pop() if parities else 0
 
     def is_scalar(self) -> bool:
         return all(k == () for k in self.terms)
@@ -181,7 +199,7 @@ class GrassmannNumber:
         terms: Dict[Index, GaussianRational] = {}
         for ia, ca in self.terms.items():
             for ib, cb in other.terms.items():
-                sign, idx = _merge_sign(ia, ib)
+                sign, idx = graded_sort(ia + ib)
                 if sign == 0:
                     continue
                 c = ca * cb
@@ -261,19 +279,3 @@ class GrassmannNumber:
 
     def __repr__(self):
         return f"<Grassmann {self}>"
-
-
-def gr_mul(a: GrassmannNumber, b: GrassmannNumber) -> GrassmannNumber:
-    return a * b
-
-
-def gr_inverse(a: GrassmannNumber) -> GrassmannNumber:
-    return a.inverse()
-
-
-def involution(a: GrassmannNumber) -> GrassmannNumber:
-    return a.involution()
-
-
-def body(a: GrassmannNumber) -> GaussianRational:
-    return a.body()

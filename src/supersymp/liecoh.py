@@ -20,6 +20,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
+from .grassmann import graded_sort
 from .scalars import GaussianRational
 
 CValue = Tuple[Fraction, Fraction]  # coordinates along (c0, c1)
@@ -71,10 +72,6 @@ class SuperLieAlgebra:
     @property
     def dimension(self) -> int:
         return len(self.parities)
-
-    def dim_split(self) -> Tuple[int, int]:
-        p = sum(1 for e in self.parities if e == 0)
-        return p, len(self.parities) - p
 
     def bracket_basis(self, i: int, j: int) -> Dict[int, Fraction]:
         return self.brackets.get((i, j), {})
@@ -129,33 +126,18 @@ def sort_with_sign(parities: Sequence[int], key: Iterable[int]) -> Tuple[int, Ke
     """Sort a basis tuple, tracking the graded skew sign.
 
     An adjacent swap of distinct entries a, b costs -(-1)^(eps_a eps_b);
-    a repeated even entry kills the tuple (sign 0).
+    a repeated even entry kills the tuple (sign 0).  See `graded_sort`.
     """
-    items = list(key)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            a, b = items[j - 1], items[j]
-            sign *= -1 if (parities[a] * parities[b]) % 2 == 0 else 1
-            items[j - 1], items[j] = b, a
-            j -= 1
-    for i in range(1, len(items)):
-        if items[i] == items[i - 1] and parities[items[i]] == 0:
-            return 0, ()
-    return sign, tuple(items)
+    return graded_sort(key, lambda i: parities[i] == 1)
 
 
 def canonical_keys(parities: Sequence[int], degree: int) -> List[Key]:
-    keys = []
-    for key in combinations_with_replacement(range(len(parities)), degree):
-        ok = all(
-            not (key[i] == key[i - 1] and parities[key[i]] == 0)
-            for i in range(1, len(key))
-        )
-        if ok:
-            keys.append(key)
-    return keys
+    """Sorted basis tuples that `sort_with_sign` does not kill."""
+    return [
+        key
+        for key in combinations_with_replacement(range(len(parities)), degree)
+        if sort_with_sign(parities, key)[0]
+    ]
 
 
 class CECochain:

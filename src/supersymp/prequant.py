@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, contract, ext_d, lie_derivative, lift_form, lift_function
+from .grassmann import graded_sort
 from .scalars import GaussianRational
 from .symplectic import SymplecticData, require_hamiltonian_field
 
@@ -109,8 +110,8 @@ def _restrict_function(f: SuperFunction, target: Chart) -> SuperFunction:
         for i, exp in enumerate(e):
             if exp:
                 e2[even_map[i]] = exp
-        w2 = tuple(sorted(odd_map[j] for j in w))
-        terms[(tuple(e2), w2)] = c
+        sign, w2 = graded_sort(odd_map[j] for j in w)
+        terms[(tuple(e2), w2)] = c if sign > 0 else -c
     return SuperFunction(target, terms)
 
 

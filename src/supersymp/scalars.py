@@ -82,9 +82,6 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) * self.inverse()
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     # -- comparison/hash -------------------------------------------------
 
     def __eq__(self, other):

@@ -393,6 +393,8 @@ def darboux_normal_form(matrix, parities: Sequence[int], homogeneity: int) -> Da
     yields sum dx^i ^ dxi^i exactly.
     """
     n = len(parities)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"matrix must be {n} x {n}, one row and column per parity")
     w = [[GaussianRational.coerce(matrix[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):

@@ -40,6 +40,26 @@ def test_parse_error_exit_code(capsys, tmp_path):
     # error already consumed by run(); exit code is the contract
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("symplectic", "check", FIXTURES / "mixed21.ssp", "--point", "x=1/0"),
+        (
+            "symplectic", "hamiltonian", FIXTURES / "mixed21.ssp",
+            "--f", "(" * 2000 + "x" + ")" * 2000 + "*c0", "--point", "x=0,y=0",
+        ),
+        ("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]]", "--parities", "0", "--even"),
+    ],
+    ids=["zero_point", "deep_nesting", "darboux_shape"],
+)
+def test_malformed_input_exits_2(capsys, argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]
+
+
 def test_hamiltonian_member_and_nonmember(capsys):
     code, rep = run(
         capsys, "symplectic", "hamiltonian", FIXTURES / "mixed21.ssp", "--f", "x*c0", "--point", "x=0,y=0"

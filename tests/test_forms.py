@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from supersymp.charts import vf_apply, vf_commutator
+from supersymp.charts import Chart, vf_apply, vf_commutator
 from supersymp.forms import (
     CKForm,
     DegreeError,
@@ -14,9 +14,12 @@ from supersymp.forms import (
     double,
     ext_d,
     lie_derivative,
+    lift_form,
+    lift_function,
     undouble,
     wedge,
 )
+from supersymp.grassmann import graded_sort
 from supersymp.reference import d, mixed_counterexample
 
 from conftest import random_field, random_superfunction
@@ -42,10 +45,10 @@ def test_even_differentials_antisymmetric(chart22):
     assert wedge(d(chart22, "x"), d(chart22, "y")) == -wedge(d(chart22, "y"), d(chart22, "x"))
 
 
-def brute_wedge_sign(chart, word):
-    """Oracle: canonicalize a word by explicit transposition counting."""
+def brute_sign(word, odd):
+    """Oracle: sort a word by explicit adjacent transpositions; a swap costs
+    -1 unless both letters are odd, a repeated letter kills unless odd."""
     letters = list(word)
-    p = len(chart.even)
     sign = 1
     changed = True
     while changed:
@@ -53,19 +56,37 @@ def brute_wedge_sign(chart, word):
         for i in range(len(letters) - 1):
             if letters[i] > letters[i + 1]:
                 a, b = letters[i], letters[i + 1]
-                sign *= -1 if not (a >= p and b >= p) else 1
+                sign *= 1 if odd(a) and odd(b) else -1
                 letters[i], letters[i + 1] = b, a
                 changed = True
     for i in range(len(letters) - 1):
-        if letters[i] == letters[i + 1] and letters[i] < p:
+        if letters[i] == letters[i + 1] and not odd(letters[i]):
             return 0, None
     return sign, tuple(letters)
 
 
-def test_canonicalize_matches_oracle(rng, chart22):
-    for _ in range(60):
-        word = tuple(rng.randrange(4) for _ in range(rng.randint(0, 4)))
-        assert canonicalize_word(chart22, word) == brute_wedge_sign(chart22, word)
+def test_canonicalize_matches_oracle(chart22):
+    p = len(chart22.even)
+    n = len(chart22.coords)
+    for length in range(5):
+        for word in itertools.product(range(n), repeat=length):
+            assert canonicalize_word(chart22, word) == brute_sign(word, lambda z: z >= p)
+            # the all-anticommuting rule of Grassmann indices and simplices
+            sign, letters = graded_sort(word)
+            assert (sign, letters if sign else None) == brute_sign(word, lambda z: False)
+
+
+def test_lift_to_reordered_odd_coordinates(rng, chart22):
+    """Relabelling the odd coordinates in the other order is a ring
+    isomorphism that commutes with d; the reordered words carry the sign."""
+    target = Chart("M'", ("x", "y"), ("eta", "xi"), 4)
+    xi, eta = chart22.var("xi"), chart22.var("eta")
+    assert lift_function(xi * eta, target) == -(target.var("eta") * target.var("xi"))
+    for _ in range(10):
+        f = random_superfunction(rng, chart22)
+        g = random_superfunction(rng, chart22)
+        assert lift_function(f * g, target) == lift_function(f, target) * lift_function(g, target)
+        assert lift_form(ext_d(f), target) == ext_d(lift_function(f, target))
 
 
 def test_wedge_mixed_coefficients(chart22):
