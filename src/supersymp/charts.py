@@ -189,14 +189,15 @@ class SuperFunction(Graded):
     def __mul__(self, other):
         other = self.coerce(other)
         out: Dict[ExpKey, GrassmannNumber] = {}
+        right = [(e2, w2, c2.homogeneous_parts()) for (e2, w2), c2 in other.terms.items()]
         for (e1, w1), c1 in self.terms.items():
-            for (e2, w2), c2 in other.terms.items():
+            for e2, w2, parts2 in right:
                 sign_w, w = graded_sort(w1 + w2)
                 if sign_w == 0:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
                 # move c2 left through the odd word w1
-                for p, c2p in c2.homogeneous_parts().items():
+                for p, c2p in parts2.items():
                     sign = sign_w * (-1 if (p * len(w1)) % 2 else 1)
                     c = c1 * c2p
                     if sign < 0:

@@ -204,12 +204,13 @@ def wedge(a: KForm, b: KForm) -> KForm:
     chart = a.chart
     out: Dict[Word, SuperFunction] = {}
     for w1, g1 in a.terms.items():
+        parts1 = g1.homogeneous_parts()
         for w2, g2 in b.terms.items():
             wp2 = word_parity(chart, w2)
             sign_c, word = canonicalize_word(chart, w1 + w2)
             if word is None:
                 continue
-            for p, g1p in g1.homogeneous_parts().items():
+            for p, g1p in parts1.items():
                 sign = sign_c * (-1 if (p * wp2) % 2 else 1)
                 coeff = g1p * g2
                 if sign < 0:

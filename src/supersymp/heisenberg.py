@@ -455,7 +455,7 @@ def orbit_classify(spec: HeisenbergSpec, y0, ybar1, base: Optional[OrbitPoint] =
         if s in selected or all(v == 0 for v in t[s]):
             continue
         rhs = [GaussianRational(t[s][j]) for j in range(n)]
-        combo = linalg.solve(sel_matrix, rhs)
+        combo, _ = linalg.solve(sel_matrix, rhs)
         if combo is None:
             raise AssertionError("internal error: moved coordinate outside the tangent span")
         restrictions[s] = [

@@ -377,7 +377,7 @@ def extension_equivalent(omega1: CECochain, omega2: CECochain, g: SuperLieAlgebr
     if not dof1:
         ok = all(x.is_zero() for x in rhs)
         return ok, (CECochain(g, 1) if ok else None)
-    sol = linalg.solve(d1, rhs)
+    sol, _ = linalg.solve(d1, rhs)
     if sol is None:
         return False, None
     return True, _vector_to_cochain(g, 1, dof1, sol)

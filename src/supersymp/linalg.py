@@ -60,23 +60,25 @@ def rank(rows: Sequence[Sequence[GaussianRational]]) -> int:
     return len(rref(rows)[1])
 
 
-def solve(rows: Sequence[Sequence[GaussianRational]], rhs: Sequence[GaussianRational]) -> Optional[Vector]:
-    """One solution of A x = b, or None when the system is inconsistent.
+def solve(rows: Sequence[Sequence[GaussianRational]], rhs: Sequence[GaussianRational]) -> Tuple[Optional[Vector], int]:
+    """One solution of A x = b, or None when the system is inconsistent,
+    together with the rank of A.
 
-    Free variables are set to zero.
+    Free variables are set to zero.  A consistent system has a unique
+    solution exactly when the rank equals the number of columns.
     """
     nrows = len(rows)
     if nrows == 0:
-        return []
+        return [], 0
     ncols = len(rows[0])
     aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     m, pivots = rref(aug)
     if ncols in pivots:
-        return None
+        return None, len(pivots) - 1
     x = [GaussianRational(0) for _ in range(ncols)]
     for r, c in enumerate(pivots):
         x[c] = m[r][ncols]
-    return x
+    return x, len(pivots)
 
 
 def nullspace(rows: Sequence[Sequence[GaussianRational]]) -> List[Vector]:
@@ -117,7 +119,7 @@ def in_span(basis: Sequence[Vector], v: Vector) -> bool:
         return all(x.is_zero() for x in v)
     cols = list(basis)
     a = [[cols[j][i] for j in range(len(cols))] for i in range(len(v))]
-    return solve(a, list(v)) is not None
+    return solve(a, list(v))[0] is not None
 
 
 # ----------------------------------------------------------------------

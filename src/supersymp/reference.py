@@ -3,17 +3,26 @@
 The worked examples that the engine is expected to reproduce exactly: the
 2|2 mixed-form counterexample, the 2|1 degenerate-but-homogeneously
 non-degenerate chart with its Poisson algebra, and the 3|3 super Heisenberg
-data with its three coadjoint orbit types.  Tests and the ``verify-paper``
-command both consume these builders.
+data with its three coadjoint orbit types, and the sphere and circle covers.
+The expected displays live here too, written once: ``verify-paper`` and the
+acceptance tests both compare the engine against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
+from .cech import CechCochain, NerveComplex, build_nerve
 from .charts import CFunction, Chart, SuperFunction, VectorField
-from .forms import KForm, wedge
+from .forms import KForm, ext_d, wedge
+from .heisenberg import HeisenbergSpec
+from .prequant import PrequantChart
+from .symplectic import SymplecticData
+
+# the base point of the 2|2, 2|1 and 2|0 examples
+ORIGIN = {"x": 0, "y": 0}
 
 
 def d(chart: Chart, name: str) -> KForm:
@@ -32,6 +41,14 @@ class MixedCounterexample:
     omega: KForm
     X: VectorField
     Y: VectorField
+    # The displays [X,Y] = -2 xi d/dx - 2 y d/deta - 2 xi d/deta,
+    # i_[X,Y] omega = d(y xi) + 2 xi dxi and d(i_[X,Y] omega) = 2 dxi^dxi.
+    # The last two are inconsistent with the elementary contractions by an
+    # exact factor -2 (bilinearity gives -2 (d(y xi) + 2 xi dxi)); they are
+    # kept as displayed.
+    XY_display: VectorField
+    iXY_display: KForm
+    diXY_display: KForm
 
 
 def mixed_counterexample(generators: int | None = None) -> MixedCounterexample:
@@ -44,7 +61,10 @@ def mixed_counterexample(generators: int | None = None) -> MixedCounterexample:
     y, xi, eta = chart.var("y"), chart.var("xi"), chart.var("eta")
     X = chart.vector_field({"x": y.scale(2), "eta": y.scale(-2)})
     Y = chart.vector_field({"xi": -xi, "eta": eta, "y": xi})
-    return MixedCounterexample(chart, omega, X, Y)
+    XY = chart.vector_field({"x": xi.scale(-2), "eta": y.scale(-2) - xi.scale(2)})
+    iXY = ext_d(y * xi) + d(chart, "xi").left_multiply(xi.scale(2))
+    diXY = wedge(d(chart, "xi"), d(chart, "xi")).scale(2)
+    return MixedCounterexample(chart, omega, X, Y, XY, iXY, diXY)
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +109,18 @@ def poisson_member_21(data: MixedChart21, a, b, c) -> CFunction:
     return CFunction(ca + y * cc, cb + xi * cc)
 
 
+def members_21(data: MixedChart21) -> list:
+    """The members x c0, y c0 + xi c1 and x c1 of the 2|1 algebra."""
+    chart = data.chart
+    x, y, xi = chart.var("x"), chart.var("y"), chart.var("xi")
+    return [CFunction(x, chart.zero()), CFunction(y, xi), CFunction(chart.zero(), x)]
+
+
+def prequant_at_origin(data: MixedChart21) -> PrequantChart:
+    """The prequantum chart over the 2|1 or 2|0 example, based at the origin."""
+    return PrequantChart(SymplecticData(data.omega, [ORIGIN]), data.theta)
+
+
 # ----------------------------------------------------------------------
 # Even 2|0 chart: omega = dx^dy with potential theta = x dy.
 # ----------------------------------------------------------------------
@@ -119,9 +151,7 @@ HEISENBERG_33_PAIRING = (
 )
 
 
-def heisenberg_33():
-    from .heisenberg import HeisenbergSpec
-
+def heisenberg_33() -> HeisenbergSpec:
     n = 6
     eps = HEISENBERG_33_PARITIES
     omega0 = [[Fraction(0)] * n for _ in range(n)]
@@ -134,3 +164,47 @@ def heisenberg_33():
             else:
                 omega1[i][j] = v
     return HeisenbergSpec(eps, omega0, omega1)
+
+
+# The displayed KKS forms of the three orbit types, as (coefficient, a, b)
+# for coefficient * da^db on the orbit's chart: case (i) on
+# (x1,x2|xi5,xi6), case (ii) on (xb4,xb5|xib1,xib3), case (iii) in the
+# hatted chart.
+ORBIT_FORMS = {
+    "case_i": ((1, "x1", "x2"), (Fraction(1, 2), "xi5", "xi5"), (Fraction(-1, 2), "xi6", "xi6")),
+    "case_ii": ((1, "xib1", "xb4"), (1, "xib3", "xb5")),
+    "case_iii": (
+        (1, "x1", "x2"),
+        (1, "xib1", "x2"),
+        (1, "xb5", "xi5"),
+        (Fraction(1, 2), "xi5", "xi5"),
+        (Fraction(-1, 2), "xi6", "xi6"),
+    ),
+}
+
+
+def orbit_form(chart: Chart, case: str) -> KForm:
+    """The displayed KKS form of orbit type `case` on the orbit's chart."""
+    out = KForm.zero(chart, 2)
+    for coeff, a, b in ORBIT_FORMS[case]:
+        out = out + wedge(d(chart, a), d(chart, b)).scale(coeff)
+    return out
+
+
+# ----------------------------------------------------------------------
+# Finite covers: the boundary of the 3-simplex (a 2-sphere) with the
+# cocycle 3 on one triangle, whose periods are 3Z, and the boundary of a
+# triangle (a circle).
+# ----------------------------------------------------------------------
+
+
+def sphere_nerve() -> NerveComplex:
+    return build_nerve([s for k in (1, 2, 3) for s in combinations(range(4), k)])
+
+
+def sphere_cocycle() -> CechCochain:
+    return CechCochain(sphere_nerve(), 2, {(0, 1, 2): Fraction(3)})
+
+
+def circle_nerve() -> NerveComplex:
+    return build_nerve([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])

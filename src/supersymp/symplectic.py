@@ -276,7 +276,7 @@ def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optiona
     a = [[col.get(key, GaussianRational(0)) for col in columns] for key in row_keys]
     b = [rhs_rows.get(key, GaussianRational(0)) for key in row_keys]
 
-    solution = linalg.solve(a, b)
+    solution, rank = linalg.solve(a, b)
     if solution is None:
         if constant:
             return HamiltonianResult("not_member", None, True, "coefficient system inconsistent (degree-independent)")
@@ -289,12 +289,10 @@ def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optiona
         add = SuperFunction(chart, {mono: GrassmannNumber.scalar(value, chart.generators)})
         comps[name] = comps.get(name, chart.zero()) + add
     x = VectorField(chart, {k: v for k, v in comps.items() if not v.is_zero()})
-    kernel = linalg.nullspace(a)
-    unique = not kernel
     # the defining equation is rechecked exactly
     if contract(x, data.doubled) != df:
         raise AssertionError("internal error: solved field fails its defining equation")
-    return HamiltonianResult("member", x, unique, "")
+    return HamiltonianResult("member", x, rank == len(columns), "")
 
 
 def require_hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optional[int] = None) -> VectorField:

@@ -5,24 +5,77 @@ exactly.  The runner never weakens a comparison: one reference display
 (the contraction of the commutator in the mixed 2|2 example) is
 inconsistent with the others by a factor -2, and its check is expected to
 report the mismatch rather than hide it; see that check's note.
+
+A check is a function registered with ``@check(name, section)``; the name
+and section are written only there.  It returns ``(ok, expected, got)`` or
+``(ok, expected, got, note)``.  The report shows ``bool(ok)``,
+``str(expected)`` and ``str(got)``, or ``str(ok)`` when ``got`` prints as
+the empty string.  A check that raises is reported as failed, with
+``"<Type>: <message>"`` as ``got``, and the run goes on to the next check.
+The expected displays come from ``reference``, which the acceptance tests
+share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+import traceback
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
+from .cech import (
+    CechCochain,
+    PeriodGroup,
+    classify_prequantum,
+    cocycle_from_potentials,
+    normalize_to_periods,
+    period_group,
+    prequantum_exists,
+    transition_data,
+)
 from .charts import CFunction, Chart, vf_commutator
-from .forms import KForm, contract, ext_d, lie_derivative, wedge
-from .liecoh import ce_coboundary, extension_equivalent, h2, jacobi_check
+from .forms import KForm, contract, ext_d, lie_derivative, lift_function, wedge
+from .grassmann import GrassmannNumber
+from .heisenberg import (
+    GroupElement,
+    OrbitPoint,
+    algebra_of,
+    ambient_chart,
+    coad,
+    coad_pairing,
+    fundamental_field,
+    group_identity,
+    group_inverse,
+    group_mul,
+    momentum_check,
+    orbit_classify,
+)
+from .liecoh import (
+    CECochain,
+    canonical_keys,
+    ce_coboundary,
+    central_extension,
+    extension_equivalent,
+    h2,
+    jacobi_check,
+    momentum_cocycle,
+)
+from .prequant import Section, quantum_op, rep_check
 from .reference import (
+    ORIGIN,
+    circle_nerve,
     d,
     even_chart_20,
     heisenberg_33,
+    members_21,
     mixed_chart_21,
     mixed_counterexample,
+    orbit_form,
     poisson_member_21,
+    prequant_at_origin,
+    sphere_cocycle,
+    sphere_nerve,
 )
 from .symplectic import (
     SymplecticData,
@@ -44,35 +97,30 @@ class CheckResult:
     note: str = ""
 
     def as_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "section": self.section,
-            "ok": self.ok,
-            "expected": self.expected,
-            "got": self.got,
-        }
-        if self.note:
-            out["note"] = self.note
+        out = asdict(self)
+        if not self.note:
+            del out["note"]
         return out
 
 
-_REGISTRY: List[tuple] = []
+_REGISTRY: List[Tuple[str, Callable[[], CheckResult]]] = []
 
 
 def check(name: str, section: str):
-    def wrap(fn: Callable[[], CheckResult]):
-        _REGISTRY.append((name, section, fn))
+    def wrap(fn: Callable[[], tuple]):
+        def run() -> CheckResult:
+            try:
+                ok, expected, got, *note = fn()
+                return CheckResult(name, section, bool(ok), str(expected), str(got) or str(ok), *note)
+            except Exception as exc:  # one crashing check must not end the run
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                where = f"raised at {os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+                return CheckResult(name, section, False, "no exception", f"{type(exc).__name__}: {exc}", where)
+
+        _REGISTRY.append((section, run))
         return fn
 
     return wrap
-
-
-def _cmp(name, section, expected, got, note="") -> CheckResult:
-    return CheckResult(name, section, expected == got, str(expected), str(got), note)
-
-
-def _bool(name, section, ok, expected, got="", note="") -> CheckResult:
-    return CheckResult(name, section, bool(ok), str(expected), str(got) or str(ok), note)
 
 
 # ----------------------------------------------------------------------
@@ -84,23 +132,15 @@ def _bool(name, section, ok, expected, got="", note="") -> CheckResult:
 def _c_elementary():
     ex = mixed_counterexample()
     c = ex.chart
-    got = {
-        "x": contract(c.vector_field({"x": 1}), ex.omega),
-        "y": contract(c.vector_field({"y": 1}), ex.omega),
-        "xi": contract(c.vector_field({"xi": 1}), ex.omega),
-        "eta": contract(c.vector_field({"eta": 1}), ex.omega),
-    }
+    got = {k: contract(c.vector_field({k: 1}), ex.omega) for k in ("x", "y", "xi", "eta")}
     want = {
         "x": d(c, "y") + d(c, "xi"),
         "y": -d(c, "x"),
         "xi": d(c, "eta") - d(c, "x"),
         "eta": d(c, "xi"),
     }
-    ok = got == want
-    return _bool(
-        "elementary contractions of the 2|2 form",
-        "section3",
-        ok,
+    return (
+        got == want,
         "i_dx w = dy + dxi; i_dy w = -dx; i_dxi w = deta - dx; i_deta w = dxi",
         "; ".join(f"i_d{k} w = {v}" for k, v in got.items()),
     )
@@ -110,99 +150,65 @@ def _c_elementary():
 def _c_ix():
     ex = mixed_counterexample()
     y = ex.chart.var("y")
-    return _cmp("i_X omega = d(y^2)", "section3", ext_d(y * y), contract(ex.X, ex.omega))
+    want, got = ext_d(y * y), contract(ex.X, ex.omega)
+    return want == got, want, got
 
 
 @check("i_Y omega = d(eta xi)", "section3")
 def _c_iy():
     ex = mixed_counterexample()
     c = ex.chart
-    return _cmp(
-        "i_Y omega = d(eta xi)",
-        "section3",
-        ext_d(c.var("eta") * c.var("xi")),
-        contract(ex.Y, ex.omega),
-    )
+    want, got = ext_d(c.var("eta") * c.var("xi")), contract(ex.Y, ex.omega)
+    return want == got, want, got
 
 
 @check("[X,Y] = -2 xi d/dx - 2 y d/deta - 2 xi d/deta", "section3")
 def _c_commutator():
     ex = mixed_counterexample()
-    c = ex.chart
-    expected = c.vector_field({"x": c.var("xi").scale(-2), "eta": c.var("y").scale(-2) - c.var("xi").scale(2)})
-    return _cmp(
-        "[X,Y] = -2 xi d/dx - 2 y d/deta - 2 xi d/deta",
-        "section3",
-        expected,
-        vf_commutator(ex.X, ex.Y),
-    )
+    want, got = ex.XY_display, vf_commutator(ex.X, ex.Y)
+    return want == got, want, got
 
 
 @check("i_[X,Y] omega = d(y xi) + 2 xi dxi (reference display)", "section3")
 def _c_commutator_contraction():
     ex = mixed_counterexample()
-    c = ex.chart
-    displayed = ext_d(c.var("y") * c.var("xi")) + d(c, "xi").left_multiply(c.var("xi").scale(2))
+    displayed = ex.iXY_display
     got = contract(vf_commutator(ex.X, ex.Y), ex.omega)
     note = (
         "the display is inconsistent with the elementary contractions above: "
         "bilinearity forces i_[X,Y] omega = -2 (d(y xi) + 2 xi dxi), which is "
         "what the engine returns; the non-closedness conclusion is unaffected"
     )
-    return CheckResult(
-        "i_[X,Y] omega = d(y xi) + 2 xi dxi (reference display)",
-        "section3",
-        got == displayed,
-        str(displayed),
-        str(got),
-        note,
-    )
+    return got == displayed, displayed, got, note
 
 
 @check("d(i_[X,Y] omega) = 2 dxi^dxi != 0 (reference display)", "section3")
 def _c_not_closed_display():
     ex = mixed_counterexample()
-    c = ex.chart
     got = ext_d(contract(vf_commutator(ex.X, ex.Y), ex.omega))
-    displayed = wedge(d(c, "xi"), d(c, "xi")).scale(2)
+    displayed = ex.diXY_display
     note = "engine value is -4 dxi^dxi: nonzero, so the commutator is still not locally hamiltonian"
-    return CheckResult(
-        "d(i_[X,Y] omega) = 2 dxi^dxi != 0 (reference display)",
-        "section3",
-        got == displayed,
-        str(displayed),
-        str(got),
-        note,
-    )
+    return got == displayed, displayed, got, note
 
 
 @check("i_[X,Y] omega is not closed", "section3")
 def _c_not_closed():
     ex = mixed_counterexample()
     got = ext_d(contract(vf_commutator(ex.X, ex.Y), ex.omega))
-    return _bool(
-        "i_[X,Y] omega is not closed",
-        "section3",
-        not got.is_zero(),
-        "nonzero 2-form",
-        str(got),
-    )
+    return not got.is_zero(), "nonzero 2-form", got
 
 
 @check("L(X) omega = 0", "section3")
 def _c_lie():
     ex = mixed_counterexample()
     got = lie_derivative(ex.X, ex.omega)
-    return _bool("L(X) omega = 0", "section3", got.is_zero(), "0", str(got))
+    return got.is_zero(), "0", got
 
 
 @check("2|2 form closed and non-degenerate", "section3")
 def _c_22_nondeg():
-    ex = mixed_counterexample()
-    rep = is_symplectic(ex.omega, [{"x": 0, "y": 0}])
-    return _bool(
-        "2|2 form closed and non-degenerate",
-        "section3",
+    rep = is_symplectic(mixed_counterexample().omega, [ORIGIN])
+    return (
         rep["closed"] and rep["nondegenerate"],
         "closed, nondegenerate",
         f"closed={rep['closed']} nondegenerate={rep['nondegenerate']}",
@@ -211,13 +217,9 @@ def _c_22_nondeg():
 
 @check("2|1 form degenerate but homogeneously non-degenerate", "section3")
 def _c_21_homog():
-    data = mixed_chart_21()
-    rep = is_symplectic(data.omega, [{"x": 0, "y": 0}])
-    ok = rep["closed"] and not rep["nondegenerate"] and rep["homogeneously_nondegenerate"]
-    return _bool(
-        "2|1 form degenerate but homogeneously non-degenerate",
-        "section3",
-        ok,
+    rep = is_symplectic(mixed_chart_21().omega, [ORIGIN])
+    return (
+        rep["closed"] and not rep["nondegenerate"] and rep["homogeneously_nondegenerate"],
         "closed, degenerate, homogeneously nondegenerate",
         f"closed={rep['closed']} nondeg={rep['nondegenerate']} homog={rep['homogeneously_nondegenerate']}",
     )
@@ -226,56 +228,38 @@ def _c_21_homog():
 @check("2|1: hamiltonian field of x c0 is -d/dy", "section3")
 def _c_21_xc0():
     data = mixed_chart_21()
-    sd = SymplecticData(data.omega, [{"x": 0, "y": 0}])
     c = data.chart
-    res = hamiltonian_field(CFunction(c.var("x"), c.zero()), sd)
-    return _cmp(
-        "2|1: hamiltonian field of x c0 is -d/dy",
-        "section3",
-        c.vector_field({"y": -1}),
-        res.field if res else res.status,
-    )
+    res = hamiltonian_field(CFunction(c.var("x"), c.zero()), SymplecticData(data.omega, [ORIGIN]))
+    want, got = c.vector_field({"y": -1}), res.field if res else res.status
+    return want == got, want, got
 
 
 @check("2|1: y^2 c0 is definitively outside the Poisson algebra", "section3")
 def _c_21_nonmember():
     data = mixed_chart_21()
-    sd = SymplecticData(data.omega, [{"x": 0, "y": 0}])
     c = data.chart
     y = c.var("y")
-    res = hamiltonian_field(CFunction(y * y, c.zero()), sd)
-    return _bool(
-        "2|1: y^2 c0 is definitively outside the Poisson algebra",
-        "section3",
-        res.status == "not_member",
-        "not_member",
-        res.status,
-    )
+    res = hamiltonian_field(CFunction(y * y, c.zero()), SymplecticData(data.omega, [ORIGIN]))
+    return res.status == "not_member", "not_member", res.status
 
 
 @check("2|1: members (a + y c) c0 + (b + xi c) c1 admit fields", "section3")
 def _c_21_family():
     data = mixed_chart_21()
-    sd = SymplecticData(data.omega, [{"x": 0, "y": 0}])
+    sd = SymplecticData(data.omega, [ORIGIN])
     fams = [
         poisson_member_21(data, [1, 2], [0, 1], [3]),
         poisson_member_21(data, [0, 0, 1], [2], [0, 1]),
         poisson_member_21(data, [5], [1, 1, 1], [0, 0, 2]),
     ]
     ok = all(hamiltonian_field(f, sd).status == "member" for f in fams)
-    return _bool(
-        "2|1: members (a + y c) c0 + (b + xi c) c1 admit fields",
-        "section3",
-        ok,
-        "member x3",
-        "member x3" if ok else "failure",
-    )
+    return ok, "member x3", "member x3" if ok else "failure"
 
 
 @check("2|1: graded Jacobi on three members", "section3")
 def _c_21_jacobi():
     data = mixed_chart_21()
-    sd = SymplecticData(data.omega, [{"x": 0, "y": 0}])
+    sd = SymplecticData(data.omega, [ORIGIN])
     f = poisson_member_21(data, [0, 1], [], [2])  # even
     g = poisson_member_21(data, [2], [], [0, 1])  # even
     h = poisson_member_21(data, [], [1, 3], [])  # odd
@@ -289,7 +273,7 @@ def _c_21_jacobi():
         + pb(g, pb(h, f)).scale(-1 if (pg * pf) % 2 else 1)
         + pb(h, pb(f, g)).scale(-1 if (ph * pg) % 2 else 1)
     )
-    return _bool("2|1: graded Jacobi on three members", "section3", jac.is_zero(), "0", str(jac))
+    return jac.is_zero(), "0", jac
 
 
 @check("darboux: 0|1 with omega = -dxi^dxi has signature 0", "section3")
@@ -297,9 +281,7 @@ def _c_darboux_01():
     chart = Chart("D", (), ("xi",))
     omega = -wedge(d(chart, "xi"), d(chart, "xi"))
     res = darboux_normal_form(contraction_matrix(omega), (1,), 0)
-    return _bool(
-        "darboux: 0|1 with omega = -dxi^dxi has signature 0",
-        "section3",
+    return (
         res.ell == 0 and res.odd_coefficients == (Fraction(-1),),
         "ell = 0, coefficient -1",
         f"ell = {res.ell}, coefficients {res.odd_coefficients}",
@@ -313,9 +295,6 @@ def _c_darboux_01():
 
 @check("d.d = 0 on the 3|3 extension algebra", "section4")
 def _c4_dd():
-    from .heisenberg import algebra_of
-    from .liecoh import CECochain, canonical_keys
-
     g = algebra_of(heisenberg_33())
     vals = {}
     for t, key in enumerate(canonical_keys(g.parities, 1)):
@@ -323,41 +302,27 @@ def _c4_dd():
         pair = [Fraction(0), Fraction(0)]
         pair[alpha] = Fraction(t + 1)
         vals[key] = (pair[0], pair[1])
-    c = CECochain(g, 1, vals)
-    got = ce_coboundary(ce_coboundary(c))
-    return _bool("d.d = 0 on the 3|3 extension algebra", "section4", got.is_zero(), "0", repr(got))
+    got = ce_coboundary(ce_coboundary(CECochain(g, 1, vals)))
+    return got.is_zero(), "0", repr(got)
 
 
 @check("H2 of the 3|3 extension algebra (pinned dimensions)", "section4")
 def _c4_h2():
-    from .heisenberg import algebra_of
-
     rep = h2(algebra_of(heisenberg_33()))
-    got = (rep.dim_c2, rep.dim_z2, rep.dim_b2, rep.dim_h2)
-    return _cmp(
-        "H2 of the 3|3 extension algebra (pinned dimensions)",
-        "section4",
-        (32, 18, 2, 16),
-        got,
-    )
+    want, got = (32, 18, 2, 16), (rep.dim_c2, rep.dim_z2, rep.dim_b2, rep.dim_h2)
+    return want == got, want, got
 
 
 @check("central extension Jacobi iff the cochain is closed", "section4")
 def _c4_ext():
-    from .heisenberg import algebra_of
-    from .liecoh import CECochain, central_extension
-
     g = algebra_of(heisenberg_33())
     closed = CECochain(g, 2, {(0, 1): (Fraction(1), Fraction(0))})
     ok1, _ = jacobi_check(central_extension(g, closed))
     open_c = CECochain(g, 2, {(0, 6): (Fraction(1), Fraction(0))})
     is_open = not ce_coboundary(open_c).is_zero()
     ok2, _ = jacobi_check(central_extension(g, open_c))
-    ok = ok1 == ce_coboundary(closed).is_zero() and (not is_open or not ok2)
-    return _bool(
-        "central extension Jacobi iff the cochain is closed",
-        "section4",
-        ok,
+    return (
+        ok1 == ce_coboundary(closed).is_zero() and (not is_open or not ok2),
         "Jacobi <-> d Omega = 0",
         f"closed case: {ok1}; non-closed case fails: {not ok2 if is_open else 'n/a'}",
     )
@@ -370,24 +335,12 @@ def _c4_ext():
 
 @check("coadjoint orbit momentum cocycle vanishes (J = id)", "section6")
 def _c6_cocycle():
-    from .heisenberg import orbit_classify
-
-    orbit = orbit_classify(heisenberg_33(), 1, 0)
-    cocycle, constant = orbit.momentum_cocycle()
-    return _bool(
-        "coadjoint orbit momentum cocycle vanishes (J = id)",
-        "section6",
-        constant and cocycle.is_zero(),
-        "0 (constant)",
-        repr(cocycle),
-    )
+    cocycle, constant = orbit_classify(heisenberg_33(), 1, 0).momentum_cocycle()
+    return constant and cocycle.is_zero(), "0 (constant)", repr(cocycle)
 
 
 @check("shifted momentum map gives a constant, nonzero cocycle", "section5")
 def _c5_shift():
-    from .heisenberg import orbit_classify
-    from .liecoh import momentum_cocycle
-
     orbit = orbit_classify(heisenberg_33(), 1, 0)
     sd = orbit.symplectic_data()
     chart = orbit.chart
@@ -403,36 +356,20 @@ def _c5_shift():
     cocycle, constant = momentum_cocycle(
         orbit.algebra(), shifted, lambda a, b: poisson_bracket(a, b, sd)
     )
-    return _bool(
-        "shifted momentum map gives a constant, nonzero cocycle",
-        "section5",
-        constant and not cocycle.is_zero(),
-        "constant, nonzero",
-        repr(cocycle),
-    )
+    return constant and not cocycle.is_zero(), "constant, nonzero", repr(cocycle)
 
 
 @check("strong hamiltonicity on all three orbit types", "section6")
 def _c6_strong():
-    from .heisenberg import momentum_check, orbit_classify
-
     results = []
     for y0, yb1 in ((1, 0), (0, 1), (1, 1)):
         rep = momentum_check(orbit_classify(heisenberg_33(), y0, yb1))
         results.append(rep["strongly_hamiltonian"])
-    return _bool(
-        "strong hamiltonicity on all three orbit types",
-        "section6",
-        all(results),
-        "3x strongly hamiltonian",
-        str(results),
-    )
+    return all(results), "3x strongly hamiltonian", results
 
 
 @check("<v, coad(w) mu> = <[v,w], mu> on basis pairs", "section6")
 def _c6_duality():
-    from .heisenberg import OrbitPoint, algebra_of, coad_pairing
-
     spec = heisenberg_33()
     g = algebra_of(spec)
     mu = OrbitPoint.base(spec, 2, 5)
@@ -443,13 +380,7 @@ def _c6_duality():
             rhs = vec.get(6, Fraction(0)) * 2 + vec.get(7, Fraction(0)) * 5
             if coad_pairing(spec, v, w, mu) != rhs:
                 ok = False
-    return _bool(
-        "<v, coad(w) mu> = <[v,w], mu> on basis pairs",
-        "section6",
-        ok,
-        "36 pairings equal",
-        "all equal" if ok else "mismatch",
-    )
+    return ok, "36 pairings equal", "all equal" if ok else "mismatch"
 
 
 # ----------------------------------------------------------------------
@@ -459,23 +390,17 @@ def _c6_duality():
 
 @check("group inverse of (a,b) is (-a,-b)", "section7")
 def _c7_inverse():
-    from .grassmann import GrassmannNumber
-    from .heisenberg import GroupElement, group_identity, group_inverse, group_mul
-
     spec = heisenberg_33()
     n = 6
     a = [GrassmannNumber.scalar(2, n), GrassmannNumber.scalar(-1, n), GrassmannNumber.scalar(3, n)]
     a += [GrassmannNumber.generator(k, n) for k in (1, 2, 3)]
     g = GroupElement(spec, a, GrassmannNumber.scalar(5, n), GrassmannNumber.generator(4, n))
     ok = group_mul(g, group_inverse(g)) == group_identity(spec, n)
-    return _bool("group inverse of (a,b) is (-a,-b)", "section7", ok, "g g^-1 = e", str(ok))
+    return ok, "g g^-1 = e", ok
 
 
 @check("3|3 coadjoint action matches the displayed coordinate maps", "section7")
 def _c7_coad():
-    from .grassmann import GrassmannNumber
-    from .heisenberg import GroupElement, OrbitPoint, coad
-
     spec = heisenberg_33()
     n = 6
     y0, yb1 = Fraction(1), Fraction(1)
@@ -495,19 +420,11 @@ def _c7_coad():
         nu.xbar[3] == a[0],
         nu.xbar[4] == a[2],
     ]
-    return _bool(
-        "3|3 coadjoint action matches the displayed coordinate maps",
-        "section7",
-        all(checks),
-        "8 coordinate maps",
-        str(checks),
-    )
+    return all(checks), "8 coordinate maps", checks
 
 
 @check("3|3 fundamental vector fields match the display", "section7")
 def _c7_fields():
-    from .heisenberg import ambient_chart, fundamental_field
-
     spec = heisenberg_33()
     chart = ambient_chart(spec)
 
@@ -524,102 +441,55 @@ def _c7_fields():
         and unit(3) == chart.vector_field({"xib1": 1})
         and unit(2) == chart.vector_field({"xb5": -1})
     )
-    return _bool(
-        "3|3 fundamental vector fields match the display",
-        "section7",
-        ok,
-        "six displayed fields",
-        str(ok),
-    )
-
-
-def _case_i_expected(chart) -> KForm:
-    return (
-        wedge(d(chart, "x1"), d(chart, "x2"))
-        + wedge(d(chart, "xi5"), d(chart, "xi5")).scale(Fraction(1, 2))
-        - wedge(d(chart, "xi6"), d(chart, "xi6")).scale(Fraction(1, 2))
-    )
+    return ok, "six displayed fields", ok
 
 
 @check("orbit case (i): coordinates and even form", "section7")
 def _c7_case_i():
-    from .heisenberg import orbit_classify
-
     orbit = orbit_classify(heisenberg_33(), 1, 0)
     omega = orbit.kks_form()
     ok = (
         orbit.case == "case_i"
         and orbit.coordinates == ("x1", "x2", "xi5", "xi6")
         and orbit.dimension == (2, 2)
-        and omega == _case_i_expected(orbit.chart)
+        and omega == orbit_form(orbit.chart, "case_i")
     )
-    return _bool(
-        "orbit case (i): coordinates and even form",
-        "section7",
-        ok,
-        "dx1^dx2 + 1/2 dxi5^dxi5 - 1/2 dxi6^dxi6 on (x1,x2|xi5,xi6)",
-        str(omega),
-    )
+    return ok, "dx1^dx2 + 1/2 dxi5^dxi5 - 1/2 dxi6^dxi6 on (x1,x2|xi5,xi6)", omega
 
 
 @check("orbit case (ii): coordinates and odd form", "section7")
 def _c7_case_ii():
-    from .heisenberg import orbit_classify
-
     orbit = orbit_classify(heisenberg_33(), 0, 1)
     omega = orbit.kks_form()
-    c = orbit.chart
-    expected = wedge(d(c, "xib1"), d(c, "xb4")) + wedge(d(c, "xib3"), d(c, "xb5"))
-    ok = orbit.case == "case_ii" and orbit.dimension == (2, 2) and omega == expected
-    return _bool(
-        "orbit case (ii): coordinates and odd form",
-        "section7",
-        ok,
-        "dxib1^dxb4 + dxib3^dxb5 on (xb4,xb5|xib1,xib3)",
-        str(omega),
-    )
+    ok = orbit.case == "case_ii" and orbit.dimension == (2, 2) and omega == orbit_form(orbit.chart, "case_ii")
+    return ok, "dxib1^dxb4 + dxib3^dxb5 on (xb4,xb5|xib1,xib3)", omega
 
 
 @check("orbit case (iii): mixed form in the hatted chart", "section7")
 def _c7_case_iii():
-    from .heisenberg import orbit_classify
-
     orbit = orbit_classify(heisenberg_33(), 1, 1)
     omega = orbit.kks_form()
     c = orbit.chart
-    expected = (
-        wedge(d(c, "x1"), d(c, "x2"))
-        + wedge(d(c, "xib1"), d(c, "x2"))
-        + wedge(d(c, "xb5"), d(c, "xi5"))
-        + wedge(d(c, "xi5"), d(c, "xi5")).scale(Fraction(1, 2))
-        - wedge(d(c, "xi6"), d(c, "xi6")).scale(Fraction(1, 2))
-    )
     rep = is_symplectic(omega, [{n: 0 for n in c.even}])
     ok = (
         orbit.case == "case_iii"
         and orbit.dimension == (3, 3)
-        and omega == expected
+        and omega == orbit_form(c, "case_iii")
         and rep["closed"]
         and rep["homogeneously_nondegenerate"]
         and not rep["nondegenerate"]
     )
-    return _bool(
-        "orbit case (iii): mixed form in the hatted chart",
-        "section7",
-        ok,
-        "dx1^dx2 + dxib1^dx2 + dxb5^dxi5 + 1/2 dxi5^dxi5 - 1/2 dxi6^dxi6, degenerate but homogeneously nondegenerate",
-        str(omega),
+    expected = (
+        "dx1^dx2 + dxib1^dx2 + dxb5^dxi5 + 1/2 dxi5^dxi5 - 1/2 dxi6^dxi6, "
+        "degenerate but homogeneously nondegenerate"
     )
+    return ok, expected, omega
 
 
 @check("trivial orbit at y0 = ybar1 = 0", "section7")
 def _c7_trivial():
-    from .heisenberg import orbit_classify
-
     orbit = orbit_classify(heisenberg_33(), 0, 0)
-    return _bool(
-        "trivial orbit at y0 = ybar1 = 0",
-        "section7",
+    return (
         orbit.case == "trivial" and orbit.dimension == (0, 0),
         "dimension 0|0",
         f"{orbit.case}, dimension {orbit.dimension}",
@@ -628,29 +498,18 @@ def _c7_trivial():
 
 @check("pullback cocycle is y0 Omega^0 + ybar1 Omega^1", "section7")
 def _c7_pullback():
-    from .heisenberg import orbit_classify
-
     spec = heisenberg_33()
-    orbit = orbit_classify(spec, 1, 2)
-    c = orbit.pullback_cocycle()
+    c = orbit_classify(spec, 1, 2).pullback_cocycle()
     ok = True
     for i in range(6):
         for j in range(6):
             if c.evaluate((i, j)) != (spec.omega0[i][j], 2 * spec.omega1[i][j]):
                 ok = False
-    return _bool(
-        "pullback cocycle is y0 Omega^0 + ybar1 Omega^1",
-        "section7",
-        ok,
-        "pattern on 36 pairs",
-        "match" if ok else "mismatch",
-    )
+    return ok, "pattern on 36 pairs", "match" if ok else "mismatch"
 
 
 @check("same-orbit pullback classes differ by a coboundary", "section7")
 def _c7_class_difference():
-    from .heisenberg import OrbitPoint, algebra_of, orbit_classify
-
     spec = heisenberg_33()
     g = algebra_of(spec)
     o1 = orbit_classify(spec, 1, 0)
@@ -658,13 +517,7 @@ def _c7_class_difference():
     o2 = orbit_classify(spec, 1, 0, base=mu2)
     ok, witness = extension_equivalent(o1.pullback_cocycle(), o2.pullback_cocycle(), g)
     ok = ok and ce_coboundary(witness) == o1.pullback_cocycle() - o2.pullback_cocycle()
-    return _bool(
-        "same-orbit pullback classes differ by a coboundary",
-        "section7",
-        ok,
-        "coboundary witness found",
-        str(ok),
-    )
+    return ok, "coboundary witness found", ok
 
 
 # ----------------------------------------------------------------------
@@ -672,92 +525,48 @@ def _c7_class_difference():
 # ----------------------------------------------------------------------
 
 
-def _sphere_fixture(lam=3):
-    from itertools import combinations
-
-    from .cech import CechCochain, build_nerve
-
-    sims = [(i,) for i in range(4)]
-    sims += list(combinations(range(4), 2))
-    sims += list(combinations(range(4), 3))
-    nerve = build_nerve(sims)
-    return nerve, CechCochain(nerve, 2, {(0, 1, 2): Fraction(lam)})
-
-
 @check("sphere fixture: periods are 3Z", "section8")
 def _c8_periods():
-    from .cech import period_group
-
-    nerve, a = _sphere_fixture()
-    per = period_group(a)
-    return _cmp("sphere fixture: periods are 3Z", "section8", Fraction(3), per.generator)
+    got = period_group(sphere_cocycle()).generator
+    return Fraction(3) == got, Fraction(3), got
 
 
 @check("existence: d in {1, 3} works, d = 2 does not", "section8")
 def _c8_exists():
-    from .cech import PeriodGroup, prequantum_exists
-
     per = PeriodGroup(Fraction(3))
     got = (prequantum_exists(per, 1), prequantum_exists(per, 3), prequantum_exists(per, 2))
-    return _cmp("existence: d in {1, 3} works, d = 2 does not", "section8", (True, True, False), got)
+    return (True, True, False) == got, (True, True, False), got
 
 
 @check("normalization lands in the period group", "section8")
 def _c8_normalize():
-    from .cech import CechCochain, cocycle_from_potentials, normalize_to_periods
-
-    nerve, a0 = _sphere_fixture()
+    a0 = sphere_cocycle()
+    nerve = a0.nerve
     noise = CechCochain(nerve, 1, {(0, 1): Fraction(3, 2), (2, 3): Fraction(-5, 4)})
-    a = a0 + cocycle_from_potentials(noise)
-    _, corrected, per = normalize_to_periods(a)
+    _, corrected, per = normalize_to_periods(a0 + cocycle_from_potentials(noise))
     ok = per.generator == 3 and all(
         per.contains(corrected.values.get(s, Fraction(0))) for s in nerve.simplices[2]
     )
-    return _bool(
-        "normalization lands in the period group",
-        "section8",
-        ok,
-        "all triangle values in 3Z",
-        str({s: str(v) for s, v in corrected.values.items()}),
-    )
+    return ok, "all triangle values in 3Z", {s: str(v) for s, v in corrected.values.items()}
 
 
 @check("classification: sphere trivial, circle one free loop", "section8")
 def _c8_classify():
-    from .cech import build_nerve, classify_prequantum
-
-    sphere, _ = _sphere_fixture()
-    circle = build_nerve([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
-    rs = classify_prequantum(sphere, 3)
-    rc = classify_prequantum(circle, 3)
+    rs = classify_prequantum(sphere_nerve(), 3)
+    rc = classify_prequantum(circle_nerve(), 3)
     ok = rs["trivial"] and rc["free_rank"] == 1 and not rc["trivial"]
-    return _bool(
-        "classification: sphere trivial, circle one free loop",
-        "section8",
-        ok,
-        "H1(sphere) = 0, H1(circle) = Q/3Z",
-        f"sphere {rs}, circle {rc}",
-    )
+    return ok, "H1(sphere) = 0, H1(circle) = Q/3Z", f"sphere {rs}, circle {rc}"
 
 
 @check("transition data closes mod d after normalization", "section8")
 def _c8_transition():
-    from .cech import CechCochain, cocycle_from_potentials, normalize_to_periods, transition_data
-
-    nerve, a0 = _sphere_fixture()
-    f = CechCochain(nerve, 1, {(0, 1): Fraction(1, 2), (1, 3): Fraction(7, 3)})
-    a = a0 + cocycle_from_potentials(f)
-    bprime, corrected, per = normalize_to_periods(a)
+    a0 = sphere_cocycle()
+    f = CechCochain(a0.nerve, 1, {(0, 1): Fraction(1, 2), (1, 3): Fraction(7, 3)})
+    bprime, corrected, per = normalize_to_periods(a0 + cocycle_from_potentials(f))
     ok = all((v / 3).denominator == 1 for v in corrected.values.values())
-    rep = transition_data(f - bprime, 3)
+    transition_data(f - bprime, 3)
     # the f-part closes mod 3 up to the (3Z-valued) non-exact seed
-    return _bool(
-        "transition data closes mod d after normalization",
-        "section8",
-        ok,
-        "corrected cocycle 3Z-valued",
-        str({s: str(v) for s, v in corrected.values.items()}),
-    )
+    return ok, "corrected cocycle 3Z-valued", {s: str(v) for s, v in corrected.values.items()}
 
 
 # ----------------------------------------------------------------------
@@ -767,125 +576,73 @@ def _c8_transition():
 
 @check("eta of the constant c0 is minus the fiber generator", "section9")
 def _c9_eta_c0():
-    from .prequant import PrequantChart
-
     data = even_chart_20()
-    pq = PrequantChart(SymplecticData(data.omega, [{"x": 0, "y": 0}]), data.theta)
-    got = pq.eta_field(CFunction(data.chart.one(), data.chart.zero()))
-    return _cmp(
-        "eta of the constant c0 is minus the fiber generator",
-        "section9",
-        pq.total.vector_field({"t": -1}),
-        got,
-    )
+    pq = prequant_at_origin(data)
+    want, got = pq.total.vector_field({"t": -1}), pq.eta_field(CFunction(data.chart.one(), data.chart.zero()))
+    return want == got, want, got
 
 
 @check("eta of the constant c1 is minus the odd fiber generator", "section9")
 def _c9_eta_c1():
-    from .prequant import PrequantChart
-
     data = mixed_chart_21()
-    pq = PrequantChart(SymplecticData(data.omega, [{"x": 0, "y": 0}]), data.theta)
-    got = pq.eta_field(CFunction(data.chart.zero(), data.chart.one()))
-    return _cmp(
-        "eta of the constant c1 is minus the odd fiber generator",
-        "section9",
-        pq.total.vector_field({"tau": -1}),
-        got,
-    )
+    pq = prequant_at_origin(data)
+    want, got = pq.total.vector_field({"tau": -1}), pq.eta_field(CFunction(data.chart.zero(), data.chart.one()))
+    return want == got, want, got
 
 
 @check("i_eta alpha = -f and eta preserves alpha", "section9")
 def _c9_eta_defining():
-    from .forms import lift_function
-    from .prequant import PrequantChart
-
     data = mixed_chart_21()
-    pq = PrequantChart(SymplecticData(data.omega, [{"x": 0, "y": 0}]), data.theta)
-    chart = data.chart
-    members = [
-        CFunction(chart.var("x"), chart.zero()),
-        CFunction(chart.var("y"), chart.var("xi")),
-        CFunction(chart.zero(), chart.var("x")),
-    ]
+    pq = prequant_at_origin(data)
     ok = True
-    for f in members:
+    for f in members_21(data):
         eta = pq.eta_field(f)
         got = contract(eta, pq.alpha)
         want0 = KForm.from_function(-lift_function(f.f0, pq.total))
         want1 = KForm.from_function(-lift_function(f.f1, pq.total))
         if got.part0 != want0 or got.part1 != want1 or not pq.symmetry_check(eta):
             ok = False
-    return _bool(
-        "i_eta alpha = -f and eta preserves alpha",
-        "section9",
-        ok,
-        "three members",
-        str(ok),
-    )
+    return ok, "three members", ok
 
 
 @check("Q(r c0) = r id and Q(r c1) = 0", "section9")
 def _c9_constants():
-    from .prequant import PrequantChart, Section, quantum_op
-
     data = mixed_chart_21()
-    pq = PrequantChart(SymplecticData(data.omega, [{"x": 0, "y": 0}]), data.theta)
+    pq = prequant_at_origin(data)
     chart = data.chart
     s = Section(chart.var("x") * chart.var("y") + chart.var("xi"))
     r = Fraction(5, 3)
     q0 = quantum_op(CFunction(chart.constant(r), chart.zero()), s, pq)
     q1 = quantum_op(CFunction(chart.zero(), chart.constant(r)), s, pq)
     ok = q0 == s.scale(r) and q1.is_zero()
-    return _bool("Q(r c0) = r id and Q(r c1) = 0", "section9", ok, "scalar and zero", str(ok))
+    return ok, "scalar and zero", ok
 
 
 @check("representation condition on the even and mixed charts", "section9")
 def _c9_rep():
-    from .prequant import PrequantChart, Section, rep_check
-
-    ok = True
     data = even_chart_20()
-    pq = PrequantChart(SymplecticData(data.omega, [{"x": 0, "y": 0}]), data.theta)
     chart = data.chart
     f = CFunction(chart.var("x"), chart.zero())
     g = CFunction(chart.var("y"), chart.zero())
     secs = [Section(chart.one()), Section(chart.var("x")), Section(chart.var("x") * chart.var("y"))]
-    ok = ok and rep_check(f, g, pq, secs)
+    ok = rep_check(f, g, prequant_at_origin(data), secs)
 
     data = mixed_chart_21()
-    pq = PrequantChart(SymplecticData(data.omega, [{"x": 0, "y": 0}]), data.theta)
+    pq = prequant_at_origin(data)
     chart = data.chart
-    members = [
-        CFunction(chart.var("x"), chart.zero()),
-        CFunction(chart.var("y"), chart.var("xi")),
-        CFunction(chart.zero(), chart.var("x")),
-    ]
+    members = members_21(data)
     secs = [Section(chart.one()), Section(chart.var("y") * chart.var("xi")), Section(chart.var("x"))]
     for a in members:
         for b in members:
             ok = ok and rep_check(a, b, pq, secs)
-    return _bool(
-        "representation condition on the even and mixed charts",
-        "section9",
-        ok,
-        "[Q(f),Q(g)] = -i Q({f,g}) on all pairs",
-        str(ok),
-    )
+    return ok, "[Q(f),Q(g)] = -i Q({f,g}) on all pairs", ok
 
 
 @check("eta is a morphism into the connection symmetries", "section9")
 def _c9_eta_morphism():
-    from .prequant import PrequantChart
-
     data = mixed_chart_21()
-    pq = PrequantChart(SymplecticData(data.omega, [{"x": 0, "y": 0}]), data.theta)
-    chart = data.chart
-    members = [
-        CFunction(chart.var("x"), chart.zero()),
-        CFunction(chart.var("y"), chart.var("xi")),
-        CFunction(chart.zero(), chart.var("x")),
-    ]
+    pq = prequant_at_origin(data)
+    members = members_21(data)
     ok = True
     for f in members:
         for g in members:
@@ -893,13 +650,7 @@ def _c9_eta_morphism():
             rhs = pq.eta_field(poisson_bracket(f, g, pq.base))
             if lhs != rhs:
                 ok = False
-    return _bool(
-        "eta is a morphism into the connection symmetries",
-        "section9",
-        ok,
-        "[eta_f, eta_g] = eta_{{f,g}}",
-        str(ok),
-    )
+    return ok, "[eta_f, eta_g] = eta_{{f,g}}", ok
 
 
 # ----------------------------------------------------------------------
@@ -916,8 +667,4 @@ def run_section(section: str) -> List[CheckResult]:
         if section not in SECTIONS:
             raise ValueError(f"unknown section {section!r}; choose from {', '.join(SECTIONS)} or 'all'")
         wanted = {section}
-    results = []
-    for name, sec, fn in _REGISTRY:
-        if sec in wanted:
-            results.append(fn())
-    return results
+    return [run() for sec, run in _REGISTRY if sec in wanted]

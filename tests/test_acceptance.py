@@ -24,12 +24,18 @@ from supersymp.charts import CFunction, Chart, SuperFunction, vf_apply, vf_commu
 from supersymp.forms import KForm, contract, ext_d, lie_derivative, wedge
 from supersymp.grassmann import GrassmannNumber
 from supersymp.reference import (
+    ORIGIN,
+    circle_nerve,
     d,
     even_chart_20,
     heisenberg_33,
+    members_21,
     mixed_chart_21,
     mixed_counterexample,
+    orbit_form,
     poisson_member_21,
+    prequant_at_origin,
+    sphere_cocycle,
 )
 from supersymp.scalars import GaussianRational
 from supersymp.symplectic import (
@@ -41,8 +47,6 @@ from supersymp.symplectic import (
     poisson_bracket,
     require_hamiltonian_field,
 )
-
-ORIGIN = {"x": 0, "y": 0}
 
 
 def _report(criterion: str, failures: list, detail: str = ""):
@@ -72,12 +76,11 @@ def test_criterion_01_mixed_counterexample():
     if contract(ex.Y, ex.omega) != ext_d(eta * xi):
         failures.append("i_Y omega = d(eta xi)")
     z = vf_commutator(ex.X, ex.Y)
-    if z != c.vector_field({"x": xi.scale(-2), "eta": y.scale(-2) - xi.scale(2)}):
+    if z != ex.XY_display:
         failures.append("[X,Y] = -2 xi d/dx - 2 y d/deta - 2 xi d/deta")
 
     sigma = contract(z, ex.omega)
-    displayed = ext_d(y * xi) + d(c, "xi").left_multiply(xi.scale(2))
-    if sigma != displayed:
+    if sigma != ex.iXY_display:
         failures.append(
             "i_[X,Y] omega = d(y xi) + 2 xi dxi "
             f"[engine: {sigma} = -2(d(y xi) + 2 xi dxi); display inconsistent by factor -2]"
@@ -85,7 +88,7 @@ def test_criterion_01_mixed_counterexample():
     dsigma = ext_d(sigma)
     if dsigma.is_zero():
         failures.append("d(i_[X,Y] omega) != 0")
-    if dsigma != wedge(d(c, "xi"), d(c, "xi")).scale(2):
+    if dsigma != ex.diXY_display:
         failures.append(f"d(i_[X,Y] omega) = 2 dxi^dxi [engine: {dsigma}]")
 
     _report("criterion 1", failures, "mixed counterexample, exact displays")
@@ -104,12 +107,7 @@ def test_criterion_02_orbit_forms():
 
     orbit = orbit_classify(spec, 1, 0)
     c = orbit.chart
-    expected = (
-        wedge(d(c, "x1"), d(c, "x2"))
-        + wedge(d(c, "xi5"), d(c, "xi5")).scale(Fraction(1, 2))
-        - wedge(d(c, "xi6"), d(c, "xi6")).scale(Fraction(1, 2))
-    )
-    if orbit.kks_form() != expected:
+    if orbit.kks_form() != orbit_form(c, "case_i"):
         failures.append("case (i) form")
     rep = is_symplectic(orbit.kks_form(), [{n: 0 for n in c.even}])
     if not (rep["closed"] and rep["homogeneously_nondegenerate"]):
@@ -117,8 +115,7 @@ def test_criterion_02_orbit_forms():
 
     orbit = orbit_classify(spec, 0, 1)
     c = orbit.chart
-    expected = wedge(d(c, "xib1"), d(c, "xb4")) + wedge(d(c, "xib3"), d(c, "xb5"))
-    if orbit.kks_form() != expected:
+    if orbit.kks_form() != orbit_form(c, "case_ii"):
         failures.append("case (ii) form")
     rep = is_symplectic(orbit.kks_form(), [{n: 0 for n in c.even}])
     if not (rep["closed"] and rep["homogeneously_nondegenerate"]):
@@ -126,14 +123,7 @@ def test_criterion_02_orbit_forms():
 
     orbit = orbit_classify(spec, 1, 1)
     c = orbit.chart
-    expected = (
-        wedge(d(c, "x1"), d(c, "x2"))
-        + wedge(d(c, "xib1"), d(c, "x2"))
-        + wedge(d(c, "xb5"), d(c, "xi5"))
-        + wedge(d(c, "xi5"), d(c, "xi5")).scale(Fraction(1, 2))
-        - wedge(d(c, "xi6"), d(c, "xi6")).scale(Fraction(1, 2))
-    )
-    if orbit.kks_form() != expected:
+    if orbit.kks_form() != orbit_form(c, "case_iii"):
         failures.append("case (iii) form with the hatted-chart coordinate change")
     rep = is_symplectic(orbit.kks_form(), [{n: 0 for n in c.even}])
     if not (rep["closed"] and rep["homogeneously_nondegenerate"]):
@@ -487,11 +477,8 @@ def test_criterion_06_ce_cohomology():
 
 
 def test_criterion_07_cech_prequantization():
-    from itertools import combinations
-
     from supersymp.cech import (
         CechCochain,
-        build_nerve,
         classify_prequantum,
         cocycle_from_potentials,
         normalize_to_periods,
@@ -502,11 +489,8 @@ def test_criterion_07_cech_prequantization():
     rng = random.Random(71)
     failures = []
 
-    sims = [(i,) for i in range(4)]
-    sims += list(combinations(range(4), 2))
-    sims += list(combinations(range(4), 3))
-    sphere = build_nerve(sims)
-    a0 = CechCochain(sphere, 2, {(0, 1, 2): Fraction(3)})
+    a0 = sphere_cocycle()
+    sphere = a0.nerve
 
     per = period_group(a0)
     if per.generator != 3:
@@ -517,8 +501,7 @@ def test_criterion_07_cech_prequantization():
 
     if not classify_prequantum(sphere, 3)["trivial"]:
         failures.append("sphere fixture classifies trivial")
-    circle = build_nerve([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
-    rep = classify_prequantum(circle, 3)
+    rep = classify_prequantum(circle_nerve(), 3)
     if rep["free_rank"] != 1 or rep["torsion"]:
         failures.append("circle fixture classifies as Q/dZ")
 
@@ -546,15 +529,15 @@ def test_criterion_07_cech_prequantization():
 
 def test_criterion_08_operators():
     from supersymp.forms import lift_function
-    from supersymp.prequant import PrequantChart, Section, quantum_op, rep_check
+    from supersymp.prequant import Section, quantum_op, rep_check
 
     rng = random.Random(81)
     failures = []
 
     even = even_chart_20()
-    pq_even = PrequantChart(SymplecticData(even.omega, [ORIGIN]), even.theta)
+    pq_even = prequant_at_origin(even)
     mixed = mixed_chart_21()
-    pq_mixed = PrequantChart(SymplecticData(mixed.omega, [ORIGIN]), mixed.theta)
+    pq_mixed = prequant_at_origin(mixed)
 
     chart = mixed.chart
     r = Fraction(-7, 4)
@@ -576,11 +559,7 @@ def test_criterion_08_operators():
     if not rep_check(f_even, g_even, pq_even, secs_even):
         failures.append("rep condition, even chart coordinates")
 
-    members = [
-        CFunction(chart.var("x"), chart.zero()),
-        CFunction(chart.var("y"), chart.var("xi")),
-        CFunction(chart.zero(), chart.var("x")),
-    ]
+    members = members_21(mixed)
     secs = [Section(chart.one()), Section(chart.var("x") * chart.var("xi")), Section(chart.var("y"))]
     for f in members:
         for g in members:

@@ -20,21 +20,7 @@ from supersymp.cech import (
     transition_data,
     two_cycles,
 )
-
-
-def triangle_nerve():
-    """Three vertices, three edges, no 2-simplex: a circle."""
-    return build_nerve([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
-
-
-def tetrahedron_boundary():
-    """All faces of the 3-simplex except the solid one: a 2-sphere."""
-    sims = [(i,) for i in range(4)]
-    from itertools import combinations
-
-    sims += list(combinations(range(4), 2))
-    sims += list(combinations(range(4), 3))
-    return build_nerve(sims)
+from supersymp.reference import circle_nerve, sphere_nerve
 
 
 def solid_triangle():
@@ -47,7 +33,7 @@ def solid_triangle():
 
 
 def test_triangle_nerve_boundaries():
-    nerve = triangle_nerve()
+    nerve = circle_nerve()
     assert nerve.simplices[2] == []
     b1 = nerve.boundary_matrix(1)
     assert len(b1) == 3 and len(b1[0]) == 3
@@ -56,7 +42,7 @@ def test_triangle_nerve_boundaries():
 
 
 def test_tetrahedron_dd_zero():
-    nerve = tetrahedron_boundary()
+    nerve = sphere_nerve()
     b2 = nerve.boundary_matrix(2)
     b1 = nerve.boundary_matrix(1)
     for c in range(4):
@@ -70,14 +56,14 @@ def test_missing_face_rejected():
 
 
 def test_cochain_skew_extension():
-    nerve = triangle_nerve()
+    nerve = circle_nerve()
     f = CechCochain(nerve, 1, {(0, 1): Fraction(3, 2)})
     assert f(0, 1) == Fraction(3, 2)
     assert f(1, 0) == Fraction(-3, 2)
 
 
 def test_delta_delta_zero():
-    nerve = tetrahedron_boundary()
+    nerve = sphere_nerve()
     f = CechCochain(nerve, 0, {(0,): Fraction(1), (2,): Fraction(-2)})
     assert coboundary(coboundary(f)).is_zero()
 
@@ -88,13 +74,13 @@ def test_delta_delta_zero():
 
 
 def test_zero_potentials_give_zero():
-    nerve = tetrahedron_boundary()
+    nerve = sphere_nerve()
     f = CechCochain(nerve, 1)
     assert cocycle_from_potentials(f).is_zero()
 
 
 def test_single_edge_potential():
-    nerve = tetrahedron_boundary()
+    nerve = sphere_nerve()
     lam = Fraction(7, 3)
     f = CechCochain(nerve, 1, {(0, 1): lam})
     a = cocycle_from_potentials(f)
@@ -111,7 +97,7 @@ def test_single_edge_potential():
 
 
 def sphere_cocycle(lam):
-    nerve = tetrahedron_boundary()
+    nerve = sphere_nerve()
     return nerve, CechCochain(nerve, 2, {(0, 1, 2): Fraction(lam)})
 
 
@@ -130,7 +116,7 @@ def test_sphere_periods():
 
 
 def test_coboundaries_have_no_periods():
-    nerve = tetrahedron_boundary()
+    nerve = sphere_nerve()
     f = CechCochain(nerve, 1, {(0, 1): Fraction(5, 2), (1, 2): Fraction(-1, 3)})
     assert period_group(cocycle_from_potentials(f)).is_trivial()
 
@@ -177,7 +163,7 @@ def test_normalize_with_coboundary_noise(rng):
 
 
 def test_normalize_exact_cocycle_to_zero():
-    nerve = tetrahedron_boundary()
+    nerve = sphere_nerve()
     f = CechCochain(nerve, 1, {(0, 1): Fraction(5, 2), (1, 3): Fraction(2)})
     a = cocycle_from_potentials(f)
     bprime, corrected, per = normalize_to_periods(a)
@@ -245,7 +231,7 @@ def test_classify_contractible():
 
 
 def test_classify_circle():
-    rep = classify_prequantum(triangle_nerve(), 3)
+    rep = classify_prequantum(circle_nerve(), 3)
     assert rep["free_rank"] == 1
     assert rep["torsion"] == []
     assert not rep["trivial"]
@@ -253,7 +239,7 @@ def test_classify_circle():
 
 
 def test_classify_sphere():
-    rep = classify_prequantum(tetrahedron_boundary(), 3)
+    rep = classify_prequantum(sphere_nerve(), 3)
     assert rep["trivial"]
     assert rep["free_rank"] == 0
 

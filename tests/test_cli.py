@@ -165,6 +165,29 @@ def test_verify_sections(capsys):
         assert rep["ok"] is True
 
 
+def test_verify_reports_a_crashing_check(capsys, monkeypatch):
+    """A check that raises fails with the exception as its result, and the
+    run goes on to the next check."""
+    from supersymp import verify
+
+    monkeypatch.setattr(verify, "_REGISTRY", [])
+
+    @verify.check("raises", "section8")
+    def _raises():
+        return 1 / 0
+
+    @verify.check("holds", "section8")
+    def _holds():
+        return True, "1", "1"
+
+    code, rep = run(capsys, "verify-paper", "section8")
+    assert code == 1
+    assert [(c["name"], c["ok"], c["got"]) for c in rep["checks"]] == [
+        ("raises", False, "ZeroDivisionError: division by zero"),
+        ("holds", True, "1"),
+    ]
+
+
 def test_verify_section3_reports_known_display_mismatch(capsys):
     """Two reference displays in the mixed counterexample are inconsistent
     with the others by a factor -2; the verifier reports rather than hides

@@ -6,7 +6,7 @@ import pytest
 
 from supersymp.charts import CFunction, Chart, vf_apply, vf_commutator
 from supersymp.forms import KForm, contract, ext_d, wedge
-from supersymp.reference import d, mixed_chart_21, mixed_counterexample, poisson_member_21
+from supersymp.reference import ORIGIN, d, mixed_chart_21, mixed_counterexample, poisson_member_21
 from supersymp.symplectic import (
     DarbouxResult,
     HamiltonianResult,
@@ -24,8 +24,6 @@ from supersymp.symplectic import (
 )
 
 from conftest import random_superfunction
-
-ORIGIN = {"x": 0, "y": 0}
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +79,18 @@ def test_hamiltonian_of_x_c0(sd21):
     res = hamiltonian_field(f, sd)
     assert res.status == "member"
     assert res.field == chart.vector_field({"y": -1})
+
+
+def test_hamiltonian_uniqueness(sd21):
+    """X_f is unique exactly when omega has no kernel on the ansatz: dx^dy
+    on a 3|0 chart leaves d/dz free, the 2|1 form leaves nothing free."""
+    chart = Chart("P", ("x", "y", "z"), ())
+    sd = SymplecticData(wedge(d(chart, "x"), d(chart, "y")))
+    res = hamiltonian_field(CFunction(chart.var("x"), chart.zero()), sd)
+    assert (res.status, res.unique) == ("member", False)
+    data, sd = sd21
+    res = hamiltonian_field(poisson_member_21(data, [0, 1], [2], [1]), sd)
+    assert (res.status, res.unique) == ("member", True)
 
 
 def test_hamiltonian_of_constant_is_zero(sd21):
