@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .grassmann import graded_sort
+from .grassmann import Linear, graded_sort
 from .linalg import fraction_gcd, integer_kernel, invariant_factors, smith_normal_form
 
 Simplex = Tuple[int, ...]
@@ -84,13 +84,19 @@ def build_nerve(simplices: Iterable[Sequence[int]]) -> NerveComplex:
     return nerve
 
 
-class CechCochain:
-    """Rational k-cochain: skew-symmetric values on ordered simplices."""
+class CechCochain(Linear):
+    """Rational k-cochain: skew-symmetric values on ordered simplices, a sum
+    over the sorted k-simplices."""
+
+    __slots__ = ("nerve", "degree", "terms")
+    _FRAME = ("degree",)
+    _CARRY = ("nerve",)
+    _scalar = Fraction
 
     def __init__(self, nerve: NerveComplex, degree: int, values: Mapping[Sequence[int], Fraction] | None = None):
         self.nerve = nerve
         self.degree = degree
-        self.values: Dict[Simplex, Fraction] = {}
+        self.terms: Dict[Simplex, Fraction] = {}
         if values:
             for key, val in values.items():
                 sign, canon = graded_sort(key)
@@ -99,10 +105,14 @@ class CechCochain:
                 if canon not in nerve.index[degree]:
                     raise NerveError(f"simplex {canon} is not in the nerve")
                 val = Fraction(val) * sign
-                if canon in self.values and self.values[canon] != val:
+                if canon in self.terms and self.terms[canon] != val:
                     raise NerveError(f"conflicting values on {canon}")
                 if val != 0:
-                    self.values[canon] = val
+                    self.terms[canon] = val
+
+    @property
+    def values(self) -> Dict[Simplex, Fraction]:
+        return self.terms
 
     def __call__(self, *simplex: int) -> Fraction:
         sign, canon = graded_sort(simplex)
@@ -113,34 +123,6 @@ class CechCochain:
     def vector(self) -> List[Fraction]:
         return [self.values.get(s, Fraction(0)) for s in self.nerve.simplices[self.degree]]
 
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def __add__(self, other: "CechCochain") -> "CechCochain":
-        vals = dict(self.values)
-        for k, v in other.values.items():
-            s = vals.get(k, Fraction(0)) + v
-            if s == 0:
-                vals.pop(k, None)
-            else:
-                vals[k] = s
-        out = CechCochain(self.nerve, self.degree)
-        out.values = vals
-        return out
-
-    def __neg__(self):
-        out = CechCochain(self.nerve, self.degree)
-        out.values = {k: -v for k, v in self.values.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, CechCochain):
-            return NotImplemented
-        return self.degree == other.degree and self.values == other.values
-
     def __repr__(self):
         return f"<{self.degree}-cochain {self.values}>"
 
@@ -149,16 +131,14 @@ def coboundary(h: CechCochain) -> CechCochain:
     """(delta h)(s) = h(boundary s)."""
     nerve = h.nerve
     k = h.degree
-    out_vals: Dict[Simplex, Fraction] = {}
+    out = CechCochain(nerve, k + 1)
     for s in nerve.simplices[k + 1]:
         total = Fraction(0)
         for j in range(len(s)):
             face = s[:j] + s[j + 1:]
             total += (-1) ** j * h(*face)
         if total != 0:
-            out_vals[s] = total
-    out = CechCochain(nerve, k + 1)
-    out.values = out_vals
+            out.terms[s] = total
     return out
 
 

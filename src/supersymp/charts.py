@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
-from .grassmann import DimensionError, Graded, GrassmannNumber, default_generator_count, graded_sort
+from .grassmann import DimensionError, Graded, GrassmannNumber, Linear, accumulate, default_generator_count, graded_sort
 from .scalars import GaussianRational
 
 ExpKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (even exponents, odd word)
@@ -110,31 +110,25 @@ class Chart:
         return VectorField(self, comps)
 
 
-class SuperFunction(Graded):
+class SuperFunction(Graded, Linear):
     """Polynomial superfunction in canonical form."""
 
     __slots__ = ("chart", "terms")
+    _FRAME = ("chart",)
 
     def __init__(self, chart: Chart, terms: Dict[ExpKey, GrassmannNumber]):
         self.chart = chart
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        self.terms = {k: c for k, c in terms.items() if c}
 
     # -- bookkeeping ----------------------------------------------------
 
-    def _check(self, other: "SuperFunction") -> None:
-        if other.chart != self.chart:
-            raise ChartMismatch(f"{other.chart.name} vs {self.chart.name}")
-
-    def coerce(self, x) -> "SuperFunction":
-        if isinstance(x, SuperFunction):
-            self._check(x)
-            return x
-        if isinstance(x, GrassmannNumber):
+    def _lift(self, x):
+        if isinstance(x, (int, Fraction, GaussianRational, GrassmannNumber)):
             return self.chart.constant(x)
-        return self.chart.constant(GaussianRational.coerce(x))
+        return NotImplemented
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _mismatch(self, other) -> ChartMismatch:
+        return ChartMismatch(f"{other.chart.name} vs {self.chart.name}")
 
     def is_constant(self) -> bool:
         zero_key = ((0,) * len(self.chart.even), ())
@@ -153,41 +147,14 @@ class SuperFunction(Graded):
 
     def parity_part(self, parity: int) -> "SuperFunction":
         """Terms of total parity (odd word length + coefficient parity)."""
-        out: Dict[ExpKey, GrassmannNumber] = {}
-        for (e, w), c in self.terms.items():
-            want = (parity - len(w)) % 2
-            part = c.parity_part(want)
-            if not part.is_zero():
-                out[(e, w)] = part
-        return SuperFunction(self.chart, out)
+        return self._map(lambda key, c: c.parity_part((parity - len(key[1])) % 2))
 
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other):
-        other = self.coerce(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return SuperFunction(self.chart, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SuperFunction(self.chart, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self.coerce(other))
-
-    def __rsub__(self, other):
-        return self.coerce(other) + (-self)
-
     def __mul__(self, other):
-        other = self.coerce(other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
         out: Dict[ExpKey, GrassmannNumber] = {}
         right = [(e2, w2, c2.homogeneous_parts()) for (e2, w2), c2 in other.terms.items()]
         for (e1, w1), c1 in self.terms.items():
@@ -199,24 +166,12 @@ class SuperFunction(Graded):
                 # move c2 left through the odd word w1
                 for p, c2p in parts2.items():
                     sign = sign_w * (-1 if (p * len(w1)) % 2 else 1)
-                    c = c1 * c2p
-                    if sign < 0:
-                        c = -c
-                    key = (e, w)
-                    s = out.get(key)
-                    s = c if s is None else s + c
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return SuperFunction(self.chart, out)
+                    accumulate(out, (e, w), c1 * c2p if sign > 0 else -(c1 * c2p))
+        return self._like(out)
 
     def __rmul__(self, other):
-        return self.coerce(other) * self
-
-    def scale(self, scalar) -> "SuperFunction":
-        scalar = GaussianRational.coerce(scalar)
-        return SuperFunction(self.chart, {k: c * scalar for k, c in self.terms.items()})
+        other = self._operand(other)
+        return other if other is NotImplemented else other * self
 
     # -- calculus ----------------------------------------------------------
 
@@ -230,14 +185,7 @@ class SuperFunction(Graded):
                     continue
                 e2 = list(e)
                 e2[i] -= 1
-                key = (tuple(e2), w)
-                add = c * e[i]
-                s = out.get(key)
-                s = add if s is None else s + add
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, (tuple(e2), w), c.scale(e[i]))
         else:
             j = self.chart.odd_index(coord)
             for (e, w), c in self.terms.items():
@@ -247,20 +195,9 @@ class SuperFunction(Graded):
                 w2 = w[:pos] + w[pos + 1:]
                 # move xi_j left through pos earlier letters and the odd
                 # part of the coefficient
-                add = GrassmannNumber.zero(self.chart.generators)
                 for p, cp in c.homogeneous_parts().items():
-                    sign = -1 if (pos + p) % 2 else 1
-                    add = add + (cp if sign > 0 else -cp)
-                if add.is_zero():
-                    continue
-                key = (e, w2)
-                s = out.get(key)
-                s = add if s is None else s + add
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SuperFunction(self.chart, out)
+                    accumulate(out, (e, w2), -cp if (pos + p) % 2 else cp)
+        return self._like(out)
 
     def evaluate(self, point: Mapping[str, object]) -> GrassmannNumber:
         """Evaluate at a real point: even coords from `point`, odd coords 0."""
@@ -283,17 +220,7 @@ class SuperFunction(Graded):
             total = total + c * factor
         return total
 
-    # -- comparison / rendering ------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, GrassmannNumber)):
-            other = self.coerce(other)
-        if not isinstance(other, SuperFunction):
-            return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.chart, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+    # -- rendering ----------------------------------------------------------------
 
     def _term_str(self, key: ExpKey, coeff: GrassmannNumber) -> str:
         e, w = key
@@ -332,30 +259,33 @@ class SuperFunction(Graded):
         return f"<SuperFunction {self} on {self.chart.name}>"
 
 
-class CFunction(Graded):
-    """C-valued function f = f0*c0 + f1*c1 on a chart."""
+class CFunction(Graded, Linear):
+    """C-valued function f = f0*c0 + f1*c1 on a chart, a sum over alpha = 0, 1."""
 
-    __slots__ = ("f0", "f1")
+    __slots__ = ("chart", "terms")
+    _FRAME = ("chart",)
+    _mismatch = SuperFunction._mismatch
 
     def __init__(self, f0: SuperFunction, f1: SuperFunction):
         if f0.chart != f1.chart:
             raise ChartMismatch("components on different charts")
-        self.f0 = f0
-        self.f1 = f1
+        self.chart = f0.chart
+        self.terms = {alpha: f for alpha, f in enumerate((f0, f1)) if f}
 
     @property
-    def chart(self) -> Chart:
-        return self.f0.chart
+    def f0(self) -> SuperFunction:
+        return self.component(0)
+
+    @property
+    def f1(self) -> SuperFunction:
+        return self.component(1)
 
     def component(self, alpha: int) -> SuperFunction:
-        return self.f0 if alpha == 0 else self.f1
+        return self.terms.get(alpha) or self.chart.zero()
 
     def piece(self, alpha: int, beta: int) -> SuperFunction:
         """Homogeneous piece f^alpha_beta (parity beta part of f^alpha)."""
         return self.component(alpha).parity_part(beta)
-
-    def is_zero(self) -> bool:
-        return self.f0.is_zero() and self.f1.is_zero()
 
     def is_constant(self) -> bool:
         return self.f0.is_constant() and self.f1.is_constant()
@@ -364,89 +294,46 @@ class CFunction(Graded):
         """Homogeneous part of the C-valued function, c-basis parities included."""
         return CFunction(self.f0.parity_part(parity), self.f1.parity_part((parity + 1) % 2))
 
-    def __add__(self, other: "CFunction") -> "CFunction":
-        return CFunction(self.f0 + other.f0, self.f1 + other.f1)
-
-    def __neg__(self):
-        return CFunction(-self.f0, -self.f1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar) -> "CFunction":
-        return CFunction(self.f0.scale(scalar), self.f1.scale(scalar))
-
-    def __eq__(self, other):
-        if not isinstance(other, CFunction):
-            return NotImplemented
-        return self.f0 == other.f0 and self.f1 == other.f1
-
-    def __hash__(self):
-        return hash((self.f0, self.f1))
-
     def __str__(self):
         return f"({self.f0})*c0 + ({self.f1})*c1"
 
     __repr__ = __str__
 
 
-class VectorField(Graded):
+class VectorField(Graded, Linear):
     """First-order differential operator X = sum_z X^z d/dz, coefficients left."""
 
-    __slots__ = ("chart", "components")
+    __slots__ = ("chart", "terms")
+    _FRAME = ("chart",)
 
     def __init__(self, chart: Chart, components: Dict[str, SuperFunction]):
         self.chart = chart
-        comps = {}
+        self.terms = {}
         for name, sf in components.items():
             if name not in chart.coords:
                 raise UnknownCoordinate(name)
             if sf.chart != chart:
                 raise ChartMismatch("component on a different chart")
-            if not sf.is_zero():
-                comps[name] = sf
-        self.components = comps
+            if sf:
+                self.terms[name] = sf
+
+    def _mismatch(self, other) -> ChartMismatch:
+        return ChartMismatch("vector fields on different charts")
+
+    @property
+    def components(self) -> Dict[str, SuperFunction]:
+        return self.terms
 
     def component(self, name: str) -> SuperFunction:
-        return self.components.get(name, self.chart.zero())
-
-    def is_zero(self) -> bool:
-        return not self.components
+        return self.terms.get(name) or self.chart.zero()
 
     # parity of the operator: component for z has parity eps(X) + eps(z)
 
     def parity_part(self, parity: int) -> "VectorField":
-        comps = {}
-        for name, sf in self.components.items():
-            part = sf.parity_part((parity + self.chart.parity(name)) % 2)
-            if not part.is_zero():
-                comps[name] = part
-        return VectorField(self.chart, comps)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        if other.chart != self.chart:
-            raise ChartMismatch("vector fields on different charts")
-        comps = dict(self.components)
-        for name, sf in other.components.items():
-            s = comps.get(name)
-            s = sf if s is None else s + sf
-            if s.is_zero():
-                comps.pop(name, None)
-            else:
-                comps[name] = s
-        return VectorField(self.chart, comps)
-
-    def __neg__(self):
-        return VectorField(self.chart, {k: -v for k, v in self.components.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return self._map(lambda name, sf: sf.parity_part((parity + self.chart.parity(name)) % 2))
 
     def left_multiply(self, f: SuperFunction) -> "VectorField":
-        return VectorField(self.chart, {k: f * v for k, v in self.components.items()})
-
-    def scale(self, scalar) -> "VectorField":
-        return VectorField(self.chart, {k: v.scale(scalar) for k, v in self.components.items()})
+        return self._map(lambda name, sf: f * sf)
 
     def __call__(self, f):
         return self.apply(f)
@@ -463,14 +350,6 @@ class VectorField(Graded):
         for name, comp in self.components.items():
             total = total + comp * f.partial(name)
         return total
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.chart == other.chart and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.chart, tuple(sorted(self.components.items()))))
 
     def __str__(self):
         if not self.components:

@@ -13,11 +13,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, wedge
-from .grassmann import GrassmannNumber, default_generator_count
+from .grassmann import GrassmannNumber, accumulate, default_generator_count
 from .heisenberg import HeisenbergSpec
 from .liecoh import CECochain, SuperLieAlgebra
 from .scalars import GaussianRational
@@ -119,10 +119,14 @@ class Bin:
     tok: Token
 
 
+MAX_NESTING = 100  # parentheses and signs; keeps parsing and evaluation off the recursion limit
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -151,6 +155,15 @@ class _Parser:
 
     # expressions ------------------------------------------------------
 
+    def nested(self, tok: Token, parse: Callable[[], object]):
+        """parse() one nesting level deeper than `tok`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
+        node = parse()
+        self.depth -= 1
+        return node
+
     def expression(self):
         node = self.term()
         while self.peek().text in ("+", "-"):
@@ -169,10 +182,10 @@ class _Parser:
         tok = self.peek()
         if tok.text == "-":
             self.next()
-            return Unary("-", self.unary(), tok)
+            return Unary("-", self.nested(tok, self.unary), tok)
         if tok.text == "+":
             self.next()
-            return self.unary()
+            return self.nested(tok, self.unary)
         return self.atom()
 
     def atom(self):
@@ -182,7 +195,7 @@ class _Parser:
             return Num(int(tok.text), tok)
         if tok.text == "(":
             self.next()
-            node = self.expression()
+            node = self.nested(tok, self.expression)
             self.expect(")")
             return node
         if tok.kind == "name":
@@ -336,24 +349,23 @@ class Evaluator:
             val = self.eval(node.arg)
             return self._negate(val, node.tok)
         if isinstance(node, Bin):
-            if node.op == "+":
-                return self._add(self.eval(node.left), self.eval(node.right), node.tok)
-            if node.op == "-":
-                return self._add(
-                    self.eval(node.left), self._negate(self.eval(node.right), node.tok), node.tok
-                )
-            if node.op == "*":
-                return self._mul(self.eval(node.left), self.eval(node.right), node.tok)
-            if node.op == "/":
-                return self._div(self.eval(node.left), self.eval(node.right), node.tok)
-            if node.op == "^":
-                return self._pow(self.eval(node.left), self.eval(node.right), node.tok)
+            # fold a left-nested chain a + b + c ... in a loop, not by recursion
+            chain = []
+            while isinstance(node, Bin):
+                chain.append(node)
+                node = node.left
+            val = self.eval(node)
+            for b in reversed(chain):
+                right = self.eval(b.right)
+                if b.op == "-":
+                    val = self._add(val, self._negate(right, b.tok), b.tok)
+                else:
+                    val = {"+": self._add, "*": self._mul, "/": self._div, "^": self._pow}[b.op](val, right, b.tok)
+            return val
         raise AssertionError(f"unhandled node {node!r}")
 
     def _negate(self, val, tok):
-        if isinstance(val, (GaussianRational, SuperFunction, VectorField, KForm, CKForm)):
-            return -val
-        if isinstance(val, CFunction):
+        if isinstance(val, (GaussianRational, SuperFunction, VectorField, KForm, CKForm, CFunction)):
             return -val
         raise DslError("cannot negate this expression", tok.line, tok.col)
 
@@ -394,13 +406,8 @@ class Evaluator:
             raise DslError("only functions and forms can be tagged with c0/c1", tok.line, tok.col)
         if isinstance(a, CBasis):
             raise DslError("write the c0/c1 tag on the right of the factor", tok.line, tok.col)
-        if isinstance(a, GaussianRational):
-            if isinstance(b, SuperFunction):
-                return b.scale(a)
-            if isinstance(b, (VectorField, KForm, CKForm)):
-                return b.scale(a)
-            if isinstance(b, CFunction):
-                return b.scale(a)
+        if isinstance(a, GaussianRational) and isinstance(b, (SuperFunction, VectorField, KForm, CKForm, CFunction)):
+            return b.scale(a)
         if isinstance(b, GaussianRational):
             return self._mul(b, a, tok) if not isinstance(a, SuperFunction) else a.scale(b)
         if isinstance(a, SuperFunction):
@@ -679,79 +686,59 @@ def _statement(parser: _Parser, doc: Document) -> None:
     parser.expect(";")
 
 
-def _basis_expression(parser: _Parser, dimension: int) -> Dict[int, Fraction]:
-    """Linear combination of e1..en with rational coefficients."""
-    out: Dict[int, Fraction] = {}
+def _signed_sum(parser: _Parser, what: str, basis: Callable[[Token], object]) -> Dict[object, Fraction]:
+    """Signed sum  [-] t (+|- t)...  of terms t = q*b, b or 0 with rational q.
 
-    def add_term(sign: Fraction):
-        coeff = Fraction(1)
-        tok = parser.peek()
-        if tok.kind == "int":
-            coeff = parser.rational()
-            parser.expect("*")
-            tok = parser.peek()
-        if tok.kind != "name" or not re.fullmatch(r"e\d+", tok.text):
-            parser.fail("expected a basis vector e<k>")
-        parser.next()
-        k = int(tok.text[1:]) - 1
-        if not 0 <= k < dimension:
-            raise DslError(f"basis index e{k+1} out of range", tok.line, tok.col)
-        out[k] = out.get(k, Fraction(0)) + sign * coeff
-        if out[k] == 0:
-            del out[k]
-
-    sign = Fraction(1)
+    `basis(tok)` maps a basis-vector token to its key, or fails with its
+    own message; a coefficient must be followed by `*` unless it is 0.
+    """
+    out: Dict[object, Fraction] = {}
+    sign = 1
     if parser.peek().text == "-":
         parser.next()
-        sign = Fraction(-1)
-    if parser.peek().kind == "int" and parser.peek(1).text in (",", ";"):
-        tok = parser.peek()
-        if tok.text == "0":
+        sign = -1
+    while True:
+        coeff, has_basis = Fraction(1), True
+        if parser.peek().kind == "int":
+            coeff = parser.rational()
+            has_basis = parser.peek().text == "*"
+            if has_basis:
+                parser.next()
+            elif coeff:
+                parser.fail(f"expected {what} after the coefficient")
+        if has_basis:
+            key = basis(parser.peek())
             parser.next()
+            accumulate(out, key, sign * coeff)
+        if parser.peek().text not in ("+", "-"):
             return out
-        parser.fail("expected a basis combination or 0")
-    add_term(sign)
-    while parser.peek().text in ("+", "-"):
-        op = parser.next()
-        add_term(Fraction(1) if op.text == "+" else Fraction(-1))
-    return out
+        sign = 1 if parser.next().text == "+" else -1
+
+
+def _basis_expression(parser: _Parser, dimension: int) -> Dict[int, Fraction]:
+    """Linear combination of e1..en with rational coefficients."""
+
+    def basis(tok: Token) -> int:
+        if tok.kind != "name" or not re.fullmatch(r"e\d+", tok.text):
+            parser.fail("expected a basis vector e<k>")
+        k = int(tok.text[1:])
+        if not 1 <= k <= dimension:
+            raise DslError(f"basis index e{k} out of range", tok.line, tok.col)
+        return k - 1
+
+    return _signed_sum(parser, "a basis vector e<k>", basis)
 
 
 def _cvalue_expression(parser: _Parser) -> Tuple[Fraction, Fraction]:
     """Linear combination of c0 and c1 with rational coefficients."""
-    c0 = Fraction(0)
-    c1 = Fraction(0)
 
-    def add_term(sign: Fraction):
-        nonlocal c0, c1
-        coeff = Fraction(1)
-        tok = parser.peek()
-        if tok.kind == "int":
-            coeff = parser.rational()
-            if parser.peek().text == "*":
-                parser.next()
-                tok = parser.peek()
-            else:
-                if coeff != 0:
-                    parser.fail("expected c0 or c1 after the coefficient")
-                return
+    def basis(tok: Token) -> int:
         if tok.text not in ("c0", "c1"):
             parser.fail("expected c0 or c1")
-        parser.next()
-        if tok.text == "c0":
-            c0 += sign * coeff
-        else:
-            c1 += sign * coeff
+        return int(tok.text[1])
 
-    sign = Fraction(1)
-    if parser.peek().text == "-":
-        parser.next()
-        sign = Fraction(-1)
-    add_term(sign)
-    while parser.peek().text in ("+", "-"):
-        op = parser.next()
-        add_term(Fraction(1) if op.text == "+" else Fraction(-1))
-    return c0, c1
+    out = _signed_sum(parser, "c0 or c1", basis)
+    return out.get(0, Fraction(0)), out.get(1, Fraction(0))
 
 
 # ----------------------------------------------------------------------

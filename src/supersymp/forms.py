@@ -30,25 +30,13 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .charts import CFunction, Chart, ChartMismatch, SuperFunction, VectorField
-from .grassmann import Graded, graded_sort
-from .scalars import GaussianRational
+from .grassmann import Graded, Linear, accumulate, graded_sort
 
 Word = Tuple[int, ...]  # indices into chart.coords
 
 
 class DegreeError(ValueError):
     pass
-
-
-def _add_term(acc: Dict[Word, SuperFunction], word: Word, g: SuperFunction) -> None:
-    if g.is_zero():
-        return
-    s = acc.get(word)
-    s = g if s is None else s + g
-    if s.is_zero():
-        acc.pop(word, None)
-    else:
-        acc[word] = s
 
 
 def _letter_parity(chart: Chart, letter: int) -> int:
@@ -71,10 +59,11 @@ def canonicalize_word(chart: Chart, word: Word) -> Tuple[int, Optional[Word]]:
     return (0, None) if sign == 0 else (sign, letters)
 
 
-class KForm(Graded):
+class KForm(Graded, Linear):
     """Graded differential form of homogeneous degree k."""
 
     __slots__ = ("chart", "degree", "terms")
+    _FRAME = ("chart", "degree")
 
     def __init__(self, chart: Chart, degree: int, terms: Dict[Word, SuperFunction]):
         self.chart = chart
@@ -85,7 +74,7 @@ class KForm(Graded):
                 raise DegreeError(f"word {w} does not have degree {degree}")
             if g.chart != chart:
                 raise ChartMismatch("coefficient on a different chart")
-            if not g.is_zero():
+            if g:
                 self.terms[tuple(w)] = g
 
     # -- constructors -----------------------------------------------------
@@ -103,10 +92,10 @@ class KForm(Graded):
         idx = chart.coords.index(coord)
         return KForm(chart, 1, {(idx,): chart.one()})
 
-    # -- inspection ----------------------------------------------------------
+    def _mismatch(self, other) -> ChartMismatch:
+        return ChartMismatch("cannot add forms of different chart/degree")
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    # -- inspection ----------------------------------------------------------
 
     def component(self, word: Word) -> SuperFunction:
         return self.terms.get(tuple(word), self.chart.zero())
@@ -117,34 +106,9 @@ class KForm(Graded):
         return self.terms.get((), self.chart.zero())
 
     def parity_part(self, parity: int) -> "KForm":
-        out: Dict[Word, SuperFunction] = {}
-        for w, g in self.terms.items():
-            part = g.parity_part((parity + word_parity(self.chart, w)) % 2)
-            if not part.is_zero():
-                out[w] = part
-        return KForm(self.chart, self.degree, out)
+        return self._map(lambda w, g: g.parity_part((parity + word_parity(self.chart, w)) % 2))
 
-    # -- linear structure ------------------------------------------------------
-
-    def __add__(self, other: "KForm") -> "KForm":
-        if not isinstance(other, KForm):
-            return NotImplemented
-        if other.chart != self.chart or other.degree != self.degree:
-            raise ChartMismatch("cannot add forms of different chart/degree")
-        terms = dict(self.terms)
-        for w, g in other.terms.items():
-            _add_term(terms, w, g)
-        return KForm(self.chart, self.degree, terms)
-
-    def __neg__(self):
-        return KForm(self.chart, self.degree, {w: -g for w, g in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar) -> "KForm":
-        scalar = GaussianRational.coerce(scalar)
-        return KForm(self.chart, self.degree, {w: g.scale(scalar) for w, g in self.terms.items()})
+    # -- products ------------------------------------------------------
 
     def left_multiply(self, f: SuperFunction) -> "KForm":
         """f * omega, moving f through each differential word."""
@@ -155,23 +119,11 @@ class KForm(Graded):
                 coeff = fp * g
                 if (p * wp) % 2:
                     coeff = -coeff
-                _add_term(out, w, coeff)
+                accumulate(out, w, coeff)
         return KForm(self.chart, self.degree, out)
 
     def right_multiply(self, f: SuperFunction) -> "KForm":
-        return KForm(self.chart, self.degree, {w: g * f for w, g in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, KForm):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.chart, self.degree, tuple(sorted(self.terms.items()))))
+        return self._map(lambda w, g: g * f)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -215,7 +167,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
                 coeff = g1p * g2
                 if sign < 0:
                     coeff = -coeff
-                _add_term(out, word, coeff)
+                accumulate(out, word, coeff)
     return KForm(chart, a.degree + b.degree, out)
 
 
@@ -232,7 +184,7 @@ def _ext_d_kform(w: KForm) -> KForm:
             if new_word is None:
                 continue
             coeff = dg if sign_c * degree_sign > 0 else -dg
-            _add_term(out, new_word, coeff)
+            accumulate(out, new_word, coeff)
     return KForm(chart, w.degree + 1, out)
 
 
@@ -268,7 +220,7 @@ def _contract_kform(x: VectorField, w: KForm) -> KForm:
                         coeff = cp * g
                         if sign < 0:
                             coeff = -coeff
-                        _add_term(out, new_word, coeff)
+                        accumulate(out, new_word, coeff)
                 prefix_parity = (prefix_parity + _letter_parity(chart, letter)) % 2
     return KForm(chart, w.degree - 1, out)
 
@@ -308,50 +260,30 @@ def lie_derivative(x: VectorField, w):
     raise TypeError(f"cannot take a Lie derivative of {type(w).__name__}")
 
 
-class CKForm:
-    """C-valued k-form: part0 tensor c0 + part1 tensor c1."""
+class CKForm(Linear):
+    """C-valued k-form: part0 tensor c0 + part1 tensor c1, a sum over alpha = 0, 1."""
 
-    __slots__ = ("part0", "part1")
+    __slots__ = ("chart", "degree", "terms")
+    _FRAME = ("chart", "degree")
+    _mismatch = KForm._mismatch
 
     def __init__(self, part0: KForm, part1: KForm):
         if part0.chart != part1.chart or part0.degree != part1.degree:
             raise ChartMismatch("components must share chart and degree")
-        self.part0 = part0
-        self.part1 = part1
+        self.chart = part0.chart
+        self.degree = part0.degree
+        self.terms = {alpha: w for alpha, w in enumerate((part0, part1)) if w}
 
     @property
-    def chart(self) -> Chart:
-        return self.part0.chart
+    def part0(self) -> KForm:
+        return self.terms.get(0) or KForm.zero(self.chart, self.degree)
 
     @property
-    def degree(self) -> int:
-        return self.part0.degree
-
-    def is_zero(self) -> bool:
-        return self.part0.is_zero() and self.part1.is_zero()
-
-    def __add__(self, other: "CKForm") -> "CKForm":
-        return CKForm(self.part0 + other.part0, self.part1 + other.part1)
-
-    def __neg__(self):
-        return CKForm(-self.part0, -self.part1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar) -> "CKForm":
-        return CKForm(self.part0.scale(scalar), self.part1.scale(scalar))
+    def part1(self) -> KForm:
+        return self.terms.get(1) or KForm.zero(self.chart, self.degree)
 
     def as_cfunction(self) -> CFunction:
         return CFunction(self.part0.as_function(), self.part1.as_function())
-
-    def __eq__(self, other):
-        if not isinstance(other, CKForm):
-            return NotImplemented
-        return self.part0 == other.part0 and self.part1 == other.part1
-
-    def __hash__(self):
-        return hash((self.part0, self.part1))
 
     def __str__(self):
         return f"({self.part0}) (x) c0 + ({self.part1}) (x) c1"
@@ -395,7 +327,7 @@ def lift_form(w: KForm, target: Chart) -> KForm:
         coeff = lift_function(g, target)
         if sign < 0:
             coeff = -coeff
-        _add_term(out, canon, coeff)
+        accumulate(out, canon, coeff)
     return KForm(target, w.degree, out)
 
 

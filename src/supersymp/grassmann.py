@@ -12,7 +12,12 @@ This module also holds what every graded type in the package shares:
   Cech simplices are all put in order by it, each with its own notion of
   which letters are odd;
 * `Graded` is the one parity protocol (`homogeneous_parts`,
-  `is_homogeneous`, `parity`) over each class's `parity_part`.
+  `is_homogeneous`, `parity`) over each class's `parity_part`;
+* `Linear` is the one sparse-sum protocol.  Grassmann numbers,
+  superfunctions, vector fields, forms and cochains are all finite sums
+  `terms: key -> nonzero coefficient`; `accumulate` is the one rule that
+  adds into such a dict and drops a key whose sum is zero, and `Linear`
+  derives +, -, `scale`, `is_zero`, == and hash from it.
 """
 
 from __future__ import annotations
@@ -104,10 +109,117 @@ class Graded:
         return next(iter(parts), 0)
 
 
-class GrassmannNumber(Graded):
+def accumulate(terms: Dict, key, c) -> None:
+    """terms[key] += c, dropping the key when the sum is zero."""
+    old = terms.get(key)
+    if old is not None:
+        c = old + c
+    if c:
+        terms[key] = c
+    else:
+        terms.pop(key, None)
+
+
+class Linear:
+    """Finite sum  sum_k c_k * (basis element k)  over a fixed frame.
+
+    `terms` maps each key to its nonzero coefficient: a scalar, or itself a
+    Linear, zero exactly when falsy.  The attributes named in `_FRAME` (N,
+    a chart, a degree, ...) must agree for two sums to be added or equal,
+    else `_mismatch` names the error; `_CARRY` names attributes a result
+    inherits without comparing them.  Subclasses turn other operands into a
+    sum of their own type in `_lift` and coerce scaling factors with
+    `_scalar`.
+    """
+
+    __slots__ = ()
+    _FRAME: Tuple[str, ...] = ()
+    _CARRY: Tuple[str, ...] = ()
+    _scalar = staticmethod(GaussianRational.coerce)
+
+    def _lift(self, x):
+        return NotImplemented
+
+    def _mismatch(self, other) -> Exception:
+        return ValueError(f"{type(self).__name__} operands over different frames")
+
+    def _frame(self) -> tuple:
+        return tuple(getattr(self, a) for a in self._FRAME)
+
+    def _like(self, terms: Dict) -> "Linear":
+        """A sum in this frame over terms that are already nonzero."""
+        new = object.__new__(type(self))
+        for a in self._FRAME + self._CARRY:
+            setattr(new, a, getattr(self, a))
+        new.terms = terms
+        return new
+
+    def _map(self, fn: Callable) -> "Linear":
+        """The sum of the terms fn(key, c) in this frame, zeros dropped."""
+        terms = {}
+        for k, c in self.terms.items():
+            c = fn(k, c)
+            if c:
+                terms[k] = c
+        return self._like(terms)
+
+    def _operand(self, x):
+        if not isinstance(x, type(self)):
+            x = self._lift(x)
+            if x is NotImplemented:
+                return x
+        if x._frame() != self._frame():
+            raise self._mismatch(x)
+        return x
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(terms, k, c)
+        return self._like(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        return other if other is NotImplemented else self + (-other)
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        return other if other is NotImplemented else other + (-self)
+
+    def scale(self, s):
+        s = self._scalar(s)
+        return self._map(lambda k, c: c.scale(s) if isinstance(c, Linear) else c * s)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            other = self._lift(other)
+            if other is NotImplemented:
+                return other
+        return self._frame() == other._frame() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._frame(), frozenset(self.terms.items())))
+
+
+class GrassmannNumber(Graded, Linear):
     """Element of Lambda_N with Gaussian-rational coefficients."""
 
     __slots__ = ("n", "terms")
+    _FRAME = ("n",)
 
     def __init__(self, n: int, terms: Dict[Index, GaussianRational] | None = None):
         self.n = n
@@ -144,12 +256,13 @@ class GrassmannNumber(Graded):
             n = default_generator_count()
         return GrassmannNumber(n, {})
 
-    def coerce_other(self, x) -> "GrassmannNumber":
-        if isinstance(x, GrassmannNumber):
-            if x.n != self.n:
-                raise DimensionError(f"generator counts differ: {self.n} vs {x.n}")
-            return x
-        return GrassmannNumber(self.n, {(): GaussianRational.coerce(x)})
+    def _lift(self, x):
+        if isinstance(x, (int, Fraction, GaussianRational)):
+            return self._like({(): GaussianRational.coerce(x)} if x else {})
+        return NotImplemented
+
+    def _mismatch(self, x) -> DimensionError:
+        return DimensionError(f"generator counts differ: {self.n} vs {x.n}")
 
     # -- structure -------------------------------------------------------
 
@@ -157,70 +270,35 @@ class GrassmannNumber(Graded):
         return self.terms.get((), GaussianRational(0))
 
     def soul(self) -> "GrassmannNumber":
-        return GrassmannNumber(self.n, {k: v for k, v in self.terms.items() if k})
+        return self._like({k: v for k, v in self.terms.items() if k})
 
     def parity_part(self, parity: int) -> "GrassmannNumber":
-        return GrassmannNumber(
-            self.n, {k: v for k, v in self.terms.items() if len(k) % 2 == parity}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._like({k: v for k, v in self.terms.items() if len(k) % 2 == parity})
 
     def is_scalar(self) -> bool:
         return all(k == () for k in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        other = self.coerce_other(other)
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = terms.get(idx, GaussianRational(0)) + c
-            if s.is_zero():
-                terms.pop(idx, None)
-            else:
-                terms[idx] = s
-        return GrassmannNumber(self.n, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GrassmannNumber(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self.coerce_other(other))
-
-    def __rsub__(self, other):
-        return self.coerce_other(other) + (-self)
-
     def __mul__(self, other):
-        other = self.coerce_other(other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
         terms: Dict[Index, GaussianRational] = {}
         for ia, ca in self.terms.items():
             for ib, cb in other.terms.items():
                 sign, idx = graded_sort(ia + ib)
-                if sign == 0:
-                    continue
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                s = terms.get(idx, GaussianRational(0)) + c
-                if s.is_zero():
-                    terms.pop(idx, None)
-                else:
-                    terms[idx] = s
-        return GrassmannNumber(self.n, terms)
+                if sign:
+                    accumulate(terms, idx, ca * cb if sign > 0 else -(ca * cb))
+        return self._like(terms)
 
     def __rmul__(self, other):
-        return self.coerce_other(other) * self
+        other = self._operand(other)
+        return other if other is NotImplemented else other * self
 
     def involution(self) -> "GrassmannNumber":
         """x0 + x1 -> x0 - x1."""
-        return GrassmannNumber(
-            self.n,
-            {k: (v if len(k) % 2 == 0 else -v) for k, v in self.terms.items()},
-        )
+        return self._like({k: (v if len(k) % 2 == 0 else -v) for k, v in self.terms.items()})
 
     def inverse(self) -> "GrassmannNumber":
         """Inverse via the finite geometric series in the nilpotent part."""
@@ -238,16 +316,6 @@ class GrassmannNumber(Graded):
                 break
             acc = acc + power
         return acc * binv
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = self.coerce_other(other)
-        if not isinstance(other, GrassmannNumber):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     # -- rendering -----------------------------------------------------------
 

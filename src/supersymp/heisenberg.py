@@ -212,18 +212,11 @@ def coad(g: GroupElement, mu: OrbitPoint) -> OrbitPoint:
 
 
 def coad_infinitesimal(spec: HeisenbergSpec, v: Sequence[Fraction], mu: OrbitPoint):
-    """Rates of change (coad(v) mu)_0 and (coad(v) mu)_1 in coordinates."""
+    """Rates of change (coad(v) mu)_0 and (coad(v) mu)_1 in coordinates:
+    minus the fundamental field of v."""
     n = spec.dimension
-    eps = spec.parities
-    xdot = []
-    xbardot = []
-    for i in range(n):
-        s0 = sum((Fraction(v[j]) * spec.omega0[j][i] for j in range(n)), Fraction(0))
-        s1 = sum((Fraction(v[j]) * spec.omega1[j][i] for j in range(n)), Fraction(0))
-        sign = -1 if eps[i] % 2 else 1
-        xdot.append(-sign * mu.y0 * s0)
-        xbardot.append(-mu.ybar1 * s1)
-    return xdot, xbardot
+    rates = [-r for r in _field_coefficients(spec, v, mu.y0, mu.ybar1)]
+    return rates[:n], rates[n:]
 
 
 def coad_pairing(spec: HeisenbergSpec, v: int, w: int, mu: OrbitPoint) -> Fraction:
@@ -277,6 +270,12 @@ def tangent_matrix(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction) -> List[
     return rows
 
 
+def _field_coefficients(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1) -> List[Fraction]:
+    """Coefficients of the fundamental field of v on the 2n ambient slots."""
+    t = tangent_matrix(spec, y0, ybar1)
+    return [sum((row[j] * Fraction(v[j]) for j in range(spec.dimension)), Fraction(0)) for row in t]
+
+
 def fundamental_field(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1, chart: Optional[Chart] = None) -> VectorField:
     """Fundamental vector field of v in E on the ambient dual chart.
 
@@ -284,21 +283,11 @@ def fundamental_field(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1, ch
     ybar1 Omega^1(v, e_i) on xbar_i.  Restricting `chart` to an orbit chart
     keeps only its coordinates.
     """
-    n = spec.dimension
-    eps = spec.parities
     chart = chart or ambient_chart(spec)
-    names = ambient_names(spec)
     comps: Dict[str, SuperFunction] = {}
-    for i in range(n):
-        s0 = sum((Fraction(v[j]) * spec.omega0[j][i] for j in range(n)), Fraction(0))
-        s1 = sum((Fraction(v[j]) * spec.omega1[j][i] for j in range(n)), Fraction(0))
-        sign = -1 if eps[i] % 2 else 1
-        c_x = sign * Fraction(y0) * s0
-        c_xb = Fraction(ybar1) * s1
-        if c_x != 0 and names[i] in chart.coords:
-            comps[names[i]] = chart.constant(c_x)
-        if c_xb != 0 and names[n + i] in chart.coords:
-            comps[names[n + i]] = chart.constant(c_xb)
+    for name, c in zip(ambient_names(spec), _field_coefficients(spec, v, y0, ybar1)):
+        if c != 0 and name in chart.coords:
+            comps[name] = chart.constant(c)
     return VectorField(chart, comps)
 
 

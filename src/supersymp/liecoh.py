@@ -20,21 +20,35 @@ from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .grassmann import graded_sort
+from .grassmann import Linear, accumulate, graded_sort
 from .scalars import GaussianRational
 
-CValue = Tuple[Fraction, Fraction]  # coordinates along (c0, c1)
 Key = Tuple[int, ...]
 
-ZERO_C: CValue = (Fraction(0), Fraction(0))
+
+class CValue(tuple):
+    """A value a0 c0 + a1 c1 in the trivial module C, as the pair (a0, a1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a0=0, a1=0):
+        return tuple.__new__(cls, (Fraction(a0), Fraction(a1)))
+
+    # arithmetic keeps Fraction entries, so it skips the conversions above
+    def __add__(self, other):
+        return tuple.__new__(CValue, (self[0] + other[0], self[1] + other[1]))
+
+    def __neg__(self):
+        return tuple.__new__(CValue, (-self[0], -self[1]))
+
+    def __mul__(self, s):
+        return tuple.__new__(CValue, (self[0] * s, self[1] * s))
+
+    def __bool__(self):
+        return bool(self[0] or self[1])
 
 
-def _cadd(a: CValue, b: CValue) -> CValue:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _cscale(a: CValue, s: Fraction) -> CValue:
-    return (a[0] * s, a[1] * s)
+ZERO_C = CValue()
 
 
 class SuperLieAlgebra:
@@ -81,11 +95,7 @@ class SuperLieAlgebra:
         for i, a in u.items():
             for j, b in v.items():
                 for k, c in self.bracket_basis(i, j).items():
-                    val = out.get(k, Fraction(0)) + a * b * c
-                    if val == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = val
+                    accumulate(out, k, a * b * c)
         return out
 
     def is_abelian(self) -> bool:
@@ -100,18 +110,10 @@ def jacobi_check(g: SuperLieAlgebra) -> Tuple[bool, Optional[Tuple[int, int, int
         for j in range(n):
             for k in range(n):
                 acc: Dict[int, Fraction] = {}
-
-                def add(sign: int, outer: int, inner: Dict[int, Fraction]):
-                    for m, c in g.bracket({outer: Fraction(1)}, inner).items():
-                        val = acc.get(m, Fraction(0)) + sign * c
-                        if val == 0:
-                            acc.pop(m, None)
-                        else:
-                            acc[m] = val
-
-                add(1 if (eps[i] * eps[k]) % 2 == 0 else -1, i, g.bracket_basis(j, k))
-                add(1 if (eps[j] * eps[i]) % 2 == 0 else -1, j, g.bracket_basis(k, i))
-                add(1 if (eps[k] * eps[j]) % 2 == 0 else -1, k, g.bracket_basis(i, j))
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    sign = 1 if (eps[a] * eps[c]) % 2 == 0 else -1
+                    for m, val in g.bracket({a: Fraction(1)}, g.bracket_basis(b, c)).items():
+                        accumulate(acc, m, sign * val)
                 if acc:
                     return False, (i, j, k)
     return True, None
@@ -140,13 +142,19 @@ def canonical_keys(parities: Sequence[int], degree: int) -> List[Key]:
     ]
 
 
-class CECochain:
-    """Even C-valued k-cochain on a super Lie algebra."""
+class CECochain(Linear):
+    """Even C-valued k-cochain on a super Lie algebra, a sum over the
+    canonical basis tuples with values in C."""
 
-    def __init__(self, g: SuperLieAlgebra, degree: int, values: Mapping[Key, CValue] | None = None):
+    __slots__ = ("g", "degree", "terms")
+    _FRAME = ("degree",)
+    _CARRY = ("g",)
+    _scalar = Fraction
+
+    def __init__(self, g: SuperLieAlgebra, degree: int, values: Mapping[Key, Tuple[Fraction, Fraction]] | None = None):
         self.g = g
         self.degree = degree
-        self.values: Dict[Key, CValue] = {}
+        self.terms: Dict[Key, CValue] = {}
         if values:
             for key, val in values.items():
                 sign, canon = sort_with_sign(g.parities, key)
@@ -154,24 +162,30 @@ class CECochain:
                     if val != ZERO_C:
                         raise ValueError(f"value on vanishing tuple {key}")
                     continue
-                val = (Fraction(val[0]) * sign, Fraction(val[1]) * sign)
+                val = CValue(val[0], val[1]) * sign
                 parity = sum(g.parities[i] for i in canon) % 2
                 if val[1 - parity] != 0:
                     raise ValueError(
                         f"evenness violated on {key}: component c{1 - parity} must vanish"
                     )
-                if val == ZERO_C:
+                if not val:
                     continue
-                if canon in self.values and self.values[canon] != val:
+                if canon in self.terms and self.terms[canon] != val:
                     raise ValueError(f"conflicting values on tuple {canon}")
-                self.values[canon] = val
+                self.terms[canon] = val
+
+    @property
+    def values(self) -> Dict[Key, CValue]:
+        return self.terms
+
+    def _frame(self) -> tuple:
+        return self.degree, self.g.parities
 
     def evaluate(self, key: Sequence[int]) -> CValue:
         sign, canon = sort_with_sign(self.g.parities, key)
         if sign == 0:
             return ZERO_C
-        val = self.values.get(canon, ZERO_C)
-        return _cscale(val, Fraction(sign))
+        return self.terms.get(canon, ZERO_C) * sign
 
     def evaluate_vectors(self, vectors: Sequence[Mapping[int, Fraction]]) -> CValue:
         """Evaluate on rational-coefficient vectors (real coefficients)."""
@@ -181,52 +195,13 @@ class CECochain:
         def rec(pos: int, prefix: List[int], coeff: Fraction):
             nonlocal total
             if pos == len(idxs):
-                total = _cadd(total, _cscale(self.evaluate(tuple(prefix)), coeff))
+                total = total + self.evaluate(tuple(prefix)) * coeff
                 return
             for i, c in idxs[pos]:
                 rec(pos + 1, prefix + [i], coeff * c)
 
         rec(0, [], Fraction(1))
         return total
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def __add__(self, other: "CECochain") -> "CECochain":
-        assert other.g is self.g or other.g.parities == self.g.parities
-        vals = dict(self.values)
-        for k, v in other.values.items():
-            s = _cadd(vals.get(k, ZERO_C), v)
-            if s == ZERO_C:
-                vals.pop(k, None)
-            else:
-                vals[k] = s
-        out = CECochain(self.g, self.degree)
-        out.values = vals
-        return out
-
-    def __neg__(self):
-        out = CECochain(self.g, self.degree)
-        out.values = {k: (-v[0], -v[1]) for k, v in self.values.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s: Fraction) -> "CECochain":
-        s = Fraction(s)
-        out = CECochain(self.g, self.degree)
-        if s != 0:
-            out.values = {k: _cscale(v, s) for k, v in self.values.items()}
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, CECochain):
-            return NotImplemented
-        return self.degree == other.degree and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.values.items()))))
 
     def __repr__(self):
         inner = ", ".join(f"{k}: ({v[0]},{v[1]})" for k, v in sorted(self.values.items()))
@@ -238,7 +213,7 @@ def ce_coboundary(c: CECochain, g: SuperLieAlgebra | None = None) -> CECochain:
     g = g or c.g
     eps = g.parities
     k = c.degree
-    out_vals: Dict[Key, CValue] = {}
+    out = CECochain(g, k + 1)
     outer_sign = -1 if k % 2 else 1
     for key in canonical_keys(eps, k + 1):
         total = ZERO_C
@@ -248,12 +223,9 @@ def ce_coboundary(c: CECochain, g: SuperLieAlgebra | None = None) -> CECochain:
                 sign = outer_sign * (-1 if (j + interior) % 2 else 1)
                 rest = key[:i] + key[i + 1:j] + key[j + 1:]
                 for m, coeff in g.bracket_basis(key[i], key[j]).items():
-                    val = c.evaluate((rest[:i] + (m,) + rest[i:]))
-                    total = _cadd(total, _cscale(val, Fraction(sign) * coeff))
-        if total != ZERO_C:
-            out_vals[key] = total
-    out = CECochain(g, k + 1)
-    out.values = out_vals
+                    total = total + c.evaluate(rest[:i] + (m,) + rest[i:]) * (sign * coeff)
+        if total:
+            out.terms[key] = total
     return out
 
 
@@ -276,16 +248,17 @@ def _cochain_to_vector(c: CECochain, dof) -> List[GaussianRational]:
     return [GaussianRational(c.values.get(key, ZERO_C)[alpha]) for key, alpha in dof]
 
 
+def _unit(alpha: int, v) -> CValue:
+    """The value v c_alpha."""
+    return CValue(0, v) if alpha else CValue(v, 0)
+
+
 def _vector_to_cochain(g: SuperLieAlgebra, degree: int, dof, vec) -> CECochain:
-    vals: Dict[Key, CValue] = {}
+    out = CECochain(g, degree)
     for (key, alpha), v in zip(dof, vec):
         v = Fraction(v.re) if isinstance(v, GaussianRational) else Fraction(v)
-        if v != 0:
-            val = [Fraction(0), Fraction(0)]
-            val[alpha] = v
-            vals[key] = (val[0], val[1])
-    out = CECochain(g, degree)
-    out.values = vals
+        if v:
+            out.terms[key] = _unit(alpha, v)
     return out
 
 
@@ -295,10 +268,7 @@ def _coboundary_matrix(g: SuperLieAlgebra, degree: int):
     dof_dst = _cochain_dof(g, degree + 1)
     cols = []
     for key, alpha in dof_src:
-        basis = CECochain(g, degree)
-        val = [Fraction(0), Fraction(0)]
-        val[alpha] = Fraction(1)
-        basis.values = {key: (val[0], val[1])}
+        basis = CECochain(g, degree, {key: _unit(alpha, 1)})
         cols.append(_cochain_to_vector(ce_coboundary(basis, g), dof_dst))
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(dof_dst))]
     return rows, dof_src, dof_dst

@@ -12,13 +12,12 @@ substitution d/dt -> -i/hbar, with hbar = 1 and i an exact Gaussian unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, contract, ext_d, lie_derivative, lift_form, lift_function
-from .grassmann import graded_sort
+from .grassmann import Linear, graded_sort
 from .scalars import GaussianRational
 from .symplectic import SymplecticData, require_hamiltonian_field
 
@@ -115,26 +114,21 @@ def _restrict_function(f: SuperFunction, target: Chart) -> SuperFunction:
     return SuperFunction(target, terms)
 
 
-@dataclass
-class Section:
-    """Reduced section: a superfunction on the base chart."""
+class Section(Linear):
+    """Reduced section: a superfunction on the base chart, the one-term sum
+    over the key ()."""
 
-    fun: SuperFunction
+    __slots__ = ("chart", "terms")
+    _FRAME = ("chart",)
+    _mismatch = SuperFunction._mismatch
 
-    def __add__(self, other: "Section") -> "Section":
-        return Section(self.fun + other.fun)
+    def __init__(self, fun: SuperFunction):
+        self.chart = fun.chart
+        self.terms = {(): fun} if fun else {}
 
-    def __sub__(self, other: "Section") -> "Section":
-        return Section(self.fun - other.fun)
-
-    def scale(self, s) -> "Section":
-        return Section(self.fun.scale(s))
-
-    def is_zero(self) -> bool:
-        return self.fun.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, Section) and self.fun == other.fun
+    @property
+    def fun(self) -> SuperFunction:
+        return self.terms.get(()) or self.chart.zero()
 
 
 def quantum_op(f: CFunction, s: Section, chart: PrequantChart, ansatz_degree: Optional[int] = None) -> Section:

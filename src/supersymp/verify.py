@@ -563,10 +563,11 @@ def _c8_transition():
     a0 = sphere_cocycle()
     f = CechCochain(a0.nerve, 1, {(0, 1): Fraction(1, 2), (1, 3): Fraction(7, 3)})
     bprime, corrected, per = normalize_to_periods(a0 + cocycle_from_potentials(f))
-    ok = all((v / 3).denominator == 1 for v in corrected.values.values())
-    transition_data(f - bprime, 3)
     # the f-part closes mod 3 up to the (3Z-valued) non-exact seed
-    return ok, "corrected cocycle 3Z-valued", {s: str(v) for s, v in corrected.values.items()}
+    closes = transition_data(f - bprime, 3)["cocycle_mod_d"]
+    ok = closes and all((v / 3).denominator == 1 for v in corrected.values.values())
+    got = {s: str(v) for s, v in corrected.values.items()}
+    return ok, "corrected cocycle 3Z-valued; transition data close mod 3", f"{got}; closes mod 3: {closes}"
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
-
 from supersymp.charts import CFunction, Chart, SuperFunction, vf_apply, vf_commutator
 from supersymp.forms import KForm, contract, ext_d, lie_derivative, wedge
 from supersymp.grassmann import GrassmannNumber

@@ -6,7 +6,6 @@ import pytest
 
 from supersymp.cech import (
     CechCochain,
-    Cover,
     NerveError,
     PeriodGroup,
     build_nerve,

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from supersymp.charts import Chart, SuperFunction, UnknownCoordinate, VectorField, vf_apply, vf_commutator
+from supersymp.charts import UnknownCoordinate, vf_apply, vf_commutator
 from supersymp.grassmann import GrassmannNumber
 
 from conftest import random_field, random_homogeneous_function, random_superfunction

@@ -41,23 +41,27 @@ def test_parse_error_exit_code(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error_start",
     [
-        ("symplectic", "check", FIXTURES / "mixed21.ssp", "--point", "x=1/0"),
+        (("symplectic", "check", FIXTURES / "mixed21.ssp", "--point", "x=1/0"), ""),
         (
-            "symplectic", "hamiltonian", FIXTURES / "mixed21.ssp",
-            "--f", "(" * 2000 + "x" + ")" * 2000 + "*c0", "--point", "x=0,y=0",
+            (
+                "symplectic", "hamiltonian", FIXTURES / "mixed21.ssp",
+                "--f", "(" * 2000 + "x" + ")" * 2000 + "*c0", "--point", "x=0,y=0",
+            ),
+            "line 1, column 101: expression nested deeper than",
         ),
-        ("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]]", "--parities", "0", "--even"),
+        (("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]]", "--parities", "0", "--even"), ""),
     ],
     ids=["zero_point", "deep_nesting", "darboux_shape"],
 )
-def test_malformed_input_exits_2(capsys, argv):
+def test_malformed_input_exits_2(capsys, argv, error_start):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert json.loads(captured.err)["error"]
+    error = json.loads(captured.err)["error"]
+    assert error and error.startswith(error_start)
 
 
 def test_hamiltonian_member_and_nonmember(capsys):

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from supersymp.charts import CFunction, VectorField
-from supersymp.dsl import Document, DslError, parse, render
+from supersymp.charts import CFunction
+from supersymp.dsl import DslError, parse, render
 from supersymp.forms import KForm, contract, wedge
 from supersymp.reference import d, heisenberg_33, mixed_counterexample
 
@@ -149,3 +149,43 @@ def test_render_roundtrip():
     assert doc2.heisenbergs["H"].omega1 == doc.heisenbergs["H"].omega1
     # rendering is idempotent once canonical
     assert render(doc2) == rendered
+
+
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("algebra g parities 0,0,0 bracket [1,2] = x;", "expected a basis vector e<k>", 42),
+        ("algebra g parities 0,0,0 bracket [1,2] = e3 - 2*y;", "expected a basis vector e<k>", 49),
+        ("algebra g parities 0,0,0 bracket [1,2] = e4;", "basis index e4 out of range", 42),
+        ("algebra g parities 0,0,0 bracket [1,2] = 1/2*e3 + e0;", "basis index e0 out of range", 51),
+        ("algebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = e1;", "expected c0 or c1", 65),
+        ("algebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = c0 + 3*c2;", "expected c0 or c1", 72),
+        ("algebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = 3;", "expected c0 or c1 after the coefficient", 66),
+    ],
+)
+def test_signed_sum_errors_carry_positions(text, message, col):
+    with pytest.raises(DslError) as err:
+        parse("\n" + text)
+    assert err.value.message == message
+    assert (err.value.line, err.value.col) == (2, col)
+
+
+def test_signed_sums_share_the_zero_shorthand():
+    doc = parse(
+        "algebra g parities 0,0,0 bracket [1,2] = 0, [1,3] = 0 + 2*e2 - e2 - 0;"
+        "cocycle w on g degree 2 values [1,2] = 0, [1,3] = -0 + 1/2*c0 + c0;"
+    )
+    assert doc.algebras["g"].bracket_basis(0, 1) == {}
+    assert doc.algebras["g"].bracket_basis(0, 2) == {1: 1}
+    assert doc.cocycles["w"].values == {(0, 2): (Fraction(3, 2), 0)}
+
+
+def test_nesting_limit_reports_a_position():
+    doc = parse("chart M even x;")
+    assert str(doc.evaluate("(" * 100 + "x" + ")" * 100)) == "x"
+    with pytest.raises(DslError) as err:
+        doc.evaluate("\n" + "-" * 50 + "(" * 60 + "x" + ")" * 60)
+    assert (err.value.line, err.value.col) == (2, 101)
+    assert "nested deeper than 100 levels" in err.value.message
+    # long flat chains are folded without recursion
+    assert str(doc.evaluate("+".join(["x"] * 3000))) == "3000*x"

@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from supersymp.charts import CFunction, Chart
-from supersymp.forms import KForm, contract, ext_d, wedge
+from supersymp.forms import contract, ext_d, wedge
 from supersymp.reference import d
 from supersymp.symplectic import SymplecticData, hamiltonian_field, is_symplectic
 

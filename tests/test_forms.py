@@ -6,7 +6,6 @@ import pytest
 
 from supersymp.charts import Chart, vf_apply, vf_commutator
 from supersymp.forms import (
-    CKForm,
     DegreeError,
     KForm,
     canonicalize_word,

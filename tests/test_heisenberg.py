@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from supersymp.charts import Chart
-from supersymp.forms import KForm, contract, wedge
+from supersymp.forms import contract, wedge
 from supersymp.grassmann import GrassmannNumber
 from supersymp.heisenberg import (
     GroupElement,

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from supersymp.charts import CFunction, vf_commutator
-from supersymp.forms import contract, ext_d
+from supersymp.forms import contract
 from supersymp.prequant import PrequantChart, Section, quantum_op, rep_check
-from supersymp.reference import ORIGIN, even_chart_20, mixed_chart_21, poisson_member_21
+from supersymp.reference import ORIGIN, even_chart_20, mixed_chart_21
 from supersymp.scalars import GaussianRational
 from supersymp.symplectic import PoissonMembershipError, SymplecticData, poisson_bracket
 

@@ -4,26 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from supersymp.charts import CFunction, Chart, vf_apply, vf_commutator
+from supersymp.charts import CFunction, Chart, vf_commutator
 from supersymp.forms import KForm, contract, ext_d, wedge
 from supersymp.reference import ORIGIN, d, mixed_chart_21, mixed_counterexample, poisson_member_21
 from supersymp.symplectic import (
-    DarbouxResult,
-    HamiltonianResult,
     NotSymplectic,
     PoissonMembershipError,
     SymplecticData,
     contraction_matrix,
     darboux_normal_form,
-    form_from_contraction_matrix,
     hamiltonian_field,
     is_symplectic,
     poisson_bracket,
     poisson_bracket_by_contraction,
     require_hamiltonian_field,
 )
-
-from conftest import random_superfunction
 
 
 # ----------------------------------------------------------------------
