@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .grassmann import Linear, graded_sort
-from .linalg import fraction_gcd, integer_kernel, invariant_factors, smith_normal_form
+from .linalg import fraction_gcd, integer_kernel, invariant_factors, matmul, smith_normal_form
 
 Simplex = Tuple[int, ...]
 
@@ -73,14 +73,8 @@ def build_nerve(simplices: Iterable[Sequence[int]]) -> NerveComplex:
     for k in range(2, MAX_DIM + 1):
         if not nerve.simplices[k]:
             continue
-        bk = nerve.boundary_matrix(k)
-        bk1 = nerve.boundary_matrix(k - 1)
-        rows = len(bk1)
-        for c in range(len(bk[0]) if bk else 0):
-            for r in range(rows):
-                acc = sum(bk1[r][m] * bk[m][c] for m in range(len(bk)))
-                if acc != 0:
-                    raise NerveError("boundary of boundary is nonzero")
+        if any(any(row) for row in matmul(nerve.boundary_matrix(k - 1), nerve.boundary_matrix(k))):
+            raise NerveError("boundary of boundary is nonzero")
     return nerve
 
 
@@ -191,11 +185,8 @@ def period_group(a: CechCochain, nerve: Optional[NerveComplex] = None) -> Period
         raise NerveError("cochain does not live on this nerve")
     if a.degree != 2:
         raise ValueError("periods are computed from a 2-cochain")
-    vec = a.vector()
-    periods = []
-    for cycle in two_cycles(nerve):
-        periods.append(sum(Fraction(c) * v for c, v in zip(cycle, vec)))
-    return PeriodGroup(fraction_gcd(periods))
+    periods = matmul(two_cycles(nerve), [[v] for v in a.vector()])
+    return PeriodGroup(fraction_gcd([p for (p,) in periods]))
 
 
 def normalize_to_periods(a: CechCochain, nerve: Optional[NerveComplex] = None, per: Optional[PeriodGroup] = None):
@@ -217,18 +208,13 @@ def normalize_to_periods(a: CechCochain, nerve: Optional[NerveComplex] = None, p
     b2 = nerve.boundary_matrix(2)
     d_mat, u, v = smith_normal_form(b2)
     r = sum(1 for i in range(min(len(edges), len(tris))) if d_mat[i][i] != 0)
-    avec = a.vector()
     # a' = a . V  (components in the Smith coordinates of C_2)
-    aprime = [
-        sum(avec[i] * v[i][j] for i in range(len(tris))) for j in range(len(tris))
-    ]
+    (aprime,) = matmul([a.vector()], v)
     c = [Fraction(0)] * len(edges)
     for i in range(r):
         c[i] = aprime[i] / d_mat[i][i]
     # b' = c . U
-    bvals = [
-        sum(c[i] * u[i][j] for i in range(len(edges))) for j in range(len(edges))
-    ]
+    (bvals,) = matmul([c], u)
     bprime = CechCochain(nerve, 1, dict(zip(edges, bvals)))
     corrected = a - coboundary(bprime)
     for s in tris:

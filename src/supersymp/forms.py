@@ -301,15 +301,20 @@ def undouble(cw: CKForm) -> KForm:
 
 
 def lift_function(f: SuperFunction, target: Chart) -> SuperFunction:
-    """Reinterpret f on a chart whose coordinates contain f's chart's."""
+    """Reinterpret f on another chart, matching coordinates by name: onto a
+    larger chart, or onto a smaller one when f does not depend on the
+    coordinates it lacks (the fiber of a bundle chart)."""
     src = f.chart
-    even_map = [target.even_index(n) for n in src.even]
-    odd_map = [target.odd_index(n) for n in src.odd]
+    even_map = {i: target.even.index(n) for i, n in enumerate(src.even) if n in target.even}
+    odd_map = {j: target.odd.index(n) for j, n in enumerate(src.odd) if n in target.odd}
     terms = {}
     for (e, w), c in f.terms.items():
+        if any(exp and i not in even_map for i, exp in enumerate(e)) or any(j not in odd_map for j in w):
+            raise ValueError("function depends on a fiber coordinate")
         e2 = [0] * len(target.even)
         for i, exp in enumerate(e):
-            e2[even_map[i]] = exp
+            if exp:
+                e2[even_map[i]] = exp
         sign, w2 = graded_sort(odd_map[j] for j in w)
         terms[(tuple(e2), w2)] = c if sign > 0 else -c
     return SuperFunction(target, terms)

@@ -191,23 +191,14 @@ def coad(g: GroupElement, mu: OrbitPoint) -> OrbitPoint:
 
     x_i -> x_i - (-1)^eps_i y0 Omega^0(a, e_i),
     xbar_i -> xbar_i - ybar1 Omega^1(a, e_i); y's unchanged.
+
+    The shifts are the tangent matrix applied to a.
     """
     spec = mu.spec
     n = spec.dimension
-    eps = spec.parities
-    x = list(mu.x)
-    xbar = list(mu.xbar)
-    for i in range(n):
-        shift0 = GrassmannNumber.zero(mu.x[i].n)
-        shift1 = GrassmannNumber.zero(mu.x[i].n)
-        for j in range(n):
-            if spec.omega0[j][i]:
-                shift0 = shift0 + g.a[j] * spec.omega0[j][i]
-            if spec.omega1[j][i]:
-                shift1 = shift1 + g.a[j] * spec.omega1[j][i]
-        sign = -1 if eps[i] % 2 else 1
-        x[i] = x[i] - (shift0 if sign > 0 else -shift0) * GaussianRational(mu.y0)
-        xbar[i] = xbar[i] - shift1 * GaussianRational(mu.ybar1)
+    shift = linalg.matmul(tangent_matrix(spec, mu.y0, mu.ybar1), [[a] for a in g.a])
+    x = [c - s for c, (s,) in zip(mu.x, shift[:n])]
+    xbar = [c - s for c, (s,) in zip(mu.xbar, shift[n:])]
     return OrbitPoint(spec, x, xbar, mu.y0, mu.ybar1)
 
 
@@ -259,21 +250,15 @@ def ambient_chart(spec: HeisenbergSpec, generators: Optional[int] = None) -> Cha
 def tangent_matrix(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction) -> List[List[Fraction]]:
     """Rows: 2n ambient slots; columns: generators e_j.  Entry = coefficient
     of the fundamental field of e_j on that coordinate."""
-    n = spec.dimension
-    eps = spec.parities
-    rows = [[Fraction(0)] * n for _ in range(2 * n)]
-    for j in range(n):
-        for i in range(n):
-            sign = -1 if eps[i] % 2 else 1
-            rows[i][j] = sign * Fraction(y0) * spec.omega0[j][i]
-            rows[n + i][j] = Fraction(ybar1) * spec.omega1[j][i]
-    return rows
+    y0, ybar1 = Fraction(y0), Fraction(ybar1)
+    top = [[(-y0 if e else y0) * w for w in col] for e, col in zip(spec.parities, linalg.transpose(spec.omega0))]
+    return top + [[ybar1 * w for w in col] for col in linalg.transpose(spec.omega1)]
 
 
 def _field_coefficients(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1) -> List[Fraction]:
     """Coefficients of the fundamental field of v on the 2n ambient slots."""
     t = tangent_matrix(spec, y0, ybar1)
-    return [sum((row[j] * Fraction(v[j]) for j in range(spec.dimension)), Fraction(0)) for row in t]
+    return [c for (c,) in linalg.matmul(t, [[Fraction(x)] for x in v])]
 
 
 def fundamental_field(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1, chart: Optional[Chart] = None) -> VectorField:
@@ -386,72 +371,41 @@ def orbit_classify(spec: HeisenbergSpec, y0, ybar1, base: Optional[OrbitPoint] =
     t = tangent_matrix(spec, y0, ybar1)
 
     if y0 == 0 and ybar1 == 0:
-        case = "trivial"
-    elif ybar1 == 0:
+        return Orbit(spec, y0, ybar1, base, "trivial", None, (), (0, 0), ())
+    if ybar1 == 0:
         case = "case_i"
     elif y0 == 0:
         case = "case_ii"
     else:
         case = "case_iii"
 
-    # greedy row selection: ambient coordinates whose projection stays an
-    # isomorphism onto the tangent space
-    selected: List[int] = []
-    chosen_rows: List[List[GaussianRational]] = []
-    for s in range(2 * n):
-        row = [GaussianRational(v) for v in t[s]]
-        if all(x.is_zero() for x in row):
-            continue
-        if linalg.rank(chosen_rows + [row]) > len(chosen_rows):
-            chosen_rows.append(row)
-            selected.append(s)
-    rank = len(selected)
-
-    coord_names = tuple(names[s] for s in selected)
-    p = sum(1 for s in selected if eps_amb[s] == 0)
-    q = rank - p
-    if case == "trivial":
-        return Orbit(spec, y0, ybar1, base, case, None, (), (0, 0), ())
-
+    # one elimination of the moving tangent rows, taken as columns: the
+    # pivots are the chart, ambient coordinates whose projection stays an
+    # isomorphism onto the tangent space; every other moving coordinate is
+    # a fixed combination of the pivots, read off its column, which gives
+    # both a linear invariant and its restriction to the chart
+    moving = [s for s in range(2 * n) if any(t[s])]
+    m, pivots = linalg.rref(linalg.transpose([[GaussianRational(v) for v in t[s]] for s in moving]))
+    selected = [moving[c] for c in pivots]
     even = tuple(names[s] for s in selected if eps_amb[s] == 0)
     odd = tuple(names[s] for s in selected if eps_amb[s] == 1)
     chart = Chart(f"orbit_{case}", even, odd, generators or default_generator_count())
 
-    # linear invariants: left kernel of the tangent matrix restricted to
-    # the coordinates the action actually moves
-    moving = [s for s in range(2 * n) if any(v != 0 for v in t[s])]
     invariants = []
-    if moving:
-        sub = [[GaussianRational(t[s][j]) for j in range(n)] for s in moving]
-        for vec in linalg.nullspace([[sub[i][j] for i in range(len(moving))] for j in range(n)]):
-            pieces = []
-            for coeff, s in zip(vec, moving):
-                if not coeff.is_zero():
-                    pieces.append(f"({coeff})*{names[s]}")
-            invariants.append(" + ".join(pieces))
+    restrictions: Dict[int, List[Tuple[str, Fraction]]] = {}
+    for col, s in enumerate(moving):
+        if col in pivots:
+            continue
+        combo = [(sel, m[r][col]) for r, sel in enumerate(selected) if not m[r][col].is_zero()]
+        restrictions[s] = [(names[sel], c.re) for sel, c in combo]
+        kernel = sorted([(s, GaussianRational(1))] + [(sel, -c) for sel, c in combo])
+        invariants.append(" + ".join(f"({c})*{names[k]}" for k, c in kernel))
 
     fields = {}
     for j in range(n):
         v = [Fraction(0)] * n
         v[j] = Fraction(1)
         fields[j] = fundamental_field(spec, v, y0, ybar1, chart)
-
-    # restriction of every moved ambient coordinate to the chart: its
-    # tangent row is a combination of the selected rows
-    restrictions: Dict[int, List[Tuple[str, Fraction]]] = {}
-    sel_matrix = [[GaussianRational(t[s][j]) for s in selected] for j in range(n)]
-    for s in range(2 * n):
-        if s in selected or all(v == 0 for v in t[s]):
-            continue
-        rhs = [GaussianRational(t[s][j]) for j in range(n)]
-        combo, _ = linalg.solve(sel_matrix, rhs)
-        if combo is None:
-            raise AssertionError("internal error: moved coordinate outside the tangent span")
-        restrictions[s] = [
-            (names[sel], c.re)
-            for sel, c in zip(selected, combo)
-            if not c.is_zero()
-        ]
 
     return Orbit(
         spec,
@@ -460,8 +414,8 @@ def orbit_classify(spec: HeisenbergSpec, y0, ybar1, base: Optional[OrbitPoint] =
         base,
         case,
         chart,
-        coord_names,
-        (p, q),
+        tuple(names[s] for s in selected),
+        (len(even), len(odd)),
         tuple(invariants),
         fields,
         restrictions,
@@ -476,24 +430,13 @@ def _solve_kks(orbit: Orbit) -> KForm:
     coords = chart.coords
     r = len(coords)
 
-    # tangent components in chart coordinates
-    m_rows: Dict[int, List[GaussianRational]] = {}
-    for j, fld in orbit.tangent_fields.items():
-        row = []
-        for name in coords:
-            comp = fld.components.get(name)
-            row.append(comp.constant_value().body() if comp is not None else GaussianRational(0))
-        m_rows[j] = row
-
-    # pick r generators with independent tangent vectors
-    chosen: List[int] = []
-    rows: List[List[GaussianRational]] = []
+    # tangent components in chart coordinates, and r generators whose
+    # tangent vectors are independent
+    m_rows = []
     for j in range(n):
-        if linalg.rank(rows + [m_rows[j]]) > len(rows):
-            rows.append(m_rows[j])
-            chosen.append(j)
-        if len(chosen) == r:
-            break
+        comps = orbit.tangent_fields[j].components
+        m_rows.append([comps[name].constant_value().body() if name in comps else GaussianRational(0) for name in coords])
+    chosen = linalg.independent(m_rows)
     if len(chosen) != r:
         raise ValueError("tangent fields do not span the orbit chart")
 
@@ -504,10 +447,8 @@ def _solve_kks(orbit: Orbit) -> KForm:
         ]
         for a in chosen
     ]
-    minv = linalg.inverse(rows)
-    minv_t = [[minv[j][i] for j in range(r)] for i in range(r)]
-    tmp = [[sum((minv[a][i] * w_target[i][j] for i in range(r)), GaussianRational(0)) for j in range(r)] for a in range(r)]
-    wc = [[sum((tmp[a][j] * minv_t[j][b] for j in range(r)), GaussianRational(0)) for b in range(r)] for a in range(r)]
+    minv = linalg.inverse([m_rows[j] for j in chosen])
+    wc = linalg.matmul(linalg.matmul(minv, w_target), linalg.transpose(minv))
 
     omega = form_from_contraction_matrix(chart, wc)
 

@@ -270,8 +270,7 @@ def _coboundary_matrix(g: SuperLieAlgebra, degree: int):
     for key, alpha in dof_src:
         basis = CECochain(g, degree, {key: _unit(alpha, 1)})
         cols.append(_cochain_to_vector(ce_coboundary(basis, g), dof_dst))
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(dof_dst))]
-    return rows, dof_src, dof_dst
+    return linalg.transpose(cols), dof_src, dof_dst
 
 
 @dataclass
@@ -286,22 +285,17 @@ class H2Report:
 def h2(g: SuperLieAlgebra) -> H2Report:
     """Second cohomology with values in C, with representative cocycles."""
     d2, dof2, _ = _coboundary_matrix(g, 2)
-    d1, dof1, dof2b = _coboundary_matrix(g, 1)
+    d1, _, _ = _coboundary_matrix(g, 1)
     z_basis = linalg.nullspace(d2) if d2 else [
         [GaussianRational(1 if i == j else 0) for i in range(len(dof2))] for j in range(len(dof2))
     ]
-    b_cols = []
-    if d1 and dof1:
-        for j in range(len(dof1)):
-            b_cols.append([d1[i][j] for i in range(len(dof2))])
-    dim_b = linalg.rank(b_cols) if b_cols else 0
-    # representatives: z-vectors independent modulo the coboundaries
-    reps: List[CECochain] = []
-    span = [v for v in b_cols]
-    for z in z_basis:
-        if not linalg.in_span(span, z):
-            reps.append(_vector_to_cochain(g, 2, dof2, z))
-            span = span + [z]
+    # one elimination of [coboundaries | cocycles]: the pivots among the
+    # coboundary columns span B^2, and the cocycle pivots are the
+    # representatives, independent modulo B^2 and each other
+    b_cols = linalg.transpose(d1)
+    pivots = linalg.independent(b_cols + z_basis)
+    dim_b = sum(1 for c in pivots if c < len(b_cols))
+    reps = [_vector_to_cochain(g, 2, dof2, z_basis[c - len(b_cols)]) for c in pivots[dim_b:]]
     return H2Report(
         dim_c2=len(dof2),
         dim_z2=len(z_basis),

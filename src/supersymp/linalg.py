@@ -1,13 +1,16 @@
-"""Dense exact linear algebra.
+"""Dense exact linear algebra: the one module that handles a matrix.
 
-Two small toolkits used all over the engine:
+Matrices are plain lists of lists; everything is copied before elimination.
 
-* Gaussian elimination over Q(i) (solve, nullspace, rank) for equating
-  coefficients of polynomial identities;
+* `transpose` and `matmul` for any scalar type that adds and multiplies
+  (Q(i), Fraction, int, Grassmann numbers);
+* Gaussian elimination over Q(i): `rref`, and on top of it `rank`,
+  `solve`, `nullspace`, `inverse` and `independent`, the first vectors of
+  a list that are linearly independent, read off one elimination;
 * Smith normal form over Z for the integer chain complexes of the finite
   cover machinery.
 
-Matrices are plain lists of lists; everything is copied before elimination.
+Every elimination passes through `rref` or `smith_normal_form`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,24 @@ from .scalars import GaussianRational
 
 Matrix = List[List[GaussianRational]]
 Vector = List[GaussianRational]
+
+
+def transpose(rows: Sequence[Sequence]) -> List[list]:
+    return [list(col) for col in zip(*rows)]
+
+
+def matmul(left: Sequence[Sequence], right: Sequence[Sequence]) -> List[list]:
+    """The product left . right.
+
+    Zero entries of the left factor are skipped, and every entry starts
+    from a zero of the product's type, so the result keeps the operands'
+    scalar type.
+    """
+    if not left or not right:
+        return [[] for _ in left]
+    zero = left[0][0] * right[0][0] * 0
+    cols = list(zip(*right))
+    return [[sum((a * b for a, b in zip(row, col) if a), zero) for col in cols] for row in left]
 
 
 def _copy(rows: Sequence[Sequence[GaussianRational]]) -> Matrix:
@@ -113,13 +134,10 @@ def inverse(rows: Sequence[Sequence[GaussianRational]]) -> Matrix:
     return [row[n:] for row in m[:n]]
 
 
-def in_span(basis: Sequence[Vector], v: Vector) -> bool:
-    """Is v a linear combination of the given vectors?"""
-    if not basis:
-        return all(x.is_zero() for x in v)
-    cols = list(basis)
-    a = [[cols[j][i] for j in range(len(cols))] for i in range(len(v))]
-    return solve(a, list(v))[0] is not None
+def independent(vectors: Sequence[Vector]) -> List[int]:
+    """Indices of the vectors that are not combinations of earlier ones:
+    the pivot columns of the matrix whose columns are the vectors."""
+    return rref(transpose(vectors))[1]
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +237,7 @@ def integer_kernel(a: Sequence[Sequence[int]]) -> List[List[int]]:
         return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     d, _u, v = smith_normal_form(a)
     r = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
-    return [[v[i][j] for i in range(ncols)] for j in range(r, ncols)]
+    return transpose(v)[r:]
 
 
 def invariant_factors(a: Sequence[Sequence[int]]) -> List[int]:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, contract, ext_d, lie_derivative, lift_form, lift_function
-from .grassmann import Linear, graded_sort
+from .grassmann import Linear
 from .scalars import GaussianRational
 from .symplectic import SymplecticData, require_hamiltonian_field
 
@@ -89,29 +89,8 @@ class PrequantChart:
         for name, c in z.components.items():
             if name in (self.fiber_even, self.fiber_odd):
                 continue
-            comps[name] = _restrict_function(c, base_chart)
+            comps[name] = lift_function(c, base_chart)
         return VectorField(base_chart, comps)
-
-
-def _restrict_function(f: SuperFunction, target: Chart) -> SuperFunction:
-    """Reinterpret a fiber-independent function on the base chart."""
-    src = f.chart
-    even_map = {i: target.even.index(n) for i, n in enumerate(src.even) if n in target.even}
-    odd_map = {j: target.odd.index(n) for j, n in enumerate(src.odd) if n in target.odd}
-    terms = {}
-    for (e, w), c in f.terms.items():
-        for i, exp in enumerate(e):
-            if exp and i not in even_map:
-                raise ValueError("function depends on a fiber coordinate")
-        if any(j not in odd_map for j in w):
-            raise ValueError("function depends on a fiber coordinate")
-        e2 = [0] * len(target.even)
-        for i, exp in enumerate(e):
-            if exp:
-                e2[even_map[i]] = exp
-        sign, w2 = graded_sort(odd_map[j] for j in w)
-        terms[(tuple(e2), w2)] = c if sign > 0 else -c
-    return SuperFunction(target, terms)
 
 
 class Section(Linear):

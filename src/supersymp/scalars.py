@@ -27,11 +27,10 @@ class GaussianRational:
 
     @staticmethod
     def coerce(x: Rationalish) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        raise TypeError(f"cannot coerce {x!r} to a Gaussian rational")
+        y = _operand(x)
+        if y is NotImplemented:
+            raise TypeError(f"cannot coerce {x!r} to a Gaussian rational")
+        return y
 
     # -- predicates ----------------------------------------------------
 
@@ -46,8 +45,12 @@ class GaussianRational:
 
     # -- arithmetic ----------------------------------------------------
 
+    # an operand that is not a number returns NotImplemented, so Python
+    # tries its reflected operation (a Grassmann number, a superfunction)
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -56,13 +59,17 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
+        other = _operand(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
+        other = _operand(other)
+        return other if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -108,6 +115,15 @@ class GaussianRational:
             return _imag_str(self.im)
         sign = "+" if self.im > 0 else "-"
         return f"{self.re} {sign} {_imag_str(abs(self.im))}"
+
+
+def _operand(x):
+    """x as a GaussianRational, or NotImplemented when it is not a number."""
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussianRational(x)
+    return NotImplemented
 
 
 def _imag_str(b: Fraction) -> str:

@@ -353,19 +353,9 @@ def _reorder_even_first(w, parities):
     return [[w[a][b] for b in order] for a in order]
 
 
-def _matrix_congruence(p, w):
-    n = len(w)
-    out = [[GaussianRational(0) for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            s = GaussianRational(0)
-            for i in range(n):
-                if p[a][i].is_zero():
-                    continue
-                for j in range(n):
-                    s = s + p[a][i] * w[i][j] * p[b][j]
-            out[a][b] = s
-    return out
+def _bilinear(blk):
+    """The form (u, v) -> u . blk . v of a square block."""
+    return lambda u, v: linalg.matmul([u], linalg.matmul(blk, [[x] for x in v]))[0][0]
 
 
 def _is_square_fraction(x: Fraction) -> Optional[Fraction]:
@@ -419,9 +409,7 @@ def darboux_normal_form(matrix, parities: Sequence[int], homogeneity: int) -> Da
         k = p // 2
 
         # symplectic Gram-Schmidt on the skew block
-        def apply_a(u, v):
-            return sum((u[i] * a_blk[i][j] * v[j] for i in range(p) for j in range(p)), GaussianRational(0))
-
+        apply_a = _bilinear(a_blk)
         pool = [[GaussianRational(1 if i == j else 0) for j in range(p)] for i in range(p)]
         us, vs = [], []
         while pool:
@@ -449,9 +437,7 @@ def darboux_normal_form(matrix, parities: Sequence[int], homogeneity: int) -> Da
         even_rows = us + vs
 
         # congruence diagonalization of the symmetric block
-        def apply_s(u, v):
-            return sum((u[i] * s_blk[i][j] * v[j] for i in range(q) for j in range(q)), GaussianRational(0))
-
+        apply_s = _bilinear(s_blk)
         pool = [[GaussianRational(1 if i == j else 0) for j in range(q)] for i in range(q)]
         diag_rows: List[Tuple[Fraction, list]] = []
         while pool:
@@ -506,7 +492,7 @@ def darboux_normal_form(matrix, parities: Sequence[int], homogeneity: int) -> Da
 
         w_perm = [[w[i][j] for j in perm] for i in perm]
         p_rows = [[basis[a][perm[b]] for b in range(n)] for a in range(n)]
-        canon = _matrix_congruence(p_rows, w_perm)
+        canon = linalg.matmul(linalg.matmul(p_rows, w_perm), linalg.transpose(p_rows))
         exact = all(abs(c) == 1 for c in odd_coeffs)
         return DarbouxResult(
             kind="even",
@@ -523,9 +509,10 @@ def darboux_normal_form(matrix, parities: Sequence[int], homogeneity: int) -> Da
     if p != q:
         raise NotSymplectic("odd case needs equal numbers of even and odd coordinates")
     b_blk = [[w[i][j] for j in odds] for i in evens]
-    if p and linalg.rank(b_blk) != p:
-        raise NotSymplectic("even-odd pairing is singular")
-    binv = linalg.inverse(b_blk)
+    try:
+        binv = linalg.inverse(b_blk)
+    except ValueError:
+        raise NotSymplectic("even-odd pairing is singular") from None
     p_rows = []
     for a in range(p):
         vec = [GaussianRational(0)] * n
@@ -539,7 +526,7 @@ def darboux_normal_form(matrix, parities: Sequence[int], homogeneity: int) -> Da
     perm = evens + odds
     w_perm = [[w[i][j] for j in perm] for i in perm]
     p_mat = [[p_rows[a][perm[b]] for b in range(n)] for a in range(n)]
-    canon = _matrix_congruence(p_mat, w_perm)
+    canon = linalg.matmul(linalg.matmul(p_mat, w_perm), linalg.transpose(p_mat))
     return DarbouxResult(
         kind="odd",
         parities=tuple([0] * p + [1] * q),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from supersymp import linalg
 from supersymp.charts import CFunction, Chart, SuperFunction, vf_apply, vf_commutator
 from supersymp.forms import KForm, contract, ext_d, lie_derivative, wedge
 from supersymp.grassmann import GrassmannNumber
@@ -413,7 +414,6 @@ def test_criterion_06_ce_cohomology():
     # central extension Jacobi <-> d Omega = 0, 20 instances each direction:
     # closed cochains are drawn from the kernel of the coboundary matrix,
     # non-closed ones by rejection
-    from supersymp import linalg
     from supersymp.liecoh import _coboundary_matrix, _vector_to_cochain
 
     closed_seen = open_seen = 0
@@ -589,7 +589,10 @@ def test_criterion_08_operators():
 
 
 def test_criterion_09_darboux():
-    from supersymp.symplectic import _matrix_congruence, _reorder_even_first
+    from supersymp.symplectic import _reorder_even_first
+
+    def congruence(p, w):
+        return linalg.matmul(linalg.matmul(p, w), linalg.transpose(p))
 
     rng = random.Random(91)
     failures = []
@@ -616,14 +619,14 @@ def test_criterion_09_darboux():
                 cmul = GaussianRational.coerce(rng.choice([1, -1, 2, Fraction(1, 2), 3]))
                 for col in range(n):
                     p_mat[i][col] = p_mat[i][col] + p_mat[j][col] * cmul
-        w_scrambled = _matrix_congruence(p_mat, w)
+        w_scrambled = congruence(p_mat, w)
         res = darboux_normal_form(w_scrambled, parities, 0)
         if res.k != k:
             failures.append(f"even trial {trial}: k")
         if res.ell != sum(1 for sg in signs if sg > 0):
             failures.append(f"even trial {trial}: signature")
         # exact transform equality
-        if _matrix_congruence(res.basis_change, _reorder_even_first(w_scrambled, parities)) != res.canonical_matrix:
+        if congruence(res.basis_change, _reorder_even_first(w_scrambled, parities)) != res.canonical_matrix:
             failures.append(f"even trial {trial}: transform mismatch")
         # canonical pattern: skew block exactly sum dx^i ^ dy_i
         cm = res.canonical_matrix
@@ -646,8 +649,6 @@ def test_criterion_09_darboux():
         # random invertible integer pairing
         while True:
             b_blk = [[Fraction(rng.randint(-3, 3)) for _ in range(p)] for _ in range(p)]
-            from supersymp import linalg
-
             if linalg.rank([[GaussianRational(v) for v in row] for row in b_blk]) == p:
                 break
         w = [[Fraction(0)] * n for _ in range(n)]
@@ -662,7 +663,7 @@ def test_criterion_09_darboux():
         )
         if not ok:
             failures.append(f"odd trial {trial}: canonical pairing")
-        if _matrix_congruence(res.basis_change, _reorder_even_first(w, parities)) != cm:
+        if congruence(res.basis_change, _reorder_even_first(w, parities)) != cm:
             failures.append(f"odd trial {trial}: transform mismatch")
 
     _report("criterion 9", failures, "10 even + 10 odd random normal forms")

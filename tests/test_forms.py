@@ -88,6 +88,17 @@ def test_lift_to_reordered_odd_coordinates(rng, chart22):
         assert lift_form(ext_d(f), target) == ext_d(lift_function(f, target))
 
 
+def test_lift_onto_a_smaller_chart(chart22):
+    """Coordinates map by name, so a function that does not depend on the
+    coordinates the target lacks restricts to it; one that does is refused."""
+    base = Chart("B", ("y",), ("eta",), 4)
+    y, eta = chart22.var("y"), chart22.var("eta")
+    assert lift_function(y * eta + y * y, base) == base.var("y") * base.var("eta") + base.var("y") * base.var("y")
+    for f in (chart22.var("x") * y, chart22.var("xi") * eta):
+        with pytest.raises(ValueError, match="function depends on a fiber coordinate"):
+            lift_function(f, base)
+
+
 def test_wedge_mixed_coefficients(chart22):
     # (x dxi) ^ (xi dy): move xi (odd) through dxi (odd): one sign
     x, xi = chart22.var("x"), chart22.var("xi")

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from supersymp.charts import Chart
 from supersymp.grassmann import DimensionError, GrassmannNumber, NotInvertible
 from supersymp.scalars import GaussianRational, Q
 
@@ -81,6 +82,23 @@ def test_graded_commutativity_enumerated():
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
         GrassmannNumber.scalar(1, 3) * GrassmannNumber.scalar(1, 4)
+
+
+def test_gaussian_scalar_defers_to_the_reflected_operation():
+    """A Gaussian rational on the left hands a Grassmann number or a
+    superfunction to its reflected +, - or *; coerce still refuses both."""
+    two = GaussianRational(2)
+    th1 = th(1)
+    f = Chart("A", ("x",), ("xi",), 4).var("x")
+    assert two * th1 == 2 * th1 == th1 * two
+    assert two + th1 == 2 + th1 and two - th1 == 2 - th1
+    assert two + f == 2 + f == f + two
+    assert two * f == f.scale(2) and two - f == -(f - 2)
+    for x in (th1, f, "x"):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            GaussianRational.coerce(x)
+    with pytest.raises(TypeError):
+        two + "x"
 
 
 def test_scalar_inverse():

@@ -1,6 +1,7 @@
 """linalg against sympy on seeded random small matrices: rank, kernel and
-solve over Q(i), including rank-deficient matrices, and the invariant
-factors of the integer Smith normal form."""
+solve over Q(i), including rank-deficient matrices, products, transposes
+and the choice of independent vectors, and the invariant factors of the
+integer Smith normal form."""
 
 from __future__ import annotations
 
@@ -21,10 +22,11 @@ def _entry(rng):
     return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), im)
 
 
-def _random_matrix(rng):
+def _random_matrix(rng, m=None):
     """A random m x n matrix; four in ten are a product of k x n by m x k
     factors with k < min(m, n), so their rank is below full."""
-    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    m = rng.randint(1, 5) if m is None else m
+    n = rng.randint(1, 5)
     if rng.random() < 0.4:
         k = rng.randint(0, min(m, n) - 1)
         left = [[_entry(rng) for _ in range(k)] for _ in range(m)]
@@ -77,6 +79,42 @@ def test_rank_nullspace_solve_against_sympy():
                 # unique exactly when A has no kernel
                 assert (rank == n) == (not kernel)
     assert deficient >= 20
+
+
+def _greedy_independent(vectors):
+    """Reference: keep each vector that raises the rank of those kept."""
+    kept, chosen = [], []
+    for i, v in enumerate(vectors):
+        if linalg.rank(kept + [v]) > len(kept):
+            kept.append(v)
+            chosen.append(i)
+    return chosen
+
+
+def test_matmul_transpose_independent_against_sympy():
+    rng = random.Random(13)
+    deficient = 0
+    for _ in range(60):
+        a = _random_matrix(rng)
+        b = _random_matrix(rng, len(a[0]))
+        ref = _sympy_matrix(a)
+        deficient += ref.rank() < min(ref.shape)
+        assert _sympy_matrix(linalg.transpose(a)) == ref.T
+        product = linalg.matmul(a, b)
+        assert _sympy_matrix(product) == (ref * _sympy_matrix(b)).expand()
+        assert all(type(x) is GaussianRational for row in product for x in row)
+        for vectors in (a, linalg.transpose(a)):
+            chosen = linalg.independent(vectors)
+            assert chosen == _greedy_independent(vectors)
+            assert len(chosen) == ref.rank()
+    assert deficient >= 15
+
+
+def test_matmul_keeps_the_scalar_type():
+    assert linalg.matmul([[0, 2]], [[1], [3]]) == [[6]]
+    (zero,), = linalg.matmul([[0, 0]], [[Fraction(1)], [Fraction(2)]])
+    assert type(zero) is Fraction and zero == 0
+    assert linalg.matmul([], [[1]]) == []
 
 
 def test_invariant_factors_against_sympy():

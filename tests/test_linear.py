@@ -1,10 +1,12 @@
-"""Property tests of the one sparse-sum core (`grassmann.Linear`).
+"""Property tests of the one sparse-sum core (`grassmann.Linear`) and of
+the calculus built on it.
 
 Every engine type is a finite sum over a basis with nonzero coefficients;
 these tests draw random Grassmann-valued objects of each type on 2|2 and
-3|3 charts and check the vector-space laws, the ==/hash contract and two
-calculus identities built on top of them.  The profile is derandomized, so
-the suite stays deterministic.
+3|3 charts and check the vector-space laws, the ==/hash contract, d^2 = 0,
+i_X(df) = Xf, Cartan's formula, the graded Leibniz rules of d and i_X, and
+graded antisymmetry and Jacobi of the Poisson bracket.  The profile is
+derandomized, so the suite stays deterministic.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from supersymp.cech import CechCochain
-from supersymp.charts import CFunction, Chart, SuperFunction, VectorField
-from supersymp.forms import CKForm, KForm, canonicalize_word, contract, ext_d
+from supersymp.charts import CFunction, Chart, SuperFunction, VectorField, vf_commutator
+from supersymp.forms import CKForm, KForm, canonicalize_word, contract, ext_d, lie_derivative, wedge
 from supersymp.grassmann import GrassmannNumber, Linear
 from supersymp.liecoh import CECochain, SuperLieAlgebra, canonical_keys
 from supersymp.prequant import Section
 from supersymp.reference import sphere_nerve
 from supersymp.scalars import GaussianRational
+from supersymp.symplectic import SymplecticData, poisson_bracket
 
 PROFILE = settings(
     derandomize=True,
@@ -47,10 +50,10 @@ grassmann = st.dictionaries(
 ).map(lambda terms: GrassmannNumber(N, terms))
 
 
-def superfunctions(chart: Chart, terms: int = 3):
+def superfunctions(chart: Chart, terms: int = 3, coefficients=grassmann):
     exps = st.tuples(*[st.integers(0, 2)] * len(chart.even))
     words = st.lists(st.integers(0, len(chart.odd) - 1), unique=True, max_size=2).map(lambda w: tuple(sorted(w)))
-    return st.dictionaries(st.tuples(exps, words), grassmann, max_size=terms).map(lambda t: SuperFunction(chart, t))
+    return st.dictionaries(st.tuples(exps, words), coefficients, max_size=terms).map(lambda t: SuperFunction(chart, t))
 
 
 def fields(chart: Chart):
@@ -146,3 +149,83 @@ def test_contraction_with_df_is_the_derivative(label, data):
     chart = CHARTS[label]
     f, x = data.draw(superfunctions(chart)), data.draw(fields(chart))
     assert contract(x, ext_d(f)).as_function() == x.apply(f)
+
+
+def _sign(a: int, b: int) -> int:
+    return -1 if (a * b) % 2 else 1
+
+
+@pytest.mark.parametrize("label", CHARTS)
+@PROFILE
+@given(data=st.data())
+def test_cartan_formula(label, data):
+    """L_X = d i_X + i_X d; on functions it is X itself, and it satisfies
+    L_X i_Y - (-1)^(|X||Y|) i_Y L_X = i_[X,Y] for homogeneous X and Y."""
+    chart = CHARTS[label]
+    px, py = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    x, y = data.draw(fields(chart)).parity_part(px), data.draw(fields(chart)).parity_part(py)
+    f = data.draw(superfunctions(chart))
+    assert lie_derivative(x, f) == KForm.from_function(x.apply(f))
+    for w in (data.draw(forms(chart, 1)), data.draw(forms(chart, 2))):
+        assert lie_derivative(x, w) == ext_d(contract(x, w)) + contract(x, ext_d(w))
+        commutator = lie_derivative(x, contract(y, w)) - contract(y, lie_derivative(x, w)).scale(_sign(px, py))
+        assert commutator == contract(vf_commutator(x, y), w)
+
+
+@pytest.mark.parametrize("label", CHARTS)
+@PROFILE
+@given(data=st.data())
+def test_graded_leibniz_of_d_and_contraction(label, data):
+    """d(a ^ b) = da ^ b + (-1)^k a ^ db, and i_X is a derivation of degree
+    -1 and parity |X|: i_X(a ^ b) = i_X a ^ b + (-1)^(k + |X||a|) a ^ i_X b,
+    for a homogeneous k-form a of parity |a|."""
+    chart = CHARTS[label]
+    pa, px = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    x = data.draw(fields(chart)).parity_part(px)
+    b = data.draw(forms(chart, 1))
+    a = KForm.from_function(data.draw(superfunctions(chart)))
+    assert ext_d(wedge(a, b)) == wedge(ext_d(a), b) + wedge(a, ext_d(b))
+    for k in (1, 2):
+        a = data.draw(forms(chart, k)).parity_part(pa)
+        sign = (-1) ** k
+        assert ext_d(wedge(a, b)) == wedge(ext_d(a), b) + wedge(a, ext_d(b)).scale(sign)
+        assert contract(x, wedge(a, b)) == wedge(contract(x, a), b) + wedge(a, contract(x, b)).scale(sign * _sign(px, pa))
+
+
+def _canonical_data(chart: Chart) -> SymplecticData:
+    """The even form dx^dy + dxi^dxi + deta^deta on 2|2, the odd form
+    dx^dxi + dy^deta + dz^dzeta on 3|3."""
+    d = lambda name: KForm.differential(chart, name)  # noqa: E731
+    if len(chart.even) == 2:
+        return SymplecticData(wedge(d("x"), d("y")) + wedge(d("xi"), d("xi")) + wedge(d("eta"), d("eta")))
+    return SymplecticData(sum((wedge(d(u), d(v)) for u, v in zip(chart.even, chart.odd)), KForm.zero(chart, 2)))
+
+
+POISSON = {label: _canonical_data(chart) for label, chart in CHARTS.items()}
+
+
+def members(chart: Chart):
+    """Homogeneous C-valued functions whose component in the form's parity
+    is arbitrary and whose other component is constant, so each is a
+    member.  Their coefficients are scalars: the Hamiltonian solver's ansatz
+    has Gaussian-rational coefficients."""
+    even_form = len(chart.even) == 2
+    free = superfunctions(chart, 2, scalars.map(lambda c: GrassmannNumber(N, {(): c})))
+    constant = scalars.map(chart.constant)
+    pairs = st.tuples(free, constant) if even_form else st.tuples(constant, free)
+    return st.tuples(pairs, st.integers(0, 1)).map(lambda t: (CFunction(*t[0]).parity_part(t[1]), t[1]))
+
+
+@pytest.mark.parametrize("label", CHARTS)
+@PROFILE
+@given(data=st.data())
+def test_poisson_bracket_antisymmetry_and_jacobi(label, data):
+    chart, sd = CHARTS[label], POISSON[label]
+    (f, pf), (g, pg), (h, ph) = (data.draw(members(chart)) for _ in range(3))
+    assert poisson_bracket(f, g, sd) == poisson_bracket(g, f, sd).scale(-_sign(pf, pg))
+    jacobi = (
+        poisson_bracket(f, poisson_bracket(g, h, sd), sd).scale(_sign(pf, ph))
+        + poisson_bracket(g, poisson_bracket(h, f, sd), sd).scale(_sign(pg, pf))
+        + poisson_bracket(h, poisson_bracket(f, g, sd), sd).scale(_sign(ph, pg))
+    )
+    assert jacobi.is_zero()
