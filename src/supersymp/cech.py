@@ -17,7 +17,8 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .grassmann import Linear, graded_sort
-from .linalg import fraction_gcd, integer_kernel, invariant_factors, matmul, smith_normal_form
+from . import linalg
+from .linalg import fraction_gcd, matmul, transpose
 
 Simplex = Tuple[int, ...]
 
@@ -53,18 +54,36 @@ class NerveComplex:
         self.index: Dict[int, Dict[Simplex, int]] = {
             k: {s: i for i, s in enumerate(self.simplices[k])} for k in range(MAX_DIM + 1)
         }
+        self._boundary: Dict[int, List[List[int]]] = {}
+        self._smith: Dict[int, tuple] = {}
 
     def boundary_matrix(self, k: int) -> List[List[int]]:
-        """Matrix of d_k: C_k -> C_(k-1); rows (k-1)-simplices, columns k-simplices."""
-        rows = self.simplices[k - 1]
-        cols = self.simplices[k]
-        out = [[0] * len(cols) for _ in rows]
-        for c, s in enumerate(cols):
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1:]
-                r = self.index[k - 1][face]
-                out[r][c] += (-1) ** j
-        return out
+        """Matrix of d_k: C_k -> C_(k-1); rows (k-1)-simplices, columns
+        k-simplices.  Built once per nerve and shared: do not modify it."""
+        if k not in self._boundary:
+            rows = self.simplices[k - 1]
+            cols = self.simplices[k]
+            out = [[0] * len(cols) for _ in rows]
+            for c, s in enumerate(cols):
+                for j in range(len(s)):
+                    out[self.index[k - 1][s[:j] + s[j + 1:]]][c] += (-1) ** j
+            self._boundary[k] = out
+        return self._boundary[k]
+
+    def smith_form(self, k: int) -> tuple:
+        """(D, U, V) with D = U d_k V in Smith normal form, computed once
+        per nerve and shared by the period group, the normalization and the
+        classification."""
+        if k not in self._smith:
+            self._smith[k] = linalg.smith_normal_form(self.boundary_matrix(k))
+        return self._smith[k]
+
+    def invariant_factors(self, k: int) -> List[int]:
+        """The nonzero invariant factors of d_k; their number is its rank."""
+        if not self.simplices[k] or not self.simplices[k - 1]:
+            return []
+        d = self.smith_form(k)[0]
+        return [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
 
 
 def build_nerve(simplices: Iterable[Sequence[int]]) -> NerveComplex:
@@ -169,13 +188,13 @@ class PeriodGroup:
 
 
 def two_cycles(nerve: NerveComplex) -> List[List[int]]:
-    """Integer basis of ker d_2."""
-    b2 = nerve.boundary_matrix(2)
-    if not nerve.simplices[2]:
+    """Integer basis of ker d_2: the last columns of V in D = U d_2 V."""
+    ntris = len(nerve.simplices[2])
+    if not nerve.simplices[1]:
+        return [[int(i == j) for i in range(ntris)] for j in range(ntris)]
+    if not ntris:
         return []
-    if not b2:
-        return [[1 if i == j else 0 for i in range(len(nerve.simplices[2]))] for j in range(len(nerve.simplices[2]))]
-    return integer_kernel(b2)
+    return transpose(nerve.smith_form(2)[2])[len(nerve.invariant_factors(2)):]
 
 
 def period_group(a: CechCochain, nerve: Optional[NerveComplex] = None) -> PeriodGroup:
@@ -205,14 +224,12 @@ def normalize_to_periods(a: CechCochain, nerve: Optional[NerveComplex] = None, p
         return CechCochain(nerve, 1), a, per
     if not edges:
         raise NerveError("triangles without edges")
-    b2 = nerve.boundary_matrix(2)
-    d_mat, u, v = smith_normal_form(b2)
-    r = sum(1 for i in range(min(len(edges), len(tris))) if d_mat[i][i] != 0)
+    _d, u, v = nerve.smith_form(2)
     # a' = a . V  (components in the Smith coordinates of C_2)
     (aprime,) = matmul([a.vector()], v)
     c = [Fraction(0)] * len(edges)
-    for i in range(r):
-        c[i] = aprime[i] / d_mat[i][i]
+    for i, factor in enumerate(nerve.invariant_factors(2)):
+        c[i] = aprime[i] / factor
     # b' = c . U
     (bvals,) = matmul([c], u)
     bprime = CechCochain(nerve, 1, dict(zip(edges, bvals)))
@@ -261,20 +278,9 @@ def classify_prequantum(nerve: NerveComplex, d) -> dict:
     the coefficients are Q and the torsion disappears.
     """
     d = Fraction(d)
-    edges = nerve.simplices[1]
-    b1 = nerve.boundary_matrix(1) if edges else []
-    rank_b1 = 0
-    if edges and nerve.simplices[0]:
-        db1 = smith_normal_form(b1)[0]
-        rank_b1 = sum(1 for i in range(min(len(b1), len(edges))) if db1[i][i] != 0)
-    tris = nerve.simplices[2]
-    rank_b2 = 0
-    torsion: List[int] = []
-    if tris and edges:
-        factors = invariant_factors(nerve.boundary_matrix(2))
-        rank_b2 = len(factors)
-        torsion = [fct for fct in factors if fct != 1]
-    free_rank = len(edges) - rank_b1 - rank_b2
+    factors = nerve.invariant_factors(2)
+    torsion = [fct for fct in factors if fct != 1]
+    free_rank = len(nerve.simplices[1]) - len(nerve.invariant_factors(1)) - len(factors)
     return {
         "free_rank": free_rank,
         "torsion": torsion if d != 0 else [],

@@ -78,14 +78,9 @@ class Chart:
         return self.constant(1)
 
     def constant(self, value) -> "SuperFunction":
-        if isinstance(value, GrassmannNumber):
-            if value.n != self.generators:
-                raise DimensionError("Grassmann generator count differs from chart")
-            coeff = value
-        else:
-            coeff = GrassmannNumber.scalar(GaussianRational.coerce(value), self.generators)
-        key = ((0,) * len(self.even), ())
-        return SuperFunction(self, {key: coeff})
+        if isinstance(value, GrassmannNumber) and value.n != self.generators:
+            raise DimensionError("Grassmann generator count differs from chart")
+        return SuperFunction(self, {((0,) * len(self.even), ()): value})
 
     def var(self, name: str) -> "SuperFunction":
         if name in self.even:
@@ -96,7 +91,7 @@ class Chart:
             key = ((0,) * len(self.even), (self.odd_index(name),))
         else:
             raise UnknownCoordinate(name)
-        return SuperFunction(self, {key: GrassmannNumber.scalar(1, self.generators)})
+        return SuperFunction(self, {key: 1})
 
     def vector_field(self, components: Mapping[str, "SuperFunction | int | Fraction"]) -> "VectorField":
         comps = {}
@@ -116,9 +111,15 @@ class SuperFunction(Graded, Linear):
     __slots__ = ("chart", "terms")
     _FRAME = ("chart",)
 
-    def __init__(self, chart: Chart, terms: Dict[ExpKey, GrassmannNumber]):
+    def __init__(self, chart: Chart, terms: Mapping[ExpKey, "GrassmannNumber | int | Fraction | GaussianRational"]):
         self.chart = chart
-        self.terms = {k: c for k, c in terms.items() if c}
+        self.terms = {}
+        for k, c in terms.items():
+            # a scalar coefficient is lifted into the chart's Grassmann algebra
+            if not isinstance(c, GrassmannNumber):
+                c = GrassmannNumber.scalar(c, chart.generators)
+            if c:
+                self.terms[k] = c
 
     # -- bookkeeping ----------------------------------------------------
 

@@ -294,7 +294,8 @@ class Orbit:
     invariants: Tuple[str, ...]
     tangent_fields: Dict[int, VectorField] = field(default_factory=dict)
     restrictions: Dict[int, List[Tuple[str, Fraction]]] = field(default_factory=dict)
-    _kks: Optional[KForm] = None
+    _kks: Optional[KForm] = field(default=None, compare=False)
+    _data: Optional[SymplecticData] = field(default=None, repr=False, compare=False)
 
     def kks_form(self) -> KForm:
         if self.case == "trivial":
@@ -304,8 +305,9 @@ class Orbit:
         return self._kks
 
     def symplectic_data(self) -> SymplecticData:
-        origin = {name: 0 for name in self.chart.even}
-        return SymplecticData(self.kks_form(), [origin])
+        if self._data is None:
+            self._data = SymplecticData(self.kks_form(), [{name: 0 for name in self.chart.even}])
+        return self._data
 
     def algebra(self) -> SuperLieAlgebra:
         return algebra_of(self.spec)

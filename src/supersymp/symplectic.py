@@ -18,7 +18,7 @@ from . import linalg
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, contract, double, ext_d
 from .grassmann import GrassmannNumber
-from .scalars import GaussianRational
+from .scalars import ZERO, GaussianRational
 
 
 class NotSymplectic(ValueError):
@@ -239,14 +239,25 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
+def _grassmann_indices(w: CKForm):
+    """The Grassmann index sets that occur in the coefficients of w."""
+    indices = set()
+    for part in (w.part0, w.part1):
+        for g in part.terms.values():
+            for coeff in g.terms.values():
+                indices.update(coeff.terms)
+    return sorted(indices, key=lambda idx: (len(idx), idx))
+
+
 def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optional[int] = None) -> HamiltonianResult:
     """Solve i_X (doubled omega) = df for X by equating coefficients.
 
-    The ansatz runs over polynomial components with Gaussian-rational
-    coefficients.  When omega has constant scalar coefficients the linear
-    system decouples monomial by monomial, so a failure is a proof of
-    non-membership; otherwise failures are only conclusive up to the
-    degree bound.
+    The ansatz runs over polynomial components th_I * z^a d/dz with
+    Gaussian-rational coefficients, for every Grassmann index set I that
+    occurs in the coefficients of df.  When omega has constant scalar
+    coefficients the linear system decouples monomial by monomial and
+    index set by index set, so a failure is a proof of non-membership;
+    otherwise failures are only conclusive up to the degree bound.
     """
     chart = data.chart
     if f.chart != chart:
@@ -261,20 +272,22 @@ def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optiona
         if ansatz_degree is None:
             ansatz_degree = max(f.f0.total_degree(), f.f1.total_degree()) + 1
         support = _all_monomials(chart, ansatz_degree)
+    indices = _grassmann_indices(df) or [()]
 
     unknowns = []
     columns = []
     for name in chart.coords:
         for mono in support:
-            basis_field = VectorField(chart, {name: SuperFunction(chart, {mono: GrassmannNumber.scalar(1, chart.generators)})})
-            col = _ckform_rows(contract(basis_field, data.doubled))
-            unknowns.append((name, mono))
-            columns.append(col)
+            for idx in indices:
+                coeff = GrassmannNumber(chart.generators, {idx: 1})
+                basis_field = VectorField(chart, {name: SuperFunction(chart, {mono: coeff})})
+                unknowns.append((name, mono, idx))
+                columns.append(_ckform_rows(contract(basis_field, data.doubled)))
 
     rhs_rows = _ckform_rows(df)
     row_keys = sorted(set(rhs_rows) | {k for col in columns for k in col})
-    a = [[col.get(key, GaussianRational(0)) for col in columns] for key in row_keys]
-    b = [rhs_rows.get(key, GaussianRational(0)) for key in row_keys]
+    a = [[col.get(key, ZERO) for col in columns] for key in row_keys]
+    b = [rhs_rows.get(key, ZERO) for key in row_keys]
 
     solution, rank = linalg.solve(a, b)
     if solution is None:
@@ -283,10 +296,10 @@ def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optiona
         return HamiltonianResult("inconclusive", None, True, f"no solution up to degree {ansatz_degree}")
 
     comps: Dict[str, SuperFunction] = {}
-    for (name, mono), value in zip(unknowns, solution):
+    for (name, mono, idx), value in zip(unknowns, solution):
         if value.is_zero():
             continue
-        add = SuperFunction(chart, {mono: GrassmannNumber.scalar(value, chart.generators)})
+        add = SuperFunction(chart, {mono: GrassmannNumber(chart.generators, {idx: value})})
         comps[name] = comps.get(name, chart.zero()) + add
     x = VectorField(chart, {k: v for k, v in comps.items() if not v.is_zero()})
     # the defining equation is rechecked exactly

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from supersymp import linalg
 from supersymp.cech import (
     CechCochain,
     NerveError,
@@ -241,6 +243,45 @@ def test_classify_sphere():
     rep = classify_prequantum(sphere_nerve(), 3)
     assert rep["trivial"]
     assert rep["free_rank"] == 0
+
+
+def torus_nerve(m, n):
+    """Nerve of the consistently oriented triangulation of the m x n torus grid."""
+    v = lambda i, j: (i % m) * n + (j % n)
+    tris = []
+    for i in range(m):
+        for j in range(n):
+            tris.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
+            tris.append((v(i, j), v(i + 1, j + 1), v(i, j + 1)))
+    return build_nerve([face for t in tris for k in (1, 2, 3) for face in combinations(t, k)])
+
+
+def _surface_pipeline(nerve, values):
+    a = CechCochain(nerve, 2, values)
+    per = period_group(a)
+    return per, normalize_to_periods(a, nerve, per), classify_prequantum(nerve, 3)
+
+
+def test_one_smith_form_per_boundary_degree(monkeypatch, rng):
+    """The period group, the normalization and the classification share the
+    Smith forms of their nerve: one per boundary degree on the 10x10 torus.
+    Each gives the same result as on a fresh nerve of its own."""
+    calls = []
+    snf = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda a: calls.append(len(a)) or snf(a))
+    nerve = torus_nerve(10, 10)
+    assert len(nerve.simplices[2]) == 200
+    per, _, rep = _surface_pipeline(nerve, {t: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for t in nerve.simplices[2]})
+    # one Smith form of d_1 (100 vertex rows) and one of d_2 (300 edge rows)
+    assert sorted(calls) == [100, 300]
+    assert (rep["free_rank"], rep["torsion"]) == (2, [])
+
+    nerve = torus_nerve(5, 5)
+    values = {t: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for t in nerve.simplices[2]}
+    per, normalized, rep = _surface_pipeline(nerve, values)
+    assert period_group(CechCochain(torus_nerve(5, 5), 2, values)) == per
+    assert normalize_to_periods(CechCochain(torus_nerve(5, 5), 2, values)) == normalized
+    assert classify_prequantum(torus_nerve(5, 5), 3) == rep
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from supersymp.charts import UnknownCoordinate, vf_apply, vf_commutator
+from supersymp.charts import SuperFunction, UnknownCoordinate, vf_apply, vf_commutator
 from supersymp.grassmann import GrassmannNumber
+from supersymp.scalars import GaussianRational
 
 from conftest import random_field, random_homogeneous_function, random_superfunction
 
@@ -152,3 +155,14 @@ def test_evaluate_real_point(chart22):
     f = x * x + y.scale(3) + xi * chart22.var("eta")
     v = f.evaluate({"x": 2, "y": 1})
     assert v == GrassmannNumber.scalar(7, chart22.generators)
+
+
+def test_scalar_coefficients_are_lifted(chart22):
+    x = chart22.var("x")
+    key = next(iter(x.terms))
+    for c in (1, Fraction(1), GaussianRational(1)):
+        f = SuperFunction(chart22, {key: c})
+        assert f.terms[key] == GrassmannNumber.scalar(1, chart22.generators)
+        assert f.parity_part(0) == f == x
+        assert f.parity_part(1).is_zero()
+    assert SuperFunction(chart22, {key: GaussianRational(0)}).is_zero()

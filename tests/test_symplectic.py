@@ -6,7 +6,9 @@ import pytest
 
 from supersymp import linalg
 from supersymp.charts import CFunction, Chart, vf_commutator
+from supersymp.dsl import parse
 from supersymp.forms import KForm, contract, ext_d, wedge
+from supersymp.grassmann import GrassmannNumber
 from supersymp.reference import ORIGIN, d, mixed_chart_21, mixed_counterexample, poisson_member_21
 from supersymp.symplectic import (
     NotSymplectic,
@@ -132,6 +134,20 @@ def test_defining_conditions_displayed_form(sd21):
     lhs1 = d(chart, "xi").left_multiply(xx) - d(chart, "x").left_multiply(xxi)
     assert lhs0 == df0
     assert lhs1 == df1
+
+
+def test_nilpotent_coefficient_member():
+    """f = th1*x on dx^dy + dxi^dxi + deta^deta: X = -th1 d/dy solves
+    i_X(doubled omega) = df, so the ansatz must reach the th1 block."""
+    doc = parse("chart P even x,y odd xi,eta; form omega = dx^dy + dxi^dxi + deta^deta;")
+    chart = doc.charts["P"]
+    sd = SymplecticData(doc.forms["omega"], [{"x": 0, "y": 0}])
+    f = doc.evaluate("th1*x*c0", chart)
+    res = hamiltonian_field(f, sd)
+    assert res.status == "member"
+    assert contract(res.field, sd.doubled) == ext_d(f)
+    th1 = GrassmannNumber.generator(1, chart.generators)
+    assert res.field == chart.vector_field({"y": chart.constant(-th1)})
 
 
 # ----------------------------------------------------------------------
