@@ -34,14 +34,16 @@ class GaussianRational:
 
     # -- predicates ----------------------------------------------------
 
+    # the zero tests read the numerators: a Fraction is zero exactly when
+    # its numerator is, and Fraction.__eq__ costs several times more
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.re.numerator == 0 and self.im.numerator == 0
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return self.im.numerator == 0
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.re.numerator != 0 or self.im.numerator != 0
 
     # -- arithmetic ----------------------------------------------------
 
@@ -99,7 +101,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        if self.im == 0:
+        # a real value hashes like the Fraction (and so the int) it equals
+        if self.im.numerator == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 

@@ -6,6 +6,10 @@ their kernels only meet in zero.  Membership in the C-valued Poisson algebra
 is decided by exact linear algebra on a polynomial ansatz; for forms with
 constant coefficients the monomial blocks of the system decouple, so both
 membership and non-membership are decided definitively.
+
+Each `SymplecticData` owns the solver's state: the contraction column of
+every ansatz basis field and the Hamiltonian field of every function
+already solved are cached on it, and live and die with it.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .charts import CFunction, Chart, SuperFunction, VectorField
+from .charts import CFunction, Chart, ExpKey, SuperFunction, VectorField
 from .forms import CKForm, KForm, contract, double, ext_d
-from .grassmann import GrassmannNumber
+from .grassmann import GrassmannNumber, Index
 from .scalars import ZERO, GaussianRational
 
 
@@ -150,7 +154,12 @@ def is_symplectic(omega: KForm, points: Sequence[Mapping[str, object]] = ()) -> 
 
 
 class SymplecticData:
-    """A closed 2-form together with its C-valued doubling."""
+    """A closed 2-form together with its C-valued doubling.
+
+    `hamiltonian_field` fills two caches on the instance: the contraction
+    column of each ansatz basis field, keyed by (coordinate, monomial,
+    Grassmann index set), and the result for each function it has solved.
+    """
 
     def __init__(self, omega: KForm, points: Sequence[Mapping[str, object]] = ()):
         if omega.degree != 2:
@@ -163,18 +172,16 @@ class SymplecticData:
         for rep in self.point_reports:
             if not rep.homogeneously_nondegenerate:
                 raise NotSymplectic(f"homogeneously degenerate at {rep.point}")
+        self._constant = all(g.is_constant() and g.constant_value().is_scalar() for g in omega.terms.values())
+        self._columns: Dict[Tuple[str, ExpKey, Index], Dict[RowKey, GaussianRational]] = {}
+        self._fields: Dict[object, HamiltonianResult] = {}
 
     @property
     def chart(self) -> Chart:
         return self.omega.chart
 
     def has_constant_coefficients(self) -> bool:
-        for g in self.omega.terms.values():
-            if not g.is_constant():
-                return False
-            if not g.constant_value().is_scalar():
-                return False
-        return True
+        return self._constant
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +189,7 @@ class SymplecticData:
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class HamiltonianResult:
     status: str  # "member" | "not_member" | "inconclusive"
     field: Optional[VectorField] = None
@@ -257,11 +264,29 @@ def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optiona
     occurs in the coefficients of df.  When omega has constant scalar
     coefficients the linear system decouples monomial by monomial and
     index set by index set, so a failure is a proof of non-membership;
-    otherwise failures are only conclusive up to the degree bound.
+    otherwise failures are only conclusive up to the degree bound, which
+    defaults to one more than the total degree of f.
+
+    Results are cached on `data`: per f when omega has constant scalar
+    coefficients (the degree plays no part there), else per f and
+    effective degree.  The same result object is returned on a repeat.
     """
-    chart = data.chart
-    if f.chart != chart:
+    if f.chart != data.chart:
         raise ValueError("function lives on a different chart")
+    if data.has_constant_coefficients():
+        key = f
+    else:
+        if ansatz_degree is None:
+            ansatz_degree = max(f.f0.total_degree(), f.f1.total_degree()) + 1
+        key = (f, ansatz_degree)
+    res = data._fields.get(key)
+    if res is None:
+        res = data._fields[key] = _solve_hamiltonian(f, data, ansatz_degree)
+    return res
+
+
+def _solve_hamiltonian(f: CFunction, data: SymplecticData, ansatz_degree: Optional[int]) -> HamiltonianResult:
+    chart = data.chart
     df = ext_d(f)
     constant = data.has_constant_coefficients()
     if constant:
@@ -269,8 +294,6 @@ def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optiona
         if not support:
             return HamiltonianResult("member", VectorField(chart, {}), True, "df = 0")
     else:
-        if ansatz_degree is None:
-            ansatz_degree = max(f.f0.total_degree(), f.f1.total_degree()) + 1
         support = _all_monomials(chart, ansatz_degree)
     indices = _grassmann_indices(df) or [()]
 
@@ -279,10 +302,14 @@ def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optiona
     for name in chart.coords:
         for mono in support:
             for idx in indices:
-                coeff = GrassmannNumber(chart.generators, {idx: 1})
-                basis_field = VectorField(chart, {name: SuperFunction(chart, {mono: coeff})})
-                unknowns.append((name, mono, idx))
-                columns.append(_ckform_rows(contract(basis_field, data.doubled)))
+                unknown = (name, mono, idx)
+                column = data._columns.get(unknown)
+                if column is None:
+                    coeff = GrassmannNumber(chart.generators, {idx: 1})
+                    basis_field = VectorField(chart, {name: SuperFunction(chart, {mono: coeff})})
+                    column = data._columns[unknown] = _ckform_rows(contract(basis_field, data.doubled))
+                unknowns.append(unknown)
+                columns.append(column)
 
     rhs_rows = _ckform_rows(df)
     row_keys = sorted(set(rhs_rows) | {k for col in columns for k in col})

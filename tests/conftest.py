@@ -15,6 +15,22 @@ def rng():
 
 
 @pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts `linalg.solve` calls: one entry, the row count, per system."""
+    from supersymp import linalg
+
+    calls = []
+    solve = linalg.solve
+
+    def counting(a, b):
+        calls.append(len(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(linalg, "solve", counting)
+    return calls
+
+
+@pytest.fixture
 def chart22():
     return Chart("M", ("x", "y"), ("xi", "eta"), 4)
 

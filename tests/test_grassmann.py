@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -99,6 +100,29 @@ def test_gaussian_scalar_defers_to_the_reflected_operation():
             GaussianRational.coerce(x)
     with pytest.raises(TypeError):
         two + "x"
+
+
+@pytest.mark.parametrize(
+    "re, im",
+    [(0, 0), (3, 0), (-4, 0), ("-7/3", 0), ("5/2", 0), (0, 1), (0, "-1/2"), (-2, 3), ("1/3", "-4/5")],
+)
+def test_gaussian_scalar_predicates_and_hash(re, im):
+    """Zero tests, realness and hashing agree with Fraction arithmetic; a
+    real value hashes like the Fraction it equals, so mixed dict keys and
+    sets treat Q(q) and q as one key."""
+    re, im = Fraction(re), Fraction(im)
+    z = Q(re, im)
+    assert z.is_zero() is (re == 0 and im == 0)
+    assert bool(z) is not z.is_zero()
+    assert z.is_rational() is (im == 0)
+    assert hash(z) == hash(Q(re, im)) == hash(GaussianRational(re, im))
+    if im == 0:
+        assert hash(z) == hash(re) and z == re
+        assert len({z, re}) == 1
+        if re.denominator == 1:
+            assert hash(z) == hash(int(re))
+    else:
+        assert z != re and len({z, Q(re, -im), Q(re)}) == 3
 
 
 def test_scalar_inverse():

@@ -369,6 +369,17 @@ def test_momentum_check(y0, yb1):
     assert rep["strongly_hamiltonian"]
 
 
+def test_momentum_check_solves_each_momentum_function_once(solve_calls):
+    """The bracket of every pair of momentum functions reuses the fields
+    that the membership checks solved on the orbit's SymplecticData."""
+    orbit = orbit_classify(heisenberg_33(), 1, 1, generators=NG)
+    orbit.symplectic_data()
+    distinct = {orbit.momentum_function(m) for m in range(orbit.algebra().dimension)}
+    solve_calls.clear()
+    assert momentum_check(orbit)["strongly_hamiltonian"]
+    assert 0 < len(solve_calls) <= len(distinct)
+
+
 def test_trivial_orbit_momentum_vacuous():
     orbit = orbit_classify(heisenberg_33(), 0, 0, generators=NG)
     assert orbit.case == "trivial"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,165 @@ def test_nilpotent_coefficient_member():
     assert contract(res.field, sd.doubled) == ext_d(f)
     th1 = GrassmannNumber.generator(1, chart.generators)
     assert res.field == chart.vector_field({"y": chart.constant(-th1)})
+
+
+# ----------------------------------------------------------------------
+# solver caches on SymplecticData
+# ----------------------------------------------------------------------
+
+
+def _variable_rank_form():
+    """x dx^dy + dx^dxi + dy^deta on 2|2, as in tests/test_edge_cases.py."""
+    chart = Chart("V", ("x", "y"), ("xi", "eta"), 4)
+    omega = (
+        wedge(d(chart, "x"), d(chart, "y")).right_multiply(chart.var("x"))
+        + wedge(d(chart, "x"), d(chart, "xi"))
+        + wedge(d(chart, "y"), d(chart, "eta"))
+    )
+    return chart, omega, [{"x": 1, "y": 0}]
+
+
+def _cache_cases():
+    """(omega, points, [(f, degree, status)]) on a constant 2|1 form, a
+    constant 2|2 form with nilpotent coefficients in f, the variable-rank
+    2|2 form and a non-constant 2|0 form."""
+    data = mixed_chart_21(4)
+    c = data.chart
+    x, y = c.var("x"), c.var("y")
+    cases = [
+        (
+            data.omega,
+            [ORIGIN],
+            [
+                (CFunction(x, c.zero()), None, "member"),
+                (CFunction(y * y, c.zero()), None, "not_member"),
+                (poisson_member_21(data, [0, 1], [2], [1]), None, "member"),
+                (poisson_member_21(data, [1, -2], [1], [0, 3]), 4, "member"),
+            ],
+        )
+    ]
+    doc = parse("chart P even x,y odd xi,eta; form omega = dx^dy + dxi^dxi + deta^deta;")
+    p = doc.charts["P"]
+    cases.append(
+        (
+            doc.forms["omega"],
+            [{"x": 0, "y": 0}],
+            [
+                (doc.evaluate("th1*x*c0", p), None, "member"),
+                (doc.evaluate("th1*th2*y*xi*c0 + x*y*c0", p), None, "member"),
+                # the form is even, so its doubling has no c1 part
+                (doc.evaluate("th2*eta*c1", p), None, "not_member"),
+            ],
+        )
+    )
+    v, omega, pts = _variable_rank_form()
+    cases.append(
+        (
+            omega,
+            pts,
+            [
+                (CFunction(v.var("y"), v.zero()), 3, "inconclusive"),
+                (CFunction(v.var("y"), v.zero()), None, "inconclusive"),
+                (CFunction(v.var("xi"), v.zero()), 2, "inconclusive"),
+                (CFunction(v.constant(7), v.zero()), 1, "member"),
+            ],
+        )
+    )
+    h = Chart("H", ("x", "y"), (), 4)
+    hx = h.var("x")
+    cases.append(
+        (
+            wedge(d(h, "x"), d(h, "y")).right_multiply(1 + hx * hx),
+            [ORIGIN],
+            [
+                (CFunction(hx + (hx * hx * hx).scale(Fraction(1, 3)), h.zero()), None, "member"),
+                (CFunction(hx + (hx * hx * hx).scale(Fraction(1, 3)), h.zero()), 2, "member"),
+                (CFunction(h.var("y"), hx), 1, "inconclusive"),
+            ],
+        )
+    )
+    return cases
+
+
+def test_warm_solver_agrees_with_fresh():
+    """Results from a SymplecticData whose caches other functions filled
+    equal those of a fresh one, for member, not_member and inconclusive."""
+    statuses = set()
+    for omega, pts, queries in _cache_cases():
+        warm = SymplecticData(omega, pts)
+        for f, deg, _ in reversed(queries):
+            hamiltonian_field(f, warm, deg)
+        for f, deg, status in queries:
+            res = hamiltonian_field(f, warm, deg)
+            assert res.status == status
+            assert res == hamiltonian_field(f, SymplecticData(omega, pts), deg)
+            if res:
+                assert contract(res.field, warm.doubled) == ext_d(f)
+            statuses.add(status)
+    assert statuses == {"member", "not_member", "inconclusive"}
+
+
+def test_repeated_call_returns_the_cached_result(sd21):
+    data, sd = sd21
+    chart = data.chart
+    f = poisson_member_21(data, [0, 1], [2], [1])
+    res = hamiltonian_field(f, sd)
+    # an equal function built anew hits the same entry
+    assert hamiltonian_field(poisson_member_21(data, [0, 1], [2], [1]), sd) is res
+    # on a constant form the degree plays no part
+    assert hamiltonian_field(f, sd, 1) is res and hamiltonian_field(f, sd, 5) is res
+    bad = CFunction(chart.var("y") * chart.var("y"), chart.zero())
+    assert hamiltonian_field(bad, sd) is hamiltonian_field(bad, sd)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.status = "not_member"
+
+
+def test_default_degree_shares_the_explicit_entry():
+    chart, omega, pts = _variable_rank_form()
+    sd = SymplecticData(omega, pts)
+    f = CFunction(chart.var("y"), chart.zero())
+    res = hamiltonian_field(f, sd)
+    assert res.detail == "no solution up to degree 2"
+    assert hamiltonian_field(f, sd, 2) is res
+    other = hamiltonian_field(f, sd, 3)
+    assert other is not res and other.detail == "no solution up to degree 3"
+    assert hamiltonian_field(f, sd, 1).detail == "no solution up to degree 1"
+
+
+def test_function_on_another_chart_is_refused_after_caching(sd21):
+    data, sd = sd21
+    chart = data.chart
+    f = CFunction(chart.var("x"), chart.zero())
+    assert hamiltonian_field(f, sd).status == "member"
+    twin = Chart("N2", chart.even, chart.odd, chart.generators)
+    g = CFunction(twin.var("x"), twin.zero())
+    assert g.terms[0].terms == f.terms[0].terms
+    with pytest.raises(ValueError, match="different chart"):
+        hamiltonian_field(g, sd)
+
+
+def test_failed_solve_is_not_cached(monkeypatch, sd21):
+    data, sd = sd21
+    f = CFunction(data.chart.var("x"), data.chart.zero())
+
+    def broken(a, b):
+        raise ArithmeticError("solver failed")
+
+    monkeypatch.setattr(linalg, "solve", broken)
+    with pytest.raises(ArithmeticError):
+        hamiltonian_field(f, sd)
+    monkeypatch.undo()
+    assert hamiltonian_field(f, sd).status == "member"
+
+
+def test_bracket_pair_solves_two_systems(solve_calls, sd21):
+    data, sd = sd21
+    f = poisson_member_21(data, [1, 2], [1], [3])
+    g = poisson_member_21(data, [0, -1], [2], [0, 1])
+    fg = poisson_bracket(f, g, sd)
+    gf = poisson_bracket(g, f, sd)
+    assert len(solve_calls) == 2
+    assert fg == gf.scale(-1)
 
 
 # ----------------------------------------------------------------------
