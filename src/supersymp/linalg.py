@@ -9,17 +9,26 @@ Matrices enter and leave as plain lists of lists.
   `rank`, `solve`, `nullspace`, `inverse` and `independent`, the first
   vectors of a list that are linearly independent, read off one
   elimination;
-* Smith normal form over Z for the integer chain complexes of the finite
+* sparse Smith normal form over Z, `smith_normal_form` and
+  `invariant_factors`, for the integer chain complexes of the finite
   cover machinery.
 
-Every elimination passes through `rref` or `smith_normal_form`.  `rref`
-keeps each row as a dict column -> nonzero entry and indexes each column
-by the rows that are nonzero there, so an elimination step touches only
-the rows that hold the pivot column and only the nonzeros of the pivot
-row.  Pivot columns are taken left to right; within a pivot column the
+Every elimination passes through one of two sparse kernels, `rref` or
+`smith_normal_form`.  Both keep each row as a dict column -> nonzero entry
+and index each column by the rows that are nonzero there, so an
+elimination step touches only the rows that hold the pivot column and
+only the nonzeros of the pivot row.
+
+`rref` takes pivot columns left to right; within a pivot column the
 shortest candidate row is the pivot, the Markowitz rule of sparse direct
 methods, which keeps fill-in low.  The reduced row echelon form is
 unique, so the choice of pivot row changes no entry of the result.
+
+`smith_normal_form` (after Dumas, Saunders and Villard, J. Symbolic
+Comput. 32 (2001)) takes as pivot the entry of least absolute value, ties
+broken by the Markowitz cost (row nonzeros - 1) (column nonzeros - 1) and
+then by (row, column), so its U and V are the same on every run.  U and V
+are not unique; D is.
 """
 
 from __future__ import annotations
@@ -179,86 +188,123 @@ def independent(vectors: Sequence[Vector]) -> List[int]:
 # ----------------------------------------------------------------------
 
 
+def _add_multiple(dst: Dict[int, int], src: Dict[int, int], k: int, holders=None, owner: int = 0) -> None:
+    """dst += k * src on sparse integer vectors; when given, holders[j] keeps
+    the set of vectors (named by owner) that are nonzero at j."""
+    for j, s in src.items():
+        new = dst.get(j, 0) + k * s
+        if new:
+            dst[j] = new
+            if holders is not None:
+                holders[j].add(owner)
+        elif j in dst:
+            del dst[j]
+            if holders is not None:
+                holders[j].discard(owner)
+
+
+def _combination(x: Dict[int, int], a: int, y: Dict[int, int], b: int) -> Dict[int, int]:
+    """a * x + b * y as a new sparse vector."""
+    out: Dict[int, int] = {}
+    _add_multiple(out, x, a)
+    _add_multiple(out, y, b)
+    return out
+
+
+def _bezout(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) > 0 and s a + t b = g."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
 def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
-    """Return (D, U, V) with D = U A V, U and V unimodular, D in SNF."""
-    m = [list(map(int, row)) for row in a]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    """Return (D, U, V) with D = U A V, U and V unimodular, D in SNF.
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):
-        # row_dst += k * row_src
-        m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):
-        for row in m:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    s = 0
-    while s < min(nrows, ncols):
-        # find a pivot: nonzero entry of minimal absolute value in m[s:, s:]
-        pivot = None
+    A is kept as sparse rows with a column index, U as sparse rows and V
+    as sparse columns.  The pivot's
+    column is cleared by row operations, then its row by column
+    operations, which touch only the pivot row of A once the column is
+    clear.  A nonzero remainder is a Euclid step: the loop picks a new,
+    smaller pivot.  The non-unit pivots are then made a divisibility chain
+    pairwise by the Bezout transform diag(a, b) -> diag(g, ab/g); the
+    pivots are put in place, units first, and made positive through U.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    rows = [{j: int(x) for j, x in enumerate(row) if x} for row in a]
+    holders: List[Set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    u = [{i: 1} for i in range(nrows)]
+    v = [{j: 1} for j in range(ncols)]
+    active = {i for i, row in enumerate(rows) if row}
+    pivots: List[Tuple[int, int]] = []
+    while active:
         best = None
-        for i in range(s, nrows):
-            for j in range(s, ncols):
-                x = m[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(s, pivot[0])
-        swap_cols(s, pivot[1])
-        # clear the s-th row and column
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(s + 1, nrows):
-                if m[i][s] != 0:
-                    add_row(i, s, -(m[i][s] // m[s][s]))
-                    if m[i][s] != 0:
-                        swap_rows(s, i)
-                        dirty = True
-            for j in range(s + 1, ncols):
-                if m[s][j] != 0:
-                    add_col(j, s, -(m[s][j] // m[s][s]))
-                    if m[s][j] != 0:
-                        swap_cols(s, j)
-                        dirty = True
-        # divisibility fix-up: m[s][s] must divide every later entry
-        fixed = False
-        for i in range(s + 1, nrows):
-            for j in range(s + 1, ncols):
-                if m[i][j] % m[s][s] != 0:
-                    add_row(s, i, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+        for i in active:
+            row = rows[i]
+            cost = len(row) - 1
+            for j, x in row.items():
+                key = (abs(x), cost * (len(holders[j]) - 1), i, j)
+                if best is None or key < best:
+                    best = key
+        _, _, p, c = best
+        prow = rows[p]
+        x = prow[c]
+        for i in list(holders[c]):
+            if i != p:
+                q = rows[i][c] // x
+                _add_multiple(rows[i], prow, -q, holders, i)
+                _add_multiple(u[i], u[p], -q)
+        if len(holders[c]) > 1:
             continue
-        if m[s][s] < 0:
-            negate_row(s)
-        s += 1
-    return m, u, v
+        for j in [j for j in prow if j != c]:
+            q = prow[j] // x
+            if prow[j] == q * x:
+                del prow[j]
+                holders[j].discard(p)
+            else:
+                prow[j] -= q * x
+            _add_multiple(v[j], v[c], -q)
+        if len(prow) > 1:
+            continue
+        pivots.append((p, c))
+        active.discard(p)
+        active -= {i for i in active if not rows[i]}
+    diag = [rows[p][c] for p, c in pivots]
+    units = [k for k, x in enumerate(diag) if abs(x) == 1]
+    chain = [k for k, x in enumerate(diag) if abs(x) != 1]
+    for t, k in enumerate(chain):
+        for k2 in chain[t + 1:]:
+            (p1, c1), (p2, c2), x, y = pivots[k], pivots[k2], diag[k], diag[k2]
+            if y % x:
+                g, s1, t1 = _bezout(x, y)
+                # [[s1, t1], [-y/g, x/g]] diag(x, y) [[1, -t1 y/g], [1, s1 x/g]] = diag(g, xy/g)
+                u[p1], u[p2] = _combination(u[p1], s1, u[p2], t1), _combination(u[p1], -y // g, u[p2], x // g)
+                v[c1], v[c2] = _combination(v[c1], 1, v[c2], 1), _combination(v[c1], -t1 * y // g, v[c2], s1 * x // g)
+                diag[k], diag[k2] = g, x * y // g
+    for (p, _), x in zip(pivots, diag):
+        if x < 0:
+            u[p] = {j: -y for j, y in u[p].items()}
+    order = units + chain
+    row_order = [pivots[k][0] for k in order]
+    col_order = [pivots[k][1] for k in order]
+    row_order += sorted(set(range(nrows)) - set(row_order))
+    col_order += sorted(set(range(ncols)) - set(col_order))
+    d = [[0] * ncols for _ in range(nrows)]
+    for t, k in enumerate(order):
+        d[t][t] = abs(diag[k])
+    u_out = [_dense(u[i], nrows, 0) for i in row_order]
+    v_out = [[0] * ncols for _ in range(ncols)]
+    for t, c in enumerate(col_order):
+        for i, x in v[c].items():
+            v_out[i][t] = x
+    return d, u_out, v_out
 
 
 def invariant_factors(a: Sequence[Sequence[int]]) -> List[int]:

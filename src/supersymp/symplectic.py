@@ -41,15 +41,17 @@ class PoissonMembershipError(ValueError):
 def contraction_matrix(omega: KForm, point: Optional[Mapping[str, object]] = None):
     """W[i][j] = i_(d/dz_i) i_(d/dz_j) omega, evaluated at a real point.
 
-    With point=None the form must have constant coefficients.
+    With point=None the form must have constant coefficients.  Only the
+    entries with i <= j are contracted; the others follow from the graded
+    skew symmetry of W.
     """
     chart = omega.chart
     n = len(chart.coords)
+    p = len(chart.even)
     basis = [chart.vector_field({name: 1}) for name in chart.coords]
-    rows = []
+    rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
+        for j in range(i, n):
             f = contract(basis[i], basis[j], omega).as_function()
             if point is None:
                 value = f.constant_value()
@@ -57,8 +59,10 @@ def contraction_matrix(omega: KForm, point: Optional[Mapping[str, object]] = Non
                 value = f.evaluate(point)
             if not value.soul().is_zero():
                 raise ValueError("contraction matrix has nilpotent entries")
-            row.append(value.body())
-        rows.append(row)
+            rows[i][j] = value.body()
+            if j > i:
+                # W[j][i] = -(-1)^(|i||j|) W[i][j]; both coordinates are odd when i >= p
+                rows[j][i] = rows[i][j] if i >= p else -rows[i][j]
     return rows
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
+from supersymp.cech import build_nerve
 from supersymp.charts import Chart, SuperFunction, VectorField
 from supersymp.grassmann import GrassmannNumber
 from supersymp.scalars import GaussianRational
@@ -86,3 +88,14 @@ def random_field(rng, chart, parity=None, degree=2, **kw):
             if not f.is_zero():
                 comps[name] = f
     return VectorField(chart, comps)
+
+
+def torus_nerve(m, n):
+    """Nerve of the consistently oriented triangulation of the m x n torus grid."""
+    v = lambda i, j: (i % m) * n + (j % n)
+    tris = []
+    for i in range(m):
+        for j in range(n):
+            tris.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
+            tris.append((v(i, j), v(i + 1, j + 1), v(i, j + 1)))
+    return build_nerve([face for t in tris for k in (1, 2, 3) for face in combinations(t, k)])

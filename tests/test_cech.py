@@ -23,6 +23,8 @@ from supersymp.cech import (
 )
 from supersymp.reference import circle_nerve, sphere_nerve
 
+from conftest import torus_nerve
+
 
 def solid_triangle():
     return build_nerve([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
@@ -245,15 +247,38 @@ def test_classify_sphere():
     assert rep["free_rank"] == 0
 
 
-def torus_nerve(m, n):
-    """Nerve of the consistently oriented triangulation of the m x n torus grid."""
-    v = lambda i, j: (i % m) * n + (j % n)
-    tris = []
-    for i in range(m):
-        for j in range(n):
-            tris.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
-            tris.append((v(i, j), v(i + 1, j + 1), v(i, j + 1)))
+def rp2_nerve():
+    """The six-vertex real projective plane: 10 triangles, H_1 = Z/2."""
+    tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
     return build_nerve([face for t in tris for k in (1, 2, 3) for face in combinations(t, k)])
+
+
+def test_rp2_torsion_and_normalization(rng):
+    nerve = rp2_nerve()
+    assert (len(nerve.simplices[1]), len(nerve.simplices[2])) == (15, 10)
+    for d in (3, Fraction(1, 2), -2):
+        rep = classify_prequantum(nerve, d)
+        assert (rep["free_rank"], rep["torsion"], rep["trivial"]) == (0, [2], False)
+    rep = classify_prequantum(nerve, 0)
+    assert (rep["free_rank"], rep["torsion"], rep["trivial"]) == (0, [], True)
+    # no integer 2-cycles, so every rational 2-cochain is a coboundary
+    assert two_cycles(nerve) == []
+    for _ in range(5):
+        a = CechCochain(nerve, 2, {t: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for t in nerve.simplices[2]})
+        bprime, corrected, per = normalize_to_periods(a)
+        assert per.is_trivial()
+        assert corrected.is_zero()
+        assert corrected == a - coboundary(bprime)
+
+
+def test_torus_normalization_lands_in_the_periods(rng):
+    nerve = torus_nerve(10, 10)
+    for _ in range(3):
+        a = CechCochain(nerve, 2, {t: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for t in nerve.simplices[2]})
+        bprime, corrected, per = normalize_to_periods(a)
+        assert corrected == a - coboundary(bprime)
+        assert all(per.contains(v) for v in corrected.values.values())
+        assert len(two_cycles(nerve)) == 1
 
 
 def _surface_pipeline(nerve, values):

@@ -14,6 +14,8 @@ import pytest
 from supersymp import linalg
 from supersymp.scalars import GaussianRational
 
+from conftest import torus_nerve
+
 sp = pytest.importorskip("sympy")
 normalforms = pytest.importorskip("sympy.matrices.normalforms")
 
@@ -213,3 +215,77 @@ def test_invariant_factors_against_sympy():
         d, u, v = linalg.smith_normal_form(a)
         assert sp.Matrix(u) * sp.Matrix(a) * sp.Matrix(v) == sp.Matrix(d)
         assert abs(sp.Matrix(u).det()) == 1 and abs(sp.Matrix(v).det()) == 1
+
+
+def _assert_smith_form(a, d, u, v):
+    """D = U A V with D diagonal, nonnegative, each nonzero entry dividing
+    the next and the zeros last."""
+    m, n = len(a), len(a[0])
+    assert linalg.matmul(linalg.matmul(u, a), v) == d
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [d[i][i] for i in range(min(m, n))]
+    nonzero = [x for x in diag if x]
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    assert all(x > 0 for x in nonzero)
+    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+
+
+def _unimodular_scramble(rng, a):
+    """P A Q for random products P, Q of elementary integer operations."""
+    m, n = len(a), len(a[0])
+    a = [list(row) for row in a]
+    for _ in range(3 * (m + n)):
+        i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
+        if i != j:
+            k = rng.choice((-2, -1, 1, 2))
+            a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            k = rng.choice((-2, -1, 1, 2))
+            for row in a:
+                row[i] += k * row[j]
+    return a
+
+
+def test_sparse_smith_form_against_sympy():
+    """Sparse integer matrices up to 30 x 40 at 5-15 % density, with zero
+    rows and columns, and scrambled diagonal matrices that need the
+    divisibility fix-up."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(40):
+        m, n = rng.randint(1, 30), rng.randint(1, 40)
+        density = rng.choice((0.05, 0.1, 0.15))
+        a = [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        a[rng.randrange(m)] = [0] * n
+        for row in a:
+            row[rng.randrange(n)] = 0
+        cases.append(a)
+    for diag, want in (((2, 3), [1, 6]), ((4, 6), [2, 12]), ((6, 4, 0), [2, 12]), ((2, 3, 5, 4), [1, 1, 2, 60])):
+        a = [[x if i == j else 0 for j in range(len(diag) + 1)] for i, x in enumerate(diag)]
+        for _ in range(3):
+            scrambled = _unimodular_scramble(rng, a)
+            assert linalg.invariant_factors(scrambled) == want
+            cases.append(scrambled)
+    zero_rows_cols = 0
+    for a in cases:
+        zero_rows_cols += not all(any(row) for row in a) and not all(any(col) for col in zip(*a))
+        want = [abs(int(f)) for f in normalforms.invariant_factors(sp.Matrix(a), domain=sp.ZZ) if f != 0]
+        assert linalg.invariant_factors(a) == want
+        d, u, v = linalg.smith_normal_form(a)
+        _assert_smith_form(a, d, u, v)
+        assert {abs(sp.Matrix(w).to_DM(domain=sp.ZZ).det()) for w in (u, v)} == {1}
+    assert zero_rows_cols >= 20
+
+
+def test_smith_form_of_the_torus_boundaries():
+    """The 10 x 10 torus: d_1 (100 x 300) has 99 unit invariant factors and
+    d_2 (300 x 200) has 199."""
+    nerve = torus_nerve(10, 10)
+    for k, shape, rank in ((1, (100, 300), 99), (2, (300, 200), 199)):
+        a = nerve.boundary_matrix(k)
+        assert (len(a), len(a[0])) == shape
+        d, u, v = linalg.smith_normal_form(a)
+        _assert_smith_form(a, d, u, v)
+        assert [d[i][i] for i in range(min(shape))] == [1] * rank + [0] * (min(shape) - rank)
+        assert linalg.smith_normal_form(a) == (d, u, v)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,10 @@ from supersymp.symplectic import (
     poisson_bracket_by_contraction,
     require_hamiltonian_field,
 )
+
+from conftest import random_scalar, random_superfunction
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ----------------------------------------------------------------------
@@ -405,6 +411,63 @@ def test_naive_counterexample_commutator_not_locally_hamiltonian():
     z = vf_commutator(ex.X, ex.Y)
     sigma = contract(z, ex.omega)
     assert not ext_d(sigma).is_zero()
+
+
+# ----------------------------------------------------------------------
+# contraction matrices
+# ----------------------------------------------------------------------
+
+
+def _full_contraction_matrix(omega, point=None):
+    """All n^2 entries i_(d/dz_i) i_(d/dz_j) omega, each contracted."""
+    chart = omega.chart
+    basis = [chart.vector_field({name: 1}) for name in chart.coords]
+    rows = []
+    for x in basis:
+        row = []
+        for y in basis:
+            f = contract(x, y, omega).as_function()
+            row.append((f.constant_value() if point is None else f.evaluate(point)).body())
+        rows.append(row)
+    return rows
+
+
+def _random_2form(rng, chart, constant):
+    omega = KForm.zero(chart, 2)
+    n = len(chart.coords)
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.6:
+                if constant:
+                    g = chart.constant(random_scalar(rng, with_i=True))
+                else:
+                    g = random_superfunction(rng, chart, degree=2, terms=3)
+                omega = omega + wedge(d(chart, chart.coords[i]), d(chart, chart.coords[j])).right_multiply(g)
+    return omega
+
+
+def test_contraction_matrix_equals_the_full_computation():
+    """Contracting the entries with i <= j and filling in the rest by graded
+    skew symmetry gives all n^2 contractions: on the fixture forms, and on
+    random constant and point-evaluated forms on 2|2 and 3|3 charts, the
+    parity parts included."""
+    rng = random.Random(31)
+    cases = []
+    for name in ("mixed21", "mixed22", "even20"):
+        doc = parse((FIXTURES / f"{name}.ssp").read_text())
+        for omega in doc.forms.values():
+            if omega.degree == 2:
+                cases += [(omega, None), (omega, {v: Fraction(rng.randint(-3, 3), 2) for v in omega.chart.even})]
+    for p, q in ((2, 2), (3, 3)):
+        chart = Chart("R", tuple(f"x{i}" for i in range(p)), tuple(f"xi{i}" for i in range(q)), 2)
+        for _ in range(4):
+            cases.append((_random_2form(rng, chart, constant=True), None))
+            omega = _random_2form(rng, chart, constant=False)
+            point = {v: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for v in chart.even}
+            cases += [(part, point) for part in (omega, omega.parity_part(0), omega.parity_part(1))]
+    assert len(cases) == 38
+    for omega, point in cases:
+        assert contraction_matrix(omega, point) == _full_contraction_matrix(omega, point)
 
 
 # ----------------------------------------------------------------------
