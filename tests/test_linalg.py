@@ -235,15 +235,13 @@ def _unimodular_scramble(rng, a):
     m, n = len(a), len(a[0])
     a = [list(row) for row in a]
     for _ in range(3 * (m + n)):
-        i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
-        if i != j:
-            k = rng.choice((-2, -1, 1, 2))
-            a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-        if i != j:
-            k = rng.choice((-2, -1, 1, 2))
-            for row in a:
-                row[i] += k * row[j]
+        i, j = rng.sample(range(m), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        for row in a:
+            row[i] += k * row[j]
     return a
 
 
