@@ -215,6 +215,10 @@ class Linear:
         return hash((self._frame(), frozenset(self.terms.items())))
 
 
+def _body_only(terms: Dict[Index, GaussianRational]) -> bool:
+    return len(terms) == 1 and () in terms
+
+
 class GrassmannNumber(Graded, Linear):
     """Element of Lambda_N with Gaussian-rational coefficients."""
 
@@ -284,6 +288,13 @@ class GrassmannNumber(Graded, Linear):
         other = self._operand(other)
         if other is NotImplemented:
             return other
+        # a factor that is only a body scales the other's terms, unsorted
+        if _body_only(other.terms):
+            c = other.terms[()]
+            return self._map(lambda k, v: v * c)
+        if _body_only(self.terms):
+            c = self.terms[()]
+            return other._map(lambda k, v: c * v)
         terms: Dict[Index, GaussianRational] = {}
         for ia, ca in self.terms.items():
             for ib, cb in other.terms.items():

@@ -28,12 +28,15 @@ unique, so the choice of pivot row changes no entry of the result.
 Comput. 32 (2001)) takes as pivot the entry of least absolute value, ties
 broken by the Markowitz cost (row nonzeros - 1) (column nonzeros - 1) and
 then by (row, column), so its U and V are the same on every run.  U and V
-are not unique; D is.
+are not unique; D is.  The keys wait in a heap, and a step pushes fresh
+keys only for the rows and columns it touched, so no step rescans the
+matrix to find its pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import ONE, ZERO, GaussianRational
@@ -221,6 +224,21 @@ def _bezout(a: int, b: int) -> Tuple[int, int, int]:
     return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
+def _next_pivot(heap, rows, holders, active) -> Tuple[int, int]:
+    """The active entry of least (|value|, Markowitz cost, row, column).
+
+    `heap` holds the current key of every active entry, and possibly
+    stale keys of entries that have changed or gone since they were
+    pushed; stale keys are dropped as they surface.
+    """
+    while True:
+        x, cost, i, j = heap[0]
+        row = rows[i]
+        if i in active and j in row and abs(row[j]) == x and (len(row) - 1) * (len(holders[j]) - 1) == cost:
+            return i, j
+        heappop(heap)
+
+
 def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
     """Return (D, U, V) with D = U A V, U and V unimodular, D in SNF.
 
@@ -244,17 +262,25 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List
     v = [{j: 1} for j in range(ncols)]
     active = {i for i, row in enumerate(rows) if row}
     pivots: List[Tuple[int, int]] = []
+    heap: List[Tuple[int, int, int, int]] = []
+    dirty_rows, dirty_cols = active, ()
     while active:
-        best = None
-        for i in active:
-            row = rows[i]
-            cost = len(row) - 1
-            for j, x in row.items():
-                key = (abs(x), cost * (len(holders[j]) - 1), i, j)
-                if best is None or key < best:
-                    best = key
-        _, _, p, c = best
+        # a step changes the keys of the entries in the rows and the
+        # columns it touches, and of no other entry
+        for i in dirty_rows:
+            if i in active:
+                row = rows[i]
+                cost = len(row) - 1
+                for j, x in row.items():
+                    heappush(heap, (abs(x), cost * (len(holders[j]) - 1), i, j))
+        for j in dirty_cols:
+            cost = len(holders[j]) - 1
+            for i in holders[j]:
+                if i in active:
+                    heappush(heap, (abs(rows[i][j]), (len(rows[i]) - 1) * cost, i, j))
+        p, c = _next_pivot(heap, rows, holders, active)
         prow = rows[p]
+        dirty_rows, dirty_cols = set(holders[c]), list(prow)
         x = prow[c]
         for i in list(holders[c]):
             if i != p:

@@ -1,27 +1,53 @@
 """Exact Gaussian-rational scalars.
 
-Every coefficient in the engine lives in Q(i): pairs of ``fractions.Fraction``
-with the obvious field operations.  Keeping the scalar field this small (no
-floats, no symbols) is what makes every downstream identity checkable with
-``==``.
+Every coefficient in the engine lives in Q(i).  A value (a + b*i)/d is
+stored as three Python ints, kept in normal form: gcd(a, b, d) = 1 and
+d > 0, so two equal values have equal (a, b, d) and `==` compares ints.
+Each operation makes at most one gcd; a sum over equal denominators skips
+the cross products.  The real and imaginary parts are read as
+``fractions.Fraction`` through the read-only properties ``re`` and ``im``.
+
+Keeping the scalar field this small (no floats, no symbols) is what makes
+every downstream identity checkable with ``==``: a part is built from an
+int, a ``Fraction`` or a string such as "3/2", and a float is refused with
+``TypeError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Tuple, Union
 
 Rationalish = Union[int, Fraction, "GaussianRational"]
 
 
-class GaussianRational:
-    """An element a + b*i with a, b rational."""
+def _ratio(x) -> Tuple[int, int]:
+    """(numerator, denominator > 0) of an int, a Fraction or a string."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, str):
+        x = Fraction(x)
+        return x.numerator, x.denominator
+    raise TypeError(f"cannot make an exact rational from {x!r}")
 
-    __slots__ = ("re", "im")
+
+class GaussianRational:
+    """An element (a + b*i)/d with a, b, d integers in normal form."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        if q == s:
+            # each part is already in lowest terms over q
+            self._a, self._b, self._d = p, r, q
+        else:
+            g = gcd(p * s, r * q, q * s)
+            self._a, self._b, self._d = p * s // g, r * q // g, q * s // g
 
     # -- constructors -------------------------------------------------
 
@@ -32,18 +58,26 @@ class GaussianRational:
             raise TypeError(f"cannot coerce {x!r} to a Gaussian rational")
         return y
 
+    # -- parts -----------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- predicates ----------------------------------------------------
 
-    # the zero tests read the numerators: a Fraction is zero exactly when
-    # its numerator is, and Fraction.__eq__ costs several times more
     def is_zero(self) -> bool:
-        return self.re.numerator == 0 and self.im.numerator == 0
+        return self._a == 0 and self._b == 0
 
     def is_rational(self) -> bool:
-        return self.im.numerator == 0
+        return self._b == 0
 
     def __bool__(self) -> bool:
-        return self.re.numerator != 0 or self.im.numerator != 0
+        return self._a != 0 or self._b != 0
 
     # -- arithmetic ----------------------------------------------------
 
@@ -53,12 +87,15 @@ class GaussianRational:
         other = _operand(other)
         if other is NotImplemented:
             return other
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _normal(self._a + other._a, self._b + other._b, d)
+        return _normal(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         other = _operand(other)
@@ -72,18 +109,18 @@ class GaussianRational:
         other = _operand(other)
         if other is NotImplemented:
             return other
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _normal(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _normal(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
@@ -94,16 +131,18 @@ class GaussianRational:
     # -- comparison/hash -------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return self._b == 0 and self._a == other.numerator and self._d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
         # a real value hashes like the Fraction (and so the int) it equals
-        if self.im.numerator == 0:
-            return hash(self.re)
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     # -- rendering -------------------------------------------------------
@@ -112,20 +151,43 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {_imag_str(abs(self.im))}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return _imag_str(im)
+        sign = "+" if im > 0 else "-"
+        return f"{re} {sign} {_imag_str(abs(im))}"
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i)/d from parts already in normal form."""
+    x = _new(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
+
+
+def _normal(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i)/d for d > 0, brought to normal form by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    x = _new(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
 
 
 def _operand(x):
     """x as a GaussianRational, or NotImplemented when it is not a number."""
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
+    if isinstance(x, int):
+        return _make(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
@@ -144,4 +206,4 @@ I = GaussianRational(0, 1)
 
 def Q(re=0, im=0) -> GaussianRational:
     """Shorthand constructor, Q(1,2) == 1 + 2i, Q("3/2") == 3/2."""
-    return GaussianRational(Fraction(re), Fraction(im))
+    return GaussianRational(re, im)

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from supersymp.charts import Chart
-from supersymp.grassmann import DimensionError, GrassmannNumber, NotInvertible
+from supersymp import grassmann
+from supersymp.grassmann import DimensionError, GrassmannNumber, NotInvertible, graded_sort
 from supersymp.scalars import GaussianRational, Q
 
 
@@ -81,8 +82,50 @@ def test_graded_commutativity_enumerated():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        GrassmannNumber.scalar(1, 3) * GrassmannNumber.scalar(1, 4)
+    """Operands over different N are refused, a body-only factor included."""
+    body, other = GrassmannNumber.scalar(Q(2, 1), 3), th(1, 2, n=4)
+    for a, b in ((body, GrassmannNumber.scalar(1, 4)), (body, other), (other, body)):
+        with pytest.raises(DimensionError):
+            a * b
+
+
+def double_loop_product(a, b):
+    """The general product: every pair of terms, sorted with its sign."""
+    terms = {}
+    for ia, ca in a.terms.items():
+        for ib, cb in b.terms.items():
+            sign, idx = graded_sort(ia + ib)
+            if sign:
+                terms[idx] = terms.get(idx, 0) + (ca * cb if sign > 0 else -(ca * cb))
+    return GrassmannNumber(a.n, terms)
+
+
+def test_body_only_factor_scales_without_sorting(rng, monkeypatch):
+    """A factor whose only term is the body, on the left, on the right or
+    on both sides, gives the double-loop product without a graded sort."""
+    n = 5
+
+    def rand(terms):
+        return GrassmannNumber(n, {
+            tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))):
+                Q(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(-2, 2))
+            for _ in range(terms)
+        })
+
+    cases = []
+    for _ in range(60):
+        body = GrassmannNumber.scalar(Q(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)), rng.randint(-2, 2)), n)
+        other = rand(rng.randint(0, 6))
+        cases += [(body, other), (other, body), (body, rand(1) if rng.random() < 0.3 else body)]
+    want = [double_loop_product(a, b) for a, b in cases]
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("graded_sort called for a body-only factor")
+
+    monkeypatch.setattr(grassmann, "graded_sort", no_sort)
+    for (a, b), w in zip(cases, want):
+        assert a * b == w and (a * b).n == n
+    assert 3 * cases[0][1] == cases[0][1] * 3 == double_loop_product(GrassmannNumber.scalar(3, n), cases[0][1])
 
 
 def test_gaussian_scalar_defers_to_the_reflected_operation():

@@ -287,3 +287,43 @@ def test_smith_form_of_the_torus_boundaries():
         _assert_smith_form(a, d, u, v)
         assert [d[i][i] for i in range(min(shape))] == [1] * rank + [0] * (min(shape) - rank)
         assert linalg.smith_normal_form(a) == (d, u, v)
+
+
+def _rescan_pivot(heap, rows, holders, active):
+    """The pivot rule read off every active entry: least (|value|,
+    Markowitz cost, row, column)."""
+    best = min(
+        (abs(x), (len(rows[i]) - 1) * (len(holders[j]) - 1), i, j)
+        for i in active
+        for j, x in rows[i].items()
+    )
+    return best[2], best[3]
+
+
+def test_smith_form_pivots_match_a_full_rescan(monkeypatch):
+    """Each pivot the heap gives is the one a full rescan of the active
+    entries chooses, so U and V are those of the rescanning kernel."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(30):
+        m, n = rng.randint(1, 25), rng.randint(1, 30)
+        density = rng.choice((0.05, 0.15, 0.4))
+        cases.append([[rng.choice((-6, -3, -2, -1, 1, 2, 4)) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)])
+    for size in ((3, 4), (10, 10)):
+        nerve = torus_nerve(*size)
+        cases += [nerve.boundary_matrix(1), nerve.boundary_matrix(2)]
+    fast = linalg._next_pivot
+    steps = []
+
+    def checked(heap, rows, holders, active):
+        want = _rescan_pivot(heap, rows, holders, active)
+        got = fast(heap, rows, holders, active)
+        steps.append(got == want)
+        return got
+
+    for a in cases:
+        monkeypatch.setattr(linalg, "_next_pivot", checked)
+        result = linalg.smith_normal_form(a)
+        monkeypatch.setattr(linalg, "_next_pivot", _rescan_pivot)
+        assert linalg.smith_normal_form(a) == result
+    assert all(steps) and len(steps) > 500
