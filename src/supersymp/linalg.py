@@ -224,17 +224,23 @@ def _bezout(a: int, b: int) -> Tuple[int, int, int]:
     return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
+def _pivot_key(rows, holders, i: int, j: int) -> Tuple[int, int, int, int]:
+    """(|value|, Markowitz cost, row, column) of the entry (i, j); the
+    pivot is the entry of least key."""
+    row = rows[i]
+    return abs(row[j]), (len(row) - 1) * (len(holders[j]) - 1), i, j
+
+
 def _next_pivot(heap, rows, holders, active) -> Tuple[int, int]:
-    """The active entry of least (|value|, Markowitz cost, row, column).
+    """The active entry of least key.
 
     `heap` holds the current key of every active entry, and possibly
     stale keys of entries that have changed or gone since they were
     pushed; stale keys are dropped as they surface.
     """
     while True:
-        x, cost, i, j = heap[0]
-        row = rows[i]
-        if i in active and j in row and abs(row[j]) == x and (len(row) - 1) * (len(holders[j]) - 1) == cost:
+        _, _, i, j = key = heap[0]
+        if i in active and j in rows[i] and _pivot_key(rows, holders, i, j) == key:
             return i, j
         heappop(heap)
 
@@ -269,15 +275,12 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List
         # columns it touches, and of no other entry
         for i in dirty_rows:
             if i in active:
-                row = rows[i]
-                cost = len(row) - 1
-                for j, x in row.items():
-                    heappush(heap, (abs(x), cost * (len(holders[j]) - 1), i, j))
+                for j in rows[i]:
+                    heappush(heap, _pivot_key(rows, holders, i, j))
         for j in dirty_cols:
-            cost = len(holders[j]) - 1
             for i in holders[j]:
                 if i in active:
-                    heappush(heap, (abs(rows[i][j]), (len(rows[i]) - 1) * cost, i, j))
+                    heappush(heap, _pivot_key(rows, holders, i, j))
         p, c = _next_pivot(heap, rows, holders, active)
         prow = rows[p]
         dirty_rows, dirty_cols = set(holders[c]), list(prow)
