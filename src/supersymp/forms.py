@@ -207,15 +207,18 @@ def _contract_kform(x: VectorField, w: KForm) -> KForm:
         raise ChartMismatch("field and form on different charts")
     out: Dict[Word, SuperFunction] = {}
     for alpha, xp in x.homogeneous_parts().items():
+        parts = {}  # each component split by parity once, when a word first uses it
         for word, g in w.terms.items():
             prefix_parity = 0
             for t, letter in enumerate(word):
                 comp = xp.components.get(chart.coords[letter])
                 if comp is not None:
+                    if letter not in parts:
+                        parts[letter] = comp.homogeneous_parts()
                     suffix_parity = (word_parity(chart, word) - prefix_parity - _letter_parity(chart, letter)) % 2
                     sign_t = -1 if (t + alpha * prefix_parity) % 2 else 1
                     new_word = word[:t] + word[t + 1:]
-                    for p, cp in comp.homogeneous_parts().items():
+                    for p, cp in parts[letter].items():
                         sign = sign_t * (-1 if (p * suffix_parity) % 2 else 1)
                         coeff = cp * g
                         if sign < 0:

@@ -11,6 +11,9 @@ This module also holds what every graded type in the package shares:
   coordinate words, differential words, Chevalley-Eilenberg arguments and
   Cech simplices are all put in order by it, each with its own notion of
   which letters are odd;
+* `skew_sign` is the same rule for one swap, the sign of graded skew
+  symmetry: W[j][i] = skew_sign(|i|, |j|) W[i][j] for contraction
+  matrices, pairings and brackets;
 * `Graded` is the one parity protocol (`homogeneous_parts`,
   `is_homogeneous`, `parity`) over each class's `parity_part`;
 * `Linear` is the one sparse-sum protocol.  Grassmann numbers,
@@ -80,6 +83,11 @@ def graded_sort(
         if j > 0 and letters[j - 1] == x and (odd is None or not odd(x)):
             return 0, ()
     return sign, tuple(letters)
+
+
+def skew_sign(a: int, b: int) -> int:
+    """-(-1)^(a b): the sign of swapping two letters of parities a and b."""
+    return 1 if (a * b) % 2 else -1
 
 
 class Graded:

@@ -36,12 +36,12 @@ class HeisenbergSpec:
         n = len(self.parities)
         self.omega0 = [[Fraction(omega0[i][j]) for j in range(n)] for i in range(n)]
         self.omega1 = [[Fraction(omega1[i][j]) for j in range(n)] for i in range(n)]
+        for name, m in (("omega0", self.omega0), ("omega1", self.omega1)):
+            bad = linalg.skew_violation(m, self.parities)
+            if bad is not None:
+                raise ValueError(f"{name} is not graded skew-symmetric at ({bad[0]},{bad[1]})")
         for i in range(n):
             for j in range(n):
-                skew = -1 if (self.parities[i] * self.parities[j]) % 2 == 0 else 1
-                for name, m in (("omega0", self.omega0), ("omega1", self.omega1)):
-                    if m[i][j] != skew * m[j][i]:
-                        raise ValueError(f"{name} is not graded skew-symmetric at ({i},{j})")
                 if (self.parities[i] + self.parities[j]) % 2 == 0:
                     if self.omega1[i][j] != 0:
                         raise ValueError(f"omega1 must vanish on even pairs ({i},{j})")
@@ -268,9 +268,13 @@ def fundamental_field(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1, ch
     ybar1 Omega^1(v, e_i) on xbar_i.  Restricting `chart` to an orbit chart
     keeps only its coordinates.
     """
-    chart = chart or ambient_chart(spec)
+    return _constant_field(spec, _field_coefficients(spec, v, y0, ybar1), chart or ambient_chart(spec))
+
+
+def _constant_field(spec: HeisenbergSpec, coefficients: Sequence[Fraction], chart: Chart) -> VectorField:
+    """The constant field with these coefficients on the 2n ambient slots of `chart`."""
     comps: Dict[str, SuperFunction] = {}
-    for name, c in zip(ambient_names(spec), _field_coefficients(spec, v, y0, ybar1)):
+    for name, c in zip(ambient_names(spec), coefficients):
         if c != 0 and name in chart.coords:
             comps[name] = chart.constant(c)
     return VectorField(chart, comps)
@@ -403,11 +407,8 @@ def orbit_classify(spec: HeisenbergSpec, y0, ybar1, base: Optional[OrbitPoint] =
         kernel = sorted([(s, GaussianRational(1))] + [(sel, -c) for sel, c in combo])
         invariants.append(" + ".join(f"({c})*{names[k]}" for k, c in kernel))
 
-    fields = {}
-    for j in range(n):
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        fields[j] = fundamental_field(spec, v, y0, ybar1, chart)
+    # the fundamental field of e_j is column j of t
+    fields = {j: _constant_field(spec, col, chart) for j, col in enumerate(linalg.transpose(t))}
 
     return Orbit(
         spec,
@@ -429,40 +430,29 @@ def _solve_kks(orbit: Orbit) -> KForm:
     spec = orbit.spec
     n = spec.dimension
     chart = orbit.chart
-    coords = chart.coords
-    r = len(coords)
+    r = len(chart.coords)
 
-    # tangent components in chart coordinates, and r generators whose
-    # tangent vectors are independent
+    # M: the constant tangent components of the n generators, as rows
     m_rows = []
     for j in range(n):
         comps = orbit.tangent_fields[j].components
-        m_rows.append([comps[name].constant_value().body() if name in comps else GaussianRational(0) for name in coords])
+        m_rows.append([comps[name].constant_value().body() if name in comps else GaussianRational(0) for name in chart.coords])
     chosen = linalg.independent(m_rows)
     if len(chosen) != r:
         raise ValueError("tangent fields do not span the orbit chart")
 
-    w_target = [
-        [
-            GaussianRational(orbit.y0 * spec.omega0[a][b] + orbit.ybar1 * spec.omega1[a][b])
-            for b in chosen
-        ]
-        for a in chosen
+    target = [
+        [GaussianRational(orbit.y0 * spec.omega0[a][b] + orbit.ybar1 * spec.omega1[a][b]) for b in range(n)]
+        for a in range(n)
     ]
     minv = linalg.inverse([m_rows[j] for j in chosen])
+    w_target = [[target[a][b] for b in chosen] for a in chosen]
     wc = linalg.matmul(linalg.matmul(minv, w_target), linalg.transpose(minv))
-
     omega = form_from_contraction_matrix(chart, wc)
-
-    # every remaining pairing must agree (well-definedness of the form)
-    for a in range(n):
-        for b in range(n):
-            lhs = contract(
-                orbit.tangent_fields[a], orbit.tangent_fields[b], omega
-            ).as_function()
-            target = orbit.y0 * spec.omega0[a][b] + orbit.ybar1 * spec.omega1[a][b]
-            if lhs != chart.constant(Fraction(target)):
-                raise ValueError("orbit pairing is inconsistent; form not well defined")
+    # well defined: i_(v*) i_(w*) omega = (M W M^T)[v][w] is the target on
+    # all n generators (with r = 0 nothing moves and the target is zero)
+    if r and linalg.matmul(linalg.matmul(m_rows, wc), linalg.transpose(m_rows)) != target:
+        raise ValueError("orbit pairing is inconsistent; form not well defined")
     return omega
 
 

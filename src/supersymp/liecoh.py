@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .grassmann import Linear, accumulate, graded_sort
+from .grassmann import Linear, accumulate, graded_sort, skew_sign
 from .scalars import GaussianRational
 
 Key = Tuple[int, ...]
@@ -74,7 +74,7 @@ class SuperLieAlgebra:
         # graded skew closure: [e_j, e_i] = -(-1)^(eps_i eps_j) [e_i, e_j]
         full: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         for (i, j), vec in table.items():
-            sign = -1 if (self.parities[i] * self.parities[j]) % 2 == 0 else 1
+            sign = skew_sign(self.parities[i], self.parities[j])
             mirror = {k: sign * v for k, v in vec.items()}
             if (j, i) in table:
                 if table[(j, i)] != mirror:

@@ -5,6 +5,8 @@ Matrices enter and leave as plain lists of lists.
 * `transpose` and `matmul` for any scalar type that adds and multiplies
   (Q(i), Fraction, int, Grassmann numbers); `matmul` walks only the
   nonzero entries of both factors;
+* `skew_violation`, the first entry of a matrix that breaks graded skew
+  symmetry W[j][i] = -(-1)^(|i||j|) W[i][j] under given parities;
 * sparse Gauss-Jordan elimination over Q(i): `rref`, and on top of it
   `rank`, `solve`, `nullspace`, `inverse` and `independent`, the first
   vectors of a list that are linearly independent, read off one
@@ -39,6 +41,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .grassmann import skew_sign
 from .scalars import ONE, ZERO, GaussianRational
 
 Matrix = List[List[GaussianRational]]
@@ -47,6 +50,18 @@ Vector = List[GaussianRational]
 
 def transpose(rows: Sequence[Sequence]) -> List[list]:
     return [list(col) for col in zip(*rows)]
+
+
+def skew_violation(w: Sequence[Sequence], parities: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The first (i, j), row by row, with W[j][i] != -(-1)^(|i||j|) W[i][j],
+    or None when the square matrix W is graded skew-symmetric.  The rule
+    is symmetric in i and j, so the first violation has i <= j."""
+    n = len(parities)
+    for i in range(n):
+        for j in range(i, n):
+            if w[j][i] != skew_sign(parities[i], parities[j]) * w[i][j]:
+                return i, j
+    return None
 
 
 def _dense(row: Dict[int, object], ncols: int, zero) -> list:

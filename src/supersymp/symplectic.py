@@ -7,6 +7,12 @@ is decided by exact linear algebra on a polynomial ansatz; for forms with
 constant coefficients the monomial blocks of the system decouple, so both
 membership and non-membership are decided definitively.
 
+A constant 2-form is its contraction matrix W[i][j] = i_(d/dz_i) i_(d/dz_j)
+omega, and the two convert through one table (`_weight`) without any
+contraction: the word dz_i^dz_j * g with i < j is W[i][j] = -(-1)^(|i||j|) g
+and W[j][i] = g, and dz_i^dz_i * g is W[i][i] = 2g.  The sign is
+`grassmann.skew_sign`; `linalg.skew_violation` checks the pattern.
+
 Each `SymplecticData` owns the solver's state: the contraction column of
 every ansatz basis field and the Hamiltonian field of every function
 already solved are cached on it, and live and die with it.
@@ -14,14 +20,14 @@ already solved are cached on it, and live and die with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .charts import CFunction, Chart, ExpKey, SuperFunction, VectorField
-from .forms import CKForm, KForm, contract, double, ext_d
-from .grassmann import GrassmannNumber, Index
+from .forms import CKForm, DegreeError, KForm, contract, double, ext_d
+from .grassmann import GrassmannNumber, Index, skew_sign
 from .scalars import ZERO, GaussianRational
 
 
@@ -38,62 +44,42 @@ class PoissonMembershipError(ValueError):
 # ----------------------------------------------------------------------
 
 
-def contraction_matrix(omega: KForm, point: Optional[Mapping[str, object]] = None):
-    """W[i][j] = i_(d/dz_i) i_(d/dz_j) omega, evaluated at a real point.
+def _weight(parities: Sequence[int], i: int, j: int) -> int:
+    """W[i][j] = weight * g for the normal-ordered word dz_i^dz_j * g."""
+    return 2 if i == j else skew_sign(parities[i], parities[j])
 
-    With point=None the form must have constant coefficients.  Only the
-    entries with i <= j are contracted; the others follow from the graded
-    skew symmetry of W.
-    """
+
+def contraction_matrix(omega: KForm, point: Optional[Mapping[str, object]] = None):
+    """W[i][j] = i_(d/dz_i) i_(d/dz_j) omega at a real point, read off the
+    words of omega; with point=None the form must have constant coefficients."""
+    if omega.degree != 2:
+        raise DegreeError("a contraction matrix needs a 2-form")
     chart = omega.chart
     n = len(chart.coords)
-    p = len(chart.even)
-    basis = [chart.vector_field({name: 1}) for name in chart.coords]
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            f = contract(basis[i], basis[j], omega).as_function()
-            if point is None:
-                value = f.constant_value()
-            else:
-                value = f.evaluate(point)
-            if not value.soul().is_zero():
-                raise ValueError("contraction matrix has nilpotent entries")
-            rows[i][j] = value.body()
-            if j > i:
-                # W[j][i] = -(-1)^(|i||j|) W[i][j]; both coordinates are odd when i >= p
-                rows[j][i] = rows[i][j] if i >= p else -rows[i][j]
+    parities = [chart.parity(name) for name in chart.coords]
+    rows = [[ZERO] * n for _ in range(n)]
+    for (i, j), g in sorted(omega.terms.items()):
+        value = g.constant_value() if point is None else g.evaluate(point)
+        if not value.soul().is_zero():
+            raise ValueError("contraction matrix has nilpotent entries")
+        rows[i][j] = _weight(parities, i, j) * value.body()
+        if i < j:
+            rows[j][i] = value.body()
     return rows
 
 
 def form_from_contraction_matrix(chart: Chart, w) -> KForm:
     """Constant-coefficient 2-form with the given contraction matrix."""
     n = len(chart.coords)
-    p = len(chart.even)
-    from .forms import wedge
-
-    out = KForm.zero(chart, 2)
-    for i in range(n):
-        for j in range(i, n):
-            v = GaussianRational.coerce(w[i][j])
-            if v.is_zero():
-                continue
-            term = wedge(KForm.differential(chart, chart.coords[i]), KForm.differential(chart, chart.coords[j]))
-            if i == j:
-                if i < p:
-                    raise ValueError("nonzero diagonal entry on an even coordinate")
-                out = out + term.scale(v / 2)
-            elif i >= p and j >= p:
-                out = out + term.scale(v)
-            else:
-                out = out + term.scale(-v)
-    # consistency of the graded-skew pattern
-    check = contraction_matrix(out)
-    for i in range(n):
-        for j in range(n):
-            if check[i][j] != GaussianRational.coerce(w[i][j]):
-                raise ValueError("matrix does not have the graded skew-symmetric pattern")
-    return out
+    parities = [chart.parity(name) for name in chart.coords]
+    w = [[GaussianRational.coerce(w[i][j]) for j in range(n)] for i in range(n)]
+    if any(w[i][i] for i in range(len(chart.even))):
+        raise ValueError("nonzero diagonal entry on an even coordinate")
+    if linalg.skew_violation(w, parities) is not None:
+        raise ValueError("matrix does not have the graded skew-symmetric pattern")
+    terms = {(i, j): chart.constant(w[i][j] / _weight(parities, i, j))
+             for i in range(n) for j in range(i, n) if w[i][j]}
+    return KForm(chart, 2, terms)
 
 
 # ----------------------------------------------------------------------
@@ -428,18 +414,15 @@ def darboux_normal_form(matrix, parities: Sequence[int], homogeneity: int) -> Da
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"matrix must be {n} x {n}, one row and column per parity")
     w = [[GaussianRational.coerce(matrix[i][j]) for j in range(n)] for i in range(n)]
+    if linalg.skew_violation(w, parities) is not None:
+        raise ValueError("matrix is not graded skew-symmetric")
     for i in range(n):
         for j in range(n):
-            sign = -1 if (parities[i] * parities[j]) % 2 == 0 else 1
-            if w[i][j] != (w[j][i] if sign > 0 else -w[j][i]):
-                raise ValueError("matrix is not graded skew-symmetric")
             if (parities[i] + parities[j]) % 2 != homogeneity % 2 and not w[i][j].is_zero():
                 raise ValueError("matrix entry violates the declared homogeneity")
     evens = [i for i, e in enumerate(parities) if e == 0]
     odds = [i for i, e in enumerate(parities) if e == 1]
     p, q = len(evens), len(odds)
-
-    identity = [[GaussianRational(1 if a == b else 0) for b in range(n)] for a in range(n)]
 
     if homogeneity % 2 == 0:
         if p % 2:

@@ -354,6 +354,59 @@ def test_case_iii_displayed_contractions():
     assert pair("xi6", "xi6") == -one
 
 
+@pytest.mark.parametrize("y0,yb1", [(1, 0), (0, 1), (1, 1), (2, 3)])
+def test_kks_pairs_every_pair_of_fundamental_fields(y0, yb1):
+    """The oracle of the well-definedness check: i_(v*) i_(w*) omega =
+    y0 Omega^0(v,w) + ybar1 Omega^1(v,w) on all n^2 generator pairs, each
+    contracted, with the fields rebuilt from the pairing."""
+    spec = heisenberg_33()
+    orbit = orbit_classify(spec, y0, yb1, generators=NG)
+    kks = orbit.kks_form()
+    chart = orbit.chart
+    n = spec.dimension
+    fields = []
+    for a in range(n):
+        unit = [Fraction(1 if j == a else 0) for j in range(n)]
+        fields.append(fundamental_field(spec, unit, y0, yb1, chart))
+        assert orbit.tangent_fields[a] == fields[a]
+    for a in range(n):
+        for b in range(n):
+            target = y0 * spec.omega0[a][b] + yb1 * spec.omega1[a][b]
+            assert contract(fields[a], fields[b], kks).as_function() == chart.constant(target), (a, b)
+
+
+def _degenerate_spec():
+    """A 3|2 pairing whose third even and second odd generators repeat the
+    rows of earlier ones, so their tangent fields are nonzero but not among
+    the generators the KKS form is solved on."""
+    omega0 = [[0, 1, 1, 0, 0], [-1, 0, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 1]]
+    omega1 = [[0] * 5 for _ in range(5)]
+    omega1[0][3], omega1[3][0] = 1, -1
+    return HeisenbergSpec((0, 0, 0, 1, 1), omega0, omega1)
+
+
+@pytest.mark.parametrize("y0,yb1", [(1, 0), (1, 1), (2, 3)])
+def test_kks_refuses_an_inconsistent_pairing(y0, yb1):
+    """Scaling the tangent field of a generator outside the solved ones
+    breaks the pairing there, and the well-definedness check sees it."""
+    from supersymp import linalg
+
+    spec = _degenerate_spec()
+    orbit_classify(spec, y0, yb1, generators=NG).kks_form()  # well defined as built
+    orbit = orbit_classify(spec, y0, yb1, generators=NG)
+    coords = orbit.chart.coords
+    rows = [
+        [fld.components[name].constant_value().body() if name in fld.components else 0 for name in coords]
+        for fld in orbit.tangent_fields.values()
+    ]
+    chosen = linalg.independent(rows)
+    moved = [a for a, fld in orbit.tangent_fields.items() if a not in chosen and not fld.is_zero()]
+    assert moved
+    orbit.tangent_fields[moved[0]] = orbit.tangent_fields[moved[0]].scale(2)
+    with pytest.raises(ValueError, match="orbit pairing is inconsistent"):
+        orbit.kks_form()
+
+
 # ----------------------------------------------------------------------
 # momentum map
 # ----------------------------------------------------------------------

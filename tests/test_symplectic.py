@@ -19,6 +19,7 @@ from supersymp.symplectic import (
     SymplecticData,
     contraction_matrix,
     darboux_normal_form,
+    form_from_contraction_matrix,
     hamiltonian_field,
     is_symplectic,
     poisson_bracket,
@@ -468,6 +469,51 @@ def test_contraction_matrix_equals_the_full_computation():
     assert len(cases) == 38
     for omega, point in cases:
         assert contraction_matrix(omega, point) == _full_contraction_matrix(omega, point)
+
+
+def _random_graded_skew(rng, p, q):
+    """Seeded Q(i) matrix with W[j][i] = -(-1)^(|i||j|) W[i][j], written out
+    here rather than taken from the engine's sign rule."""
+    from supersymp.scalars import GaussianRational
+
+    n = p + q
+    w = [[GaussianRational(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i == j and i < p) or rng.random() < 0.3:
+                continue
+            w[i][j] = random_scalar(rng, with_i=True) / rng.randint(1, 3)
+            if j > i:
+                both_odd = i >= p and j >= p
+                w[j][i] = w[i][j] if both_odd else -w[i][j]
+    return w
+
+
+def test_contraction_matrix_round_trip():
+    """contraction_matrix(form_from_contraction_matrix(chart, w)) == w on
+    seeded graded skew Q(i) matrices, and inputs off the pattern raise."""
+    rng = random.Random(47)
+    for p, q in ((0, 2), (2, 2), (3, 3)):
+        chart = Chart("R", tuple(f"x{i}" for i in range(p)), tuple(f"xi{i}" for i in range(q)), 2)
+        n = p + q
+        for _ in range(8):
+            w = _random_graded_skew(rng, p, q)
+            assert contraction_matrix(form_from_contraction_matrix(chart, w)) == w
+            # one entry below the diagonal off the pattern
+            i = rng.randrange(n - 1)
+            j = rng.randrange(i + 1, n)
+            bad = [row[:] for row in w]
+            bad[j][i] = bad[j][i] + 1
+            with pytest.raises(ValueError, match="^matrix does not have the graded skew-symmetric pattern$"):
+                form_from_contraction_matrix(chart, bad)
+            if p:
+                # a nonzero even diagonal entry wins over the broken pattern
+                k = rng.randrange(p)
+                for matrix in (w, bad):
+                    diag = [row[:] for row in matrix]
+                    diag[k][k] = random_scalar(rng, with_i=True) + 4
+                    with pytest.raises(ValueError, match="^nonzero diagonal entry on an even coordinate$"):
+                        form_from_contraction_matrix(chart, diag)
 
 
 # ----------------------------------------------------------------------
