@@ -239,6 +239,22 @@ class _Parser:
                 return out
             self.next()
 
+    def index_list(self) -> Tuple[int, ...]:
+        """[i1, ..., ik] with 1-based basis indices, returned 0-based."""
+        self.expect("[")
+        out = []
+        while True:
+            tok = self.peek()
+            if tok.kind != "int":
+                self.fail("expected a basis index")
+            self.next()
+            out.append(int(tok.text) - 1)
+            if self.peek().text != ",":
+                break
+            self.next()
+        self.expect("]")
+        return tuple(out)
+
     def rational(self) -> Fraction:
         neg = False
         if self.peek().text == "-":
@@ -595,20 +611,12 @@ def _statement(parser: _Parser, doc: Document) -> None:
         if parser.peek().text == "bracket":
             parser.next()
             while True:
-                parser.expect("[")
-                itok = parser.peek()
-                if itok.kind != "int":
-                    parser.fail("expected a basis index")
-                parser.next()
-                parser.expect(",")
-                jtok = parser.peek()
-                if jtok.kind != "int":
-                    parser.fail("expected a basis index")
-                parser.next()
-                parser.expect("]")
+                open_tok = parser.peek()
+                pair = parser.index_list()
+                if len(pair) != 2:
+                    parser.fail("a bracket takes two basis indices", open_tok)
                 parser.expect("=")
-                vec = _basis_expression(parser, len(parities))
-                brackets[(int(itok.text) - 1, int(jtok.text) - 1)] = vec
+                brackets[pair] = _basis_expression(parser, len(parities))
                 if parser.peek().text == ",":
                     parser.next()
                     continue
@@ -636,21 +644,9 @@ def _statement(parser: _Parser, doc: Document) -> None:
         if parser.peek().text == "values":
             parser.next()
             while True:
-                parser.expect("[")
-                idxs = []
-                while True:
-                    t = parser.peek()
-                    if t.kind != "int":
-                        parser.fail("expected a basis index")
-                    parser.next()
-                    idxs.append(int(t.text) - 1)
-                    if parser.peek().text == ",":
-                        parser.next()
-                        continue
-                    break
-                parser.expect("]")
+                key = parser.index_list()
                 parser.expect("=")
-                values[tuple(idxs)] = _cvalue_expression(parser)
+                values[key] = _cvalue_expression(parser)
                 if parser.peek().text == ",":
                     parser.next()
                     continue

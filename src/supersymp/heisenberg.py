@@ -40,14 +40,10 @@ class HeisenbergSpec:
             bad = linalg.skew_violation(m, self.parities)
             if bad is not None:
                 raise ValueError(f"{name} is not graded skew-symmetric at ({bad[0]},{bad[1]})")
-        for i in range(n):
-            for j in range(n):
-                if (self.parities[i] + self.parities[j]) % 2 == 0:
-                    if self.omega1[i][j] != 0:
-                        raise ValueError(f"omega1 must vanish on even pairs ({i},{j})")
-                else:
-                    if self.omega0[i][j] != 0:
-                        raise ValueError(f"omega0 must vanish on odd pairs ({i},{j})")
+        for name, m, parity, pairs in (("omega0", self.omega0, 0, "odd"), ("omega1", self.omega1, 1, "even")):
+            bad = linalg.parity_violation(m, self.parities, parity)
+            if bad is not None:
+                raise ValueError(f"{name} must vanish on {pairs} pairs ({bad[0]},{bad[1]})")
 
     @property
     def dimension(self) -> int:

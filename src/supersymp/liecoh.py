@@ -3,20 +3,25 @@ values in the trivial 1|1-dimensional module C.
 
 Chains are even left multilinear graded skew-symmetric maps; a k-chain is
 stored by its values on non-decreasing basis tuples (repetitions allowed on
-odd indices only).  The coboundary uses the repeated-contraction convention:
+odd indices only).  Evenness puts the value on a tuple of parity alpha in
+c_alpha, so each tuple stores one rational, its c_alpha component.  The
+coboundary uses the repeated-contraction convention:
 
     (dc)(v0..vk) = (-1)^k sum_{i<j} (-1)^(j + sum_{i<p<j} eps_p eps_j)
                                    c(v0 .. v_{i-1} [v_i,v_j] v_{i+1} .. ^v_j .. vk)
 
 whose degree-2 instance is exactly the graded Jacobi obstruction of the
-central extension built from a 2-cochain.
+central extension built from a 2-cochain.  One sweep over the canonical
+(k+1)-tuples writes d as sparse rows over the canonical k-tuples; a bracket
+preserves parity, so a row and its entries share one C-component, and the
+same rows serve `ce_coboundary` and the dense matrix of `h2`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
@@ -24,31 +29,6 @@ from .grassmann import Linear, accumulate, graded_sort, skew_sign
 from .scalars import GaussianRational
 
 Key = Tuple[int, ...]
-
-
-class CValue(tuple):
-    """A value a0 c0 + a1 c1 in the trivial module C, as the pair (a0, a1)."""
-
-    __slots__ = ()
-
-    def __new__(cls, a0=0, a1=0):
-        return tuple.__new__(cls, (Fraction(a0), Fraction(a1)))
-
-    # arithmetic keeps Fraction entries, so it skips the conversions above
-    def __add__(self, other):
-        return tuple.__new__(CValue, (self[0] + other[0], self[1] + other[1]))
-
-    def __neg__(self):
-        return tuple.__new__(CValue, (-self[0], -self[1]))
-
-    def __mul__(self, s):
-        return tuple.__new__(CValue, (self[0] * s, self[1] * s))
-
-    def __bool__(self):
-        return bool(self[0] or self[1])
-
-
-ZERO_C = CValue()
 
 
 class SuperLieAlgebra:
@@ -142,9 +122,23 @@ def canonical_keys(parities: Sequence[int], degree: int) -> List[Key]:
     ]
 
 
+def tuple_parity(parities: Sequence[int], key: Iterable[int]) -> int:
+    """Parity of a basis tuple: the C-component an even cochain fills on it."""
+    return sum(parities[i] for i in key) % 2
+
+
+def _pair(alpha: int, v: Fraction) -> Tuple[Fraction, Fraction]:
+    """The value v c_alpha as the pair (c0, c1)."""
+    return (Fraction(0), v) if alpha else (v, Fraction(0))
+
+
 class CECochain(Linear):
-    """Even C-valued k-cochain on a super Lie algebra, a sum over the
-    canonical basis tuples with values in C."""
+    """Even C-valued k-cochain on a super Lie algebra.
+
+    Built from (c0, c1) values on basis tuples; `terms` keeps, for each
+    canonical tuple, the one component that evenness allows, c_alpha with
+    alpha the tuple's parity.  `values`, `evaluate` and `evaluate_vectors`
+    give (c0, c1) pairs."""
 
     __slots__ = ("g", "degree", "terms")
     _FRAME = ("degree",)
@@ -154,76 +148,87 @@ class CECochain(Linear):
     def __init__(self, g: SuperLieAlgebra, degree: int, values: Mapping[Key, Tuple[Fraction, Fraction]] | None = None):
         self.g = g
         self.degree = degree
-        self.terms: Dict[Key, CValue] = {}
+        self.terms: Dict[Key, Fraction] = {}
         if values:
             for key, val in values.items():
                 sign, canon = sort_with_sign(g.parities, key)
                 if sign == 0:
-                    if val != ZERO_C:
+                    if val != (0, 0):
                         raise ValueError(f"value on vanishing tuple {key}")
                     continue
-                val = CValue(val[0], val[1]) * sign
-                parity = sum(g.parities[i] for i in canon) % 2
+                val = (Fraction(val[0]), Fraction(val[1]))
+                parity = tuple_parity(g.parities, canon)
                 if val[1 - parity] != 0:
                     raise ValueError(
                         f"evenness violated on {key}: component c{1 - parity} must vanish"
                     )
-                if not val:
+                v = val[parity] * sign
+                if not v:
                     continue
-                if canon in self.terms and self.terms[canon] != val:
+                if canon in self.terms and self.terms[canon] != v:
                     raise ValueError(f"conflicting values on tuple {canon}")
-                self.terms[canon] = val
+                self.terms[canon] = v
 
     @property
-    def values(self) -> Dict[Key, CValue]:
-        return self.terms
+    def values(self) -> Dict[Key, Tuple[Fraction, Fraction]]:
+        eps = self.g.parities
+        return {key: _pair(tuple_parity(eps, key), v) for key, v in self.terms.items()}
 
     def _frame(self) -> tuple:
         return self.degree, self.g.parities
 
-    def evaluate(self, key: Sequence[int]) -> CValue:
+    def evaluate(self, key: Sequence[int]) -> Tuple[Fraction, Fraction]:
         sign, canon = sort_with_sign(self.g.parities, key)
-        if sign == 0:
-            return ZERO_C
-        return self.terms.get(canon, ZERO_C) * sign
+        return _pair(tuple_parity(self.g.parities, key), sign * self.terms.get(canon, Fraction(0)))
 
-    def evaluate_vectors(self, vectors: Sequence[Mapping[int, Fraction]]) -> CValue:
+    def evaluate_vectors(self, vectors: Sequence[Mapping[int, Fraction]]) -> Tuple[Fraction, Fraction]:
         """Evaluate on rational-coefficient vectors (real coefficients)."""
-        total = ZERO_C
-        idxs = [list(v.items()) for v in vectors]
-
-        def rec(pos: int, prefix: List[int], coeff: Fraction):
-            nonlocal total
-            if pos == len(idxs):
-                total = total + self.evaluate(tuple(prefix)) * coeff
-                return
-            for i, c in idxs[pos]:
-                rec(pos + 1, prefix + [i], coeff * c)
-
-        rec(0, [], Fraction(1))
-        return total
+        eps = self.g.parities
+        total = [Fraction(0), Fraction(0)]
+        for picks in product(*(v.items() for v in vectors)):
+            sign, canon = sort_with_sign(eps, [i for i, _ in picks])
+            v = sign * self.terms.get(canon, 0)
+            if v:
+                for _, c in picks:
+                    v *= c
+                total[tuple_parity(eps, canon)] += v
+        return total[0], total[1]
 
     def __repr__(self):
         inner = ", ".join(f"{k}: ({v[0]},{v[1]})" for k, v in sorted(self.values.items()))
         return f"<{self.degree}-cochain {{{inner}}}>"
 
 
-def ce_coboundary(c: CECochain, g: SuperLieAlgebra | None = None) -> CECochain:
-    """Coboundary C^k -> C^(k+1) with the repeated-contraction sign."""
-    g = g or c.g
+def _coboundary_rows(g: SuperLieAlgebra, degree: int) -> Dict[Key, Dict[Key, Fraction]]:
+    """d: C^degree -> C^(degree+1) as sparse rows, with the
+    repeated-contraction sign: (dc)[key] = sum row[src] * c[src] over the
+    canonical degree-tuples src, for each canonical (degree+1)-tuple key."""
     eps = g.parities
-    k = c.degree
-    out = CECochain(g, k + 1)
+    k = degree
     outer_sign = -1 if k % 2 else 1
+    rows: Dict[Key, Dict[Key, Fraction]] = {}
     for key in canonical_keys(eps, k + 1):
-        total = ZERO_C
+        row: Dict[Key, Fraction] = {}
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
                 interior = sum(eps[key[p]] for p in range(i + 1, j)) * eps[key[j]]
                 sign = outer_sign * (-1 if (j + interior) % 2 else 1)
                 rest = key[:i] + key[i + 1:j] + key[j + 1:]
                 for m, coeff in g.bracket_basis(key[i], key[j]).items():
-                    total = total + c.evaluate(rest[:i] + (m,) + rest[i:]) * (sign * coeff)
+                    s, src = sort_with_sign(eps, rest[:i] + (m,) + rest[i:])
+                    if s:
+                        accumulate(row, src, s * sign * coeff)
+        if row:
+            rows[key] = row
+    return rows
+
+
+def ce_coboundary(c: CECochain, g: SuperLieAlgebra | None = None) -> CECochain:
+    """Coboundary C^k -> C^(k+1) with the repeated-contraction sign."""
+    g = g or c.g
+    out = CECochain(g, c.degree + 1)
+    for key, row in _coboundary_rows(g, c.degree).items():
+        total = sum((coeff * c.terms[src] for src, coeff in row.items() if src in c.terms), Fraction(0))
         if total:
             out.terms[key] = total
     return out
@@ -234,43 +239,33 @@ def ce_coboundary(c: CECochain, g: SuperLieAlgebra | None = None) -> CECochain:
 # ----------------------------------------------------------------------
 
 
-def _cochain_dof(g: SuperLieAlgebra, degree: int) -> List[Tuple[Key, int]]:
-    """Scalar degrees of freedom: each canonical tuple stores exactly its
-    parity-matching C-component."""
-    out = []
-    for key in canonical_keys(g.parities, degree):
-        alpha = sum(g.parities[i] for i in key) % 2
-        out.append((key, alpha))
-    return out
+def _cochain_to_vector(c: CECochain, keys: Sequence[Key]) -> List[GaussianRational]:
+    return [GaussianRational(c.terms.get(key, 0)) for key in keys]
 
 
-def _cochain_to_vector(c: CECochain, dof) -> List[GaussianRational]:
-    return [GaussianRational(c.values.get(key, ZERO_C)[alpha]) for key, alpha in dof]
-
-
-def _unit(alpha: int, v) -> CValue:
-    """The value v c_alpha."""
-    return CValue(0, v) if alpha else CValue(v, 0)
-
-
-def _vector_to_cochain(g: SuperLieAlgebra, degree: int, dof, vec) -> CECochain:
+def _vector_to_cochain(g: SuperLieAlgebra, degree: int, keys: Sequence[Key], vec) -> CECochain:
     out = CECochain(g, degree)
-    for (key, alpha), v in zip(dof, vec):
+    for key, v in zip(keys, vec):
         v = Fraction(v.re) if isinstance(v, GaussianRational) else Fraction(v)
         if v:
-            out.terms[key] = _unit(alpha, v)
+            out.terms[key] = v
     return out
 
 
 def _coboundary_matrix(g: SuperLieAlgebra, degree: int):
-    """Matrix of d: C^degree -> C^(degree+1) in the canonical bases."""
-    dof_src = _cochain_dof(g, degree)
-    dof_dst = _cochain_dof(g, degree + 1)
-    cols = []
-    for key, alpha in dof_src:
-        basis = CECochain(g, degree, {key: _unit(alpha, 1)})
-        cols.append(_cochain_to_vector(ce_coboundary(basis, g), dof_dst))
-    return linalg.transpose(cols), dof_src, dof_dst
+    """Matrix of d: C^degree -> C^(degree+1) in the canonical bases, with
+    those bases (the source and target tuples)."""
+    src = canonical_keys(g.parities, degree)
+    dst = canonical_keys(g.parities, degree + 1)
+    column = {key: c for c, key in enumerate(src)}
+    rows = _coboundary_rows(g, degree)
+    matrix = []
+    for key in dst:
+        line = [GaussianRational(0)] * len(src)
+        for s, v in rows.get(key, {}).items():
+            line[column[s]] = GaussianRational(v)
+        matrix.append(line)
+    return matrix, src, dst
 
 
 @dataclass
@@ -284,10 +279,10 @@ class H2Report:
 
 def h2(g: SuperLieAlgebra) -> H2Report:
     """Second cohomology with values in C, with representative cocycles."""
-    d2, dof2, _ = _coboundary_matrix(g, 2)
+    d2, keys2, _ = _coboundary_matrix(g, 2)
     d1, _, _ = _coboundary_matrix(g, 1)
     z_basis = linalg.nullspace(d2) if d2 else [
-        [GaussianRational(1 if i == j else 0) for i in range(len(dof2))] for j in range(len(dof2))
+        [GaussianRational(1 if i == j else 0) for i in range(len(keys2))] for j in range(len(keys2))
     ]
     # one elimination of [coboundaries | cocycles]: the pivots among the
     # coboundary columns span B^2, and the cocycle pivots are the
@@ -295,9 +290,9 @@ def h2(g: SuperLieAlgebra) -> H2Report:
     b_cols = linalg.transpose(d1)
     pivots = linalg.independent(b_cols + z_basis)
     dim_b = sum(1 for c in pivots if c < len(b_cols))
-    reps = [_vector_to_cochain(g, 2, dof2, z_basis[c - len(b_cols)]) for c in pivots[dim_b:]]
+    reps = [_vector_to_cochain(g, 2, keys2, z_basis[c - len(b_cols)]) for c in pivots[dim_b:]]
     return H2Report(
-        dim_c2=len(dof2),
+        dim_c2=len(keys2),
         dim_z2=len(z_basis),
         dim_b2=dim_b,
         dim_h2=len(z_basis) - dim_b,
@@ -321,14 +316,10 @@ def central_extension(g: SuperLieAlgebra, omega: CECochain) -> SuperLieAlgebra:
         brackets[(i, j)] = dict(vec)
     for i in range(n):
         for j in range(i, n):
-            val = omega.evaluate((i, j))
-            if val == ZERO_C:
-                continue
-            entry = brackets.setdefault((i, j), {})
-            if val[0]:
-                entry[n] = entry.get(n, Fraction(0)) + val[0]
-            if val[1]:
-                entry[n + 1] = entry.get(n + 1, Fraction(0)) + val[1]
+            for alpha, v in enumerate(omega.evaluate((i, j))):
+                if v:
+                    entry = brackets.setdefault((i, j), {})
+                    entry[n + alpha] = entry.get(n + alpha, Fraction(0)) + v
     cleaned = {k: v for k, v in brackets.items() if k[0] <= k[1]}
     return SuperLieAlgebra(parities, cleaned)
 
@@ -336,15 +327,15 @@ def central_extension(g: SuperLieAlgebra, omega: CECochain) -> SuperLieAlgebra:
 def extension_equivalent(omega1: CECochain, omega2: CECochain, g: SuperLieAlgebra) -> Tuple[bool, Optional[CECochain]]:
     """Solvability of omega1 - omega2 = dF for an even 1-cochain F."""
     diff = omega1 - omega2
-    d1, dof1, dof2 = _coboundary_matrix(g, 1)
-    rhs = _cochain_to_vector(diff, dof2)
-    if not dof1:
+    d1, keys1, keys2 = _coboundary_matrix(g, 1)
+    rhs = _cochain_to_vector(diff, keys2)
+    if not keys1:
         ok = all(x.is_zero() for x in rhs)
         return ok, (CECochain(g, 1) if ok else None)
     sol, _ = linalg.solve(d1, rhs)
     if sol is None:
         return False, None
-    return True, _vector_to_cochain(g, 1, dof1, sol)
+    return True, _vector_to_cochain(g, 1, keys1, sol)
 
 
 def transported_bracket_isomorphic(g: SuperLieAlgebra, omega1: CECochain, omega2: CECochain, f: CECochain) -> bool:
@@ -375,7 +366,7 @@ def pullback_class(g: SuperLieAlgebra, x: Sequence[Fraction], xbar: Sequence[Fra
             raise ValueError(f"non-real point: odd coordinate x_{i} nonzero")
         if eps[i] == 0 and xbar[i] != 0:
             raise ValueError(f"non-real point: odd coordinate xbar_{i} nonzero")
-    vals: Dict[Key, CValue] = {}
+    vals: Dict[Key, Tuple[Fraction, Fraction]] = {}
     for key in canonical_keys(eps, 2):
         i, j = key
         c0 = Fraction(0)
@@ -408,7 +399,7 @@ def momentum_cocycle(g: SuperLieAlgebra, momentum, bracket) -> Tuple[CECochain, 
     really was coordinate-independent.
     """
     eps = g.parities
-    vals: Dict[Key, CValue] = {}
+    vals: Dict[Key, Tuple[Fraction, Fraction]] = {}
     constant = True
     for key in canonical_keys(eps, 2):
         i, j = key

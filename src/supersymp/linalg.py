@@ -6,7 +6,9 @@ Matrices enter and leave as plain lists of lists.
   (Q(i), Fraction, int, Grassmann numbers); `matmul` walks only the
   nonzero entries of both factors;
 * `skew_violation`, the first entry of a matrix that breaks graded skew
-  symmetry W[j][i] = -(-1)^(|i||j|) W[i][j] under given parities;
+  symmetry W[j][i] = -(-1)^(|i||j|) W[i][j] under given parities, and
+  `parity_violation`, the first nonzero entry off the block pattern of a
+  homogeneous matrix;
 * sparse Gauss-Jordan elimination over Q(i): `rref`, and on top of it
   `rank`, `solve`, `nullspace`, `inverse` and `independent`, the first
   vectors of a list that are linearly independent, read off one
@@ -60,6 +62,18 @@ def skew_violation(w: Sequence[Sequence], parities: Sequence[int]) -> Optional[T
     for i in range(n):
         for j in range(i, n):
             if w[j][i] != skew_sign(parities[i], parities[j]) * w[i][j]:
+                return i, j
+    return None
+
+
+def parity_violation(w: Sequence[Sequence], parities: Sequence[int], parity: int) -> Optional[Tuple[int, int]]:
+    """The first (i, j), row by row, with W[i][j] nonzero although
+    |i| + |j| != parity (mod 2), or None when the square matrix W is
+    homogeneous of that parity."""
+    n = len(parities)
+    for i in range(n):
+        for j in range(n):
+            if (parities[i] + parities[j]) % 2 != parity % 2 and w[i][j]:
                 return i, j
     return None
 

@@ -416,10 +416,8 @@ def darboux_normal_form(matrix, parities: Sequence[int], homogeneity: int) -> Da
     w = [[GaussianRational.coerce(matrix[i][j]) for j in range(n)] for i in range(n)]
     if linalg.skew_violation(w, parities) is not None:
         raise ValueError("matrix is not graded skew-symmetric")
-    for i in range(n):
-        for j in range(n):
-            if (parities[i] + parities[j]) % 2 != homogeneity % 2 and not w[i][j].is_zero():
-                raise ValueError("matrix entry violates the declared homogeneity")
+    if linalg.parity_violation(w, parities, homogeneity) is not None:
+        raise ValueError("matrix entry violates the declared homogeneity")
     evens = [i for i, e in enumerate(parities) if e == 0]
     odds = [i for i, e in enumerate(parities) if e == 1]
     p, q = len(evens), len(odds)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from supersymp.cech import build_nerve
 from supersymp.charts import Chart, SuperFunction, VectorField
 from supersymp.grassmann import GrassmannNumber
+from supersymp.liecoh import CECochain, canonical_keys, tuple_parity
 from supersymp.scalars import GaussianRational
 
 
@@ -70,6 +72,17 @@ def random_superfunction(rng, chart, degree=3, with_grassmann=False, terms=4):
             coeff = GrassmannNumber.scalar(random_scalar(rng), chart.generators)
         f = f + SuperFunction(chart, {key: coeff})
     return f
+
+
+def random_ce_cochain(rng, g, degree):
+    """Random even CE cochain: a value in -2..2, drawn for each canonical
+    tuple in turn, in the C-component of the tuple's parity."""
+    vals = {}
+    for key in canonical_keys(g.parities, degree):
+        v = Fraction(rng.randint(-2, 2))
+        if v:
+            vals[key] = (Fraction(0), v) if tuple_parity(g.parities, key) else (v, Fraction(0))
+    return CECochain(g, degree, vals)
 
 
 def random_homogeneous_function(rng, chart, parity, degree=3, **kw):

@@ -47,6 +47,8 @@ from supersymp.symplectic import (
     require_hamiltonian_field,
 )
 
+from conftest import random_ce_cochain
+
 
 def _report(criterion: str, failures: list, detail: str = ""):
     status = "PASS" if not failures else "FAIL"
@@ -377,20 +379,6 @@ def _gl11():
     )
 
 
-def _random_cochain(rng, g, degree):
-    from supersymp.liecoh import CECochain, canonical_keys
-
-    vals = {}
-    for key in canonical_keys(g.parities, degree):
-        alpha = sum(g.parities[i] for i in key) % 2
-        v = Fraction(rng.randint(-2, 2))
-        if v:
-            pair = [Fraction(0), Fraction(0)]
-            pair[alpha] = v
-            vals[key] = (pair[0], pair[1])
-    return CECochain(g, degree, vals)
-
-
 def test_criterion_06_ce_cohomology():
     from supersymp.heisenberg import algebra_of, orbit_classify
     from supersymp.liecoh import (
@@ -407,7 +395,7 @@ def test_criterion_06_ce_cohomology():
     for trial in range(8):
         g = _random_small_algebra(rng) if trial % 2 else _gl11()
         for degree in (1, 2, 3):
-            c = _random_cochain(rng, g, degree)
+            c = random_ce_cochain(rng, g, degree)
             if not ce_coboundary(ce_coboundary(c)).is_zero():
                 failures.append(f"d^2 = 0, trial {trial}, degree {degree}")
 
@@ -439,7 +427,7 @@ def test_criterion_06_ce_cohomology():
     while open_seen < 20 and attempts < 400:
         attempts += 1
         g = _gl11() if attempts % 3 else _random_small_algebra(rng)
-        om = _random_cochain(rng, g, 2)
+        om = random_ce_cochain(rng, g, 2)
         if ce_coboundary(om).is_zero():
             continue
         ok, witness = jacobi_check(central_extension(g, om))

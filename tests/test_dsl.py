@@ -170,6 +170,32 @@ def test_signed_sum_errors_carry_positions(text, message, col):
     assert (err.value.line, err.value.col) == (2, col)
 
 
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("algebra g parities 0,0,0 bracket [1,2,3] = e1;", "a bracket takes two basis indices", 34),
+        ("algebra g parities 0,0,0 bracket [1] = e1;", "a bracket takes two basis indices", 34),
+        ("algebra g parities 0,0,0 bracket [1,x] = e1;", "expected a basis index", 37),
+        ("algebra g parities 0,0 ; cocycle w on g degree 2 values [1,] = c0;", "expected a basis index", 60),
+    ],
+)
+def test_index_list_errors_carry_positions(text, message, col):
+    with pytest.raises(DslError) as err:
+        parse("\n" + text)
+    assert err.value.message == message
+    assert (err.value.line, err.value.col) == (2, col)
+
+
+def test_index_lists_are_zero_based():
+    doc = parse(
+        "algebra g parities 0,1,1 bracket [2,3] = e1;"
+        "cocycle w on g degree 3 values [3,1,3] = c0, [2] = 0;"
+    )
+    assert doc.algebras["g"].bracket_basis(1, 2) == {0: 1}
+    # sorting (2, 0, 2) swaps the odd e3 past the even e1 once
+    assert doc.cocycles["w"].values == {(0, 2, 2): (Fraction(-1), Fraction(0))}
+
+
 def test_signed_sums_share_the_zero_shorthand():
     doc = parse(
         "algebra g parities 0,0,0 bracket [1,2] = 0, [1,3] = 0 + 2*e2 - e2 - 0;"

@@ -469,3 +469,11 @@ def test_pullback_same_orbit_difference_is_coboundary():
     ok, witness = extension_equivalent(c1, c2, g)
     assert ok
     assert ce_coboundary(witness) == c1 - c2
+
+
+def test_spec_rejects_entries_off_the_parity_pattern():
+    zero = [[0, 0], [0, 0]]
+    with pytest.raises(ValueError, match=r"^omega1 must vanish on even pairs \(0,1\)$"):
+        HeisenbergSpec((0, 0), zero, [[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match=r"^omega0 must vanish on odd pairs \(0,1\)$"):
+        HeisenbergSpec((0, 1), [[0, 1], [-1, 0]], zero)

@@ -7,6 +7,7 @@ import pytest
 from supersymp.liecoh import (
     CECochain,
     SuperLieAlgebra,
+    _coboundary_matrix,
     canonical_keys,
     ce_coboundary,
     central_extension,
@@ -16,7 +17,11 @@ from supersymp.liecoh import (
     jacobi_check,
     pullback_class,
     sort_with_sign,
+    tuple_parity,
 )
+from supersymp.scalars import GaussianRational
+
+from conftest import random_ce_cochain
 
 
 def abelian(parities):
@@ -103,22 +108,39 @@ def test_perturbed_heisenberg_fails(rng):
 # ----------------------------------------------------------------------
 
 
-def random_cochain(rng, g, degree):
-    vals = {}
-    for key in canonical_keys(g.parities, degree):
-        alpha = sum(g.parities[i] for i in key) % 2
-        v = Fraction(rng.randint(-2, 2))
-        if v:
-            pair = [Fraction(0), Fraction(0)]
-            pair[alpha] = v
-            vals[key] = (pair[0], pair[1])
-    return CECochain(g, degree, vals)
+def reference_coboundary(c, g=None):
+    """d by the per-term sweep: one `evaluate` of c per inserted bracket,
+    with the repeated-contraction sign of the module docstring."""
+    g = g or c.g
+    eps = g.parities
+    k = c.degree
+    outer_sign = -1 if k % 2 else 1
+    values = {}
+    for key in canonical_keys(eps, k + 1):
+        total = (Fraction(0), Fraction(0))
+        for i in range(k + 1):
+            for j in range(i + 1, k + 1):
+                interior = sum(eps[key[p]] for p in range(i + 1, j)) * eps[key[j]]
+                sign = outer_sign * (-1 if (j + interior) % 2 else 1)
+                rest = key[:i] + key[i + 1:j] + key[j + 1:]
+                for m, coeff in g.bracket_basis(key[i], key[j]).items():
+                    val = c.evaluate(rest[:i] + (m,) + rest[i:])
+                    total = tuple(t + sign * coeff * v for t, v in zip(total, val))
+        values[key] = total
+    return CECochain(g, k + 1, values)
+
+
+def oracle_algebras(rng):
+    from supersymp.heisenberg import algebra_of
+    from supersymp.reference import heisenberg_33
+
+    return [gl11(), algebra_of(heisenberg_33())] + [random_heisenberg_algebra(rng, rng.randint(2, 4)) for _ in range(3)]
 
 
 def test_coboundary_over_abelian_vanishes(rng):
     g = abelian((0, 0, 1, 1))
     for degree in (1, 2):
-        c = random_cochain(rng, g, degree)
+        c = random_ce_cochain(rng, g, degree)
         assert ce_coboundary(c).is_zero()
 
 
@@ -126,13 +148,13 @@ def test_d_squared_zero(rng):
     algebras = [gl11()] + [random_heisenberg_algebra(rng, rng.randint(2, 4)) for _ in range(4)]
     for g in algebras:
         for degree in (1, 2, 3):
-            c = random_cochain(rng, g, degree)
+            c = random_ce_cochain(rng, g, degree)
             assert ce_coboundary(ce_coboundary(c)).is_zero()
 
 
 def test_coboundary_of_one_cochain_is_bracket_evaluation(rng):
     g = gl11()
-    f = random_cochain(rng, g, 1)
+    f = random_ce_cochain(rng, g, 1)
     df = ce_coboundary(f)
     for key in canonical_keys(g.parities, 2):
         i, j = key
@@ -141,6 +163,28 @@ def test_coboundary_of_one_cochain_is_bracket_evaluation(rng):
             val = f.evaluate((m,))
             expected = (expected[0] + coeff * val[0], expected[1] + coeff * val[1])
         assert df.evaluate(key) == expected
+
+
+def test_coboundary_matches_the_per_term_sweep(rng):
+    for g in oracle_algebras(rng):
+        for degree in (0, 1, 2, 3):
+            for _ in range(2):
+                c = random_ce_cochain(rng, g, degree)
+                assert ce_coboundary(c) == reference_coboundary(c)
+
+
+def test_coboundary_matrix_columns_are_images_of_basis_cochains(rng):
+    for g in oracle_algebras(rng):
+        for degree in (1, 2):
+            matrix, src, dst = _coboundary_matrix(g, degree)
+            assert src == canonical_keys(g.parities, degree)
+            assert dst == canonical_keys(g.parities, degree + 1)
+            assert len(matrix) == len(dst)
+            for col, key in enumerate(src):
+                unit = (Fraction(0), Fraction(1)) if tuple_parity(g.parities, key) else (Fraction(1), Fraction(0))
+                image = reference_coboundary(CECochain(g, degree, {key: unit}))
+                expected = [GaussianRational(image.evaluate(t)[tuple_parity(g.parities, t)]) for t in dst]
+                assert [row[col] for row in matrix] == expected
 
 
 def test_skew_sorting():
@@ -162,6 +206,57 @@ def test_cochain_evenness_enforced():
     # a nonzero value on a vanishing tuple (repeated even index) is rejected
     with pytest.raises(ValueError):
         CECochain(g, 2, {(0, 0): (Fraction(1), Fraction(0))})
+
+
+def test_cochain_constructor_errors():
+    g = SuperLieAlgebra((0, 0, 1), {})
+    with pytest.raises(ValueError, match=r"value on vanishing tuple \(0, 0\)"):
+        CECochain(g, 2, {(0, 0): (1, 0)})
+    with pytest.raises(ValueError, match=r"evenness violated on \(2, 0\): component c0 must vanish"):
+        CECochain(g, 2, {(2, 0): (1, 0)})
+    with pytest.raises(ValueError, match=r"conflicting values on tuple \(0, 1\)"):
+        CECochain(g, 2, {(0, 1): (2, 0), (1, 0): (2, 0)})
+
+
+def test_cochain_values_round_trip(rng):
+    for g in oracle_algebras(rng):
+        for degree in (0, 1, 2, 3):
+            c = random_ce_cochain(rng, g, degree)
+            assert CECochain(g, degree, c.values) == c
+            for key, (v0, v1) in c.values.items():
+                assert (v1 if tuple_parity(g.parities, key) else v0) != 0
+                assert (v0 if tuple_parity(g.parities, key) else v1) == Fraction(0)
+
+
+def test_cochain_evaluation_on_mixed_vectors(rng):
+    g = gl11()
+    c = CECochain(
+        g,
+        2,
+        {(0, 1): (3, 0), (0, 3): (0, 2), (1, 2): (0, -1), (2, 3): (7, 0), (2, 2): (5, 0)},
+    )
+    u = {0: Fraction(2), 2: Fraction(3)}
+    v = {1: Fraction(5), 2: Fraction(-1), 3: Fraction(1, 2)}
+    for a, b in ((u, v), (v, u)):
+        expected = (Fraction(0), Fraction(0))
+        for i, x in a.items():
+            for j, y in b.items():
+                val = c.evaluate((i, j))
+                expected = (expected[0] + x * y * val[0], expected[1] + x * y * val[1])
+        got = c.evaluate_vectors([a, b])
+        assert got == expected
+        assert got[0] != 0 and got[1] != 0
+    # degree 3 on random cochains and vectors, against the same hand sum
+    for _ in range(5):
+        c = random_ce_cochain(rng, g, 3)
+        vecs = [{i: Fraction(rng.randint(-2, 2)) for i in rng.sample(range(4), 2)} for _ in range(3)]
+        expected = (Fraction(0), Fraction(0))
+        for i, x in vecs[0].items():
+            for j, y in vecs[1].items():
+                for k, z in vecs[2].items():
+                    val = c.evaluate((i, j, k))
+                    expected = (expected[0] + x * y * z * val[0], expected[1] + x * y * z * val[1])
+        assert c.evaluate_vectors(vecs) == expected
 
 
 def test_cochain_evaluation_on_vectors():
@@ -218,7 +313,7 @@ def test_extension_by_cocycle_iff_jacobi(rng):
     seen_fail = seen_pass = 0
     for _ in range(20):
         g = rng.choice(bases)
-        om = random_cochain(rng, g, 2)
+        om = random_ce_cochain(rng, g, 2)
         ext = central_extension(g, om)
         ok, _ = jacobi_check(ext)
         closed = ce_coboundary(om).is_zero()
@@ -231,7 +326,7 @@ def test_extension_by_cocycle_iff_jacobi(rng):
 def test_extension_with_nonclosed_cocycle_fails_on_witness(rng):
     g = gl11()
     for _ in range(20):
-        om = random_cochain(rng, g, 2)
+        om = random_ce_cochain(rng, g, 2)
         if not ce_coboundary(om).is_zero():
             ext = central_extension(g, om)
             ok, witness = jacobi_check(ext)
@@ -242,7 +337,7 @@ def test_extension_with_nonclosed_cocycle_fails_on_witness(rng):
 
 def test_extension_equivalent_reflexive(rng):
     g = gl11()
-    om = random_cochain(rng, g, 2)
+    om = random_ce_cochain(rng, g, 2)
     ok, f = extension_equivalent(om, om, g)
     assert ok and f.is_zero()
 
@@ -250,8 +345,8 @@ def test_extension_equivalent_reflexive(rng):
 def test_extension_equivalent_by_construction(rng):
     g = gl11()
     for _ in range(5):
-        om = random_cochain(rng, g, 2)
-        f = random_cochain(rng, g, 1)
+        om = random_ce_cochain(rng, g, 2)
+        f = random_ce_cochain(rng, g, 1)
         shifted = om + ce_coboundary(f)
         ok, witness = extension_equivalent(shifted, om, g)
         assert ok
@@ -271,8 +366,8 @@ def test_equivalent_cocycles_give_isomorphic_extensions(rng):
     from supersymp.liecoh import transported_bracket_isomorphic
 
     g = gl11()
-    om = random_cochain(rng, g, 2)
-    f = random_cochain(rng, g, 1)
+    om = random_ce_cochain(rng, g, 2)
+    f = random_ce_cochain(rng, g, 1)
     shifted = om + ce_coboundary(f)
     assert transported_bracket_isomorphic(g, shifted, om, f)
 

@@ -53,6 +53,17 @@ def _sympy_matrix(rows):
     return sp.Matrix([[_sympy(x) for x in row] for row in rows])
 
 
+def test_parity_violation_finds_the_first_entry_off_the_pattern():
+    parities = (0, 1, 0)
+    even = [[0, 0, 1], [0, 2, 0], [-1, 0, 0]]
+    assert linalg.parity_violation(even, parities, 0) is None
+    assert linalg.parity_violation(even, parities, 1) == (0, 2)
+    odd = [[0, GaussianRational(0, 1), 0], [GaussianRational(0, 1), 0, 3], [0, 3, 0]]
+    assert linalg.parity_violation(odd, parities, 1) is None
+    assert linalg.parity_violation(odd, parities, 0) == (0, 1)
+    assert linalg.parity_violation([row[:] for row in even], parities, 2) is None
+
+
 def test_rank_nullspace_solve_against_sympy():
     rng = random.Random(7)
     deficient = 0

@@ -535,6 +535,14 @@ def test_darboux_even_fixed_point():
     assert res.canonical_matrix == w
 
 
+def test_darboux_rejects_entries_off_the_declared_homogeneity():
+    # a graded skew mixed entry is odd, so an even form cannot hold it
+    with pytest.raises(ValueError, match="^matrix entry violates the declared homogeneity$"):
+        darboux_normal_form([[0, 1], [-1, 0]], (0, 1), 0)
+    with pytest.raises(ValueError, match="^matrix entry violates the declared homogeneity$"):
+        darboux_normal_form([[0, 1], [-1, 0]], (0, 0), 1)
+
+
 def test_darboux_odd_rescales():
     chart = Chart("D", ("x",), ("xi",), 4)
     omega = wedge(d(chart, "x"), d(chart, "xi")).scale(2)
