@@ -8,10 +8,14 @@ polynomial
 with Grassmann-number coefficients written on the far left, even exponent
 vectors a and strictly sorted odd words w.  Odd coordinates anticommute among
 themselves and with the odd part of the coefficients, which is where every
-sign in this module comes from.
+sign in this module comes from.  One rule covers the coefficients: a graded
+c = c0 + c1 moved past k odd letters is c0 + (-1)^k c1, that is c itself
+for even k and `c.involution()` for odd k.  The product moves c2 past w1,
+the commutator moves the odd part of X past Y.
 
 Derivatives are left derivatives: d/dxi strikes xi after moving it to the
-left through the coefficient and the earlier odd letters.
+left through the coefficient and the earlier odd letters, so the term
+c x^a xi_w gives (-1)^pos c.involution() x^a xi_(w without xi).
 """
 
 from __future__ import annotations
@@ -150,6 +154,10 @@ class SuperFunction(Graded, Linear):
         """Terms of total parity (odd word length + coefficient parity)."""
         return self._map(lambda key, c: c.parity_part((parity - len(key[1])) % 2))
 
+    def involution(self) -> "SuperFunction":
+        """f0 + f1 -> f0 - f1: the term (e, w) c becomes (-1)^|w| c.involution()."""
+        return self._like({k: -c.involution() if len(k[1]) % 2 else c.involution() for k, c in self.terms.items()})
+
     # -- ring operations ------------------------------------------------------
 
     def __mul__(self, other):
@@ -157,17 +165,16 @@ class SuperFunction(Graded, Linear):
         if other is NotImplemented:
             return other
         out: Dict[ExpKey, GrassmannNumber] = {}
-        right = [(e2, w2, c2.homogeneous_parts()) for (e2, w2), c2 in other.terms.items()]
+        # c2 moved left through an odd word w1 is its involution
+        moved = [(key, c2.involution()) for key, c2 in other.terms.items()]
         for (e1, w1), c1 in self.terms.items():
-            for e2, w2, parts2 in right:
-                sign_w, w = graded_sort(w1 + w2)
-                if sign_w == 0:
+            for (e2, w2), c2 in moved if len(w1) % 2 else other.terms.items():
+                sign, w = graded_sort(w1 + w2)
+                if sign == 0:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
-                # move c2 left through the odd word w1
-                for p, c2p in parts2.items():
-                    sign = sign_w * (-1 if (p * len(w1)) % 2 else 1)
-                    accumulate(out, (e, w), c1 * c2p if sign > 0 else -(c1 * c2p))
+                c = c1 * c2
+                accumulate(out, (e, w), c if sign > 0 else -c)
         return self._like(out)
 
     def __rmul__(self, other):
@@ -193,11 +200,9 @@ class SuperFunction(Graded, Linear):
                 if j not in w:
                     continue
                 pos = w.index(j)
-                w2 = w[:pos] + w[pos + 1:]
-                # move xi_j left through pos earlier letters and the odd
-                # part of the coefficient
-                for p, cp in c.homogeneous_parts().items():
-                    accumulate(out, (e, w2), -cp if (pos + p) % 2 else cp)
+                # move xi_j left through pos earlier letters and the coefficient
+                c = c.involution()
+                accumulate(out, (e, w[:pos] + w[pos + 1:]), -c if pos % 2 else c)
         return self._like(out)
 
     def evaluate(self, point: Mapping[str, object]) -> GrassmannNumber:
@@ -333,6 +338,10 @@ class VectorField(Graded, Linear):
     def parity_part(self, parity: int) -> "VectorField":
         return self._map(lambda name, sf: sf.parity_part((parity + self.chart.parity(name)) % 2))
 
+    def involution(self) -> "VectorField":
+        """X0 + X1 -> X0 - X1: the component X^z becomes (-1)^|z| X^z.involution()."""
+        return self._like({z: -sf.involution() if self.chart.parity(z) else sf.involution() for z, sf in self.terms.items()})
+
     def left_multiply(self, f: SuperFunction) -> "VectorField":
         return self._map(lambda name, sf: f * sf)
 
@@ -369,18 +378,17 @@ def vf_apply(x: VectorField, f):
 
 
 def vf_commutator(x: VectorField, y: VectorField) -> VectorField:
-    """Graded commutator [X,Y], extended bilinearly over homogeneous parts."""
+    """Graded commutator [X,Y]^z = X(Y^z) - Y(X0^z) - Y'(X1^z), Y' = Y.involution().
+
+    On homogeneous parts this is X(Y^z) - (-1)^(|X| |Y|) Y(X^z): moving an
+    odd X1 past Y flips the sign of the odd part of Y.
+    """
     if x.chart != y.chart:
         raise ChartMismatch("vector fields on different charts")
-    chart = x.chart
-    result = VectorField(chart, {})
-    for px, xp in x.homogeneous_parts().items():
-        for py, yp in y.homogeneous_parts().items():
-            sign = -1 if (px * py) % 2 else 1
-            comps: Dict[str, SuperFunction] = {}
-            for name in set(xp.components) | set(yp.components):
-                c = xp.apply(yp.component(name)) - yp.apply(xp.component(name)).scale(sign)
-                if not c.is_zero():
-                    comps[name] = c
-            result = result + VectorField(chart, comps)
-    return result
+    x0, x1 = x.parity_part(0), x.parity_part(1)
+    y_moved = y.involution()
+    comps: Dict[str, SuperFunction] = {}
+    for name in x.chart.coords:
+        if name in x.terms or name in y.terms:
+            comps[name] = x.apply(y.component(name)) - y.apply(x0.component(name)) - y_moved.apply(x1.component(name))
+    return VectorField(x.chart, comps)

@@ -15,10 +15,14 @@ Sign rules, used consistently everywhere (degrees k, parities a):
 * normal ordering a word is `grassmann.graded_sort`, the package's one
   Koszul rule, with the odd differentials as its odd letters;
 * commuting two homogeneous factors costs (-1)^(k1*k2 + a1*a2), so
-  dz ^ dw = -(-1)^(eps z * eps w) dw ^ dz and a function f moves through a
-  differential word W at cost (-1)^(eps f * eps W);
+  dz ^ dw = -(-1)^(eps z * eps w) dw ^ dz;
+* a function f moved through a differential word W is f when W is even
+  and `f.involution()` (f0 - f1) when W is odd, with no parity split of f;
 * contraction with a homogeneous field X is the degree (-1, eps X)
   derivation with i_X(dz) = X^z, expanded left-to-right over the word;
+  summed over the parts of any field it strikes the letter z at position
+  t with sign (-1)^(t + eps z * eps prefix) and coefficient X^z moved
+  through the other letters of the word;
 * d(dZ^W * g) = (-1)^|W| dZ^W ^ dg with dg = sum_z dz * (d_z g).
 
 These choices reproduce the worked 2|2 and 2|1 examples and the displayed
@@ -111,16 +115,9 @@ class KForm(Graded, Linear):
     # -- products ------------------------------------------------------
 
     def left_multiply(self, f: SuperFunction) -> "KForm":
-        """f * omega, moving f through each differential word."""
-        out: Dict[Word, SuperFunction] = {}
-        for w, g in self.terms.items():
-            wp = word_parity(self.chart, w)
-            for p, fp in f.homogeneous_parts().items():
-                coeff = fp * g
-                if (p * wp) % 2:
-                    coeff = -coeff
-                accumulate(out, w, coeff)
-        return KForm(self.chart, self.degree, out)
+        """f * omega: f moved through an odd differential word is its involution."""
+        moved = (f, f.involution())
+        return self._map(lambda w, g: moved[word_parity(self.chart, w)] * g)
 
     def right_multiply(self, f: SuperFunction) -> "KForm":
         return self._map(lambda w, g: g * f)
@@ -156,18 +153,13 @@ def wedge(a: KForm, b: KForm) -> KForm:
     chart = a.chart
     out: Dict[Word, SuperFunction] = {}
     for w1, g1 in a.terms.items():
-        parts1 = g1.homogeneous_parts()
+        moved = (g1, g1.involution())  # g1 moved through an even / odd word w2
         for w2, g2 in b.terms.items():
-            wp2 = word_parity(chart, w2)
-            sign_c, word = canonicalize_word(chart, w1 + w2)
+            sign, word = canonicalize_word(chart, w1 + w2)
             if word is None:
                 continue
-            for p, g1p in parts1.items():
-                sign = sign_c * (-1 if (p * wp2) % 2 else 1)
-                coeff = g1p * g2
-                if sign < 0:
-                    coeff = -coeff
-                accumulate(out, word, coeff)
+            coeff = moved[word_parity(chart, w2)] * g2
+            accumulate(out, word, coeff if sign > 0 else -coeff)
     return KForm(chart, a.degree + b.degree, out)
 
 
@@ -205,26 +197,19 @@ def _contract_kform(x: VectorField, w: KForm) -> KForm:
     chart = w.chart
     if x.chart != chart:
         raise ChartMismatch("field and form on different charts")
+    # X^z moved through an even / odd rest of the word is X^z / its involution
+    moved = {chart.coords.index(z): (c, c.involution()) for z, c in x.terms.items()}
     out: Dict[Word, SuperFunction] = {}
-    for alpha, xp in x.homogeneous_parts().items():
-        parts = {}  # each component split by parity once, when a word first uses it
-        for word, g in w.terms.items():
-            prefix_parity = 0
-            for t, letter in enumerate(word):
-                comp = xp.components.get(chart.coords[letter])
-                if comp is not None:
-                    if letter not in parts:
-                        parts[letter] = comp.homogeneous_parts()
-                    suffix_parity = (word_parity(chart, word) - prefix_parity - _letter_parity(chart, letter)) % 2
-                    sign_t = -1 if (t + alpha * prefix_parity) % 2 else 1
-                    new_word = word[:t] + word[t + 1:]
-                    for p, cp in parts[letter].items():
-                        sign = sign_t * (-1 if (p * suffix_parity) % 2 else 1)
-                        coeff = cp * g
-                        if sign < 0:
-                            coeff = -coeff
-                        accumulate(out, new_word, coeff)
-                prefix_parity = (prefix_parity + _letter_parity(chart, letter)) % 2
+    for word, g in w.terms.items():
+        parity = word_parity(chart, word)
+        prefix_parity = 0
+        for t, letter in enumerate(word):
+            letter_parity = _letter_parity(chart, letter)
+            if letter in moved:
+                coeff = moved[letter][(parity + letter_parity) % 2] * g
+                sign_odd = (t + letter_parity * prefix_parity) % 2
+                accumulate(out, word[:t] + word[t + 1:], -coeff if sign_odd else coeff)
+            prefix_parity ^= letter_parity
     return KForm(chart, w.degree - 1, out)
 
 

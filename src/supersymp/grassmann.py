@@ -14,6 +14,12 @@ This module also holds what every graded type in the package shares:
 * `skew_sign` is the same rule for one swap, the sign of graded skew
   symmetry: W[j][i] = skew_sign(|i|, |j|) W[i][j] for contraction
   matrices, pairings and brackets;
+* `involution` (x0 + x1 -> x0 - x1) is the same rule for moving a graded
+  coefficient past k odd letters: it stays itself when k is even and
+  becomes its involution when k is odd.  Superfunctions and vector fields
+  have their own `involution`, so products, derivatives, commutators,
+  wedges and contractions make one product per term, never one per
+  parity part;
 * `Graded` is the one parity protocol (`homogeneous_parts`,
   `is_homogeneous`, `parity`) over each class's `parity_part`;
 * `Linear` is the one sparse-sum protocol.  Grassmann numbers,
@@ -316,7 +322,7 @@ class GrassmannNumber(Graded, Linear):
         return other if other is NotImplemented else other * self
 
     def involution(self) -> "GrassmannNumber":
-        """x0 + x1 -> x0 - x1."""
+        """x0 + x1 -> x0 - x1: x moved past an odd letter."""
         return self._like({k: (v if len(k) % 2 == 0 else -v) for k, v in self.terms.items()})
 
     def inverse(self) -> "GrassmannNumber":

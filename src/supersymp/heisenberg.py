@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import KForm, contract, ext_d
-from .grassmann import GrassmannNumber, default_generator_count
+from .grassmann import GrassmannNumber, default_generator_count, skew_sign
 from .liecoh import CECochain, SuperLieAlgebra, momentum_cocycle as _momentum_cocycle, pullback_class as _pullback_class
 from .scalars import GaussianRational
 from .symplectic import (
@@ -53,27 +53,18 @@ class HeisenbergSpec:
         """Omega(a, b) for Grassmann coordinate vectors, as a (c0, c1) pair.
 
         Left bilinearity pulls the second coordinates through the first
-        basis slot: Omega(a,b) = sum (-1)^(eps_i eps_j) a^i b^j Omega_ij.
+        basis slot: Omega(a,b) = a^T S b with S_ij = (-1)^(eps_i eps_j) Omega_ij.
         """
-        n = self.dimension
-        ng = a[0].n if a else default_generator_count()
-        out0 = GrassmannNumber.zero(ng)
-        out1 = GrassmannNumber.zero(ng)
-        for i in range(n):
-            if a[i].is_zero():
-                continue
-            for j in range(n):
-                if b[j].is_zero():
-                    continue
-                sign = -1 if (self.parities[i] * self.parities[j]) % 2 else 1
-                prod = a[i] * b[j]
-                if sign < 0:
-                    prod = -prod
-                if self.omega0[i][j]:
-                    out0 = out0 + prod * self.omega0[i][j]
-                if self.omega1[i][j]:
-                    out1 = out1 + prod * self.omega1[i][j]
-        return out0, out1
+        if not a:
+            zero = GrassmannNumber.zero(default_generator_count())
+            return zero, zero
+        eps = self.parities
+        row, column = [a], [[y] for y in b]
+        out = []
+        for omega in (self.omega0, self.omega1):
+            s = [[-skew_sign(ei, ej) * w for ej, w in zip(eps, ws)] for ei, ws in zip(eps, omega)]
+            out.append(linalg.matmul(linalg.matmul(row, s), column)[0][0])
+        return tuple(out)
 
 
 @dataclass

@@ -399,13 +399,14 @@ def momentum_cocycle(g: SuperLieAlgebra, momentum, bracket) -> Tuple[CECochain, 
     really was coordinate-independent.
     """
     eps = g.parities
+    moments = [momentum(i) for i in range(g.dimension)]
     vals: Dict[Key, Tuple[Fraction, Fraction]] = {}
     constant = True
     for key in canonical_keys(eps, 2):
         i, j = key
-        f = bracket(momentum(i), momentum(j))
+        f = bracket(moments[i], moments[j])
         for m, coeff in g.bracket_basis(i, j).items():
-            f = f - momentum(m).scale(coeff)
+            f = f - moments[m].scale(coeff)
         if not f.is_constant():
             constant = False
             continue

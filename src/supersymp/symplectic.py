@@ -204,14 +204,6 @@ def _ckform_rows(w: CKForm) -> Dict[RowKey, GaussianRational]:
     return rows
 
 
-def _monomials_of(w: CKForm):
-    monos = set()
-    for part in (w.part0, w.part1):
-        for g in part.terms.values():
-            monos.update(g.terms.keys())
-    return monos
-
-
 def _all_monomials(chart: Chart, degree: int):
     from itertools import combinations
 
@@ -234,16 +226,6 @@ def _compositions(total: int, slots: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, slots - 1):
             yield (first,) + rest
-
-
-def _grassmann_indices(w: CKForm):
-    """The Grassmann index sets that occur in the coefficients of w."""
-    indices = set()
-    for part in (w.part0, w.part1):
-        for g in part.terms.values():
-            for coeff in g.terms.values():
-                indices.update(coeff.terms)
-    return sorted(indices, key=lambda idx: (len(idx), idx))
 
 
 def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optional[int] = None) -> HamiltonianResult:
@@ -278,14 +260,16 @@ def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optiona
 def _solve_hamiltonian(f: CFunction, data: SymplecticData, ansatz_degree: Optional[int]) -> HamiltonianResult:
     chart = data.chart
     df = ext_d(f)
+    # rows are keyed (alpha, word, monomial, Grassmann index set)
+    rhs_rows = _ckform_rows(df)
     constant = data.has_constant_coefficients()
     if constant:
-        support = sorted(_monomials_of(df))
+        support = sorted({key[2] for key in rhs_rows})
         if not support:
             return HamiltonianResult("member", VectorField(chart, {}), True, "df = 0")
     else:
         support = _all_monomials(chart, ansatz_degree)
-    indices = _grassmann_indices(df) or [()]
+    indices = sorted({key[3] for key in rhs_rows}, key=lambda idx: (len(idx), idx)) or [()]
 
     unknowns = []
     columns = []
@@ -301,7 +285,6 @@ def _solve_hamiltonian(f: CFunction, data: SymplecticData, ansatz_degree: Option
                 unknowns.append(unknown)
                 columns.append(column)
 
-    rhs_rows = _ckform_rows(df)
     row_keys = sorted(set(rhs_rows) | {k for col in columns for k in col})
     a = [[col.get(key, ZERO) for col in columns] for key in row_keys]
     b = [rhs_rows.get(key, ZERO) for key in row_keys]

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from supersymp.charts import SuperFunction, UnknownCoordinate, vf_apply, vf_commutator
-from supersymp.grassmann import GrassmannNumber
+from supersymp.charts import SuperFunction, UnknownCoordinate, VectorField, vf_apply, vf_commutator
+from supersymp.grassmann import GrassmannNumber, accumulate
 from supersymp.scalars import GaussianRational
 
 from conftest import random_field, random_homogeneous_function, random_superfunction
@@ -62,6 +62,60 @@ def test_graded_leibniz(rng, chart22):
             assert lhs == rhs
 
 
+# An oracle for the odd letters: a Lambda_N-valued superfunction is a
+# polynomial in the even coordinates over Lambda_(N+q), with odd coordinate
+# j the generator th_(N+1+j).  There every sign is a Grassmann product.
+
+
+def embed(f):
+    n, q = f.chart.generators, len(f.chart.odd)
+    out = {}
+    for (e, w), c in f.terms.items():
+        letters = GrassmannNumber(n + q, {tuple(n + 1 + j for j in w): 1})
+        accumulate(out, e, GrassmannNumber(n + q, c.terms) * letters)
+    return out
+
+
+def embedded_product(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+    return out
+
+
+def generator_derivative(c, k):
+    """Left derivative along th_k: th_k is moved to the front, then struck."""
+    terms = {}
+    for idx, v in c.terms.items():
+        if k in idx:
+            pos = idx.index(k)
+            terms[idx[:pos] + idx[pos + 1:]] = -v if pos % 2 else v
+    return GrassmannNumber(c.n, terms)
+
+
+def test_product_and_odd_derivative_match_the_grassmann_embedding(rng, chart22):
+    n = chart22.generators
+    for _ in range(20):
+        f = random_superfunction(rng, chart22, degree=3, with_grassmann=True)
+        g = random_superfunction(rng, chart22, degree=3, with_grassmann=True)
+        assert embed(f * g) == embedded_product(embed(f), embed(g))
+        for j, name in enumerate(chart22.odd):
+            expected = {}
+            for e, c in embed(f).items():
+                accumulate(expected, e, generator_derivative(c, n + 1 + j))
+            assert embed(f.partial(name)) == expected
+
+
+def test_involution_flips_the_odd_part(rng, chart22):
+    for _ in range(10):
+        f = random_superfunction(rng, chart22, degree=3, with_grassmann=True)
+        X = random_field(rng, chart22, with_grassmann=True)
+        c = sum(f.terms.values(), GrassmannNumber.zero(chart22.generators))
+        for obj in (c, f, X):
+            assert obj.involution() == obj.parity_part(0) - obj.parity_part(1)
+
+
 def test_vf_apply_basics(chart22):
     x = chart22.var("x")
     ddx = chart22.vector_field({"x": 1})
@@ -115,6 +169,24 @@ def test_commutator_is_derivation_action(rng, chart22):
         direct = vf_apply(vf_commutator(X, Y), f)
         composed = vf_apply(X, vf_apply(Y, f)) - vf_apply(Y, vf_apply(X, f)).scale(sign)
         assert direct == composed
+
+
+def reference_commutator(x, y):
+    """[X,Y] summed over homogeneous parts, X(Y^z) - (-1)^(|X| |Y|) Y(X^z) on each."""
+    result = VectorField(x.chart, {})
+    for px, xp in x.homogeneous_parts().items():
+        for py, yp in y.homogeneous_parts().items():
+            sign = -1 if px * py else 1
+            comps = {z: xp.apply(yp.component(z)) - yp.apply(xp.component(z)).scale(sign) for z in x.chart.coords}
+            result = result + VectorField(x.chart, comps)
+    return result
+
+
+def test_commutator_matches_the_sum_over_homogeneous_parts(rng, chart22):
+    for _ in range(10):
+        X = random_field(rng, chart22, with_grassmann=True)
+        Y = random_field(rng, chart22, with_grassmann=True)
+        assert vf_commutator(X, Y) == reference_commutator(X, Y)
 
 
 def test_commutator_graded_antisymmetry_and_jacobi(rng, chart22):

@@ -80,6 +80,39 @@ def test_associativity(rng):
         assert group_mul(group_mul(g, h), k) == group_mul(g, group_mul(h, k))
 
 
+def test_group_mul_pairs_odd_coordinates_with_the_graded_sign():
+    """b0 of g h is Omega0(a, a')/2 = -(4 a1 a1' + a1 a2' + a2 a1' + 5 a2 a2')/2
+    on the odd-odd block [[4, 1], [1, 5]], expanded by hand."""
+    omega0 = [[0, 0, 0], [0, 4, 1], [0, 1, 5]]
+    omega1 = [[0, 2, 0], [-2, 0, 0], [0, 0, 0]]
+    spec = HeisenbergSpec([0, 1, 1], omega0, omega1)
+    zero = gnum(0)
+    g = GroupElement(spec, [zero, gen(1), gen(2).scale(2)], zero, zero)
+    h = GroupElement(spec, [zero, gen(3), gen(4) + gen(3) * gen(5) * gen(6)], zero, zero)
+    # a1 a1' = th1 th3, a1 a2' = th1 th4 + th1 th3 th5 th6,
+    # a2 a1' = 2 th2 th3, a2 a2' = 2 th2 th4 + 2 th2 th3 th5 th6
+    expected = GrassmannNumber(
+        NG,
+        {
+            (1, 3): -2,
+            (1, 4): Fraction(-1, 2),
+            (1, 3, 5, 6): Fraction(-1, 2),
+            (2, 3): -1,
+            (2, 4): -5,
+            (2, 3, 5, 6): -5,
+        },
+    )
+    gh = group_mul(g, h)
+    assert gh.b0 == expected
+    assert gh.b1.is_zero()
+    assert gh.a == [zero, gen(1) + gen(3), gen(2).scale(2) + gen(4) + gen(3) * gen(5) * gen(6)]
+
+
+def test_pairing_on_the_zero_space_is_zero():
+    zero = GrassmannNumber.zero()
+    assert HeisenbergSpec([], [], []).pairing_c([], []) == (zero, zero)
+
+
 # ----------------------------------------------------------------------
 # the algebra
 # ----------------------------------------------------------------------
