@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .charts import CFunction, SuperFunction
-from .dsl import Document, DslError, parse
+from .dsl import Document, DslError, _as_function, parse
 from .scalars import GaussianRational
 
 
@@ -26,12 +26,16 @@ class CliError(Exception):
     pass
 
 
-def _load_document(path: str) -> Document:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+            return fh.read()
     except FileNotFoundError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_document(path: str) -> Document:
+    return parse(_read(path))
 
 
 def _unique(table: dict, kind: str, name, prefer: str = "omega"):
@@ -80,12 +84,20 @@ def _parse_point(text: str) -> dict:
 
 def _cfunction(doc: Document, expr: str, chart) -> CFunction:
     value = doc.evaluate(expr, chart)
-    if isinstance(value, (GaussianRational, SuperFunction)):
-        f = value if isinstance(value, SuperFunction) else chart.constant(value)
+    f = _as_function(value, chart)
+    if f is not None:
         return CFunction(f, chart.zero())
     if not isinstance(value, CFunction):
         raise CliError(f"expression {expr!r} is not a C-valued function")
     return value
+
+
+def _superfunction(doc: Document, expr: str, chart, error: str) -> SuperFunction:
+    """The superfunction `expr` on `chart`, a scalar lifted to a constant."""
+    f = _as_function(doc.evaluate(expr, chart), chart)
+    if f is None:
+        raise CliError(error)
+    return f
 
 
 # ----------------------------------------------------------------------
@@ -310,11 +322,7 @@ def cmd_heisenberg_momentum(args) -> int:
 def _load_cover(path: str):
     from .cech import load_cover
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_cover(fh.read())
-    except FileNotFoundError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+    return load_cover(_read(path))
 
 
 def cmd_cech_periods(args) -> int:
@@ -374,7 +382,7 @@ def _prequant_chart(doc: Document, args):
     if theta is None:
         raise CliError("document needs a form named theta (or use --theta)")
     sd = SymplecticData(omega, [_parse_point(p) for p in args.point])
-    return PrequantChart(sd, theta, Fraction(args.d) if args.d else 0)
+    return PrequantChart(sd, theta)
 
 
 def cmd_prequant_eta(args) -> int:
@@ -398,16 +406,12 @@ def cmd_prequant_qop(args) -> int:
     pq = _prequant_chart(doc, args)
     chart = pq.base.chart
     f = _cfunction(doc, args.f, chart)
-    s_val = doc.evaluate(args.section, chart)
-    if isinstance(s_val, GaussianRational):
-        s_val = chart.constant(s_val)
-    if not isinstance(s_val, SuperFunction):
-        raise CliError("--section must be a superfunction on the base chart")
-    out = quantum_op(f, Section(s_val), pq)
+    s = _superfunction(doc, args.section, chart, "--section must be a superfunction on the base chart")
+    out = quantum_op(f, Section(s), pq)
     report = {
         "command": "prequant qop",
         "f": str(f),
-        "section": str(s_val),
+        "section": str(s),
         "result": str(out.fun),
     }
     return _emit(report, True)
@@ -421,14 +425,10 @@ def cmd_prequant_repcheck(args) -> int:
     chart = pq.base.chart
     f = _cfunction(doc, args.f, chart)
     g = _cfunction(doc, args.g, chart)
-    sections = []
-    for expr in args.sections.split(";"):
-        val = doc.evaluate(expr.strip(), chart)
-        if isinstance(val, GaussianRational):
-            val = chart.constant(val)
-        if not isinstance(val, SuperFunction):
-            raise CliError(f"section {expr!r} is not a superfunction")
-        sections.append(Section(val))
+    sections = [
+        Section(_superfunction(doc, expr.strip(), chart, f"section {expr!r} is not a superfunction"))
+        for expr in args.sections.split(";")
+    ]
     ok = rep_check(f, g, pq, sections)
     report = {
         "command": "prequant repcheck",
@@ -571,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--omega", help="form name for omega")
     p.add_argument("--theta", help="form name for theta")
-    p.add_argument("--d", default=None)
     _add_point_option(p)
     p.set_defaults(fn=cmd_prequant_eta)
 
@@ -581,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--section", required=True)
     p.add_argument("--omega", help="form name for omega")
     p.add_argument("--theta", help="form name for theta")
-    p.add_argument("--d", default=None)
     _add_point_option(p)
     p.set_defaults(fn=cmd_prequant_qop)
 
@@ -592,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sections", required=True, help="semicolon-separated section expressions")
     p.add_argument("--omega", help="form name for omega")
     p.add_argument("--theta", help="form name for theta")
-    p.add_argument("--d", default=None)
     _add_point_option(p)
     p.set_defaults(fn=cmd_prequant_repcheck)
 

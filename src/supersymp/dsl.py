@@ -6,6 +6,13 @@ are ``^``, partials are ``d/dx``, differentials ``dx``, Grassmann generators
 ``th1..thN``, the imaginary unit ``i``, and the two C-basis markers ``c0``
 and ``c1``.  Fixtures written in this format double as the readable record
 of every object the engine is expected to reproduce.
+
+One recursive-descent pass reads a document.  An expression is evaluated as
+it is read: each operator applies its action at its own token, so there is
+no syntax tree, and the first error in reading order is the one reported,
+with its line and column.  Every comma list (coordinate names, parities,
+basis indices, matrix rows and entries, bracket and cochain values) is read
+by `_Parser.sequence`.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, wedge
@@ -82,51 +89,39 @@ def tokenize(text: str) -> List[Token]:
 
 
 # ----------------------------------------------------------------------
-# expression AST
+# parsing and evaluation
 # ----------------------------------------------------------------------
 
+T = TypeVar("T")
 
-@dataclass
-class Num:
-    value: int
-    tok: Token
+MAX_NESTING = 100  # parentheses and signs; keeps parsing off the recursion limit
 
 
-@dataclass
-class Name:
-    text: str
-    tok: Token
+class CBasis:
+    """Marker for the c0 / c1 atoms."""
+
+    def __init__(self, alpha: int):
+        self.alpha = alpha
 
 
-@dataclass
-class Partial:
-    coord: str
-    tok: Token
-
-
-@dataclass
-class Unary:
-    op: str
-    arg: object
-    tok: Token
-
-
-@dataclass
-class Bin:
-    op: str
-    left: object
-    right: object
-    tok: Token
-
-
-MAX_NESTING = 100  # parentheses and signs; keeps parsing and evaluation off the recursion limit
+def _as_function(value, chart: Chart):
+    if isinstance(value, GaussianRational):
+        return chart.constant(value)
+    if isinstance(value, SuperFunction):
+        return value
+    return None
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    """Recursive descent over one token list; expressions are evaluated
+    against `doc` and the chart in scope as they are read."""
+
+    def __init__(self, tokens: List[Token], doc: "Document", chart: Optional[Chart] = None):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.doc = doc
+        self.chart = chart
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -160,29 +155,30 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
-        node = parse()
+        value = parse()
         self.depth -= 1
-        return node
+        return value
 
     def expression(self):
-        node = self.term()
+        value = self.term()
         while self.peek().text in ("+", "-"):
             tok = self.next()
-            node = Bin(tok.text, node, self.term(), tok)
-        return node
+            right = self.term()
+            value = self._add(value, right if tok.text == "+" else self._negate(right, tok), tok)
+        return value
 
     def term(self):
-        node = self.unary()
+        value = self.unary()
         while self.peek().text in ("*", "/", "^"):
             tok = self.next()
-            node = Bin(tok.text, node, self.unary(), tok)
-        return node
+            value = self._PRODUCTS[tok.text](self, value, self.unary(), tok)
+        return value
 
     def unary(self):
         tok = self.peek()
         if tok.text == "-":
             self.next()
-            return Unary("-", self.nested(tok, self.unary), tok)
+            return self._negate(self.nested(tok, self.unary), tok)
         if tok.text == "+":
             self.next()
             return self.nested(tok, self.unary)
@@ -192,12 +188,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return Num(int(tok.text), tok)
+            return GaussianRational(int(tok.text))
         if tok.text == "(":
             self.next()
-            node = self.nested(tok, self.expression)
+            value = self.nested(tok, self.expression)
             self.expect(")")
-            return node
+            return value
         if tok.kind == "name":
             if (
                 tok.text == "d"
@@ -209,122 +205,16 @@ class _Parser:
                 self.next()
                 self.next()
                 coord_tok = self.next()
-                return Partial(coord_tok.text[1:], tok)
+                return self._partial(coord_tok.text[1:], tok)
             self.next()
-            return Name(tok.text, tok)
+            return self._resolve(tok)
         self.fail(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input", tok)
 
-    # helpers for declaration clauses -----------------------------------
+    # semantic actions --------------------------------------------------
 
-    def name_list(self) -> List[str]:
-        names = [self.expect_name().text]
-        while self.peek().text == ",":
-            self.next()
-            names.append(self.expect_name().text)
-        return names
-
-    def int_list(self) -> List[int]:
-        out = []
-        while True:
-            neg = False
-            if self.peek().text == "-":
-                self.next()
-                neg = True
-            tok = self.peek()
-            if tok.kind != "int":
-                self.fail("expected an integer")
-            self.next()
-            out.append(-int(tok.text) if neg else int(tok.text))
-            if self.peek().text != ",":
-                return out
-            self.next()
-
-    def index_list(self) -> Tuple[int, ...]:
-        """[i1, ..., ik] with 1-based basis indices, returned 0-based."""
-        self.expect("[")
-        out = []
-        while True:
-            tok = self.peek()
-            if tok.kind != "int":
-                self.fail("expected a basis index")
-            self.next()
-            out.append(int(tok.text) - 1)
-            if self.peek().text != ",":
-                break
-            self.next()
-        self.expect("]")
-        return tuple(out)
-
-    def rational(self) -> Fraction:
-        neg = False
-        if self.peek().text == "-":
-            self.next()
-            neg = True
-        tok = self.peek()
-        if tok.kind != "int":
-            self.fail("expected a number")
-        self.next()
-        value = Fraction(int(tok.text))
-        if self.peek().text == "/":
-            self.next()
-            den = self.peek()
-            if den.kind != "int":
-                self.fail("expected a denominator")
-            self.next()
-            value = value / int(den.text)
-        return -value if neg else value
-
-    def matrix(self) -> List[List[Fraction]]:
-        self.expect("[")
-        rows = []
-        while True:
-            self.expect("[")
-            row = []
-            if self.peek().text != "]":
-                row.append(self.rational())
-                while self.peek().text == ",":
-                    self.next()
-                    row.append(self.rational())
-            self.expect("]")
-            rows.append(row)
-            if self.peek().text == ",":
-                self.next()
-                continue
-            break
-        self.expect("]")
-        return rows
-
-
-# ----------------------------------------------------------------------
-# values and evaluation
-# ----------------------------------------------------------------------
-
-
-class CBasis:
-    """Marker for the c0 / c1 atoms."""
-
-    def __init__(self, alpha: int):
-        self.alpha = alpha
-
-
-def _as_function(value, chart: Chart):
-    if isinstance(value, GaussianRational):
-        return chart.constant(value)
-    if isinstance(value, SuperFunction):
-        return value
-    return None
-
-
-class Evaluator:
-    """Evaluate expression ASTs against a document and a chart context."""
-
-    def __init__(self, document: "Document", chart: Optional[Chart]):
-        self.document = document
-        self.chart = chart
-
-    def resolve(self, node: Name):
-        text = node.text
-        doc = self.document
+    def _resolve(self, tok: Token):
+        text = tok.text
+        doc = self.doc
         for table in (doc.functions, doc.cfunctions, doc.fields, doc.forms):
             if text in table:
                 return table[text]
@@ -340,50 +230,23 @@ class Evaluator:
             if m:
                 k = int(m.group(1))
                 if not 1 <= k <= chart.generators:
-                    raise DslError(
-                        f"Grassmann generator th{k} is out of range (N = {chart.generators})",
-                        node.tok.line,
-                        node.tok.col,
-                    )
+                    self.fail(f"Grassmann generator th{k} is out of range (N = {chart.generators})", tok)
                 return chart.constant(GrassmannNumber.generator(k, chart.generators))
         if text in ("c0", "c1"):
             return CBasis(int(text[1]))
-        raise DslError(f"undefined identifier {text!r}", node.tok.line, node.tok.col)
+        self.fail(f"undefined identifier {text!r}", tok)
 
-    def eval(self, node):
-        if isinstance(node, Num):
-            return GaussianRational(node.value)
-        if isinstance(node, Name):
-            return self.resolve(node)
-        if isinstance(node, Partial):
-            if self.chart is None:
-                raise DslError("no chart in scope for a partial derivative", node.tok.line, node.tok.col)
-            if node.coord not in self.chart.coords:
-                raise DslError(f"unknown coordinate {node.coord!r}", node.tok.line, node.tok.col)
-            return self.chart.vector_field({node.coord: 1})
-        if isinstance(node, Unary):
-            val = self.eval(node.arg)
-            return self._negate(val, node.tok)
-        if isinstance(node, Bin):
-            # fold a left-nested chain a + b + c ... in a loop, not by recursion
-            chain = []
-            while isinstance(node, Bin):
-                chain.append(node)
-                node = node.left
-            val = self.eval(node)
-            for b in reversed(chain):
-                right = self.eval(b.right)
-                if b.op == "-":
-                    val = self._add(val, self._negate(right, b.tok), b.tok)
-                else:
-                    val = {"+": self._add, "*": self._mul, "/": self._div, "^": self._pow}[b.op](val, right, b.tok)
-            return val
-        raise AssertionError(f"unhandled node {node!r}")
+    def _partial(self, coord: str, tok: Token) -> VectorField:
+        if self.chart is None:
+            self.fail("no chart in scope for a partial derivative", tok)
+        if coord not in self.chart.coords:
+            self.fail(f"unknown coordinate {coord!r}", tok)
+        return self.chart.vector_field({coord: 1})
 
     def _negate(self, val, tok):
         if isinstance(val, (GaussianRational, SuperFunction, VectorField, KForm, CKForm, CFunction)):
             return -val
-        raise DslError("cannot negate this expression", tok.line, tok.col)
+        self.fail("cannot negate this expression", tok)
 
     def _add(self, a, b, tok):
         if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
@@ -399,10 +262,10 @@ class Evaluator:
                 except Exception as exc:
                     raise DslError(str(exc), tok.line, tok.col) from exc
         if isinstance(a, CFunction) and _as_function(b, a.chart) is not None:
-            raise DslError("cannot add a C-valued and a plain function; tag with c0/c1", tok.line, tok.col)
+            self.fail("cannot add a C-valued and a plain function; tag with c0/c1", tok)
         if isinstance(b, CFunction) and self.chart is not None and _as_function(a, self.chart) is not None:
-            raise DslError("cannot add a C-valued and a plain function; tag with c0/c1", tok.line, tok.col)
-        raise DslError("incompatible operands for +", tok.line, tok.col)
+            self.fail("cannot add a C-valued and a plain function; tag with c0/c1", tok)
+        self.fail("incompatible operands for +", tok)
 
     def _mul(self, a, b, tok):
         if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
@@ -410,7 +273,7 @@ class Evaluator:
         if isinstance(b, CBasis):
             chart = self.chart
             if chart is None:
-                raise DslError("no chart in scope for a C-valued expression", tok.line, tok.col)
+                self.fail("no chart in scope for a C-valued expression", tok)
             fa = _as_function(a, chart)
             if fa is not None:
                 parts = [chart.zero(), chart.zero()]
@@ -419,9 +282,9 @@ class Evaluator:
             if isinstance(a, KForm):
                 zero = KForm.zero(chart, a.degree)
                 return CKForm(a, zero) if b.alpha == 0 else CKForm(zero, a)
-            raise DslError("only functions and forms can be tagged with c0/c1", tok.line, tok.col)
+            self.fail("only functions and forms can be tagged with c0/c1", tok)
         if isinstance(a, CBasis):
-            raise DslError("write the c0/c1 tag on the right of the factor", tok.line, tok.col)
+            self.fail("write the c0/c1 tag on the right of the factor", tok)
         if isinstance(a, GaussianRational) and isinstance(b, (SuperFunction, VectorField, KForm, CKForm, CFunction)):
             return b.scale(a)
         if isinstance(b, GaussianRational):
@@ -434,21 +297,21 @@ class Evaluator:
             if isinstance(b, KForm):
                 return b.left_multiply(a)
             if isinstance(b, CFunction):
-                raise DslError("multiply plain functions before tagging with c0/c1", tok.line, tok.col)
+                self.fail("multiply plain functions before tagging with c0/c1", tok)
         if isinstance(a, KForm):
             if isinstance(b, SuperFunction):
                 return a.right_multiply(b)
             if isinstance(b, KForm):
                 return wedge(a, b)
         if isinstance(a, VectorField) and isinstance(b, SuperFunction):
-            raise DslError("write coefficients to the left of d/dz", tok.line, tok.col)
-        raise DslError("incompatible operands for *", tok.line, tok.col)
+            self.fail("write coefficients to the left of d/dz", tok)
+        self.fail("incompatible operands for *", tok)
 
     def _div(self, a, b, tok):
         if not isinstance(b, GaussianRational):
-            raise DslError("division only by scalars", tok.line, tok.col)
+            self.fail("division only by scalars", tok)
         if b.is_zero():
-            raise DslError("division by zero", tok.line, tok.col)
+            self.fail("division by zero", tok)
         inv = b.inverse()
         if isinstance(a, GaussianRational):
             return a * inv
@@ -457,7 +320,7 @@ class Evaluator:
     def _pow(self, a, b, tok):
         if isinstance(b, GaussianRational):
             if not b.is_rational() or b.re.denominator != 1 or b.re < 0:
-                raise DslError("power needs a nonnegative integer exponent", tok.line, tok.col)
+                self.fail("power needs a nonnegative integer exponent", tok)
             n = int(b.re)
             if isinstance(a, GaussianRational):
                 out = GaussianRational(1)
@@ -471,19 +334,71 @@ class Evaluator:
                 return out
             if isinstance(a, KForm):
                 if n == 0:
-                    raise DslError("zeroth wedge power is not a form", tok.line, tok.col)
+                    self.fail("zeroth wedge power is not a form", tok)
                 out = a
                 for _ in range(n - 1):
                     out = wedge(out, a)
                 return out
-            raise DslError("cannot raise this expression to a power", tok.line, tok.col)
+            self.fail("cannot raise this expression to a power", tok)
         if isinstance(a, KForm) and isinstance(b, KForm):
             return wedge(a, b)
         if isinstance(a, KForm) and isinstance(b, SuperFunction):
             return wedge(a, KForm.from_function(b))
         if isinstance(a, SuperFunction) and isinstance(b, KForm):
             return wedge(KForm.from_function(a), b)
-        raise DslError("incompatible operands for ^", tok.line, tok.col)
+        self.fail("incompatible operands for ^", tok)
+
+    _PRODUCTS = {"*": _mul, "/": _div, "^": _pow}
+
+    # comma lists and numbers -------------------------------------------
+
+    def sequence(self, item: Callable[[], T]) -> List[T]:
+        """item (, item)...: one or more items separated by commas."""
+        out = [item()]
+        while self.peek().text == ",":
+            self.next()
+            out.append(item())
+        return out
+
+    def integer(self, what: str, signed: bool = False) -> int:
+        """An integer token, after a minus sign if `signed` allows one."""
+        sign = 1
+        if signed and self.peek().text == "-":
+            self.next()
+            sign = -1
+        tok = self.peek()
+        if tok.kind != "int":
+            self.fail(f"expected {what}", tok)
+        self.next()
+        return sign * int(tok.text)
+
+    def index_list(self) -> Tuple[int, ...]:
+        """[i1, ..., ik] with 1-based basis indices, returned 0-based."""
+        self.expect("[")
+        out = tuple(self.sequence(lambda: self.integer("a basis index") - 1))
+        self.expect("]")
+        return out
+
+    def rational(self) -> Fraction:
+        value = Fraction(self.integer("a number", signed=True))
+        if self.peek().text == "/":
+            self.next()
+            value = value / self.integer("a denominator")
+        return value
+
+    def matrix(self) -> List[List[Fraction]]:
+        """[[q, ...], ...]; a row may be empty."""
+
+        def row() -> List[Fraction]:
+            self.expect("[")
+            entries = [] if self.peek().text == "]" else self.sequence(self.rational)
+            self.expect("]")
+            return entries
+
+        self.expect("[")
+        rows = self.sequence(row)
+        self.expect("]")
+        return rows
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +417,6 @@ class Document:
     cocycles: Dict[str, CECochain] = field(default_factory=dict)
     heisenbergs: Dict[str, HeisenbergSpec] = field(default_factory=dict)
     order: List[Tuple[str, str]] = field(default_factory=list)  # (kind, name)
-    spans: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     current_chart: Optional[str] = None
 
     def all_names(self):
@@ -522,45 +436,42 @@ class Document:
         """Evaluate a standalone expression in this document's scope."""
         if chart is None and self.current_chart is not None:
             chart = self.charts[self.current_chart]
-        parser = _Parser(tokenize(text))
-        node = parser.expression()
+        parser = _Parser(tokenize(text), self, chart)
+        value = parser.expression()
         if parser.peek().kind != "eof":
             parser.fail("trailing input after expression")
-        return Evaluator(self, chart).eval(node)
+        return value
 
 
 def _register(doc: Document, kind: str, name: str, tok: Token):
     if name in set(doc.all_names()):
         raise DslError(f"name {name!r} already declared", tok.line, tok.col)
     doc.order.append((kind, name))
-    doc.spans[name] = (tok.line, tok.col)
 
 
 def parse(text: str) -> Document:
     """Parse a document; errors carry precise line/column positions."""
     doc = Document()
-    parser = _Parser(tokenize(text))
+    parser = _Parser(tokenize(text), doc)
     while parser.peek().kind != "eof":
-        _statement(parser, doc)
+        _statement(parser)
     return doc
 
 
-def _statement(parser: _Parser, doc: Document) -> None:
+def _statement(parser: _Parser) -> None:
+    doc = parser.doc
     head = parser.expect_name("declaration keyword")
     name_tok = parser.expect_name()
     name = name_tok.text
 
     if head.text == "chart":
-        even: List[str] = []
-        odd: List[str] = []
-        if parser.peek().text == "even":
-            parser.next()
-            even = parser.name_list()
-        if parser.peek().text == "odd":
-            parser.next()
-            odd = parser.name_list()
+        coords = {"even": (), "odd": ()}
+        for parity in coords:
+            if parser.peek().text == parity:
+                parser.next()
+                coords[parity] = tuple(tok.text for tok in parser.sequence(parser.expect_name))
         try:
-            chart = Chart(name, tuple(even), tuple(odd), default_generator_count())
+            chart = Chart(name, coords["even"], coords["odd"], default_generator_count())
         except ValueError as exc:
             raise DslError(str(exc), head.line, head.col) from exc
         _register(doc, "chart", name, name_tok)
@@ -573,9 +484,8 @@ def _statement(parser: _Parser, doc: Document) -> None:
             parser.next()
             chart_name = parser.expect_name("chart name").text
         parser.expect("=")
-        chart = doc.chart_of(chart_name, head)
-        node = parser.expression()
-        value = Evaluator(doc, chart).eval(node)
+        chart = parser.chart = doc.chart_of(chart_name, head)
+        value = parser.expression()
         if head.text == "fn":
             value = _as_function(value, chart)
             if value is None:
@@ -605,22 +515,20 @@ def _statement(parser: _Parser, doc: Document) -> None:
             doc.forms[name] = value
 
     elif head.text == "algebra":
-        kw = parser.expect("parities")
-        parities = parser.int_list()
+        parities = _parities(parser)
+
+        def bracket() -> Tuple[Tuple[int, int], Dict[int, Fraction]]:
+            open_tok = parser.peek()
+            pair = parser.index_list()
+            if len(pair) != 2:
+                parser.fail("a bracket takes two basis indices", open_tok)
+            parser.expect("=")
+            return pair, _basis_expression(parser, len(parities))
+
         brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         if parser.peek().text == "bracket":
             parser.next()
-            while True:
-                open_tok = parser.peek()
-                pair = parser.index_list()
-                if len(pair) != 2:
-                    parser.fail("a bracket takes two basis indices", open_tok)
-                parser.expect("=")
-                brackets[pair] = _basis_expression(parser, len(parities))
-                if parser.peek().text == ",":
-                    parser.next()
-                    continue
-                break
+            brackets = dict(parser.sequence(bracket))
         try:
             algebra = SuperLieAlgebra(parities, brackets)
         except ValueError as exc:
@@ -635,22 +543,17 @@ def _statement(parser: _Parser, doc: Document) -> None:
             raise DslError(f"unknown algebra {alg_tok.text!r}", alg_tok.line, alg_tok.col)
         algebra = doc.algebras[alg_tok.text]
         parser.expect("degree")
-        deg_tok = parser.peek()
-        if deg_tok.kind != "int":
-            parser.fail("expected a degree")
-        parser.next()
-        degree = int(deg_tok.text)
+        degree = parser.integer("a degree")
+
+        def entry() -> Tuple[Tuple[int, ...], Tuple[Fraction, Fraction]]:
+            key = parser.index_list()
+            parser.expect("=")
+            return key, _cvalue_expression(parser)
+
         values: Dict[Tuple[int, ...], Tuple[Fraction, Fraction]] = {}
         if parser.peek().text == "values":
             parser.next()
-            while True:
-                key = parser.index_list()
-                parser.expect("=")
-                values[key] = _cvalue_expression(parser)
-                if parser.peek().text == ",":
-                    parser.next()
-                    continue
-                break
+            values = dict(parser.sequence(entry))
         try:
             cochain = CECochain(algebra, degree, values)
         except ValueError as exc:
@@ -659,8 +562,7 @@ def _statement(parser: _Parser, doc: Document) -> None:
         doc.cocycles[name] = cochain
 
     elif head.text == "heisenberg":
-        parser.expect("parities")
-        parities = parser.int_list()
+        parities = _parities(parser)
         parser.expect("omega0")
         omega0 = parser.matrix()
         parser.expect("omega1")
@@ -680,6 +582,12 @@ def _statement(parser: _Parser, doc: Document) -> None:
         raise DslError(f"unknown declaration {head.text!r}", head.line, head.col)
 
     parser.expect(";")
+
+
+def _parities(parser: _Parser) -> List[int]:
+    """parities p1, ..., pn: one signed integer per basis vector."""
+    parser.expect("parities")
+    return parser.sequence(lambda: parser.integer("an integer", signed=True))
 
 
 def _signed_sum(parser: _Parser, what: str, basis: Callable[[Token], object]) -> Dict[object, Fraction]:
@@ -781,7 +689,7 @@ def render(doc: Document) -> str:
             lines.append(" ".join(chunks) + ";")
         elif kind == "cocycle":
             c = doc.cocycles[name]
-            alg_name = next(n for n, a in doc.algebras.items() if a is c.g or a.parities == c.g.parities)
+            alg_name = next(n for n, a in doc.algebras.items() if a is c.g)
             chunks = [f"cocycle {name} on {alg_name} degree {c.degree}"]
             entries = []
             for key, (v0, v1) in sorted(c.values.items()):

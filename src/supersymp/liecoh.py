@@ -372,8 +372,7 @@ def pullback_class(g: SuperLieAlgebra, x: Sequence[Fraction], xbar: Sequence[Fra
         c0 = Fraction(0)
         c1 = Fraction(0)
         for m, coeff in g.bracket_basis(i, j).items():
-            sign = -1 if eps[m] % 2 else 1
-            c0 += coeff * sign * x[m]
+            c0 += coeff * x[m]
             c1 += coeff * xbar[m]
         if c0 or c1:
             vals[key] = (c0, c1)

@@ -1,9 +1,10 @@
 """Local-chart model of the D-prequantum connection and its operators.
 
 Everything here happens on one trivializing chart: base coordinates plus an
-even fiber coordinate t (taken mod d) and an odd fiber coordinate tau.  The
-connection is alpha = theta + dt + dtau with d(theta) = omega; doubled, its
-parts are (theta_0 + dt) c0 and (theta_1 + dtau) c1.
+even fiber coordinate t and an odd fiber coordinate tau; the period d of t
+plays no part in these local formulas.  The connection is
+alpha = theta + dt + dtau with d(theta) = omega; doubled, its parts are
+(theta_0 + dt) c0 and (theta_1 + dtau) c1.
 
 Sections of the associated line model are stored by their reduced part: the
 equivariant function e^(-it/hbar) s(base) enters only through the formal
@@ -12,7 +13,6 @@ substitution d/dt -> -i/hbar, with hbar = 1 and i an exact Gaussian unit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
@@ -28,37 +28,30 @@ class PrequantChart:
     """Base symplectic data, a potential theta with d(theta) = omega, and
     the two fiber coordinates of the structure group."""
 
-    def __init__(
-        self,
-        data: SymplecticData,
-        theta: KForm,
-        d: Fraction | int = 0,
-        fiber_even: str = "t",
-        fiber_odd: str = "tau",
-    ):
+    fiber_even = "t"
+    fiber_odd = "tau"
+
+    def __init__(self, data: SymplecticData, theta: KForm):
         if theta.degree != 1:
             raise ValueError("the potential must be a 1-form")
         if ext_d(theta) != data.omega:
             raise ValueError("potential does not satisfy d(theta) = omega")
         self.base = data
         self.theta = theta
-        self.d = Fraction(d)
         base_chart = data.chart
-        if fiber_even in base_chart.coords or fiber_odd in base_chart.coords:
+        if self.fiber_even in base_chart.coords or self.fiber_odd in base_chart.coords:
             raise ValueError("fiber coordinate names collide with the base chart")
         self.total = Chart(
             base_chart.name + "_total",
-            base_chart.even + (fiber_even,),
-            base_chart.odd + (fiber_odd,),
+            base_chart.even + (self.fiber_even,),
+            base_chart.odd + (self.fiber_odd,),
             base_chart.generators,
         )
-        self.fiber_even = fiber_even
-        self.fiber_odd = fiber_odd
         theta0 = lift_form(theta.parity_part(0), self.total)
         theta1 = lift_form(theta.parity_part(1), self.total)
         self.alpha = CKForm(
-            theta0 + KForm.differential(self.total, fiber_even),
-            theta1 + KForm.differential(self.total, fiber_odd),
+            theta0 + KForm.differential(self.total, self.fiber_even),
+            theta1 + KForm.differential(self.total, self.fiber_odd),
         )
 
     # -- infinitesimal symmetries ---------------------------------------

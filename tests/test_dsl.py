@@ -42,6 +42,15 @@ def test_undefined_identifier():
     assert "undefined identifier" in err.value.message
 
 
+def test_first_error_in_reading_order_is_reported():
+    # expressions are evaluated as they are read, so the undefined name is
+    # reported before the missing operand that follows it
+    with pytest.raises(DslError) as err:
+        parse("chart M even x; fn f = zz + ;")
+    assert err.value.message == "undefined identifier 'zz'"
+    assert (err.value.line, err.value.col) == (1, 24)
+
+
 def test_parity_mismatch_diagnostic():
     # [e1, e2] is odd but e1 is even: parity bookkeeping must reject this
     with pytest.raises(DslError) as err:
@@ -149,6 +158,14 @@ def test_render_roundtrip():
     assert doc2.heisenbergs["H"].omega1 == doc.heisenbergs["H"].omega1
     # rendering is idempotent once canonical
     assert render(doc2) == rendered
+    # a cocycle stays on its own algebra when another has the same parities
+    twin = parse(
+        "algebra g parities 0,0; algebra h parities 0,0 bracket [1,2] = e1;"
+        "cocycle w on h degree 2 values [1,2] = c0;"
+    )
+    twin2 = parse(render(twin))
+    assert twin2.cocycles["w"].g is twin2.algebras["h"]
+    assert render(twin2) == render(twin)
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from supersymp.cech import CechCochain
@@ -32,6 +32,9 @@ PROFILE = settings(
     database=None,
     deadline=None,
     max_examples=12,
+    # a failing example is reported as drawn: shrinking one sign fault
+    # through these nested strategies takes minutes per test
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 

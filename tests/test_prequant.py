@@ -16,14 +16,14 @@ from supersymp.symplectic import PoissonMembershipError, SymplecticData, poisson
 def even_chart():
     data = even_chart_20(4)
     sd = SymplecticData(data.omega, [ORIGIN])
-    return data, PrequantChart(sd, data.theta, d=1)
+    return data, PrequantChart(sd, data.theta)
 
 
 @pytest.fixture
 def mixed_chart():
     data = mixed_chart_21(4)
     sd = SymplecticData(data.omega, [ORIGIN])
-    return data, PrequantChart(sd, data.theta, d=1)
+    return data, PrequantChart(sd, data.theta)
 
 
 def c0_fn(chart, f):
