@@ -3,31 +3,38 @@
 A chart carries p even and q odd coordinate names.  A superfunction is a
 polynomial
 
-    f = sum  c_{a,w} * x^a * xi_{w1} ... xi_{wk}
+    f = sum  c_{a,w,I} * th_I * x^a * xi_{w1} ... xi_{wk}
 
-with Grassmann-number coefficients written on the far left, even exponent
-vectors a and strictly sorted odd words w.  Odd coordinates anticommute among
-themselves and with the odd part of the coefficients, which is where every
-sign in this module comes from.  One rule covers the coefficients: a graded
-c = c0 + c1 moved past k odd letters is c0 + (-1)^k c1, that is c itself
-for even k and `c.involution()` for odd k.  The product moves c2 past w1,
-the commutator moves the odd part of X past Y.
+with one Gaussian-rational scalar c per key (a, w, I): an even exponent
+vector a, a strictly sorted odd word w and a Grassmann index set I.  Odd
+coordinates anticommute among themselves and with the generators th_k,
+which is where every sign in this module comes from.  The term (a, w, I)
+has parity |w| + |I|, so `involution` (f0 + f1 -> f0 - f1) makes it
+(-1)^(|w|+|I|) c.  The product moves th_I2 past xi_w1 at the cost of
+(-1)^(|w1| |I2|); the commutator moves the odd part of X past Y.
 
 Derivatives are left derivatives: d/dxi strikes xi after moving it to the
-left through the coefficient and the earlier odd letters, so the term
-c x^a xi_w gives (-1)^pos c.involution() x^a xi_(w without xi).
+left through the earlier odd letters and th_I, so the term c th_I x^a xi_w
+gives (-1)^(pos+|I|) c th_I x^a xi_(w without xi).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Mapping, Tuple
 
 from .grassmann import DimensionError, Graded, GrassmannNumber, Linear, accumulate, default_generator_count, graded_sort
 from .scalars import GaussianRational
 
 ExpKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (even exponents, odd word)
+TermKey = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]  # (even exponents, odd word, Grassmann index set)
+
+
+def _term_parity(key: TermKey) -> int:
+    """Parity of the term th_I x^a xi_w: |w| + |I| mod 2."""
+    return (len(key[1]) + len(key[2])) % 2
 
 
 class ChartMismatch(ValueError):
@@ -82,8 +89,6 @@ class Chart:
         return self.constant(1)
 
     def constant(self, value) -> "SuperFunction":
-        if isinstance(value, GrassmannNumber) and value.n != self.generators:
-            raise DimensionError("Grassmann generator count differs from chart")
         return SuperFunction(self, {((0,) * len(self.even), ()): value})
 
     def var(self, name: str) -> "SuperFunction":
@@ -110,20 +115,22 @@ class Chart:
 
 
 class SuperFunction(Graded, Linear):
-    """Polynomial superfunction in canonical form."""
+    """Polynomial superfunction in canonical form, one scalar per (a, w, I)."""
 
     __slots__ = ("chart", "terms")
     _FRAME = ("chart",)
 
     def __init__(self, chart: Chart, terms: Mapping[ExpKey, "GrassmannNumber | int | Fraction | GaussianRational"]):
         self.chart = chart
-        self.terms = {}
-        for k, c in terms.items():
-            # a scalar coefficient is lifted into the chart's Grassmann algebra
+        self.terms: Dict[TermKey, GaussianRational] = {}
+        # each coefficient is spread over its Grassmann index sets
+        for (e, w), c in terms.items():
             if not isinstance(c, GrassmannNumber):
                 c = GrassmannNumber.scalar(c, chart.generators)
-            if c:
-                self.terms[k] = c
+            elif c.n != chart.generators:
+                raise DimensionError("Grassmann generator count differs from chart")
+            for idx, v in c.terms.items():
+                self.terms[(e, w, idx)] = v
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -135,28 +142,33 @@ class SuperFunction(Graded, Linear):
     def _mismatch(self, other) -> ChartMismatch:
         return ChartMismatch(f"{other.chart.name} vs {self.chart.name}")
 
+    def coefficients(self) -> Dict[ExpKey, GrassmannNumber]:
+        """The terms grouped by (a, w), each with its Grassmann coefficient."""
+        grouped: Dict[ExpKey, Dict] = {}
+        for (e, w, idx), c in self.terms.items():
+            grouped.setdefault((e, w), {})[idx] = c
+        return {k: GrassmannNumber(self.chart.generators, t) for k, t in grouped.items()}
+
     def is_constant(self) -> bool:
-        zero_key = ((0,) * len(self.chart.even), ())
-        return all(k == zero_key for k in self.terms)
+        return not any(any(e) or w for (e, w, _) in self.terms)
 
     def constant_value(self) -> GrassmannNumber:
-        zero_key = ((0,) * len(self.chart.even), ())
         if not self.is_constant():
             raise ValueError("not a constant superfunction")
-        return self.terms.get(zero_key, GrassmannNumber.zero(self.chart.generators))
+        return GrassmannNumber(self.chart.generators, {idx: c for (_, _, idx), c in self.terms.items()})
 
     def total_degree(self) -> int:
-        return max((sum(e) + len(w) for (e, w) in self.terms), default=0)
+        return max((sum(e) + len(w) for (e, w, _) in self.terms), default=0)
 
     # -- parity ------------------------------------------------------------
 
     def parity_part(self, parity: int) -> "SuperFunction":
-        """Terms of total parity (odd word length + coefficient parity)."""
-        return self._map(lambda key, c: c.parity_part((parity - len(key[1])) % 2))
+        """Terms of total parity |w| + |I|."""
+        return self._like({k: c for k, c in self.terms.items() if _term_parity(k) == parity})
 
     def involution(self) -> "SuperFunction":
-        """f0 + f1 -> f0 - f1: the term (e, w) c becomes (-1)^|w| c.involution()."""
-        return self._like({k: -c.involution() if len(k[1]) % 2 else c.involution() for k, c in self.terms.items()})
+        """f0 + f1 -> f0 - f1: the term (a, w, I) c becomes (-1)^(|w|+|I|) c."""
+        return self._like({k: -c if _term_parity(k) else c for k, c in self.terms.items()})
 
     # -- ring operations ------------------------------------------------------
 
@@ -164,17 +176,18 @@ class SuperFunction(Graded, Linear):
         other = self._operand(other)
         if other is NotImplemented:
             return other
-        out: Dict[ExpKey, GrassmannNumber] = {}
-        # c2 moved left through an odd word w1 is its involution
-        moved = [(key, c2.involution()) for key, c2 in other.terms.items()]
-        for (e1, w1), c1 in self.terms.items():
-            for (e2, w2), c2 in moved if len(w1) % 2 else other.terms.items():
+        out: Dict[TermKey, GaussianRational] = {}
+        for (e1, w1, i1), c1 in self.terms.items():
+            for (e2, w2, i2), c2 in other.terms.items():
                 sign, w = graded_sort(w1 + w2)
-                if sign == 0:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                accumulate(out, (e, w), c if sign > 0 else -c)
+                idx = i1
+                if i2:
+                    # th_I2 moved left through the odd word w1 and sorted into th_I1
+                    isign, idx = graded_sort(i1 + i2)
+                    sign *= isign * (-1) ** (len(w1) * len(i2))
+                if sign:
+                    c = c1 * c2
+                    accumulate(out, (tuple(map(add, e1, e2)), w, idx), c if sign > 0 else -c)
         return self._like(out)
 
     def __rmul__(self, other):
@@ -185,24 +198,23 @@ class SuperFunction(Graded, Linear):
 
     def partial(self, coord: str) -> "SuperFunction":
         parity = self.chart.parity(coord)
-        out: Dict[ExpKey, GrassmannNumber] = {}
+        out: Dict[TermKey, GaussianRational] = {}
         if parity == 0:
             i = self.chart.even_index(coord)
-            for (e, w), c in self.terms.items():
+            for (e, w, idx), c in self.terms.items():
                 if e[i] == 0:
                     continue
                 e2 = list(e)
                 e2[i] -= 1
-                accumulate(out, (tuple(e2), w), c.scale(e[i]))
+                out[(tuple(e2), w, idx)] = c * e[i]
         else:
             j = self.chart.odd_index(coord)
-            for (e, w), c in self.terms.items():
+            for (e, w, idx), c in self.terms.items():
                 if j not in w:
                     continue
                 pos = w.index(j)
-                # move xi_j left through pos earlier letters and the coefficient
-                c = c.involution()
-                accumulate(out, (e, w[:pos] + w[pos + 1:]), -c if pos % 2 else c)
+                # move xi_j left through pos earlier letters and th_I
+                out[(e, w[:pos] + w[pos + 1:], idx)] = -c if (pos + len(idx)) % 2 else c
         return self._like(out)
 
     def evaluate(self, point: Mapping[str, object]) -> GrassmannNumber:
@@ -215,16 +227,15 @@ class SuperFunction(Graded, Linear):
             if isinstance(v, GrassmannNumber):
                 raise ValueError("real point evaluation expects scalar values")
             values.append(GaussianRational.coerce(v))
-        total = GrassmannNumber.zero(self.chart.generators)
-        for (e, w), c in self.terms.items():
+        total: Dict = {}
+        for (e, w, idx), c in self.terms.items():
             if w:
                 continue
-            factor = GaussianRational(1)
             for exp, v in zip(e, values):
                 for _ in range(exp):
-                    factor = factor * v
-            total = total + c * factor
-        return total
+                    c = c * v
+            accumulate(total, idx, c)
+        return GrassmannNumber(self.chart.generators, total)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -251,8 +262,9 @@ class SuperFunction(Graded, Linear):
     def __str__(self):
         if not self.terms:
             return "0"
-        keys = sorted(self.terms, key=lambda k: (sum(k[0]) + len(k[1]), k))
-        chunks = [self._term_str(k, self.terms[k]) for k in keys]
+        coeffs = self.coefficients()
+        keys = sorted(coeffs, key=lambda k: (sum(k[0]) + len(k[1]), k))
+        chunks = [self._term_str(k, coeffs[k]) for k in keys]
         out = chunks[0]
         for chunk in chunks[1:]:
             if chunk.startswith("-") and "(" not in chunk[:2]:

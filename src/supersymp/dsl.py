@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, TypeVar
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, wedge
@@ -31,13 +31,13 @@ from .scalars import GaussianRational
 
 
 class DslError(Exception):
-    """Syntax or semantic error with a source position."""
+    """Syntax or semantic error at an offset of the text, reported by line and column."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
+    def __init__(self, message: str, text: str, offset: int):
         self.message = message
-        self.line = line
-        self.col = col
+        self.line = text.count("\n", 0, offset) + 1
+        self.col = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"line {self.line}, column {self.col}: {message}")
 
 
 # ----------------------------------------------------------------------
@@ -51,40 +51,28 @@ _TOKEN_RE = re.compile(
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>\d+)
   | (?P<op>[-+*/^()\[\],;=])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # "name" | "int" | "op" | "eof"
     text: str
-    line: int
-    col: int
+    offset: int
 
 
 def tokenize(text: str) -> List[Token]:
+    """The tokens of `text`, ended by an "eof" token at its end."""
     tokens: List[Token] = []
-    line = 1
-    col = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token("op" if kind == "op" else kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise DslError(f"unexpected character {m.group()!r}", text, m.start())
+        if kind != "ws" and kind != "comment":
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
@@ -116,15 +104,19 @@ class _Parser:
     """Recursive descent over one token list; expressions are evaluated
     against `doc` and the chart in scope as they are read."""
 
-    def __init__(self, tokens: List[Token], doc: "Document", chart: Optional[Chart] = None):
-        self.tokens = tokens
+    def __init__(self, text: str, doc: "Document", chart: Optional[Chart] = None):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0
         self.doc = doc
         self.chart = chart
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # `next` never moves past the final "eof" token
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -132,9 +124,11 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def error(self, message: str, tok: Optional[Token] = None) -> DslError:
+        return DslError(message, self.text, (tok or self.peek()).offset)
+
     def fail(self, message: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
-        raise DslError(message, tok.line, tok.col)
+        raise self.error(message, tok)
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
@@ -260,7 +254,7 @@ class _Parser:
                 try:
                     return a + b
                 except Exception as exc:
-                    raise DslError(str(exc), tok.line, tok.col) from exc
+                    raise self.error(str(exc), tok) from exc
         if isinstance(a, CFunction) and _as_function(b, a.chart) is not None:
             self.fail("cannot add a C-valued and a plain function; tag with c0/c1", tok)
         if isinstance(b, CFunction) and self.chart is not None and _as_function(a, self.chart) is not None:
@@ -383,7 +377,11 @@ class _Parser:
         value = Fraction(self.integer("a number", signed=True))
         if self.peek().text == "/":
             self.next()
-            value = value / self.integer("a denominator")
+            tok = self.peek()
+            denominator = self.integer("a denominator")
+            if denominator == 0:
+                self.fail("division by zero", tok)
+            value = value / denominator
         return value
 
     def matrix(self) -> List[List[Fraction]]:
@@ -423,36 +421,27 @@ class Document:
         for _, name in self.order:
             yield name
 
-    def chart_of(self, name: Optional[str], tok: Optional[Token] = None) -> Chart:
-        if name is None:
-            if self.current_chart is None:
-                raise DslError("no chart declared", tok.line if tok else 0, tok.col if tok else 0)
-            return self.charts[self.current_chart]
-        if name not in self.charts:
-            raise DslError(f"unknown chart {name!r}", tok.line if tok else 0, tok.col if tok else 0)
-        return self.charts[name]
-
     def evaluate(self, text: str, chart: Optional[Chart] = None):
         """Evaluate a standalone expression in this document's scope."""
         if chart is None and self.current_chart is not None:
             chart = self.charts[self.current_chart]
-        parser = _Parser(tokenize(text), self, chart)
+        parser = _Parser(text, self, chart)
         value = parser.expression()
         if parser.peek().kind != "eof":
             parser.fail("trailing input after expression")
         return value
 
 
-def _register(doc: Document, kind: str, name: str, tok: Token):
-    if name in set(doc.all_names()):
-        raise DslError(f"name {name!r} already declared", tok.line, tok.col)
-    doc.order.append((kind, name))
+def _register(parser: _Parser, kind: str, name: str, tok: Token):
+    if name in set(parser.doc.all_names()):
+        parser.fail(f"name {name!r} already declared", tok)
+    parser.doc.order.append((kind, name))
 
 
 def parse(text: str) -> Document:
     """Parse a document; errors carry precise line/column positions."""
     doc = Document()
-    parser = _Parser(tokenize(text), doc)
+    parser = _Parser(text, doc)
     while parser.peek().kind != "eof":
         _statement(parser)
     return doc
@@ -473,45 +462,47 @@ def _statement(parser: _Parser) -> None:
         try:
             chart = Chart(name, coords["even"], coords["odd"], default_generator_count())
         except ValueError as exc:
-            raise DslError(str(exc), head.line, head.col) from exc
-        _register(doc, "chart", name, name_tok)
+            raise parser.error(str(exc), head) from exc
+        _register(parser, "chart", name, name_tok)
         doc.charts[name] = chart
         doc.current_chart = name
 
     elif head.text in ("fn", "cfn", "vf", "form"):
-        chart_name = None
+        chart_name = doc.current_chart
         if parser.peek().text == "on":
             parser.next()
             chart_name = parser.expect_name("chart name").text
         parser.expect("=")
-        chart = parser.chart = doc.chart_of(chart_name, head)
+        if chart_name not in doc.charts:
+            parser.fail(f"unknown chart {chart_name!r}" if chart_name else "no chart declared", head)
+        chart = parser.chart = doc.charts[chart_name]
         value = parser.expression()
         if head.text == "fn":
             value = _as_function(value, chart)
             if value is None:
-                raise DslError("fn expects a plain superfunction", head.line, head.col)
-            _register(doc, "fn", name, name_tok)
+                parser.fail("fn expects a plain superfunction", head)
+            _register(parser, "fn", name, name_tok)
             doc.functions[name] = value
         elif head.text == "cfn":
             if isinstance(value, (GaussianRational, SuperFunction)):
-                raise DslError("cfn expects c0/c1 components", head.line, head.col)
+                parser.fail("cfn expects c0/c1 components", head)
             if not isinstance(value, CFunction):
-                raise DslError("cfn expects a C-valued function", head.line, head.col)
-            _register(doc, "cfn", name, name_tok)
+                parser.fail("cfn expects a C-valued function", head)
+            _register(parser, "cfn", name, name_tok)
             doc.cfunctions[name] = value
         elif head.text == "vf":
             if isinstance(value, GaussianRational) and value.is_zero():
                 value = VectorField(chart, {})
             if not isinstance(value, VectorField):
-                raise DslError("vf expects a vector field", head.line, head.col)
-            _register(doc, "vf", name, name_tok)
+                parser.fail("vf expects a vector field", head)
+            _register(parser, "vf", name, name_tok)
             doc.fields[name] = value
         else:
             if isinstance(value, (GaussianRational, SuperFunction)):
                 value = KForm.from_function(_as_function(value, chart))
             if not isinstance(value, KForm):
-                raise DslError("form expects a differential form", head.line, head.col)
-            _register(doc, "form", name, name_tok)
+                parser.fail("form expects a differential form", head)
+            _register(parser, "form", name, name_tok)
             doc.forms[name] = value
 
     elif head.text == "algebra":
@@ -532,15 +523,15 @@ def _statement(parser: _Parser) -> None:
         try:
             algebra = SuperLieAlgebra(parities, brackets)
         except ValueError as exc:
-            raise DslError(f"parity mismatch or invalid bracket: {exc}", head.line, head.col) from exc
-        _register(doc, "algebra", name, name_tok)
+            raise parser.error(f"parity mismatch or invalid bracket: {exc}", head) from exc
+        _register(parser, "algebra", name, name_tok)
         doc.algebras[name] = algebra
 
     elif head.text == "cocycle":
         parser.expect("on")
         alg_tok = parser.expect_name("algebra name")
         if alg_tok.text not in doc.algebras:
-            raise DslError(f"unknown algebra {alg_tok.text!r}", alg_tok.line, alg_tok.col)
+            parser.fail(f"unknown algebra {alg_tok.text!r}", alg_tok)
         algebra = doc.algebras[alg_tok.text]
         parser.expect("degree")
         degree = parser.integer("a degree")
@@ -557,8 +548,8 @@ def _statement(parser: _Parser) -> None:
         try:
             cochain = CECochain(algebra, degree, values)
         except ValueError as exc:
-            raise DslError(str(exc), head.line, head.col) from exc
-        _register(doc, "cocycle", name, name_tok)
+            raise parser.error(str(exc), head) from exc
+        _register(parser, "cocycle", name, name_tok)
         doc.cocycles[name] = cochain
 
     elif head.text == "heisenberg":
@@ -570,16 +561,16 @@ def _statement(parser: _Parser) -> None:
         n = len(parities)
         for label, m in (("omega0", omega0), ("omega1", omega1)):
             if len(m) != n or any(len(row) != n for row in m):
-                raise DslError(f"{label} must be {n}x{n}", head.line, head.col)
+                parser.fail(f"{label} must be {n}x{n}", head)
         try:
             spec = HeisenbergSpec(parities, omega0, omega1)
         except ValueError as exc:
-            raise DslError(str(exc), head.line, head.col) from exc
-        _register(doc, "heisenberg", name, name_tok)
+            raise parser.error(str(exc), head) from exc
+        _register(parser, "heisenberg", name, name_tok)
         doc.heisenbergs[name] = spec
 
     else:
-        raise DslError(f"unknown declaration {head.text!r}", head.line, head.col)
+        parser.fail(f"unknown declaration {head.text!r}", head)
 
     parser.expect(";")
 
@@ -627,7 +618,7 @@ def _basis_expression(parser: _Parser, dimension: int) -> Dict[int, Fraction]:
             parser.fail("expected a basis vector e<k>")
         k = int(tok.text[1:])
         if not 1 <= k <= dimension:
-            raise DslError(f"basis index e{k} out of range", tok.line, tok.col)
+            parser.fail(f"basis index e{k} out of range", tok)
         return k - 1
 
     return _signed_sum(parser, "a basis vector e<k>", basis)

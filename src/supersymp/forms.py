@@ -296,7 +296,7 @@ def lift_function(f: SuperFunction, target: Chart) -> SuperFunction:
     even_map = {i: target.even.index(n) for i, n in enumerate(src.even) if n in target.even}
     odd_map = {j: target.odd.index(n) for j, n in enumerate(src.odd) if n in target.odd}
     terms = {}
-    for (e, w), c in f.terms.items():
+    for (e, w, idx), c in f.terms.items():
         if any(exp and i not in even_map for i, exp in enumerate(e)) or any(j not in odd_map for j in w):
             raise ValueError("function depends on a fiber coordinate")
         e2 = [0] * len(target.even)
@@ -304,8 +304,8 @@ def lift_function(f: SuperFunction, target: Chart) -> SuperFunction:
             if exp:
                 e2[even_map[i]] = exp
         sign, w2 = graded_sort(odd_map[j] for j in w)
-        terms[(tuple(e2), w2)] = c if sign > 0 else -c
-    return SuperFunction(target, terms)
+        terms[(tuple(e2), w2, idx)] = c if sign > 0 else -c
+    return target.zero()._like(terms)
 
 
 def lift_form(w: KForm, target: Chart) -> KForm:

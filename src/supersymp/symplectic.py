@@ -25,10 +25,10 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .charts import CFunction, Chart, ExpKey, SuperFunction, VectorField
+from .charts import CFunction, Chart, ExpKey, VectorField
 from .forms import CKForm, DegreeError, KForm, contract, double, ext_d
 from .grassmann import GrassmannNumber, Index, skew_sign
-from .scalars import ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational
 
 
 class NotSymplectic(ValueError):
@@ -198,9 +198,8 @@ def _ckform_rows(w: CKForm) -> Dict[RowKey, GaussianRational]:
     rows: Dict[RowKey, GaussianRational] = {}
     for alpha, part in ((0, w.part0), (1, w.part1)):
         for word, g in part.terms.items():
-            for (e, odd), coeff in g.terms.items():
-                for gidx, scal in coeff.terms.items():
-                    rows[(alpha, word, (e, odd), gidx)] = scal
+            for (e, odd, gidx), scal in g.terms.items():
+                rows[(alpha, word, (e, odd), gidx)] = scal
     return rows
 
 
@@ -279,8 +278,7 @@ def _solve_hamiltonian(f: CFunction, data: SymplecticData, ansatz_degree: Option
                 unknown = (name, mono, idx)
                 column = data._columns.get(unknown)
                 if column is None:
-                    coeff = GrassmannNumber(chart.generators, {idx: 1})
-                    basis_field = VectorField(chart, {name: SuperFunction(chart, {mono: coeff})})
+                    basis_field = VectorField(chart, {name: chart.zero()._like({mono + (idx,): ONE})})
                     column = data._columns[unknown] = _ckform_rows(contract(basis_field, data.doubled))
                 unknowns.append(unknown)
                 columns.append(column)
@@ -295,13 +293,11 @@ def _solve_hamiltonian(f: CFunction, data: SymplecticData, ansatz_degree: Option
             return HamiltonianResult("not_member", None, True, "coefficient system inconsistent (degree-independent)")
         return HamiltonianResult("inconclusive", None, True, f"no solution up to degree {ansatz_degree}")
 
-    comps: Dict[str, SuperFunction] = {}
+    comps: Dict[str, Dict] = {}
     for (name, mono, idx), value in zip(unknowns, solution):
-        if value.is_zero():
-            continue
-        add = SuperFunction(chart, {mono: GrassmannNumber(chart.generators, {idx: value})})
-        comps[name] = comps.get(name, chart.zero()) + add
-    x = VectorField(chart, {k: v for k, v in comps.items() if not v.is_zero()})
+        if value:
+            comps.setdefault(name, {})[mono + (idx,)] = value
+    x = VectorField(chart, {name: chart.zero()._like(terms) for name, terms in comps.items()})
     # the defining equation is rechecked exactly
     if contract(x, data.doubled) != df:
         raise AssertionError("internal error: solved field fails its defining equation")

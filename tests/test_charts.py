@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from supersymp.charts import SuperFunction, UnknownCoordinate, VectorField, vf_apply, vf_commutator
-from supersymp.grassmann import GrassmannNumber, accumulate
+from supersymp.grassmann import DimensionError, GrassmannNumber, accumulate
 from supersymp.scalars import GaussianRational
 
 from conftest import random_field, random_homogeneous_function, random_superfunction
@@ -70,7 +70,7 @@ def test_graded_leibniz(rng, chart22):
 def embed(f):
     n, q = f.chart.generators, len(f.chart.odd)
     out = {}
-    for (e, w), c in f.terms.items():
+    for (e, w), c in f.coefficients().items():
         letters = GrassmannNumber(n + q, {tuple(n + 1 + j for j in w): 1})
         accumulate(out, e, GrassmannNumber(n + q, c.terms) * letters)
     return out
@@ -111,7 +111,7 @@ def test_involution_flips_the_odd_part(rng, chart22):
     for _ in range(10):
         f = random_superfunction(rng, chart22, degree=3, with_grassmann=True)
         X = random_field(rng, chart22, with_grassmann=True)
-        c = sum(f.terms.values(), GrassmannNumber.zero(chart22.generators))
+        c = sum(f.coefficients().values(), GrassmannNumber.zero(chart22.generators))
         for obj in (c, f, X):
             assert obj.involution() == obj.parity_part(0) - obj.parity_part(1)
 
@@ -231,10 +231,19 @@ def test_evaluate_real_point(chart22):
 
 def test_scalar_coefficients_are_lifted(chart22):
     x = chart22.var("x")
-    key = next(iter(x.terms))
+    key = next(iter(x.coefficients()))
     for c in (1, Fraction(1), GaussianRational(1)):
         f = SuperFunction(chart22, {key: c})
-        assert f.terms[key] == GrassmannNumber.scalar(1, chart22.generators)
+        assert f.coefficients()[key] == GrassmannNumber.scalar(1, chart22.generators)
         assert f.parity_part(0) == f == x
         assert f.parity_part(1).is_zero()
     assert SuperFunction(chart22, {key: GaussianRational(0)}).is_zero()
+
+
+def test_coefficients_over_another_generator_count_are_refused(chart22):
+    key = ((0, 0), (0,))
+    for n in (chart22.generators - 1, chart22.generators + 1):
+        with pytest.raises(DimensionError):
+            SuperFunction(chart22, {key: GrassmannNumber.generator(1, n)})
+        with pytest.raises(DimensionError):
+            chart22.constant(GrassmannNumber.scalar(2, n))

@@ -40,6 +40,9 @@ def test_parse_error_exit_code(capsys, tmp_path):
     # error already consumed by run(); exit code is the contract
 
 
+ZERO_DENOMINATOR = "algebra g parities 0,0 bracket [1,1] = 1/0*e1;"
+
+
 @pytest.mark.parametrize(
     "argv, error_start",
     [
@@ -52,11 +55,15 @@ def test_parse_error_exit_code(capsys, tmp_path):
             "line 1, column 101: expression nested deeper than",
         ),
         (("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]]", "--parities", "0", "--even"), ""),
+        (("liecoh", "h2", ZERO_DENOMINATOR), "line 1, column 42: division by zero"),
     ],
-    ids=["zero_point", "deep_nesting", "darboux_shape"],
+    ids=["zero_point", "deep_nesting", "darboux_shape", "zero_denominator"],
 )
-def test_malformed_input_exits_2(capsys, argv, error_start):
-    code = main([str(a) for a in argv])
+def test_malformed_input_exits_2(capsys, tmp_path, argv, error_start):
+    # a declaration text in argv is passed as a file holding it
+    doc = tmp_path / "doc.ssp"
+    doc.write_text(ZERO_DENOMINATOR)
+    code = main([str(doc) if a == ZERO_DENOMINATOR else str(a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

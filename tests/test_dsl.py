@@ -188,6 +188,21 @@ def test_signed_sum_errors_carry_positions(text, message, col):
 
 
 @pytest.mark.parametrize(
+    "text, col",
+    [
+        ("algebra g parities 0,0 bracket [1,1] = 1/0*e1;", 42),
+        ("algebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = -1/0*c0;", 68),
+        ("heisenberg h parities 0 omega0 [[1/0]] omega1 [[0]];", 36),
+    ],
+)
+def test_zero_denominator_is_positioned(text, col):
+    with pytest.raises(DslError) as err:
+        parse("\n" + text)
+    assert err.value.message == "division by zero"
+    assert (err.value.line, err.value.col) == (2, col)
+
+
+@pytest.mark.parametrize(
     "text, message, col",
     [
         ("algebra g parities 0,0,0 bracket [1,2,3] = e1;", "a bracket takes two basis indices", 34),

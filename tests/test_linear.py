@@ -148,6 +148,18 @@ def test_d_squared_is_zero(label, data):
 @pytest.mark.parametrize("label", CHARTS)
 @PROFILE
 @given(data=st.data())
+def test_grouped_coefficients_rebuild_the_function(label, data):
+    chart = CHARTS[label]
+    f = data.draw(superfunctions(chart, 5))
+    for g in (f, f * f + f):
+        grouped = g.coefficients()
+        assert all(isinstance(c, GrassmannNumber) and c for c in grouped.values())
+        assert SuperFunction(chart, grouped) == g
+
+
+@pytest.mark.parametrize("label", CHARTS)
+@PROFILE
+@given(data=st.data())
 def test_contraction_with_df_is_the_derivative(label, data):
     chart = CHARTS[label]
     f, x = data.draw(superfunctions(chart)), data.draw(fields(chart))
