@@ -1,12 +1,12 @@
 """Write one checkout's benchmark rows into a committed BENCH_*.json.
 
     python3 tools/bench_rows.py --label NAME --out BENCH_16.json \
-        [--workloads poisson,algebra,cli] [--seeds 1,2] [--seconds 20] [--repeat 7]
+        [--workloads poisson,algebra,cli] [--seeds 1,2] [--seconds 20]
 
 The rows are measured on the checkout that holds this script:
 
-* micro rows for the lowest layers, each the best of `--repeat` timeit
-  runs, in microseconds per call: L0 `GaussianRational` mul, L1 Grassmann
+* micro rows for the lowest layers, each the best of REPEAT timeit runs,
+  in microseconds per call: L0 `GaussianRational` mul, L1 Grassmann
   mul of two 4-term elements, L2 `SuperFunction` mul of an 8-term
   function by itself and `partial` along an even and an odd coordinate;
 * end-to-end rows: the last-line JSON of
@@ -31,15 +31,16 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+REPEAT = 7
 
 
-def _best_us(stmt, repeat: int) -> float:
+def _best_us(stmt) -> float:
     timer = timeit.Timer(stmt)
     number, _ = timer.autorange()
-    return min(timer.repeat(repeat=repeat, number=number)) / number * 1e6
+    return min(timer.repeat(repeat=REPEAT, number=number)) / number * 1e6
 
 
-def micro_rows(repeat: int) -> list:
+def micro_rows() -> list:
     sys.path.insert(0, str(ROOT / "src"))
     from supersymp.charts import Chart
     from supersymp.grassmann import GrassmannNumber
@@ -60,7 +61,7 @@ def micro_rows(repeat: int) -> list:
         ("L2 charts partial d/dx of the 8-term f", lambda: f.partial("x")),
         ("L2 charts partial d/dxi of the 8-term f", lambda: f.partial("xi")),
     ]
-    return [{"row": name, "unit": "us", "best_of": repeat, "value": round(_best_us(fn, repeat), 3)} for name, fn in rows]
+    return [{"row": name, "unit": "us", "best_of": REPEAT, "value": round(_best_us(fn), 3)} for name, fn in rows]
 
 
 def end_to_end_rows(workloads, seeds, seconds: float) -> list:
@@ -82,13 +83,12 @@ def main(argv=None) -> None:
     ap.add_argument("--workloads", default="poisson,algebra,cli")
     ap.add_argument("--seeds", default="1,2")
     ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--repeat", type=int, default=7)
     args = ap.parse_args(argv)
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True)
     entry = {
         "commit": commit.stdout.strip(),
         "python": platform.python_version(),
-        "micro": micro_rows(args.repeat),
+        "micro": micro_rows(),
         "end_to_end": end_to_end_rows(
             [w for w in args.workloads.split(",") if w], [int(s) for s in args.seeds.split(",") if s], args.seconds
         ),
