@@ -144,15 +144,15 @@ def coboundary(h: CechCochain) -> CechCochain:
     """(delta h)(s) = h(boundary s)."""
     nerve = h.nerve
     k = h.degree
-    out = CechCochain(nerve, k + 1)
+    terms: Dict[Simplex, Fraction] = {}
     for s in nerve.simplices[k + 1]:
         total = Fraction(0)
         for j in range(len(s)):
             face = s[:j] + s[j + 1:]
             total += (-1) ** j * h(*face)
         if total != 0:
-            out.terms[s] = total
-    return out
+            terms[s] = total
+    return CechCochain(nerve, k + 1)._like(terms)
 
 
 def cocycle_from_potentials(f: CechCochain) -> CechCochain:

@@ -123,14 +123,18 @@ class SuperFunction(Graded, Linear):
     def __init__(self, chart: Chart, terms: Mapping[ExpKey, "GrassmannNumber | int | Fraction | GaussianRational"]):
         self.chart = chart
         self.terms: Dict[TermKey, GaussianRational] = {}
-        # each coefficient is spread over its Grassmann index sets
+        # a scalar coefficient is the one term (e, w, ()); a Grassmann
+        # coefficient is spread over its index sets
         for (e, w), c in terms.items():
-            if not isinstance(c, GrassmannNumber):
-                c = GrassmannNumber.scalar(c, chart.generators)
-            elif c.n != chart.generators:
-                raise DimensionError("Grassmann generator count differs from chart")
-            for idx, v in c.terms.items():
-                self.terms[(e, w, idx)] = v
+            if isinstance(c, GrassmannNumber):
+                if c.n != chart.generators:
+                    raise DimensionError("Grassmann generator count differs from chart")
+                for idx, v in c.terms.items():
+                    self.terms[(e, w, idx)] = v
+            else:
+                c = GaussianRational.coerce(c)
+                if c:
+                    self.terms[(e, w, ())] = c
 
     # -- bookkeeping ----------------------------------------------------
 

@@ -26,13 +26,15 @@ This module also holds what every graded type in the package shares:
   superfunctions, vector fields, forms and cochains are all finite sums
   `terms: key -> nonzero coefficient`; `accumulate` is the one rule that
   adds into such a dict and drops a key whose sum is zero, and `Linear`
-  derives +, -, `scale`, `is_zero`, == and hash from it.
+  derives +, -, `scale`, `is_zero`, == and hash from it.  No sum changes
+  after it is built, so its hash is computed once.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .scalars import GaussianRational
@@ -140,16 +142,28 @@ class Linear:
     `terms` maps each key to its nonzero coefficient: a scalar, or itself a
     Linear, zero exactly when falsy.  The attributes named in `_FRAME` (N,
     a chart, a degree, ...) must agree for two sums to be added or equal,
-    else `_mismatch` names the error; `_CARRY` names attributes a result
-    inherits without comparing them.  Subclasses turn other operands into a
-    sum of their own type in `_lift` and coerce scaling factors with
-    `_scalar`.
+    else `_mismatch` names the error; a class may compare something else
+    by defining `_frame(self)`.  Frames are compared by identity first and
+    by == only when they are different objects.  `_CARRY` names attributes
+    a result inherits without comparing them.  Subclasses turn other
+    operands into a sum of their own type in `_lift` and coerce scaling
+    factors with `_scalar`.
+
+    A sum is never changed after it is built, so its hash is computed
+    once, at the first `hash`, and kept in `_hash`.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _FRAME: Tuple[str, ...] = ()
     _CARRY: Tuple[str, ...] = ()
     _scalar = staticmethod(GaussianRational.coerce)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # once per class: the frame accessor and the attributes a result copies
+        own = getattr(cls, "_frame", None)
+        cls._frame_of = staticmethod(own) if own else attrgetter(*cls._FRAME)
+        cls._copied = cls._FRAME + cls._CARRY
 
     def _lift(self, x):
         return NotImplemented
@@ -157,13 +171,10 @@ class Linear:
     def _mismatch(self, other) -> Exception:
         return ValueError(f"{type(self).__name__} operands over different frames")
 
-    def _frame(self) -> tuple:
-        return tuple(getattr(self, a) for a in self._FRAME)
-
     def _like(self, terms: Dict) -> "Linear":
         """A sum in this frame over terms that are already nonzero."""
         new = object.__new__(type(self))
-        for a in self._FRAME + self._CARRY:
+        for a in self._copied:
             setattr(new, a, getattr(self, a))
         new.terms = terms
         return new
@@ -182,7 +193,8 @@ class Linear:
             x = self._lift(x)
             if x is NotImplemented:
                 return x
-        if x._frame() != self._frame():
+        a, b = self._frame_of(self), self._frame_of(x)
+        if a is not b and a != b:
             raise self._mismatch(x)
         return x
 
@@ -223,10 +235,15 @@ class Linear:
             other = self._lift(other)
             if other is NotImplemented:
                 return other
-        return self._frame() == other._frame() and self.terms == other.terms
+        a, b = self._frame_of(self), self._frame_of(other)
+        return (a is b or a == b) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self._frame(), frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self._frame_of(self), frozenset(self.terms.items())))
+            return self._hash
 
 
 def _body_only(terms: Dict[Index, GaussianRational]) -> bool:
@@ -260,7 +277,8 @@ class GrassmannNumber(Graded, Linear):
     def scalar(value, n: int | None = None) -> "GrassmannNumber":
         if n is None:
             n = default_generator_count()
-        return GrassmannNumber(n, {(): GaussianRational.coerce(value)})
+        c = GaussianRational.coerce(value)
+        return GrassmannNumber(n)._like({(): c} if c else {})
 
     @staticmethod
     def generator(k: int, n: int | None = None) -> "GrassmannNumber":

@@ -44,6 +44,13 @@ class HeisenbergSpec:
             bad = linalg.parity_violation(m, self.parities, parity)
             if bad is not None:
                 raise ValueError(f"{name} must vanish on {pairs} pairs ({bad[0]},{bad[1]})")
+        # S^alpha_ij = (-1)^(eps_i eps_j) Omega^alpha_ij, read by every pairing
+        eps = self.parities
+        self._signed = [
+            [[w if skew_sign(ei, ej) < 0 else -w for ej, w in zip(eps, ws)] for ei, ws in zip(eps, omega)]
+            for omega in (self.omega0, self.omega1)
+        ]
+        self._tangent: Dict = {}  # tangent_matrix by (y0, ybar1)
 
     @property
     def dimension(self) -> int:
@@ -58,13 +65,8 @@ class HeisenbergSpec:
         if not a:
             zero = GrassmannNumber.zero(default_generator_count())
             return zero, zero
-        eps = self.parities
         row, column = [a], [[y] for y in b]
-        out = []
-        for omega in (self.omega0, self.omega1):
-            s = [[-skew_sign(ei, ej) * w for ej, w in zip(eps, ws)] for ei, ws in zip(eps, omega)]
-            out.append(linalg.matmul(linalg.matmul(row, s), column)[0][0])
-        return tuple(out)
+        return tuple(linalg.matmul(linalg.matmul(row, s), column)[0][0] for s in self._signed)
 
 
 @dataclass
@@ -234,12 +236,17 @@ def ambient_chart(spec: HeisenbergSpec, generators: Optional[int] = None) -> Cha
     return Chart("dual", even, odd, generators or default_generator_count())
 
 
-def tangent_matrix(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction) -> List[List[Fraction]]:
+def tangent_matrix(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction) -> Tuple[Tuple[Fraction, ...], ...]:
     """Rows: 2n ambient slots; columns: generators e_j.  Entry = coefficient
-    of the fundamental field of e_j on that coordinate."""
-    y0, ybar1 = Fraction(y0), Fraction(ybar1)
-    top = [[(-y0 if e else y0) * w for w in col] for e, col in zip(spec.parities, linalg.transpose(spec.omega0))]
-    return top + [[ybar1 * w for w in col] for col in linalg.transpose(spec.omega1)]
+    of the fundamental field of e_j on that coordinate.  Built once per
+    (spec, y0, ybar1), as tuples, so no caller can change it."""
+    key = Fraction(y0), Fraction(ybar1)
+    t = spec._tangent.get(key)
+    if t is None:
+        y0, ybar1 = key
+        top = [tuple((-y0 if e else y0) * w for w in col) for e, col in zip(spec.parities, linalg.transpose(spec.omega0))]
+        t = spec._tangent[key] = tuple(top + [tuple(ybar1 * w for w in col) for col in linalg.transpose(spec.omega1)])
+    return t
 
 
 def _field_coefficients(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1) -> List[Fraction]:
@@ -428,10 +435,10 @@ def _solve_kks(orbit: Orbit) -> KForm:
     if len(chosen) != r:
         raise ValueError("tangent fields do not span the orbit chart")
 
-    target = [
-        [GaussianRational(orbit.y0 * spec.omega0[a][b] + orbit.ybar1 * spec.omega1[a][b]) for b in range(n)]
-        for a in range(n)
-    ]
+    # Omega^0 vanishes on mixed pairs and Omega^1 on unmixed ones, so the
+    # tangent rows a and n + a are -y0 Omega^0_a. and -ybar1 Omega^1_a.
+    t = tangent_matrix(spec, orbit.y0, orbit.ybar1)
+    target = [[GaussianRational(-t[a][b] - t[n + a][b]) for b in range(n)] for a in range(n)]
     minv = linalg.inverse([m_rows[j] for j in chosen])
     w_target = [[target[a][b] for b in chosen] for a in chosen]
     wc = linalg.matmul(linalg.matmul(minv, w_target), linalg.transpose(minv))

@@ -226,12 +226,12 @@ def _coboundary_rows(g: SuperLieAlgebra, degree: int) -> Dict[Key, Dict[Key, Fra
 def ce_coboundary(c: CECochain, g: SuperLieAlgebra | None = None) -> CECochain:
     """Coboundary C^k -> C^(k+1) with the repeated-contraction sign."""
     g = g or c.g
-    out = CECochain(g, c.degree + 1)
+    terms: Dict[Key, Fraction] = {}
     for key, row in _coboundary_rows(g, c.degree).items():
         total = sum((coeff * c.terms[src] for src, coeff in row.items() if src in c.terms), Fraction(0))
         if total:
-            out.terms[key] = total
-    return out
+            terms[key] = total
+    return CECochain(g, c.degree + 1)._like(terms)
 
 
 # ----------------------------------------------------------------------
@@ -244,12 +244,12 @@ def _cochain_to_vector(c: CECochain, keys: Sequence[Key]) -> List[GaussianRation
 
 
 def _vector_to_cochain(g: SuperLieAlgebra, degree: int, keys: Sequence[Key], vec) -> CECochain:
-    out = CECochain(g, degree)
+    terms: Dict[Key, Fraction] = {}
     for key, v in zip(keys, vec):
         v = Fraction(v.re) if isinstance(v, GaussianRational) else Fraction(v)
         if v:
-            out.terms[key] = v
-    return out
+            terms[key] = v
+    return CECochain(g, degree)._like(terms)
 
 
 def _coboundary_matrix(g: SuperLieAlgebra, degree: int):

@@ -18,9 +18,9 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from supersymp.cech import CechCochain
-from supersymp.charts import CFunction, Chart, SuperFunction, VectorField, vf_commutator
+from supersymp.charts import CFunction, Chart, ChartMismatch, SuperFunction, VectorField, vf_commutator
 from supersymp.forms import CKForm, KForm, canonicalize_word, contract, ext_d, lie_derivative, wedge
-from supersymp.grassmann import GrassmannNumber, Linear
+from supersymp.grassmann import DimensionError, GrassmannNumber, Linear
 from supersymp.liecoh import CECochain, SuperLieAlgebra, canonical_keys
 from supersymp.prequant import Section
 from supersymp.reference import sphere_nerve
@@ -132,6 +132,94 @@ def test_equal_sums_hash_equal(kind, objects, factors, data):
     assert hash(rebuilt) == hash(a)
     assert hash(a + b) == hash(b + a)
     assert len({a, rebuilt, a + b, b + a}) == len({a, a + b})
+
+
+@pytest.mark.parametrize("kind, objects, factors", KINDS, ids=IDS)
+@PROFILE
+@given(data=st.data())
+def test_hash_is_kept_through_use(kind, objects, factors, data):
+    """The hash is computed once, so using a sum must leave it unchanged."""
+    a, b = data.draw(objects), data.draw(objects)
+    s = data.draw(factors)
+    terms, h = dict(a.terms), hash(a)
+    used = [a + b, b + a, a - b, a.scale(s), -a]
+    if hasattr(type(a), "__mul__"):
+        used += [a * b, b * a, a * a]
+    assert all(type(u) is type(a) for u in used)
+    assert a.terms == terms and hash(a) == h
+    assert hash((b + a) - b) == h
+
+
+@pytest.mark.parametrize("kind, objects, factors", KINDS, ids=IDS)
+@PROFILE
+@given(data=st.data())
+def test_equal_sums_built_by_other_routes_hash_equal(kind, objects, factors, data):
+    a, b = data.draw(objects), data.draw(objects)
+    doubled = a + a
+    hash(doubled)
+    routes = [a.scale(2), -(-a).scale(2), (a - b) + (b + a), a._map(lambda k, c: c + c)]
+    assert all(r == doubled and hash(r) == hash(doubled) for r in routes)
+
+
+@pytest.mark.parametrize("label", CHARTS)
+@PROFILE
+@given(data=st.data())
+def test_scalar_coefficients_match_their_grassmann_scalars(label, data):
+    chart = CHARTS[label]
+    exps = st.tuples(*[st.integers(0, 2)] * len(chart.even))
+    words = st.lists(st.integers(0, len(chart.odd) - 1), unique=True, max_size=2).map(lambda w: tuple(sorted(w)))
+    coefficients = data.draw(st.dictionaries(st.tuples(exps, words), scalars | rationals | st.integers(-3, 3), max_size=4))
+    direct = SuperFunction(chart, coefficients)
+    lifted = SuperFunction(chart, {k: GrassmannNumber.scalar(c, N) for k, c in coefficients.items()})
+    assert direct.terms == lifted.terms
+    assert all(c for c in direct.terms.values())
+
+
+def test_a_float_is_refused_as_a_scalar():
+    with pytest.raises(TypeError):
+        GrassmannNumber.scalar(0.5, N)
+    with pytest.raises(TypeError):
+        SuperFunction(CHARTS["2|2"], {((0, 0), ()): 0.5})
+
+
+def test_grassmann_numbers_over_different_generator_counts_do_not_mix():
+    a, b = GrassmannNumber.generator(1, 2), GrassmannNumber.generator(1, 3)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(DimensionError):
+            op()
+    assert a != b
+
+
+def test_superfunctions_on_different_charts_do_not_mix():
+    other = Chart("C", ("x", "y"), ("xi", "eta"), N)
+    f, g = CHARTS["2|2"].var("x"), other.var("x")
+    for op in (lambda: f + g, lambda: f - g, lambda: f * g):
+        with pytest.raises(ChartMismatch):
+            op()
+    assert f != g
+
+
+def test_equal_charts_that_are_distinct_objects_mix():
+    first, second = Chart("D", ("x",), ("xi",), N), Chart("D", ("x",), ("xi",), N)
+    assert first is not second
+    f, g = first.var("x") * first.var("xi"), second.var("x") * second.var("xi")
+    assert f == g and hash(f) == hash(g)
+    assert (f + g).terms == f.scale(2).terms
+    assert (f * g).is_zero() and (f - g).is_zero()
+
+
+def test_ce_cochains_over_algebras_with_other_parities_do_not_mix():
+    """Same degree and the same terms, but the parities differ: the frame
+    of a CE cochain is its degree together with the algebra's parities."""
+    even, mixed = SuperLieAlgebra((0, 0), {}), SuperLieAlgebra((0, 0, 1), {})
+    a = CECochain(even, 2, {(0, 1): (1, 0)})
+    b = CECochain(mixed, 2, {(0, 1): (1, 0)})
+    assert a.terms == b.terms
+    assert a != b and CECochain(even, 2) != CECochain(mixed, 2)
+    for op in (lambda: a + b, lambda: a - b):
+        with pytest.raises(ValueError):
+            op()
+    assert a + CECochain(SuperLieAlgebra((0, 0), {(0, 1): {0: 1}}), 2, {(0, 1): (1, 0)}) == a.scale(2)
 
 
 @pytest.mark.parametrize("label", CHARTS)

@@ -7,8 +7,10 @@ The rows are measured on the checkout that holds this script:
 
 * micro rows for the lowest layers, each the best of REPEAT timeit runs,
   in microseconds per call: L0 `GaussianRational` mul, L1 Grassmann
-  mul of two 4-term elements, L2 `SuperFunction` mul of an 8-term
-  function by itself and `partial` along an even and an odd coordinate;
+  mul and sum of two 4-term elements, L2 `SuperFunction` mul and sum of
+  an 8-term function with itself, `partial` along an even and an odd
+  coordinate, a repeated `hash` of a two-part `CFunction` and
+  `chart.constant(3)`;
 * end-to-end rows: the last-line JSON of
   `python3 bench/run.py --workload W --seed S --seconds T --trace 0`
   for every workload and seed given;
@@ -42,7 +44,7 @@ def _best_us(stmt) -> float:
 
 def micro_rows() -> list:
     sys.path.insert(0, str(ROOT / "src"))
-    from supersymp.charts import Chart
+    from supersymp.charts import CFunction, Chart
     from supersymp.grassmann import GrassmannNumber
     from supersymp.scalars import GaussianRational
 
@@ -54,12 +56,17 @@ def micro_rows() -> list:
     x, y, xi, eta = (chart.var(n) for n in chart.coords)
     f = chart.constant(2) + x.scale(3) - y + xi + eta.scale(Fraction(1, 2)) + x * y + xi * eta.scale(5) + x * xi
     assert len(f.terms) == 8
+    cf = CFunction(f, x * xi)
     rows = [
         ("L0 scalars GaussianRational mul", lambda: a * b),
         ("L1 grassmann mul of two 4-term elements", lambda: g * h),
+        ("L1 grassmann sum of two 4-term elements", lambda: g + h),
         ("L2 charts SuperFunction mul, 8-term f * f on 2|2", lambda: f * f),
+        ("L2 charts SuperFunction sum, 8-term f + f on 2|2", lambda: f + f),
         ("L2 charts partial d/dx of the 8-term f", lambda: f.partial("x")),
         ("L2 charts partial d/dxi of the 8-term f", lambda: f.partial("xi")),
+        ("L2 charts repeated hash of the CFunction f c0 + x xi c1", lambda: hash(cf)),
+        ("L2 charts chart.constant(3) on 2|2", lambda: chart.constant(3)),
     ]
     return [{"row": name, "unit": "us", "best_of": REPEAT, "value": round(_best_us(fn), 3)} for name, fn in rows]
 
