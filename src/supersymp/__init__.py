@@ -9,7 +9,7 @@ connection with its operator representation.
 """
 
 from .scalars import GaussianRational, Q
-from .grassmann import GrassmannNumber, NotInvertible, default_generator_count
+from .grassmann import DEFAULT_GENERATORS, GrassmannNumber, NotInvertible
 from .charts import CFunction, Chart, SuperFunction, VectorField, vf_apply, vf_commutator
 from .forms import (
     CKForm,
@@ -27,7 +27,7 @@ __all__ = [
     "Q",
     "GrassmannNumber",
     "NotInvertible",
-    "default_generator_count",
+    "DEFAULT_GENERATORS",
     "Chart",
     "SuperFunction",
     "CFunction",

@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, List, Mapping, Tuple
 
-from .grassmann import DimensionError, Graded, GrassmannNumber, Linear, accumulate, default_generator_count, graded_sort
+from .grassmann import DEFAULT_GENERATORS, DimensionError, Graded, GrassmannNumber, Linear, accumulate, graded_sort
 from .scalars import GaussianRational
 
 ExpKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (even exponents, odd word)
@@ -52,11 +52,9 @@ class Chart:
     name: str
     even: Tuple[str, ...]
     odd: Tuple[str, ...]
-    generators: int = None  # type: ignore[assignment]
+    generators: int = DEFAULT_GENERATORS
 
     def __post_init__(self):
-        if self.generators is None:
-            object.__setattr__(self, "generators", default_generator_count())
         object.__setattr__(self, "even", tuple(self.even))
         object.__setattr__(self, "odd", tuple(self.odd))
         names = self.even + self.odd

@@ -8,17 +8,22 @@ the bundled-example verifier.  Output is a single JSON report on stdout.
 Exit codes: 0 when the requested claims are verified, 1 when a computation
 ran but refuted a claim, 2 on errors (parse failures, bad options, input the
 engine cannot compute with).
+
+SUPERSYMP_GENERATORS (default 6) sets the number N of Grassmann generators of
+every chart; it is read here and nowhere else in the package.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .charts import CFunction, SuperFunction
 from .dsl import Document, DslError, _as_function, parse
+from .grassmann import DEFAULT_GENERATORS
 from .scalars import GaussianRational
 
 
@@ -34,8 +39,15 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_document(path: str) -> Document:
-    return parse(_read(path))
+def _generator_count() -> int:
+    raw = os.environ.get("SUPERSYMP_GENERATORS", str(DEFAULT_GENERATORS))
+    if not raw.isdecimal():
+        raise CliError(f"SUPERSYMP_GENERATORS must be an integer >= 0, got {raw!r}")
+    return int(raw)
+
+
+def _load_document(args) -> Document:
+    return parse(_read(args.file), args.generators)
 
 
 def _unique(table: dict, kind: str, name, prefer: str = "omega"):
@@ -108,7 +120,7 @@ def _superfunction(doc: Document, expr: str, chart, error: str) -> SuperFunction
 def cmd_symplectic_check(args) -> int:
     from .symplectic import is_symplectic
 
-    doc = _load_document(args.file)
+    doc = _load_document(args)
     omega = _unique(doc.forms, "form", args.name)
     points = [_parse_point(p) for p in args.point] or [{}]
     rep = is_symplectic(omega, points)
@@ -134,7 +146,7 @@ def cmd_symplectic_check(args) -> int:
 def cmd_symplectic_hamiltonian(args) -> int:
     from .symplectic import SymplecticData, hamiltonian_field
 
-    doc = _load_document(args.file)
+    doc = _load_document(args)
     omega = _unique(doc.forms, "form", args.name)
     sd = SymplecticData(omega, [_parse_point(p) for p in args.point])
     f = _cfunction(doc, args.f, omega.chart)
@@ -153,7 +165,7 @@ def cmd_symplectic_hamiltonian(args) -> int:
 def cmd_symplectic_poisson(args) -> int:
     from .symplectic import PoissonMembershipError, SymplecticData, poisson_bracket
 
-    doc = _load_document(args.file)
+    doc = _load_document(args)
     omega = _unique(doc.forms, "form", args.name)
     sd = SymplecticData(omega, [_parse_point(p) for p in args.point])
     f = _cfunction(doc, args.f, omega.chart)
@@ -202,7 +214,7 @@ def cmd_symplectic_darboux(args) -> int:
 def cmd_liecoh_h2(args) -> int:
     from .liecoh import h2
 
-    doc = _load_document(args.file)
+    doc = _load_document(args)
     g = _unique(doc.algebras, "algebra", args.name)
     rep = h2(g)
     report = {
@@ -219,7 +231,7 @@ def cmd_liecoh_h2(args) -> int:
 def cmd_liecoh_extend(args) -> int:
     from .liecoh import ce_coboundary, central_extension, jacobi_check
 
-    doc = _load_document(args.file)
+    doc = _load_document(args)
     g = _unique(doc.algebras, "algebra", args.name)
     om = _unique(doc.cocycles, "cocycle", args.cocycle)
     ext = central_extension(g, om)
@@ -242,7 +254,7 @@ def cmd_liecoh_extend(args) -> int:
 def cmd_liecoh_equiv(args) -> int:
     from .liecoh import extension_equivalent
 
-    doc = _load_document(args.file)
+    doc = _load_document(args)
     g = _unique(doc.algebras, "algebra", args.name)
     om1 = _unique(doc.cocycles, "cocycle", args.cocycle)
     om2 = _unique(doc.cocycles, "cocycle", args.cocycle2)
@@ -258,9 +270,9 @@ def cmd_liecoh_equiv(args) -> int:
 def _orbit_from_args(args):
     from .heisenberg import orbit_classify
 
-    doc = _load_document(args.file)
+    doc = _load_document(args)
     spec = _unique(doc.heisenbergs, "heisenberg pairing", args.name)
-    return orbit_classify(spec, Fraction(args.y0), Fraction(args.ybar1))
+    return orbit_classify(spec, Fraction(args.y0), Fraction(args.ybar1), generators=args.generators)
 
 
 def cmd_heisenberg_orbit(args) -> int:
@@ -386,7 +398,7 @@ def _prequant_chart(doc: Document, args):
 
 
 def cmd_prequant_eta(args) -> int:
-    doc = _load_document(args.file)
+    doc = _load_document(args)
     pq = _prequant_chart(doc, args)
     f = _cfunction(doc, args.f, pq.base.chart)
     eta = pq.eta_field(f)
@@ -402,7 +414,7 @@ def cmd_prequant_eta(args) -> int:
 def cmd_prequant_qop(args) -> int:
     from .prequant import Section, quantum_op
 
-    doc = _load_document(args.file)
+    doc = _load_document(args)
     pq = _prequant_chart(doc, args)
     chart = pq.base.chart
     f = _cfunction(doc, args.f, chart)
@@ -420,7 +432,7 @@ def cmd_prequant_qop(args) -> int:
 def cmd_prequant_repcheck(args) -> int:
     from .prequant import Section, rep_check
 
-    doc = _load_document(args.file)
+    doc = _load_document(args)
     pq = _prequant_chart(doc, args)
     chart = pq.base.chart
     f = _cfunction(doc, args.f, chart)
@@ -604,6 +616,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.generators = _generator_count()
         return args.fn(args)
     except Exception as exc:
         # any failure to compute is an error (2), never a refutation (1)

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, TypeVar
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, wedge
-from .grassmann import GrassmannNumber, accumulate, default_generator_count
+from .grassmann import DEFAULT_GENERATORS, GrassmannNumber, accumulate
 from .heisenberg import HeisenbergSpec
 from .liecoh import CECochain, SuperLieAlgebra
 from .scalars import GaussianRational
@@ -416,6 +416,7 @@ class Document:
     heisenbergs: Dict[str, HeisenbergSpec] = field(default_factory=dict)
     order: List[Tuple[str, str]] = field(default_factory=list)  # (kind, name)
     current_chart: Optional[str] = None
+    generators: int = DEFAULT_GENERATORS  # of every chart the document declares
 
     def all_names(self):
         for _, name in self.order:
@@ -438,9 +439,9 @@ def _register(parser: _Parser, kind: str, name: str, tok: Token):
     parser.doc.order.append((kind, name))
 
 
-def parse(text: str) -> Document:
-    """Parse a document; errors carry precise line/column positions."""
-    doc = Document()
+def parse(text: str, generators: int = DEFAULT_GENERATORS) -> Document:
+    """Parse a document with N = `generators`; errors carry line/column positions."""
+    doc = Document(generators=generators)
     parser = _Parser(text, doc)
     while parser.peek().kind != "eof":
         _statement(parser)
@@ -460,7 +461,7 @@ def _statement(parser: _Parser) -> None:
                 parser.next()
                 coords[parity] = tuple(tok.text for tok in parser.sequence(parser.expect_name))
         try:
-            chart = Chart(name, coords["even"], coords["odd"], default_generator_count())
+            chart = Chart(name, coords["even"], coords["odd"], doc.generators)
         except ValueError as exc:
             raise parser.error(str(exc), head) from exc
         _register(parser, "chart", name, name_tok)

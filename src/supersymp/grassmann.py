@@ -32,7 +32,6 @@ This module also holds what every graded type in the package shares:
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, Optional, Tuple
@@ -42,17 +41,6 @@ from .scalars import GaussianRational
 Index = Tuple[int, ...]
 
 DEFAULT_GENERATORS = 6
-
-
-def default_generator_count() -> int:
-    """Engine-wide default N, overridable through SUPERSYMP_GENERATORS."""
-    raw = os.environ.get("SUPERSYMP_GENERATORS")
-    if raw is None:
-        return DEFAULT_GENERATORS
-    n = int(raw)
-    if n < 0:
-        raise ValueError("SUPERSYMP_GENERATORS must be >= 0")
-    return n
 
 
 class NotInvertible(ArithmeticError):
@@ -274,22 +262,16 @@ class GrassmannNumber(Graded, Linear):
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def scalar(value, n: int | None = None) -> "GrassmannNumber":
-        if n is None:
-            n = default_generator_count()
+    def scalar(value, n: int = DEFAULT_GENERATORS) -> "GrassmannNumber":
         c = GaussianRational.coerce(value)
         return GrassmannNumber(n)._like({(): c} if c else {})
 
     @staticmethod
-    def generator(k: int, n: int | None = None) -> "GrassmannNumber":
-        if n is None:
-            n = default_generator_count()
+    def generator(k: int, n: int = DEFAULT_GENERATORS) -> "GrassmannNumber":
         return GrassmannNumber(n, {(k,): GaussianRational(1)})
 
     @staticmethod
-    def zero(n: int | None = None) -> "GrassmannNumber":
-        if n is None:
-            n = default_generator_count()
+    def zero(n: int = DEFAULT_GENERATORS) -> "GrassmannNumber":
         return GrassmannNumber(n, {})
 
     def _lift(self, x):

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import KForm, contract, ext_d
-from .grassmann import GrassmannNumber, default_generator_count, skew_sign
+from .grassmann import DEFAULT_GENERATORS, GrassmannNumber, skew_sign
 from .liecoh import CECochain, SuperLieAlgebra, momentum_cocycle as _momentum_cocycle, pullback_class as _pullback_class
 from .scalars import GaussianRational
 from .symplectic import (
@@ -61,10 +61,10 @@ class HeisenbergSpec:
 
         Left bilinearity pulls the second coordinates through the first
         basis slot: Omega(a,b) = a^T S b with S_ij = (-1)^(eps_i eps_j) Omega_ij.
+        On the zero space it is the scalar 0, which takes N from what it is added to.
         """
         if not a:
-            zero = GrassmannNumber.zero(default_generator_count())
-            return zero, zero
+            return GaussianRational(0), GaussianRational(0)
         row, column = [a], [[y] for y in b]
         return tuple(linalg.matmul(linalg.matmul(row, s), column)[0][0] for s in self._signed)
 
@@ -94,9 +94,8 @@ class GroupElement:
         )
 
 
-def group_identity(spec: HeisenbergSpec, generators: Optional[int] = None) -> GroupElement:
-    ng = generators or default_generator_count()
-    zero = GrassmannNumber.zero(ng)
+def group_identity(spec: HeisenbergSpec, generators: int = DEFAULT_GENERATORS) -> GroupElement:
+    zero = GrassmannNumber.zero(generators)
     return GroupElement(spec, [zero] * spec.dimension, zero, zero)
 
 
@@ -153,8 +152,7 @@ class OrbitPoint:
     ybar1: Fraction
 
     @staticmethod
-    def base(spec: HeisenbergSpec, y0, ybar1, x=None, xbar=None, generators: Optional[int] = None) -> "OrbitPoint":
-        ng = generators or default_generator_count()
+    def base(spec: HeisenbergSpec, y0, ybar1, x=None, xbar=None, generators: int = DEFAULT_GENERATORS) -> "OrbitPoint":
         n = spec.dimension
 
         def mk(vals, slot_parity):
@@ -163,7 +161,7 @@ class OrbitPoint:
                 v = Fraction(vals[i]) if vals else Fraction(0)
                 if v != 0 and slot_parity(i) != 0:
                     raise ValueError("real base point: odd slots must vanish")
-                out.append(GrassmannNumber.scalar(v, ng))
+                out.append(GrassmannNumber.scalar(v, generators))
             return out
 
         return OrbitPoint(
@@ -209,9 +207,9 @@ def coad_pairing(spec: HeisenbergSpec, v: int, w: int, mu: OrbitPoint) -> Fracti
     eps = spec.parities
     unit = [Fraction(1 if j == w else 0) for j in range(spec.dimension)]
     xdot, xbardot = coad_infinitesimal(spec, unit, mu)
-    sign_v = -1 if eps[v] % 2 else 1
-    raw = sign_v * xdot[v] + xbardot[v]
-    return raw if (eps[v] * eps[w]) % 2 == 0 else -raw
+    # (-1)^eps_v on the x-rate and (-1)^(eps_v eps_w) overall, each a -skew_sign
+    raw = xbardot[v] - skew_sign(eps[v], 1) * xdot[v]
+    return -skew_sign(eps[v], eps[w]) * raw
 
 
 def ambient_names(spec: HeisenbergSpec) -> List[str]:
@@ -228,12 +226,12 @@ def ambient_parities(spec: HeisenbergSpec) -> List[int]:
     return [e for e in spec.parities] + [1 - e for e in spec.parities]
 
 
-def ambient_chart(spec: HeisenbergSpec, generators: Optional[int] = None) -> Chart:
+def ambient_chart(spec: HeisenbergSpec, generators: int = DEFAULT_GENERATORS) -> Chart:
     names = ambient_names(spec)
     eps = ambient_parities(spec)
     even = tuple(n for n, e in zip(names, eps) if e == 0)
     odd = tuple(n for n, e in zip(names, eps) if e == 1)
-    return Chart("dual", even, odd, generators or default_generator_count())
+    return Chart("dual", even, odd, generators)
 
 
 def tangent_matrix(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -360,7 +358,7 @@ class Orbit:
         return _pullback_class(self.algebra(), x, xbar)
 
 
-def orbit_classify(spec: HeisenbergSpec, y0, ybar1, base: Optional[OrbitPoint] = None, generators: Optional[int] = None) -> Orbit:
+def orbit_classify(spec: HeisenbergSpec, y0, ybar1, base: Optional[OrbitPoint] = None, generators: int = DEFAULT_GENERATORS) -> Orbit:
     """Orbit trichotomy and chart selection through a real base point."""
     y0 = Fraction(y0)
     ybar1 = Fraction(ybar1)
@@ -389,7 +387,7 @@ def orbit_classify(spec: HeisenbergSpec, y0, ybar1, base: Optional[OrbitPoint] =
     selected = [moving[c] for c in pivots]
     even = tuple(names[s] for s in selected if eps_amb[s] == 0)
     odd = tuple(names[s] for s in selected if eps_amb[s] == 1)
-    chart = Chart(f"orbit_{case}", even, odd, generators or default_generator_count())
+    chart = Chart(f"orbit_{case}", even, odd, generators)
 
     invariants = []
     restrictions: Dict[int, List[Tuple[str, Fraction]]] = {}

@@ -91,7 +91,7 @@ def jacobi_check(g: SuperLieAlgebra) -> Tuple[bool, Optional[Tuple[int, int, int
             for k in range(n):
                 acc: Dict[int, Fraction] = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    sign = 1 if (eps[a] * eps[c]) % 2 == 0 else -1
+                    sign = skew_sign(eps[a], eps[c])  # (-1)^(eps_a eps_c) up to one overall sign
                     for m, val in g.bracket({a: Fraction(1)}, g.bracket_basis(b, c)).items():
                         accumulate(acc, m, sign * val)
                 if acc:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, contract, ext_d, lie_derivative, lift_form, lift_function
-from .grassmann import Linear
+from .grassmann import Linear, skew_sign
 from .scalars import GaussianRational
 from .symplectic import SymplecticData, require_hamiltonian_field
 
@@ -130,11 +130,9 @@ def rep_check(
     from .symplectic import poisson_bracket
 
     bracket = poisson_bracket(f, g, chart.base, ansatz_degree)
-    pf = f.parity() if not f.is_zero() else 0
-    pg = g.parity() if not g.is_zero() else 0
-    sign = -1 if (pf * pg) % 2 else 1
+    sign = skew_sign(f.parity(), g.parity())
     for s in sections:
-        lhs = quantum_op(f, quantum_op(g, s, chart), chart) - quantum_op(
+        lhs = quantum_op(f, quantum_op(g, s, chart), chart) + quantum_op(
             g, quantum_op(f, s, chart), chart
         ).scale(sign)
         rhs = quantum_op(bracket, s, chart).scale(MINUS_I)

@@ -17,6 +17,7 @@ from itertools import combinations
 from .cech import CechCochain, NerveComplex, build_nerve
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import KForm, ext_d, wedge
+from .grassmann import DEFAULT_GENERATORS
 from .heisenberg import HeisenbergSpec
 from .prequant import PrequantChart
 from .symplectic import SymplecticData
@@ -51,7 +52,7 @@ class MixedCounterexample:
     diXY_display: KForm
 
 
-def mixed_counterexample(generators: int | None = None) -> MixedCounterexample:
+def mixed_counterexample(generators: int = DEFAULT_GENERATORS) -> MixedCounterexample:
     chart = Chart("M22", ("x", "y"), ("xi", "eta"), generators)
     omega = (
         wedge(d(chart, "x"), d(chart, "y"))
@@ -81,7 +82,7 @@ class MixedChart21:
     theta: KForm  # potential with d(theta) = omega
 
 
-def mixed_chart_21(generators: int | None = None) -> MixedChart21:
+def mixed_chart_21(generators: int = DEFAULT_GENERATORS) -> MixedChart21:
     chart = Chart("M21", ("x", "y"), ("xi",), generators)
     omega = wedge(d(chart, "x"), d(chart, "y")) + wedge(d(chart, "x"), d(chart, "xi"))
     x = chart.var("x")
@@ -126,7 +127,7 @@ def prequant_at_origin(data: MixedChart21) -> PrequantChart:
 # ----------------------------------------------------------------------
 
 
-def even_chart_20(generators: int | None = None) -> MixedChart21:
+def even_chart_20(generators: int = DEFAULT_GENERATORS) -> MixedChart21:
     chart = Chart("M20", ("x", "y"), (), generators)
     omega = wedge(d(chart, "x"), d(chart, "y"))
     theta = d(chart, "y").left_multiply(chart.var("x"))

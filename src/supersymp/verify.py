@@ -36,7 +36,7 @@ from .cech import (
 )
 from .charts import CFunction, Chart, vf_commutator
 from .forms import KForm, contract, ext_d, lie_derivative, lift_function, wedge
-from .grassmann import GrassmannNumber
+from .grassmann import GrassmannNumber, skew_sign
 from .heisenberg import (
     GroupElement,
     OrbitPoint,
@@ -260,18 +260,19 @@ def _c_21_family():
 def _c_21_jacobi():
     data = mixed_chart_21()
     sd = SymplecticData(data.omega, [ORIGIN])
-    f = poisson_member_21(data, [0, 1], [], [2])  # even
-    g = poisson_member_21(data, [2], [], [0, 1])  # even
-    h = poisson_member_21(data, [], [1, 3], [])  # odd
+    f = poisson_member_21(data, [], [], [1])  # even
+    g = poisson_member_21(data, [], [], [0, 1])  # even
+    h = poisson_member_21(data, [], [2, 0, 1], [])  # odd
     pf, pg, ph = 0, 0, 1
 
     def pb(u, v):
         return poisson_bracket(u, v, sd)
 
+    # (-1)^(|a||c|) per term, up to one overall sign; no term vanishes, so each sign counts
     jac = (
-        pb(f, pb(g, h)).scale(-1 if (pf * ph) % 2 else 1)
-        + pb(g, pb(h, f)).scale(-1 if (pg * pf) % 2 else 1)
-        + pb(h, pb(f, g)).scale(-1 if (ph * pg) % 2 else 1)
+        pb(f, pb(g, h)).scale(skew_sign(pf, ph))
+        + pb(g, pb(h, f)).scale(skew_sign(pg, pf))
+        + pb(h, pb(f, g)).scale(skew_sign(ph, pg))
     )
     return jac.is_zero(), "0", jac
 

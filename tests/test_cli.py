@@ -71,6 +71,28 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, error_start):
     assert error and error.startswith(error_start)
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-paper", "all"),
+        ("cech", "periods", FIXTURES / "sphere.cov"),
+        ("symplectic", "check", FIXTURES / "mixed21.ssp", "--point", "x=0,y=0"),
+        ("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]]", "--parities", "0,0", "--even"),
+        ("heisenberg", "orbit", FIXTURES / "heis33.ssp"),
+    ],
+    ids=["verify_all", "cech_periods", "symplectic_check", "darboux", "heisenberg_orbit"],
+)
+def test_malformed_generator_count_exits_2(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("SUPERSYMP_GENERATORS", value)
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {"error": f"SUPERSYMP_GENERATORS must be an integer >= 0, got {value!r}"}
+
+
 def test_hamiltonian_member_and_nonmember(capsys):
     code, rep = run(
         capsys, "symplectic", "hamiltonian", FIXTURES / "mixed21.ssp", "--f", "x*c0", "--point", "x=0,y=0"

@@ -1,21 +1,30 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from supersymp.charts import CFunction, Chart
+from supersymp.cli import main
+from supersymp.dsl import parse
 from supersymp.forms import contract, ext_d, wedge
 from supersymp.reference import d
 from supersymp.symplectic import SymplecticData, hamiltonian_field, is_symplectic
 
 
-def test_generator_count_env_override(monkeypatch):
-    monkeypatch.setenv("SUPERSYMP_GENERATORS", "3")
-    from supersymp.dsl import parse
-
-    doc = parse("chart M even x;")
+def test_generator_count_env_override(monkeypatch, capsys, tmp_path):
+    """N reaches the charts through parse(generators=...), and from
+    SUPERSYMP_GENERATORS only through the CLI."""
+    doc = parse("chart M even x;", generators=3)
     assert doc.charts["M"].generators == 3
     with pytest.raises(Exception):
         doc.evaluate("th4")  # out of range for N = 3
+
+    monkeypatch.setenv("SUPERSYMP_GENERATORS", "3")
+    source = tmp_path / "m.ssp"
+    source.write_text("chart M even x,y; form omega = dx^dy;")
+    assert main(["symplectic", "hamiltonian", str(source), "--f", "th4*c0"]) == 2
+    assert "th4 is out of range (N = 3)" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_variable_rank_form_membership_is_inconclusive():

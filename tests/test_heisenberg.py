@@ -113,6 +113,24 @@ def test_pairing_on_the_zero_space_is_zero():
     assert HeisenbergSpec([], [], []).pairing_c([], []) == (zero, zero)
 
 
+def test_group_law_on_the_zero_space_keeps_the_generator_count():
+    spec = HeisenbergSpec([], [], [])
+    g = GroupElement(spec, [], GrassmannNumber.scalar(2, 3), GrassmannNumber.generator(1, 3))
+    gg = group_mul(g, g)
+    assert gg.b0 == GrassmannNumber.scalar(4, 3)
+    assert gg.b1 == GrassmannNumber.generator(1, 3).scale(2)
+
+
+def test_explicit_zero_generators_reach_the_result():
+    spec = heisenberg_33()
+    assert group_identity(spec, 0).b0.n == 0
+    assert all(c.n == 0 for c in OrbitPoint.base(spec, 1, 0, generators=0).x)
+    assert ambient_chart(spec, 0).generators == 0
+    orbit = orbit_classify(spec, 1, 0, generators=0)
+    assert orbit.chart.generators == 0
+    assert orbit.base.x[0].n == 0
+
+
 # ----------------------------------------------------------------------
 # the algebra
 # ----------------------------------------------------------------------

@@ -6,7 +6,10 @@
 The rows are measured on the checkout that holds this script:
 
 * micro rows for the lowest layers, each the best of REPEAT timeit runs,
-  in microseconds per call: L0 `GaussianRational` mul, L1 Grassmann
+  in microseconds per call, raw (`raw_us`) and scaled to reference
+  microseconds (`value`) by `bench/calib.py`'s loop timed before and
+  after every run, so that rows taken while the machine ran at another
+  speed compare: L0 `GaussianRational` mul, L1 Grassmann
   mul and sum of two 4-term elements, L2 `SuperFunction` mul and sum of
   an 8-term function with itself, `partial` along an even and an odd
   coordinate, a repeated `hash` of a two-part `CFunction` and
@@ -33,17 +36,27 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+import calib  # noqa: E402
+
 REPEAT = 7
 
 
-def _best_us(stmt) -> float:
+def _best_us(stmt) -> tuple:
+    """(raw, reference) microseconds per call, each the best of REPEAT runs."""
     timer = timeit.Timer(stmt)
     number, _ = timer.autorange()
-    return min(timer.repeat(repeat=REPEAT, number=number)) / number * 1e6
+    clock = calib.Clock()
+    for _ in range(REPEAT):
+        clock.sample()
+        clock.record(timer.timeit(number) / number * 1e6)
+    clock.sample()
+    return min(clock.raw), min(clock.calibrated())
 
 
 def micro_rows() -> list:
     sys.path.insert(0, str(ROOT / "src"))
+    calib.warm()
     from supersymp.charts import CFunction, Chart
     from supersymp.grassmann import GrassmannNumber
     from supersymp.scalars import GaussianRational
@@ -68,7 +81,11 @@ def micro_rows() -> list:
         ("L2 charts repeated hash of the CFunction f c0 + x xi c1", lambda: hash(cf)),
         ("L2 charts chart.constant(3) on 2|2", lambda: chart.constant(3)),
     ]
-    return [{"row": name, "unit": "us", "best_of": REPEAT, "value": round(_best_us(fn), 3)} for name, fn in rows]
+    out = []
+    for name, fn in rows:
+        raw, reference = _best_us(fn)
+        out.append({"row": name, "unit": "reference us", "best_of": REPEAT, "value": round(reference, 3), "raw_us": round(raw, 3)})
+    return out
 
 
 def end_to_end_rows(workloads, seeds, seconds: float) -> list:
