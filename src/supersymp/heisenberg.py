@@ -334,7 +334,7 @@ class Orbit:
         n = spec.dimension
         chart = self.chart
         if m < n:
-            sign = -1 if spec.parities[m] % 2 else 1
+            sign = -skew_sign(spec.parities[m], 1)
             f0 = self.ambient_coordinate_function(m).scale(sign)
             f1 = self.ambient_coordinate_function(n + m)
             return CFunction(f0, f1)
@@ -359,10 +359,17 @@ class Orbit:
 
 
 def orbit_classify(spec: HeisenbergSpec, y0, ybar1, base: Optional[OrbitPoint] = None, generators: int = DEFAULT_GENERATORS) -> Orbit:
-    """Orbit trichotomy and chart selection through a real base point."""
+    """Orbit trichotomy and chart selection through a real base point.
+
+    The chart has the Grassmann generator count of `base` when one is
+    given, else `generators`, which also builds the default base point.
+    """
     y0 = Fraction(y0)
     ybar1 = Fraction(ybar1)
-    base = base or OrbitPoint.base(spec, y0, ybar1, generators=generators)
+    if base is None:
+        base = OrbitPoint.base(spec, y0, ybar1, generators=generators)
+    elif base.x:
+        generators = base.x[0].n
     n = spec.dimension
     names = ambient_names(spec)
     eps_amb = ambient_parities(spec)

@@ -1,6 +1,9 @@
 """Exact linear algebra: the one module that handles a matrix.
 
-Matrices enter and leave as plain lists of lists.
+Matrices enter and leave as plain lists of lists, except in
+`solve_sparse`, which takes the rows of a system as dicts column ->
+nonzero entry, in any order, so a caller that already holds its system
+sparse never builds the dense matrix.
 
 * `transpose` and `matmul` for any scalar type that adds and multiplies
   (Q(i), Fraction, int, Grassmann numbers); `matmul` walks only the
@@ -9,24 +12,25 @@ Matrices enter and leave as plain lists of lists.
   symmetry W[j][i] = -(-1)^(|i||j|) W[i][j] under given parities, and
   `parity_violation`, the first nonzero entry off the block pattern of a
   homogeneous matrix;
-* sparse Gauss-Jordan elimination over Q(i): `rref`, and on top of it
-  `rank`, `solve`, `nullspace`, `inverse` and `independent`, the first
-  vectors of a list that are linearly independent, read off one
-  elimination;
+* sparse Gauss-Jordan elimination over Q(i): `rref`, `solve_sparse`
+  and, on top of them, `rank`, `solve`, `nullspace`, `inverse` and
+  `independent`, the first vectors of a list that are linearly
+  independent, read off one elimination;
 * sparse Smith normal form over Z, `smith_normal_form` and
   `invariant_factors`, for the integer chain complexes of the finite
   cover machinery.
 
-Every elimination passes through one of two sparse kernels, `rref` or
-`smith_normal_form`.  Both keep each row as a dict column -> nonzero entry
-and index each column by the rows that are nonzero there, so an
-elimination step touches only the rows that hold the pivot column and
-only the nonzeros of the pivot row.
+Every elimination passes through one of two sparse kernels: `_reduce`,
+under `rref` and `solve_sparse`, or `smith_normal_form`.  Both keep each
+row as a dict column -> nonzero entry and index each column by the rows
+that are nonzero there, so an elimination step touches only the rows that
+hold the pivot column and only the nonzeros of the pivot row.
 
-`rref` takes pivot columns left to right; within a pivot column the
+`_reduce` takes pivot columns left to right; within a pivot column the
 shortest candidate row is the pivot, the Markowitz rule of sparse direct
 methods, which keeps fill-in low.  The reduced row echelon form is
-unique, so the choice of pivot row changes no entry of the result.
+unique, so neither the choice of pivot row nor the order of the rows
+changes any entry of the result.
 
 `smith_normal_form` (after Dumas, Saunders and Villard, J. Symbolic
 Comput. 32 (2001)) takes as pivot the entry of least absolute value, ties
@@ -48,6 +52,7 @@ from .scalars import ONE, ZERO, GaussianRational
 
 Matrix = List[List[GaussianRational]]
 Vector = List[GaussianRational]
+SparseRow = Dict[int, GaussianRational]
 
 
 def transpose(rows: Sequence[Sequence]) -> List[list]:
@@ -108,19 +113,23 @@ def matmul(left: Sequence[Sequence], right: Sequence[Sequence]) -> List[list]:
     return out
 
 
-def rref(rows: Sequence[Sequence[GaussianRational]]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    # the shared ZERO that fills a sparse system is skipped without a test
-    sparse = [{j: GaussianRational.coerce(x) for j, x in enumerate(row) if x is not ZERO and x} for row in rows]
+def _sparse(row: Sequence[GaussianRational]) -> SparseRow:
+    # the shared ZERO that fills a dense system is skipped without a test
+    return {j: GaussianRational.coerce(x) for j, x in enumerate(row) if x is not ZERO and x}
+
+
+def _reduce(sparse: List[SparseRow], ncols: int) -> Tuple[List[SparseRow], List[int]]:
+    """The elimination kernel: the reduced rows, one per pivot in pivot
+    order, and the pivot columns.  `sparse` holds no zero entry and is
+    reduced in place."""
+    nrows = len(sparse)
     holders: List[Set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(sparse):
         for j in row:
             holders[j].add(i)
     unused = set(range(nrows))
     pivots: List[int] = []
-    reduced: List[Dict[int, GaussianRational]] = []
+    reduced: List[SparseRow] = []
     for c in range(ncols):
         candidates = holders[c] & unused
         if not candidates:
@@ -151,6 +160,14 @@ def rref(rows: Sequence[Sequence[GaussianRational]]) -> Tuple[Matrix, List[int]]
         reduced.append(prow)
         if len(pivots) == nrows:
             break
+    return reduced, pivots
+
+
+def rref(rows: Sequence[Sequence[GaussianRational]]) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    reduced, pivots = _reduce([_sparse(row) for row in rows], ncols)
     out = [_dense(row, ncols, ZERO) for row in reduced]
     out.extend([ZERO] * ncols for _ in range(nrows - len(reduced)))
     return out, pivots
@@ -162,24 +179,30 @@ def rank(rows: Sequence[Sequence[GaussianRational]]) -> int:
     return len(rref(rows)[1])
 
 
-def solve(rows: Sequence[Sequence[GaussianRational]], rhs: Sequence[GaussianRational]) -> Tuple[Optional[Vector], int]:
+def solve_sparse(rows: Sequence[SparseRow], ncols: int) -> Tuple[Optional[Vector], int]:
     """One solution of A x = b, or None when the system is inconsistent,
-    together with the rank of A.
+    together with the rank of A, from the rows of [A | b] as dicts
+    column -> nonzero entry, b in column `ncols`.
 
-    Free variables are set to zero.  A consistent system has a unique
-    solution exactly when the rank equals the number of columns.
+    The rows may come in any order, and the caller's dicts are left as
+    they are.  Free variables are set to zero, so the solution is the
+    same for every row order.  A consistent system has a unique solution
+    exactly when the rank equals `ncols`.
     """
-    nrows = len(rows)
-    if nrows == 0:
-        return [], 0
-    ncols = len(rows[0])
-    m, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(rows)])
-    if ncols in pivots:
+    reduced, pivots = _reduce([dict(row) for row in rows], ncols + 1)
+    if pivots and pivots[-1] == ncols:
         return None, len(pivots) - 1
     x = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][ncols]
+    for row, c in zip(reduced, pivots):
+        x[c] = row.get(ncols, ZERO)
     return x, len(pivots)
+
+
+def solve(rows: Sequence[Sequence[GaussianRational]], rhs: Sequence[GaussianRational]) -> Tuple[Optional[Vector], int]:
+    """`solve_sparse` of the dense matrix A and right-hand side b."""
+    if not rows:
+        return [], 0
+    return solve_sparse([_sparse(list(row) + [y]) for row, y in zip(rows, rhs)], len(rows[0]))
 
 
 def nullspace(rows: Sequence[Sequence[GaussianRational]]) -> List[Vector]:

@@ -15,7 +15,11 @@ and W[j][i] = g, and dz_i^dz_i * g is W[i][i] = 2g.  The sign is
 
 Each `SymplecticData` owns the solver's state: the contraction column of
 every ansatz basis field and the Hamiltonian field of every function
-already solved are cached on it, and live and die with it.
+already solved are cached on it, and live and die with it.  A column is a
+sparse dict keyed by `RowKey`, so the coefficient system of a solve is
+gathered row by row from the cached columns and `_ckform_rows(df)` and
+handed to `linalg.solve_sparse` as it is: no dense matrix is built and no
+row key is sorted.
 """
 
 from __future__ import annotations
@@ -148,7 +152,9 @@ class SymplecticData:
 
     `hamiltonian_field` fills two caches on the instance: the contraction
     column of each ansatz basis field, keyed by (coordinate, monomial,
-    Grassmann index set), and the result for each function it has solved.
+    Grassmann index set) and held as a sparse dict RowKey -> nonzero
+    entry, from which every later system takes its rows; and the result
+    for each function it has solved.
     """
 
     def __init__(self, omega: KForm, points: Sequence[Mapping[str, object]] = ()):
@@ -283,11 +289,17 @@ def _solve_hamiltonian(f: CFunction, data: SymplecticData, ansatz_degree: Option
                 unknowns.append(unknown)
                 columns.append(column)
 
-    row_keys = sorted(set(rhs_rows) | {k for col in columns for k in col})
-    a = [[col.get(key, ZERO) for col in columns] for key in row_keys]
-    b = [rhs_rows.get(key, ZERO) for key in row_keys]
-
-    solution, rank = linalg.solve(a, b)
+    # the rows of [A | b], gathered from its sparse columns with b last
+    rows: Dict[RowKey, linalg.SparseRow] = {}
+    for j, column in enumerate(columns + [rhs_rows]):
+        for key, value in column.items():
+            row = rows.get(key)
+            if row is None:
+                rows[key] = {j: value}
+            else:
+                row[j] = value
+    ncols = len(columns)
+    solution, rank = linalg.solve_sparse(list(rows.values()), ncols)
     if solution is None:
         if constant:
             return HamiltonianResult("not_member", None, True, "coefficient system inconsistent (degree-independent)")
@@ -301,7 +313,7 @@ def _solve_hamiltonian(f: CFunction, data: SymplecticData, ansatz_degree: Option
     # the defining equation is rechecked exactly
     if contract(x, data.doubled) != df:
         raise AssertionError("internal error: solved field fails its defining equation")
-    return HamiltonianResult("member", x, rank == len(columns), "")
+    return HamiltonianResult("member", x, rank == ncols, "")
 
 
 def require_hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optional[int] = None) -> VectorField:

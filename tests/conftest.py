@@ -20,17 +20,18 @@ def rng():
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Counts `linalg.solve` calls: one entry, the row count, per system."""
+    """Counts the linear systems solved over Q(i): one entry, the row
+    count, per `linalg.solve_sparse` call, which every solve goes through."""
     from supersymp import linalg
 
     calls = []
-    solve = linalg.solve
+    solve_sparse = linalg.solve_sparse
 
-    def counting(a, b):
-        calls.append(len(b))
-        return solve(a, b)
+    def counting(rows, ncols):
+        calls.append(len(rows))
+        return solve_sparse(rows, ncols)
 
-    monkeypatch.setattr(linalg, "solve", counting)
+    monkeypatch.setattr(linalg, "solve_sparse", counting)
     return calls
 
 

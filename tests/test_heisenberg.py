@@ -131,6 +131,15 @@ def test_explicit_zero_generators_reach_the_result():
     assert orbit.base.x[0].n == 0
 
 
+def test_orbit_chart_takes_the_generator_count_of_a_given_base_point():
+    spec = heisenberg_33()
+    mu = OrbitPoint.base(spec, 1, 0, x=[3, 4, 0, 0, 0, 0], generators=3)
+    orbit = orbit_classify(spec, 1, 0, base=mu)
+    assert orbit.base is mu
+    assert orbit.chart.generators == 3
+    assert orbit.symplectic_data().chart.generators == 3
+
+
 # ----------------------------------------------------------------------
 # the algebra
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """linalg against sympy on seeded random matrices: rank, kernel and solve
-over Q(i), including rank-deficient matrices, the exact reduced row
+over Q(i), dense and as sparse rows in any order, including
+rank-deficient and inconsistent systems, the exact reduced row
 echelon form of sparse tall matrices and degenerate shapes, products,
 transposes and the choice of independent vectors, and the invariant
 factors of the integer Smith normal form."""
@@ -200,6 +201,44 @@ def test_solve_sets_free_variables_to_zero_like_sympy():
         assert [_sympy(v) for v in x] == want
         underdetermined += rank < n
     assert underdetermined >= 30
+
+
+def test_solve_sparse_matches_dense_solve_in_any_row_order():
+    """The rows of [A | b] as dicts, shuffled and each with its entries in
+    shuffled order, give `solve`'s solution, rank and inconsistency on the
+    dense A and b, and the caller's dicts are left as they were."""
+    rng = random.Random(29)
+    deficient = inconsistent = 0
+    for _ in range(100):
+        if rng.random() < 0.5:
+            a = _random_matrix(rng)
+        else:
+            a = _sparse_matrix(rng, rng.randint(1, 8), rng.randint(1, 6), rng.choice((0.2, 0.4)))
+        m, n = len(a), len(a[0])
+        if rng.random() < 0.5:
+            x0 = [_entry(rng) for _ in range(n)]
+            b = [_dot(row, x0) for row in a]
+        else:
+            b = [_entry(rng) if rng.random() < 0.6 else GaussianRational(0) for _ in range(m)]
+        rows = []
+        for row, y in zip(a, b):
+            entries = [(j, v) for j, v in enumerate(row + [y]) if v]
+            rng.shuffle(entries)
+            rows.append(dict(entries))
+        rng.shuffle(rows)
+        kept = [dict(row) for row in rows]
+        x, rank = linalg.solve_sparse(rows, n)
+        assert (x, rank) == linalg.solve(a, b)
+        assert rows == kept
+        ref = _sympy_matrix(a)
+        r = ref.rank()
+        consistent = ref.row_join(_sympy_matrix([[v] for v in b])).rank() == r
+        assert rank == r and (x is not None) == consistent
+        if x is not None:
+            assert [_dot(row, x) for row in a] == b
+        deficient += r < min(m, n)
+        inconsistent += not consistent
+    assert deficient >= 20 and inconsistent >= 20
 
 
 def test_sparse_integer_matmul_against_sympy():

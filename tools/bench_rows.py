@@ -14,6 +14,11 @@ The rows are measured on the checkout that holds this script:
   an 8-term function with itself, `partial` along an even and an odd
   coordinate, a repeated `hash` of a two-part `CFunction` and
   `chart.constant(3)`;
+* L5 scaling rows, in the same units: `hamiltonian_field` of y c0 on the
+  variable-rank 2|2 form x dx^dy + dx^dxi + dy^deta at ansatz degree 2
+  to 5, and of one member of the 2|1 constant form dx^dy + dx^dxi, each
+  call on a `SymplecticData` built afresh inside the timed call (so no
+  cached column or field is reused, and the build is part of the row);
 * end-to-end rows: the last-line JSON of
   `python3 bench/run.py --workload W --seed S --seconds T --trace 0`
   for every workload and seed given;
@@ -81,11 +86,38 @@ def micro_rows() -> list:
         ("L2 charts repeated hash of the CFunction f c0 + x xi c1", lambda: hash(cf)),
         ("L2 charts chart.constant(3) on 2|2", lambda: chart.constant(3)),
     ]
+    rows += l5_rows()
     out = []
     for name, fn in rows:
         raw, reference = _best_us(fn)
         out.append({"row": name, "unit": "reference us", "best_of": REPEAT, "value": round(reference, 3), "raw_us": round(raw, 3)})
     return out
+
+
+def l5_rows() -> list:
+    from supersymp.charts import CFunction, Chart
+    from supersymp.forms import wedge
+    from supersymp.reference import d, mixed_chart_21, poisson_member_21
+    from supersymp.symplectic import SymplecticData, hamiltonian_field
+
+    chart = Chart("V", ("x", "y"), ("xi", "eta"), 6)
+    omega = (
+        wedge(d(chart, "x"), d(chart, "y")).right_multiply(chart.var("x"))
+        + wedge(d(chart, "x"), d(chart, "xi"))
+        + wedge(d(chart, "y"), d(chart, "eta"))
+    )
+    y_c0 = CFunction(chart.var("y"), chart.zero())
+    data21 = mixed_chart_21(6)
+    member = poisson_member_21(data21, [1, 2, 3], [0, -1, 2], [1, 1])
+    assert hamiltonian_field(member, SymplecticData(data21.omega)).status == "member"
+    rows = [
+        (f"L5 symplectic hamiltonian_field of y c0 on the variable-rank 2|2 form, ansatz degree {k}, fresh SymplecticData",
+         lambda k=k: hamiltonian_field(y_c0, SymplecticData(omega), k))
+        for k in (2, 3, 4, 5)
+    ]
+    rows.append(("L5 symplectic hamiltonian_field of a 2|1 constant-form member, fresh SymplecticData",
+                 lambda: hamiltonian_field(member, SymplecticData(data21.omega))))
+    return rows
 
 
 def end_to_end_rows(workloads, seeds, seconds: float) -> list:
