@@ -29,6 +29,11 @@ class NerveError(ValueError):
     pass
 
 
+def _faces(s: Simplex) -> Iterable[Tuple[int, Simplex]]:
+    """(sign, face) of a simplex's boundary: (-1)^j for the face without vertex j."""
+    return (((-1) ** j, s[:j] + s[j + 1:]) for j in range(len(s)))
+
+
 class NerveComplex:
     """Abstract nerve: sorted simplices per dimension, integer boundaries."""
 
@@ -65,8 +70,8 @@ class NerveComplex:
             cols = self.simplices[k]
             out = [[0] * len(cols) for _ in rows]
             for c, s in enumerate(cols):
-                for j in range(len(s)):
-                    out[self.index[k - 1][s[:j] + s[j + 1:]]][c] += (-1) ** j
+                for sign, face in _faces(s):
+                    out[self.index[k - 1][face]][c] += sign
             self._boundary[k] = out
         return self._boundary[k]
 
@@ -147,9 +152,8 @@ def coboundary(h: CechCochain) -> CechCochain:
     terms: Dict[Simplex, Fraction] = {}
     for s in nerve.simplices[k + 1]:
         total = Fraction(0)
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1:]
-            total += (-1) ** j * h(*face)
+        for sign, face in _faces(s):
+            total += sign * h(*face)
         if total != 0:
             terms[s] = total
     return CechCochain(nerve, k + 1)._like(terms)

@@ -9,9 +9,10 @@ with one Gaussian-rational scalar c per key (a, w, I): an even exponent
 vector a, a strictly sorted odd word w and a Grassmann index set I.  Odd
 coordinates anticommute among themselves and with the generators th_k,
 which is where every sign in this module comes from.  The term (a, w, I)
-has parity |w| + |I|, so `involution` (f0 + f1 -> f0 - f1) makes it
-(-1)^(|w|+|I|) c.  The product moves th_I2 past xi_w1 at the cost of
-(-1)^(|w1| |I2|); the commutator moves the odd part of X past Y.
+has parity |w| + |I|, the one value the `Graded` protocol needs; so
+`involution` (f0 + f1 -> f0 - f1) makes it (-1)^(|w|+|I|) c.  The product
+moves th_I2 past xi_w1 at the cost of (-1)^(|w1| |I2|) =
+-skew_sign(|w1|, |I2|); the commutator moves the odd part of X past Y.
 
 Derivatives are left derivatives: d/dxi strikes xi after moving it to the
 left through the earlier odd letters and th_I, so the term c th_I x^a xi_w
@@ -25,16 +26,11 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, List, Mapping, Tuple
 
-from .grassmann import DEFAULT_GENERATORS, DimensionError, Graded, GrassmannNumber, Linear, accumulate, graded_sort
+from .grassmann import DEFAULT_GENERATORS, DimensionError, Graded, GrassmannNumber, Linear, accumulate, graded_sort, skew_sign
 from .scalars import GaussianRational
 
 ExpKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (even exponents, odd word)
 TermKey = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]  # (even exponents, odd word, Grassmann index set)
-
-
-def _term_parity(key: TermKey) -> int:
-    """Parity of the term th_I x^a xi_w: |w| + |I| mod 2."""
-    return (len(key[1]) + len(key[2])) % 2
 
 
 class ChartMismatch(ValueError):
@@ -162,15 +158,10 @@ class SuperFunction(Graded, Linear):
     def total_degree(self) -> int:
         return max((sum(e) + len(w) for (e, w, _) in self.terms), default=0)
 
-    # -- parity ------------------------------------------------------------
-
-    def parity_part(self, parity: int) -> "SuperFunction":
-        """Terms of total parity |w| + |I|."""
-        return self._like({k: c for k, c in self.terms.items() if _term_parity(k) == parity})
-
-    def involution(self) -> "SuperFunction":
-        """f0 + f1 -> f0 - f1: the term (a, w, I) c becomes (-1)^(|w|+|I|) c."""
-        return self._like({k: -c if _term_parity(k) else c for k, c in self.terms.items()})
+    @staticmethod
+    def _key_parity(key: TermKey) -> int:
+        """The term th_I x^a xi_w has parity |w| + |I|."""
+        return (len(key[1]) + len(key[2])) % 2
 
     # -- ring operations ------------------------------------------------------
 
@@ -186,7 +177,7 @@ class SuperFunction(Graded, Linear):
                 if i2:
                     # th_I2 moved left through the odd word w1 and sorted into th_I1
                     isign, idx = graded_sort(i1 + i2)
-                    sign *= isign * (-1) ** (len(w1) * len(i2))
+                    sign *= isign * -skew_sign(len(w1), len(i2))
                 if sign:
                     c = c1 * c2
                     accumulate(out, (tuple(map(add, e1, e2)), w, idx), c if sign > 0 else -c)
@@ -310,9 +301,10 @@ class CFunction(Graded, Linear):
     def is_constant(self) -> bool:
         return self.f0.is_constant() and self.f1.is_constant()
 
-    def parity_part(self, parity: int) -> "CFunction":
-        """Homogeneous part of the C-valued function, c-basis parities included."""
-        return CFunction(self.f0.parity_part(parity), self.f1.parity_part((parity + 1) % 2))
+    @staticmethod
+    def _key_parity(alpha: int) -> int:
+        """f^alpha c_alpha: the basis vector c_alpha has parity alpha."""
+        return alpha
 
     def __str__(self):
         return f"({self.f0})*c0 + ({self.f1})*c1"
@@ -347,14 +339,9 @@ class VectorField(Graded, Linear):
     def component(self, name: str) -> SuperFunction:
         return self.terms.get(name) or self.chart.zero()
 
-    # parity of the operator: component for z has parity eps(X) + eps(z)
-
-    def parity_part(self, parity: int) -> "VectorField":
-        return self._map(lambda name, sf: sf.parity_part((parity + self.chart.parity(name)) % 2))
-
-    def involution(self) -> "VectorField":
-        """X0 + X1 -> X0 - X1: the component X^z becomes (-1)^|z| X^z.involution()."""
-        return self._like({z: -sf.involution() if self.chart.parity(z) else sf.involution() for z, sf in self.terms.items()})
+    def _key_parity(self, name: str) -> int:
+        """X^z d/dz has parity eps(X^z) + eps(z)."""
+        return self.chart.parity(name)
 
     def left_multiply(self, f: SuperFunction) -> "VectorField":
         return self._map(lambda name, sf: f * sf)

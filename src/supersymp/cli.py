@@ -82,16 +82,33 @@ def _emit(report: dict, ok: bool) -> int:
     return 0 if ok else 1
 
 
+def _rational(text: str, where: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"{where}: {text!r} is not a rational number") from None
+
+
 def _parse_point(text: str) -> dict:
     point = {}
     if not text:
         return point
     for chunk in text.split(","):
-        name, _, value = chunk.partition("=")
-        if not _:
-            raise CliError(f"bad point component {chunk!r}; use name=value")
-        point[name.strip()] = Fraction(value.strip())
+        name, eq, value = chunk.partition("=")
+        if not eq:
+            raise CliError(f"--point component {chunk!r}: use name=value")
+        point[name.strip()] = _rational(value.strip(), f"--point component {chunk!r}")
     return point
+
+
+def _parse_matrix(text: str) -> list:
+    try:
+        rows = json.loads(text)
+    except ValueError as exc:
+        raise CliError(f"--matrix: not JSON ({exc})") from None
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise CliError("--matrix: not a JSON list of rows")
+    return [[_rational(str(v), "--matrix entry") for v in row] for row in rows]
 
 
 def _cfunction(doc: Document, expr: str, chart) -> CFunction:
@@ -189,8 +206,7 @@ def cmd_symplectic_poisson(args) -> int:
 def cmd_symplectic_darboux(args) -> int:
     from .symplectic import NotSymplectic, darboux_normal_form
 
-    matrix = json.loads(args.matrix)
-    matrix = [[Fraction(str(v)) for v in row] for row in matrix]
+    matrix = _parse_matrix(args.matrix)
     parities = [int(p) for p in args.parities.split(",")]
     homogeneity = 1 if args.odd else 0
     try:

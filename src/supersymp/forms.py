@@ -21,9 +21,11 @@ Sign rules, used consistently everywhere (degrees k, parities a):
 * contraction with a homogeneous field X is the degree (-1, eps X)
   derivation with i_X(dz) = X^z, expanded left-to-right over the word;
   summed over the parts of any field it strikes the letter z at position
-  t with sign (-1)^(t + eps z * eps prefix) and coefficient X^z moved
-  through the other letters of the word;
-* d(dZ^W * g) = (-1)^|W| dZ^W ^ dg with dg = sum_z dz * (d_z g).
+  t with sign (-1)^(t + eps z * eps prefix) = koszul(eps z, prefix) and
+  coefficient X^z moved through the other letters of the word;
+* d(dZ^W * g) = (-1)^|W| dZ^W ^ dg = koszul(0, W) dZ^W ^ dg with
+  dg = sum_z dz * (d_z g); `grassmann.koszul` is the one Koszul sign;
+* the term dZ^W * g adds eps(W) to the parity of g (`Graded`).
 
 These choices reproduce the worked 2|2 and 2|1 examples and the displayed
 evaluation formulas for d on 1- and 2-forms; the test suite pins them.
@@ -34,7 +36,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .charts import CFunction, Chart, ChartMismatch, SuperFunction, VectorField
-from .grassmann import Graded, Linear, accumulate, graded_sort
+from .grassmann import Graded, Linear, accumulate, graded_sort, koszul
 
 Word = Tuple[int, ...]  # indices into chart.coords
 
@@ -109,8 +111,9 @@ class KForm(Graded, Linear):
             raise DegreeError("not a 0-form")
         return self.terms.get((), self.chart.zero())
 
-    def parity_part(self, parity: int) -> "KForm":
-        return self._map(lambda w, g: g.parity_part((parity + word_parity(self.chart, w)) % 2))
+    def _key_parity(self, word: Word) -> int:
+        """dz_w * g has parity eps(w) + eps(g)."""
+        return word_parity(self.chart, word)
 
     # -- products ------------------------------------------------------
 
@@ -166,8 +169,8 @@ def wedge(a: KForm, b: KForm) -> KForm:
 def _ext_d_kform(w: KForm) -> KForm:
     chart = w.chart
     out: Dict[Word, SuperFunction] = {}
-    degree_sign = -1 if w.degree % 2 else 1
     for word, g in w.terms.items():
+        degree_sign = koszul(0, word)  # d, even and of degree 1, moved past the word
         for z, name in enumerate(chart.coords):
             dg = g.partial(name)
             if dg.is_zero():
@@ -201,15 +204,13 @@ def _contract_kform(x: VectorField, w: KForm) -> KForm:
     moved = {chart.coords.index(z): (c, c.involution()) for z, c in x.terms.items()}
     out: Dict[Word, SuperFunction] = {}
     for word, g in w.terms.items():
-        parity = word_parity(chart, word)
-        prefix_parity = 0
+        eps = [_letter_parity(chart, z) for z in word]
+        parity = sum(eps) % 2
         for t, letter in enumerate(word):
-            letter_parity = _letter_parity(chart, letter)
             if letter in moved:
-                coeff = moved[letter][(parity + letter_parity) % 2] * g
-                sign_odd = (t + letter_parity * prefix_parity) % 2
-                accumulate(out, word[:t] + word[t + 1:], -coeff if sign_odd else coeff)
-            prefix_parity ^= letter_parity
+                coeff = moved[letter][(parity + eps[t]) % 2] * g
+                # i_X moved past the t letters before dz, with the parity of dz
+                accumulate(out, word[:t] + word[t + 1:], coeff if koszul(eps[t], eps[:t]) > 0 else -coeff)
     return KForm(chart, w.degree - 1, out)
 
 

@@ -13,15 +13,18 @@ This module also holds what every graded type in the package shares:
   which letters are odd;
 * `skew_sign` is the same rule for one swap, the sign of graded skew
   symmetry: W[j][i] = skew_sign(|i|, |j|) W[i][j] for contraction
-  matrices, pairings and brackets;
-* `involution` (x0 + x1 -> x0 - x1) is the same rule for moving a graded
+  matrices, pairings and brackets; `koszul`, its product over a word,
+  moves one letter past a word (the signs of d, i_X and the
+  Chevalley-Eilenberg coboundary);
+* `Graded` is the one parity protocol: each graded sum says only which
+  parity a term's key adds (|I|, |w| + |I| for a superfunction term,
+  alpha for c_alpha, |z| for d/dz, the word's parity for a form), and
+  `parity_part`, `involution`, `is_homogeneous` and `parity` follow.  The
+  involution (x0 + x1 -> x0 - x1) is the same rule for moving a graded
   coefficient past k odd letters: it stays itself when k is even and
-  becomes its involution when k is odd.  Superfunctions and vector fields
-  have their own `involution`, so products, derivatives, commutators,
-  wedges and contractions make one product per term, never one per
-  parity part;
-* `Graded` is the one parity protocol (`homogeneous_parts`,
-  `is_homogeneous`, `parity`) over each class's `parity_part`;
+  becomes its involution when k is odd, so products, derivatives,
+  commutators, wedges and contractions make one product per term, never
+  one per parity part;
 * `Linear` is the one sparse-sum protocol.  Grassmann numbers,
   superfunctions, vector fields, forms and cochains are all finite sums
   `terms: key -> nonzero coefficient`; `accumulate` is the one rule that
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational
 
@@ -86,13 +89,55 @@ def skew_sign(a: int, b: int) -> int:
     return 1 if (a * b) % 2 else -1
 
 
-class Graded:
-    """Parity protocol of a Z/2-graded type.
+def koszul(a: int, parities: Sequence[int]) -> int:
+    """Sign of moving a letter of parity a past a word of letters of these
+    parities: prod skew_sign(a, b) = (-1)^len (-1)^(a sum); for even a only
+    the word's length counts."""
+    return skew_sign(len(parities), 1) * skew_sign(a, sum(parities))
 
-    Subclasses define `parity_part(p)` and `is_zero()`; the rest follows.
+
+class Graded:
+    """Parity protocol of a Z/2-graded sum.
+
+    A subclass is a `Linear` sum whose key k adds `_key_parity(k)` to the
+    parity of its coefficient, a scalar (even) or itself `Graded`.  The
+    parity parts, the involution and the parity follow from that one value.
     """
 
     __slots__ = ()
+
+    def parity_part(self, parity: int) -> "Graded":
+        """The terms of total parity `parity`."""
+        kp = self._key_parity
+        terms = {}
+        for k, c in self.terms.items():
+            p = parity ^ kp(k)
+            if isinstance(c, Graded):
+                c = c.parity_part(p)
+            elif p:
+                continue
+            if c:
+                terms[k] = c
+        return self._like(terms)
+
+    def involution(self) -> "Graded":
+        """x0 + x1 -> x0 - x1: x moved past an odd letter."""
+        kp = self._key_parity
+        terms = {}
+        for k, c in self.terms.items():
+            if isinstance(c, Graded):
+                c = c.involution()
+            terms[k] = -c if kp(k) else c
+        return self._like(terms)
+
+    def _parities(self) -> set:
+        """The parities of the terms, read without splitting anything."""
+        kp = self._key_parity
+        return {
+            p ^ kp(k)
+            for k, c in self.terms.items()
+            for p in (c._parities() if isinstance(c, Graded) else (0,))
+        }
 
     def homogeneous_parts(self) -> Dict[int, "Graded"]:
         parts = {}
@@ -103,14 +148,14 @@ class Graded:
         return parts
 
     def is_homogeneous(self) -> bool:
-        return len(self.homogeneous_parts()) <= 1
+        return len(self._parities()) <= 1
 
     def parity(self) -> int:
         """Parity of a homogeneous element (0 for the zero element)."""
-        parts = self.homogeneous_parts()
-        if len(parts) > 1:
+        parities = self._parities()
+        if len(parities) > 1:
             raise ValueError(f"{type(self).__name__} is not homogeneous")
-        return next(iter(parts), 0)
+        return next(iter(parities), 0)
 
 
 def accumulate(terms: Dict, key, c) -> None:
@@ -290,8 +335,9 @@ class GrassmannNumber(Graded, Linear):
     def soul(self) -> "GrassmannNumber":
         return self._like({k: v for k, v in self.terms.items() if k})
 
-    def parity_part(self, parity: int) -> "GrassmannNumber":
-        return self._like({k: v for k, v in self.terms.items() if len(k) % 2 == parity})
+    @staticmethod
+    def _key_parity(idx: Index) -> int:
+        return len(idx) % 2
 
     def is_scalar(self) -> bool:
         return all(k == () for k in self.terms)
@@ -320,10 +366,6 @@ class GrassmannNumber(Graded, Linear):
     def __rmul__(self, other):
         other = self._operand(other)
         return other if other is NotImplemented else other * self
-
-    def involution(self) -> "GrassmannNumber":
-        """x0 + x1 -> x0 - x1: x moved past an odd letter."""
-        return self._like({k: (v if len(k) % 2 == 0 else -v) for k, v in self.terms.items()})
 
     def inverse(self) -> "GrassmannNumber":
         """Inverse via the finite geometric series in the nilpotent part."""

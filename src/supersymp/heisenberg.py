@@ -431,18 +431,16 @@ def _solve_kks(orbit: Orbit) -> KForm:
     chart = orbit.chart
     r = len(chart.coords)
 
-    # M: the constant tangent components of the n generators, as rows
-    m_rows = []
-    for j in range(n):
-        comps = orbit.tangent_fields[j].components
-        m_rows.append([comps[name].constant_value().body() if name in comps else GaussianRational(0) for name in chart.coords])
+    # M: the tangent components of the n generators on the chart's slots, as rows
+    t = tangent_matrix(spec, orbit.y0, orbit.ybar1)
+    names = ambient_names(spec)
+    m_rows = [[GaussianRational(t[names.index(name)][j]) for name in chart.coords] for j in range(n)]
     chosen = linalg.independent(m_rows)
     if len(chosen) != r:
         raise ValueError("tangent fields do not span the orbit chart")
 
     # Omega^0 vanishes on mixed pairs and Omega^1 on unmixed ones, so the
     # tangent rows a and n + a are -y0 Omega^0_a. and -ybar1 Omega^1_a.
-    t = tangent_matrix(spec, orbit.y0, orbit.ybar1)
     target = [[GaussianRational(-t[a][b] - t[n + a][b]) for b in range(n)] for a in range(n)]
     minv = linalg.inverse([m_rows[j] for j in chosen])
     w_target = [[target[a][b] for b in chosen] for a in chosen]

@@ -11,10 +11,13 @@ coboundary uses the repeated-contraction convention:
                                    c(v0 .. v_{i-1} [v_i,v_j] v_{i+1} .. ^v_j .. vk)
 
 whose degree-2 instance is exactly the graded Jacobi obstruction of the
-central extension built from a 2-cochain.  One sweep over the canonical
-(k+1)-tuples writes d as sparse rows over the canonical k-tuples; a bracket
-preserves parity, so a row and its entries share one C-component, and the
-same rows serve `ce_coboundary` and the dense matrix of `h2`.
+central extension built from a 2-cochain.  Its sign is the Koszul rule,
+koszul(0, v_i .. v_k) * koszul(eps_j, v_(i+1) .. v_(j-1)) with
+`grassmann.koszul` over the parities of the letters.  One sweep over the
+canonical (k+1)-tuples writes d as sparse rows over the canonical
+k-tuples; a bracket preserves parity, so a row and its entries share one
+C-component, and the same rows serve `ce_coboundary` and the dense matrix
+of `h2`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from itertools import combinations_with_replacement, product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .grassmann import Linear, accumulate, graded_sort, skew_sign
+from .grassmann import Linear, accumulate, graded_sort, koszul, skew_sign
 from .scalars import GaussianRational
 
 Key = Tuple[int, ...]
@@ -205,19 +208,20 @@ def _coboundary_rows(g: SuperLieAlgebra, degree: int) -> Dict[Key, Dict[Key, Fra
     canonical degree-tuples src, for each canonical (degree+1)-tuple key."""
     eps = g.parities
     k = degree
-    outer_sign = -1 if k % 2 else 1
     rows: Dict[Key, Dict[Key, Fraction]] = {}
     for key in canonical_keys(eps, k + 1):
         row: Dict[Key, Fraction] = {}
+        word = [eps[v] for v in key]
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
-                interior = sum(eps[key[p]] for p in range(i + 1, j)) * eps[key[j]]
-                sign = outer_sign * (-1 if (j + interior) % 2 else 1)
-                rest = key[:i] + key[i + 1:j] + key[j + 1:]
+                # [v_i, v_j] in the place of v_i, v_j struck, with the sign of an
+                # even letter moved past v_i .. v_k and v_j moved left past
+                # v_(i+1) .. v_(j-1); a zero bracket costs no sign
                 for m, coeff in g.bracket_basis(key[i], key[j]).items():
-                    s, src = sort_with_sign(eps, rest[:i] + (m,) + rest[i:])
+                    s, src = sort_with_sign(eps, key[:i] + (m,) + key[i + 1:j] + key[j + 1:])
                     if s:
-                        accumulate(row, src, s * sign * coeff)
+                        sign = s * koszul(0, word[i:]) * koszul(word[j], word[i + 1:j])
+                        accumulate(row, src, sign * coeff)
         if row:
             rows[key] = row
     return rows

@@ -13,10 +13,10 @@ substitution d/dt -> -i/hbar, with hbar = 1 and i an exact Gaussian unit.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
-from .forms import CKForm, KForm, contract, ext_d, lie_derivative, lift_form, lift_function
+from .forms import CKForm, KForm, contract, double, ext_d, lie_derivative, lift_form, lift_function
 from .grassmann import Linear, skew_sign
 from .scalars import GaussianRational
 from .symplectic import SymplecticData, require_hamiltonian_field
@@ -56,19 +56,17 @@ class PrequantChart:
 
     # -- infinitesimal symmetries ---------------------------------------
 
-    def eta_field(self, f: CFunction, ansatz_degree: Optional[int] = None) -> VectorField:
+    def eta_field(self, f: CFunction) -> VectorField:
         """The unique connection symmetry with i_eta doubled-alpha = -f.
 
         eta_f = X_f - (f0 + <X_f, theta_0>) d/dt - (f1 + <X_f, theta_1>) d/dtau.
         """
-        xf = require_hamiltonian_field(f, self.base, ansatz_degree)
-        coeff0 = f.f0 + contract(xf, self.theta.parity_part(0)).as_function()
-        coeff1 = f.f1 + contract(xf, self.theta.parity_part(1)).as_function()
+        xf = require_hamiltonian_field(f, self.base)
+        coeff = f + contract(xf, double(self.theta)).as_cfunction()
         comps = {name: lift_function(c, self.total) for name, c in xf.components.items()}
-        if not coeff0.is_zero():
-            comps[self.fiber_even] = -lift_function(coeff0, self.total)
-        if not coeff1.is_zero():
-            comps[self.fiber_odd] = -lift_function(coeff1, self.total)
+        for name, c in ((self.fiber_even, coeff.f0), (self.fiber_odd, coeff.f1)):
+            if c:
+                comps[name] = -lift_function(c, self.total)
         return VectorField(self.total, comps)
 
     def symmetry_check(self, z: VectorField) -> bool:
@@ -103,25 +101,19 @@ class Section(Linear):
         return self.terms.get(()) or self.chart.zero()
 
 
-def quantum_op(f: CFunction, s: Section, chart: PrequantChart, ansatz_degree: Optional[int] = None) -> Section:
+def quantum_op(f: CFunction, s: Section, chart: PrequantChart) -> Section:
     """Q(f) s = -i hbar nabla_(X_f) s + f0 s with hbar = 1.
 
     In the trivialization nabla_X s = X s + i <X, theta_0> s, so
     Q(f) s = -i X_f(s) + <X_f, theta_0> s + f0 s, all exact in Q(i).
     """
-    xf = require_hamiltonian_field(f, chart.base, ansatz_degree)
+    xf = require_hamiltonian_field(f, chart.base)
     pairing = contract(xf, chart.theta.parity_part(0)).as_function()
     out = xf.apply(s.fun).scale(MINUS_I) + pairing * s.fun + f.f0 * s.fun
     return Section(out)
 
 
-def rep_check(
-    f: CFunction,
-    g: CFunction,
-    chart: PrequantChart,
-    sections: Sequence[Section],
-    ansatz_degree: Optional[int] = None,
-) -> bool:
+def rep_check(f: CFunction, g: CFunction, chart: PrequantChart, sections: Sequence[Section]) -> bool:
     """[Q(f), Q(g)] = -i hbar Q({f, g}) on the sample sections.
 
     The commutator is graded: for homogeneous f, g the operators carry the
@@ -129,7 +121,7 @@ def rep_check(
     """
     from .symplectic import poisson_bracket
 
-    bracket = poisson_bracket(f, g, chart.base, ansatz_degree)
+    bracket = poisson_bracket(f, g, chart.base)
     sign = skew_sign(f.parity(), g.parity())
     for s in sections:
         lhs = quantum_op(f, quantum_op(g, s, chart), chart) + quantum_op(

@@ -331,10 +331,10 @@ def poisson_bracket(f: CFunction, g: CFunction, data: SymplecticData, ansatz_deg
     return xf.apply(g)
 
 
-def poisson_bracket_by_contraction(f: CFunction, g: CFunction, data: SymplecticData, ansatz_degree: Optional[int] = None) -> CFunction:
+def poisson_bracket_by_contraction(f: CFunction, g: CFunction, data: SymplecticData) -> CFunction:
     """Independent route: the double contraction i_(X_f) i_(X_g) of doubled omega."""
-    xf = require_hamiltonian_field(f, data, ansatz_degree)
-    xg = require_hamiltonian_field(g, data, ansatz_degree)
+    xf = require_hamiltonian_field(f, data)
+    xg = require_hamiltonian_field(g, data)
     return contract(xf, contract(xg, data.doubled)).as_cfunction()
 
 
@@ -422,7 +422,6 @@ def darboux_normal_form(matrix, parities: Sequence[int], homogeneity: int) -> Da
             raise NotSymplectic("even-even block is degenerate")
         if q and linalg.rank(s_blk) != q:
             raise NotSymplectic("odd-odd block is degenerate")
-        k = p // 2
 
         # symplectic Gram-Schmidt on the skew block
         apply_a = _bilinear(a_blk)
@@ -491,65 +490,21 @@ def darboux_normal_form(matrix, parities: Sequence[int], homogeneity: int) -> Da
         ell = sum(1 for c, _ in diag_rows if c > 0)
         odd_rows = [u for _, u in diag_rows]
         odd_coeffs = tuple(c for c, _ in diag_rows)
-
-        basis = []
-        for row in even_rows:
-            vec = [GaussianRational(0)] * n
-            for col, val in zip(evens, row):
-                vec[col] = val
-            basis.append(vec)
-        for row in odd_rows:
-            vec = [GaussianRational(0)] * n
-            for col, val in zip(odds, row):
-                vec[col] = val
-            basis.append(vec)
-        new_parities = tuple([0] * p + [1] * q)
-        perm = evens + odds
-
-        w_perm = [[w[i][j] for j in perm] for i in perm]
-        p_rows = [[basis[a][perm[b]] for b in range(n)] for a in range(n)]
-        canon = linalg.matmul(linalg.matmul(p_rows, w_perm), linalg.transpose(p_rows))
         exact = all(abs(c) == 1 for c in odd_coeffs)
-        return DarbouxResult(
-            kind="even",
-            parities=new_parities,
-            basis_change=p_rows,
-            canonical_matrix=canon,
-            k=k,
-            ell=ell,
-            odd_coefficients=odd_coeffs,
-            exact=exact,
-        )
+        extra = dict(kind="even", k=p // 2, ell=ell, odd_coefficients=odd_coeffs, exact=exact)
+    else:
+        if p != q:
+            raise NotSymplectic("odd case needs equal numbers of even and odd coordinates")
+        try:
+            binv = linalg.inverse([[w[i][j] for j in odds] for i in evens])
+        except ValueError:
+            raise NotSymplectic("even-odd pairing is singular") from None
+        even_rows = [[-x for x in row] for row in binv]
+        odd_rows = [[GaussianRational(1 if i == j else 0) for j in range(q)] for i in range(q)]
+        extra = dict(kind="odd", k=p)
 
-    # odd case
-    if p != q:
-        raise NotSymplectic("odd case needs equal numbers of even and odd coordinates")
-    b_blk = [[w[i][j] for j in odds] for i in evens]
-    try:
-        binv = linalg.inverse(b_blk)
-    except ValueError:
-        raise NotSymplectic("even-odd pairing is singular") from None
-    p_rows = []
-    for a in range(p):
-        vec = [GaussianRational(0)] * n
-        for bcol in range(p):
-            vec[evens[bcol]] = -binv[a][bcol]
-        p_rows.append(vec)
-    for j in odds:
-        vec = [GaussianRational(0)] * n
-        vec[j] = GaussianRational(1)
-        p_rows.append(vec)
-    perm = evens + odds
-    w_perm = [[w[i][j] for j in perm] for i in perm]
-    p_mat = [[p_rows[a][perm[b]] for b in range(n)] for a in range(n)]
-    canon = linalg.matmul(linalg.matmul(p_mat, w_perm), linalg.transpose(p_mat))
-    return DarbouxResult(
-        kind="odd",
-        parities=tuple([0] * p + [1] * q),
-        basis_change=p_mat,
-        canonical_matrix=canon,
-        k=p,
-        ell=0,
-        odd_coefficients=(),
-        exact=True,
-    )
+    # frame rows in the even-first order of the coordinates
+    zero = GaussianRational(0)
+    frame = [row + [zero] * q for row in even_rows] + [[zero] * p + row for row in odd_rows]
+    canon = linalg.matmul(linalg.matmul(frame, _reorder_even_first(w, parities)), linalg.transpose(frame))
+    return DarbouxResult(parities=tuple([0] * p + [1] * q), basis_change=frame, canonical_matrix=canon, **extra)

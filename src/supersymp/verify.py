@@ -60,6 +60,7 @@ from .liecoh import (
     h2,
     jacobi_check,
     momentum_cocycle,
+    tuple_parity,
 )
 from .prequant import Section, quantum_op, rep_check
 from .reference import (
@@ -299,9 +300,8 @@ def _c4_dd():
     g = algebra_of(heisenberg_33())
     vals = {}
     for t, key in enumerate(canonical_keys(g.parities, 1)):
-        alpha = sum(g.parities[i] for i in key) % 2
         pair = [Fraction(0), Fraction(0)]
-        pair[alpha] = Fraction(t + 1)
+        pair[tuple_parity(g.parities, key)] = Fraction(t + 1)
         vals[key] = (pair[0], pair[1])
     got = ce_coboundary(ce_coboundary(CECochain(g, 1, vals)))
     return got.is_zero(), "0", repr(got)

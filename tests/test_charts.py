@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from supersymp.charts import SuperFunction, UnknownCoordinate, VectorField, vf_apply, vf_commutator
+from supersymp.charts import CFunction, SuperFunction, UnknownCoordinate, VectorField, vf_apply, vf_commutator
+from supersymp.forms import KForm, word_parity
 from supersymp.grassmann import DimensionError, GrassmannNumber, accumulate
 from supersymp.scalars import GaussianRational
 
@@ -114,6 +115,53 @@ def test_involution_flips_the_odd_part(rng, chart22):
         c = sum(f.coefficients().values(), GrassmannNumber.zero(chart22.generators))
         for obj in (c, f, X):
             assert obj.involution() == obj.parity_part(0) - obj.parity_part(1)
+
+
+def assert_parity(x, p):
+    """x is homogeneous of parity p, by its own class's definition of a term's parity."""
+    if isinstance(x, GrassmannNumber):
+        assert all(len(idx) % 2 == p for idx in x.terms)
+    elif isinstance(x, SuperFunction):
+        assert all((len(w) + len(idx)) % 2 == p for _, w, idx in x.terms)
+    else:
+        # c_alpha, d/dz and the word dz_w add their parities to the coefficient's
+        parity_of = {
+            CFunction: lambda alpha: alpha,
+            VectorField: x.chart.parity,
+            KForm: lambda w: word_parity(x.chart, w),
+        }[type(x)]
+        for k, c in x.terms.items():
+            assert_parity(c, p ^ parity_of(k))
+
+
+def test_graded_protocol_agrees_with_homogeneous_parts(rng, chart22):
+    words = [(0, 1), (0, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+    for _ in range(10):
+        f, g = (random_superfunction(rng, chart22, degree=3, with_grassmann=True) for _ in range(2))
+        form = KForm(chart22, 2, {w: random_superfunction(rng, chart22, 2, True, 2) for w in rng.sample(words, 3)})
+        samples = [
+            sum(f.coefficients().values(), GrassmannNumber.zero(chart22.generators)),
+            f,
+            CFunction(f, g),
+            random_field(rng, chart22, with_grassmann=True),
+            form,
+        ]
+        for obj in samples:
+            for x in (obj, obj.parity_part(0), obj.parity_part(1), obj - obj):
+                zero = x - x
+                parts = x.homogeneous_parts()
+                assert sum(parts.values(), zero) == x
+                for p, part in parts.items():
+                    assert_parity(part, p)
+                for p in (0, 1):
+                    assert x.parity_part(p) == parts.get(p, zero)
+                assert x.involution() == parts.get(0, zero) - parts.get(1, zero)
+                assert x.is_homogeneous() == (len(parts) <= 1)
+                if x.is_homogeneous():
+                    assert x.parity() == next(iter(parts), 0)
+                else:
+                    with pytest.raises(ValueError):
+                        x.parity()
 
 
 def test_vf_apply_basics(chart22):

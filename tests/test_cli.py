@@ -46,7 +46,10 @@ ZERO_DENOMINATOR = "algebra g parities 0,0 bracket [1,1] = 1/0*e1;"
 @pytest.mark.parametrize(
     "argv, error_start",
     [
-        (("symplectic", "check", FIXTURES / "mixed21.ssp", "--point", "x=1/0"), ""),
+        (
+            ("symplectic", "check", FIXTURES / "mixed21.ssp", "--point", "x=1/0"),
+            "--point component 'x=1/0': '1/0' is not a rational number",
+        ),
         (
             (
                 "symplectic", "hamiltonian", FIXTURES / "mixed21.ssp",
@@ -56,8 +59,22 @@ ZERO_DENOMINATOR = "algebra g parities 0,0 bracket [1,1] = 1/0*e1;"
         ),
         (("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]]", "--parities", "0", "--even"), ""),
         (("liecoh", "h2", ZERO_DENOMINATOR), "line 1, column 42: division by zero"),
+        (
+            ("symplectic", "check", FIXTURES / "mixed21.ssp", "--point", "x=0,y=abc"),
+            "--point component 'y=abc': 'abc' is not a rational number",
+        ),
+        (("symplectic", "check", FIXTURES / "mixed21.ssp", "--point", "x"), "--point component 'x': use name=value"),
+        (("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]", "--parities", "0,0", "--even"), "--matrix: not JSON"),
+        (("symplectic", "darboux", "--matrix", "{}", "--parities", "0,0", "--even"), "--matrix: not a JSON list of rows"),
+        (
+            ("symplectic", "darboux", "--matrix", '[[0,"1/0"],[-2,0]]', "--parities", "0,0", "--even"),
+            "--matrix entry: '1/0' is not a rational number",
+        ),
     ],
-    ids=["zero_point", "deep_nesting", "darboux_shape", "zero_denominator"],
+    ids=[
+        "zero_point", "deep_nesting", "darboux_shape", "zero_denominator",
+        "point_literal", "point_no_value", "matrix_not_json", "matrix_not_rows", "matrix_zero_denominator",
+    ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, error_start):
     # a declaration text in argv is passed as a file holding it

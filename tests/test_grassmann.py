@@ -206,6 +206,16 @@ def test_invertible_iff_nonzero_body(rng):
             assert a * a.inverse() == GrassmannNumber.scalar(1, 4)
 
 
+@pytest.mark.parametrize("length", range(6))
+def test_koszul_is_the_move_sign_of_graded_sort(length):
+    # letter 0, of parity a, sits after the word 1..length; sorting moves it to the front
+    for a in (0, 1):
+        for word in itertools.product((0, 1), repeat=length):
+            parity = (*word, a)
+            sign, _ = graded_sort(tuple(range(1, length + 1)) + (0,), lambda x: parity[x - 1] == 1)
+            assert grassmann.koszul(a, word) == sign
+
+
 def test_involution_definition():
     assert (1 + th(1)).involution() == 1 - th(1)
     assert (3 + th(1, 2)).involution() == 3 + th(1, 2)

@@ -446,10 +446,11 @@ def _degenerate_spec():
 
 
 @pytest.mark.parametrize("y0,yb1", [(1, 0), (1, 1), (2, 3)])
-def test_kks_refuses_an_inconsistent_pairing(y0, yb1):
+def test_kks_refuses_an_inconsistent_pairing(y0, yb1, monkeypatch):
     """Scaling the tangent field of a generator outside the solved ones
-    breaks the pairing there, and the well-definedness check sees it."""
-    from supersymp import linalg
+    (its column of the tangent matrix) breaks the pairing there, and the
+    well-definedness check sees it."""
+    from supersymp import heisenberg, linalg
 
     spec = _degenerate_spec()
     orbit_classify(spec, y0, yb1, generators=NG).kks_form()  # well defined as built
@@ -462,7 +463,9 @@ def test_kks_refuses_an_inconsistent_pairing(y0, yb1):
     chosen = linalg.independent(rows)
     moved = [a for a, fld in orbit.tangent_fields.items() if a not in chosen and not fld.is_zero()]
     assert moved
-    orbit.tangent_fields[moved[0]] = orbit.tangent_fields[moved[0]].scale(2)
+    t = heisenberg.tangent_matrix(spec, y0, yb1)
+    scaled = tuple(tuple(2 * v if j == moved[0] else v for j, v in enumerate(row)) for row in t)
+    monkeypatch.setattr(heisenberg, "tangent_matrix", lambda *args: scaled)
     with pytest.raises(ValueError, match="orbit pairing is inconsistent"):
         orbit.kks_form()
 

@@ -12,8 +12,13 @@ The rows are measured on the checkout that holds this script:
   speed compare: L0 `GaussianRational` mul, L1 Grassmann
   mul and sum of two 4-term elements, L2 `SuperFunction` mul and sum of
   an 8-term function with itself, `partial` along an even and an odd
-  coordinate, a repeated `hash` of a two-part `CFunction` and
-  `chart.constant(3)`;
+  coordinate, a repeated `hash` of a two-part `CFunction`,
+  `chart.constant(3)`, and the parity protocol on the 8-term function
+  (`involution`, `is_homogeneous`, and `parity()` of its even part);
+* L3 rows on the 2|2 form x dx^dy + dx^dxi + dy^deta: its `wedge` with
+  itself, its `ext_d`, and its `contract` with a two-component field;
+* an L4/L5 row: `liecoh.h2` of the 3|3 extension algebra of the bundled
+  pairing, on a freshly built algebra;
 * L5 scaling rows, in the same units: `hamiltonian_field` of y c0 on the
   variable-rank 2|2 form x dx^dy + dx^dxi + dy^deta at ansatz degree 2
   to 5, and of one member of the 2|1 constant form dx^dy + dx^dxi, each
@@ -63,7 +68,11 @@ def micro_rows() -> list:
     sys.path.insert(0, str(ROOT / "src"))
     calib.warm()
     from supersymp.charts import CFunction, Chart
+    from supersymp.forms import contract, ext_d, wedge
     from supersymp.grassmann import GrassmannNumber
+    from supersymp.heisenberg import algebra_of
+    from supersymp.liecoh import h2
+    from supersymp.reference import d, heisenberg_33
     from supersymp.scalars import GaussianRational
 
     a = GaussianRational(Fraction(3, 7), Fraction(-2, 5))
@@ -75,6 +84,9 @@ def micro_rows() -> list:
     f = chart.constant(2) + x.scale(3) - y + xi + eta.scale(Fraction(1, 2)) + x * y + xi * eta.scale(5) + x * xi
     assert len(f.terms) == 8
     cf = CFunction(f, x * xi)
+    even = f.parity_part(0)
+    omega = wedge(d(chart, "x"), d(chart, "y")).right_multiply(x) + wedge(d(chart, "x"), d(chart, "xi")) + wedge(d(chart, "y"), d(chart, "eta"))
+    field = chart.vector_field({"x": f, "eta": x * xi})
     rows = [
         ("L0 scalars GaussianRational mul", lambda: a * b),
         ("L1 grassmann mul of two 4-term elements", lambda: g * h),
@@ -85,6 +97,13 @@ def micro_rows() -> list:
         ("L2 charts partial d/dxi of the 8-term f", lambda: f.partial("xi")),
         ("L2 charts repeated hash of the CFunction f c0 + x xi c1", lambda: hash(cf)),
         ("L2 charts chart.constant(3) on 2|2", lambda: chart.constant(3)),
+        ("L2 charts involution of the 8-term f", lambda: f.involution()),
+        ("L2 charts is_homogeneous of the 8-term f", lambda: f.is_homogeneous()),
+        ("L2 charts parity() of the even part of the 8-term f", lambda: even.parity()),
+        ("L3 forms wedge of the 2|2 form x dx^dy + dx^dxi + dy^deta with itself", lambda: wedge(omega, omega)),
+        ("L3 forms ext_d of the 2|2 form", lambda: ext_d(omega)),
+        ("L3 forms contract of f d/dx + x xi d/deta with the 2|2 form", lambda: contract(field, omega)),
+        ("L5 liecoh h2 of the 3|3 extension algebra, freshly built", lambda: h2(algebra_of(heisenberg_33()))),
     ]
     rows += l5_rows()
     out = []
