@@ -343,6 +343,8 @@ def load_cover(text: str) -> Cover:
                 raise ValueError(f"unrecognized directive {parts[0]!r}")
         except (ValueError, IndexError) as exc:
             raise NerveError(f"cover file line {lineno}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise NerveError(f"cover file line {lineno}: division by zero") from exc
     closure = set()
     for s in simplices + list(f_vals) + list(a_vals):
         canon = tuple(sorted(set(s)))

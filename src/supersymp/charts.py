@@ -206,8 +206,8 @@ class SuperFunction(Graded, Linear):
                 if j not in w:
                     continue
                 pos = w.index(j)
-                # move xi_j left through pos earlier letters and th_I
-                out[(e, w[:pos] + w[pos + 1:], idx)] = -c if (pos + len(idx)) % 2 else c
+                # move xi_j left through pos earlier letters and th_I: -skew_sign(pos + |I|, 1)
+                out[(e, w[:pos] + w[pos + 1:], idx)] = -c if skew_sign(pos + len(idx), 1) > 0 else c
         return self._like(out)
 
     def evaluate(self, point: Mapping[str, object]) -> GrassmannNumber:

@@ -82,11 +82,12 @@ def _emit(report: dict, ok: bool) -> int:
     return 0 if ok else 1
 
 
-def _rational(text: str, where: str) -> Fraction:
+def _number(text: str, where: str, kind=Fraction):
+    """`text` read as a `kind` (Fraction or int); a CliError naming `where` if it is not one."""
     try:
-        return Fraction(text)
+        return kind(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"{where}: {text!r} is not a rational number") from None
+        raise CliError(f"{where}: {text!r} is not {'an integer' if kind is int else 'a rational number'}") from None
 
 
 def _parse_point(text: str) -> dict:
@@ -97,7 +98,7 @@ def _parse_point(text: str) -> dict:
         name, eq, value = chunk.partition("=")
         if not eq:
             raise CliError(f"--point component {chunk!r}: use name=value")
-        point[name.strip()] = _rational(value.strip(), f"--point component {chunk!r}")
+        point[name.strip()] = _number(value.strip(), f"--point component {chunk!r}")
     return point
 
 
@@ -108,7 +109,7 @@ def _parse_matrix(text: str) -> list:
         raise CliError(f"--matrix: not JSON ({exc})") from None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise CliError("--matrix: not a JSON list of rows")
-    return [[_rational(str(v), "--matrix entry") for v in row] for row in rows]
+    return [[_number(str(v), "--matrix entry") for v in row] for row in rows]
 
 
 def _cfunction(doc: Document, expr: str, chart) -> CFunction:
@@ -207,7 +208,7 @@ def cmd_symplectic_darboux(args) -> int:
     from .symplectic import NotSymplectic, darboux_normal_form
 
     matrix = _parse_matrix(args.matrix)
-    parities = [int(p) for p in args.parities.split(",")]
+    parities = [_number(p, "--parities entry", int) for p in args.parities.split(",")]
     homogeneity = 1 if args.odd else 0
     try:
         res = darboux_normal_form(matrix, parities, homogeneity)
@@ -288,7 +289,7 @@ def _orbit_from_args(args):
 
     doc = _load_document(args)
     spec = _unique(doc.heisenbergs, "heisenberg pairing", args.name)
-    return orbit_classify(spec, Fraction(args.y0), Fraction(args.ybar1), generators=args.generators)
+    return orbit_classify(spec, _number(args.y0, "--y0"), _number(args.ybar1, "--ybar1"), generators=args.generators)
 
 
 def cmd_heisenberg_orbit(args) -> int:
@@ -370,7 +371,7 @@ def cmd_cech_prequantize(args) -> int:
     from .cech import normalize_to_periods, period_group, prequantum_exists
 
     cover = _load_cover(args.file)
-    d = Fraction(args.d) if args.d is not None else cover.d
+    d = _number(args.d, "--d") if args.d is not None else cover.d
     if d is None:
         raise CliError("no d given on the command line or in the cover file")
     a = cover.cocycle()
@@ -393,7 +394,7 @@ def cmd_cech_classify(args) -> int:
     from .cech import classify_prequantum
 
     cover = _load_cover(args.file)
-    d = Fraction(args.d) if args.d is not None else (cover.d if cover.d is not None else Fraction(0))
+    d = _number(args.d, "--d") if args.d is not None else (cover.d if cover.d is not None else Fraction(0))
     rep = classify_prequantum(cover.nerve, d)
     rep["command"] = "cech classify"
     return _emit(rep, True)

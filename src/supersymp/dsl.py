@@ -7,12 +7,15 @@ are ``^``, partials are ``d/dx``, differentials ``dx``, Grassmann generators
 and ``c1``.  Fixtures written in this format double as the readable record
 of every object the engine is expected to reproduce.
 
-One recursive-descent pass reads a document.  An expression is evaluated as
-it is read: each operator applies its action at its own token, so there is
-no syntax tree, and the first error in reading order is the one reported,
-with its line and column.  Every comma list (coordinate names, parities,
-basis indices, matrix rows and entries, bracket and cochain values) is read
-by `_Parser.sequence`.
+One pass reads a document.  `_Parser.expression` is one precedence-climbing
+loop over the binding powers `+ -` 1, `* /` 2, a leading sign 3 and `^` 4,
+every operator left-associative: `2*x^2` is 2x^2, `-x^2` is -(x^2) and
+`x^2^3` is x^6, as the printers mean them, so printed objects read back as
+themselves.  Each operator applies its action at its own token as it is
+read, so there is no syntax tree, and the first error in reading order is
+the one reported, with its line and column.  `_Parser.sequence` reads every
+comma list (coordinate names, parities, basis indices, matrix rows and
+entries, bracket and cochain values).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+import operator
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, TypeVar
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
@@ -48,6 +52,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
+  | (?P<partial>d/d[A-Za-z0-9_]+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>\d+)
   | (?P<op>[-+*/^()\[\],;=])
@@ -58,7 +63,7 @@ _TOKEN_RE = re.compile(
 
 
 class Token(NamedTuple):
-    kind: str  # "name" | "int" | "op" | "eof"
+    kind: str  # "partial" | "name" | "int" | "op" | "eof"
     text: str
     offset: int
 
@@ -84,12 +89,28 @@ T = TypeVar("T")
 
 MAX_NESTING = 100  # parentheses and signs; keeps parsing off the recursion limit
 
+# binding powers of the infix operators, and of a leading sign: -x^2 is -(x^2)
+BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+PREFIX = 3
+
 
 class CBasis:
     """Marker for the c0 / c1 atoms."""
 
     def __init__(self, alpha: int):
         self.alpha = alpha
+
+
+def _power(a, n: int, mul):
+    """a^n for n >= 1 by repeated squaring."""
+    out = None
+    while True:
+        if n & 1:
+            out = a if out is None else mul(out, a)
+        n >>= 1
+        if not n:
+            return out
+        a = mul(a, a)
 
 
 def _as_function(value, chart: Chart):
@@ -101,8 +122,8 @@ def _as_function(value, chart: Chart):
 
 
 class _Parser:
-    """Recursive descent over one token list; expressions are evaluated
-    against `doc` and the chart in scope as they are read."""
+    """One pass over a token list; expressions are evaluated against `doc`
+    and the chart in scope as they are read."""
 
     def __init__(self, text: str, doc: "Document", chart: Optional[Chart] = None):
         self.text = text
@@ -112,15 +133,12 @@ class _Parser:
         self.doc = doc
         self.chart = chart
 
-    def peek(self, ahead: int = 0) -> Token:
-        # `next` never moves past the final "eof" token
-        if ahead:
-            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok.kind != "eof":  # never move past the final "eof" token
             self.pos += 1
         return tok
 
@@ -144,64 +162,47 @@ class _Parser:
 
     # expressions ------------------------------------------------------
 
-    def nested(self, tok: Token, parse: Callable[[], object]):
-        """parse() one nesting level deeper than `tok`."""
+    def nested(self, tok: Token, floor: int = 0):
+        """expression(floor) one nesting level deeper than `tok`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
-        value = parse()
+        value = self.expression(floor)
         self.depth -= 1
         return value
 
-    def expression(self):
-        value = self.term()
-        while self.peek().text in ("+", "-"):
-            tok = self.next()
-            right = self.term()
-            value = self._add(value, right if tok.text == "+" else self._negate(right, tok), tok)
-        return value
-
-    def term(self):
-        value = self.unary()
-        while self.peek().text in ("*", "/", "^"):
-            tok = self.next()
-            value = self._PRODUCTS[tok.text](self, value, self.unary(), tok)
-        return value
-
-    def unary(self):
+    def expression(self, floor: int = 0):
+        """An operand, then each operator that binds tighter than `floor` with
+        its right operand.  A right operand stops at an operator of its own
+        power, so all five associate to the left and a flat chain folds here."""
         tok = self.peek()
-        if tok.text == "-":
+        if tok.text in ("+", "-"):
             self.next()
-            return self._negate(self.nested(tok, self.unary), tok)
-        if tok.text == "+":
+            value = self.nested(tok, PREFIX)
+            if tok.text == "-":
+                value = self._negate(value, tok)
+        else:
+            value = self.atom()
+        while True:
+            tok = self.peek()
+            power = BINDING.get(tok.text, 0)
+            if power <= floor:
+                return value
             self.next()
-            return self.nested(tok, self.unary)
-        return self.atom()
+            value = self._ACTIONS[tok.text](self, value, self.expression(power), tok)
 
     def atom(self):
-        tok = self.peek()
+        tok = self.next()
         if tok.kind == "int":
-            self.next()
             return GaussianRational(int(tok.text))
+        if tok.kind == "name":
+            return self._resolve(tok)
+        if tok.kind == "partial":
+            return self._partial(tok.text[3:], tok)
         if tok.text == "(":
-            self.next()
-            value = self.nested(tok, self.expression)
+            value = self.nested(tok)
             self.expect(")")
             return value
-        if tok.kind == "name":
-            if (
-                tok.text == "d"
-                and self.peek(1).text == "/"
-                and self.peek(2).kind == "name"
-                and self.peek(2).text.startswith("d")
-                and len(self.peek(2).text) > 1
-            ):
-                self.next()
-                self.next()
-                coord_tok = self.next()
-                return self._partial(coord_tok.text[1:], tok)
-            self.next()
-            return self._resolve(tok)
         self.fail(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input", tok)
 
     # semantic actions --------------------------------------------------
@@ -261,6 +262,9 @@ class _Parser:
             self.fail("cannot add a C-valued and a plain function; tag with c0/c1", tok)
         self.fail("incompatible operands for +", tok)
 
+    def _sub(self, a, b, tok):
+        return self._add(a, self._negate(b, tok), tok)
+
     def _mul(self, a, b, tok):
         if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
             return a * b
@@ -306,10 +310,7 @@ class _Parser:
             self.fail("division only by scalars", tok)
         if b.is_zero():
             self.fail("division by zero", tok)
-        inv = b.inverse()
-        if isinstance(a, GaussianRational):
-            return a * inv
-        return self._mul(inv, a, tok)
+        return self._mul(b.inverse(), a, tok)
 
     def _pow(self, a, b, tok):
         if isinstance(b, GaussianRational):
@@ -317,22 +318,13 @@ class _Parser:
                 self.fail("power needs a nonnegative integer exponent", tok)
             n = int(b.re)
             if isinstance(a, GaussianRational):
-                out = GaussianRational(1)
-                for _ in range(n):
-                    out = out * a
-                return out
+                return _power(a, n, operator.mul) if n else GaussianRational(1)
             if isinstance(a, SuperFunction):
-                out = a.chart.one()
-                for _ in range(n):
-                    out = out * a
-                return out
+                return _power(a, n, operator.mul) if n else a.chart.one()
             if isinstance(a, KForm):
                 if n == 0:
                     self.fail("zeroth wedge power is not a form", tok)
-                out = a
-                for _ in range(n - 1):
-                    out = wedge(out, a)
-                return out
+                return _power(a, n, wedge)
             self.fail("cannot raise this expression to a power", tok)
         if isinstance(a, KForm) and isinstance(b, KForm):
             return wedge(a, b)
@@ -342,7 +334,7 @@ class _Parser:
             return wedge(KForm.from_function(a), b)
         self.fail("incompatible operands for ^", tok)
 
-    _PRODUCTS = {"*": _mul, "/": _div, "^": _pow}
+    _ACTIONS = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
 
     # comma lists and numbers -------------------------------------------
 

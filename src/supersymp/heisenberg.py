@@ -77,12 +77,13 @@ class GroupElement:
     b1: GrassmannNumber
 
     def __post_init__(self):
-        for i, coord in enumerate(self.a):
-            if not coord.is_zero() and coord.parity() != self.spec.parities[i]:
-                raise ValueError(f"coordinate a^{i+1} must have parity {self.spec.parities[i]}")
-        if not self.b0.is_zero() and self.b0.parity() != 0:
+        # every term must have the coordinate's parity: zero passes, mixed parities fail
+        for i, (coord, parity) in enumerate(zip(self.a, self.spec.parities)):
+            if not coord._parities() <= {parity}:
+                raise ValueError(f"coordinate a^{i+1} must have parity {parity}")
+        if not self.b0._parities() <= {0}:
             raise ValueError("b0 must be even")
-        if not self.b1.is_zero() and self.b1.parity() != 1:
+        if not self.b1._parities() <= {1}:
             raise ValueError("b1 must be odd")
 
     def __eq__(self, other):

@@ -41,6 +41,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
 
 
 ZERO_DENOMINATOR = "algebra g parities 0,0 bracket [1,1] = 1/0*e1;"
+ZERO_COVER = "simplex 0 1\nf 0 1 = 1/0\n"
 
 
 @pytest.mark.parametrize(
@@ -70,17 +71,30 @@ ZERO_DENOMINATOR = "algebra g parities 0,0 bracket [1,1] = 1/0*e1;"
             ("symplectic", "darboux", "--matrix", '[[0,"1/0"],[-2,0]]', "--parities", "0,0", "--even"),
             "--matrix entry: '1/0' is not a rational number",
         ),
+        (
+            ("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]]", "--parities", "0,x", "--even"),
+            "--parities entry: 'x' is not an integer",
+        ),
+        (("heisenberg", "orbit", FIXTURES / "heis33.ssp", "--y0", "abc"), "--y0: 'abc' is not a rational number"),
+        (("heisenberg", "orbit", FIXTURES / "heis33.ssp", "--y0", "1/0"), "--y0: '1/0' is not a rational number"),
+        (("heisenberg", "kks", FIXTURES / "heis33.ssp", "--ybar1", "1/0"), "--ybar1: '1/0' is not a rational number"),
+        (("cech", "prequantize", FIXTURES / "sphere.cov", "--d", "1/0"), "--d: '1/0' is not a rational number"),
+        (("cech", "classify", FIXTURES / "circle.cov", "--d", "x"), "--d: 'x' is not a rational number"),
+        (("cech", "periods", ZERO_COVER), "NerveError: cover file line 2: division by zero"),
     ],
     ids=[
         "zero_point", "deep_nesting", "darboux_shape", "zero_denominator",
         "point_literal", "point_no_value", "matrix_not_json", "matrix_not_rows", "matrix_zero_denominator",
+        "parities_literal", "y0_literal", "y0_zero_denominator", "ybar1_zero_denominator",
+        "d_zero_denominator", "d_literal", "cover_zero_denominator",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, error_start):
-    # a declaration text in argv is passed as a file holding it
-    doc = tmp_path / "doc.ssp"
-    doc.write_text(ZERO_DENOMINATOR)
-    code = main([str(doc) if a == ZERO_DENOMINATOR else str(a) for a in argv])
+    # a declaration or cover text in argv is passed as a file holding it
+    files = {ZERO_DENOMINATOR: tmp_path / "doc.ssp", ZERO_COVER: tmp_path / "cover.cov"}
+    for text, path in files.items():
+        path.write_text(text)
+    code = main([str(files[a]) if a in files else str(a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

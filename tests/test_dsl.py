@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import random_field, random_superfunction
 from supersymp.charts import CFunction
 from supersymp.dsl import DslError, parse, render
 from supersymp.forms import KForm, contract, wedge
 from supersymp.reference import d, heisenberg_33, mixed_counterexample
+from supersymp.scalars import GaussianRational
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -247,3 +250,73 @@ def test_nesting_limit_reports_a_position():
     assert "nested deeper than 100 levels" in err.value.message
     # long flat chains are folded without recursion
     assert str(doc.evaluate("+".join(["x"] * 3000))) == "3000*x"
+
+
+def test_operator_precedence():
+    # as in Python and in the printer: ^ binds tightest, then a leading sign,
+    # then * and /, then + and -; every operator associates to the left
+    doc = parse("chart M even x,y;")
+    chart = doc.charts["M"]
+    x, y = chart.var("x"), chart.var("y")
+    dxdy = wedge(d(chart, "x"), d(chart, "y"))
+    table = [
+        ("2*x^2", (x * x).scale(2)),
+        ("x*y^2", x * y * y),
+        ("-x^2", -(x * x)),
+        ("3 - 2*x^2*y", chart.constant(3) - (x * x * y).scale(2)),
+        ("2^3*x", x.scale(8)),
+        ("x^2^3", x * x * x * x * x * x),
+        ("-dx^dy", -dxdy),
+        ("x*dx^dy", dxdy.left_multiply(x)),
+        ("x*(dx^dy)", dxdy.left_multiply(x)),
+        ("dx^dy*(x^2)", dxdy.right_multiply(x * x)),
+    ]
+    for text, expected in table:
+        assert doc.evaluate(text) == expected, text
+    with pytest.raises(DslError) as err:
+        doc.evaluate("x^-1")
+    assert err.value.message == "power needs a nonnegative integer exponent"
+    assert (err.value.line, err.value.col) == (1, 2)
+
+
+def _random_form(rng, chart, degree):
+    w = KForm.zero(chart, degree)
+    for _ in range(3):
+        term = KForm.from_function(random_superfunction(rng, chart, 2, with_grassmann=True, terms=2))
+        for _ in range(degree):
+            term = wedge(term, d(chart, rng.choice(chart.coords)))
+        w = w + term
+    return w
+
+
+def _random_objects(rng, chart, count):
+    """Seeded superfunctions with Q(i) coefficients, some Grassmann, and
+    C-valued functions, vector fields and forms built from such functions."""
+    objects = []
+    for _ in range(count):
+        c = GaussianRational(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4)), rng.randint(-2, 2))
+        f = random_superfunction(rng, chart, 3, with_grassmann=True).scale(c) + random_superfunction(rng, chart, 3)
+        g = random_superfunction(rng, chart, 2, with_grassmann=True)
+        objects += [f, CFunction(f, g), random_field(rng, chart, with_grassmann=True), _random_form(rng, chart, rng.randint(1, 2))]
+    return [obj for obj in objects if not obj.is_zero()]
+
+
+def test_printed_objects_read_back_as_themselves():
+    doc = parse("chart M even x,y odd xi,eta;")
+    chart = doc.charts["M"]
+    objects = _random_objects(random.Random(2003), chart, 300)
+    assert len(objects) > 1000
+    mismatches = [str(obj) for obj in objects if doc.evaluate(str(obj), chart) != obj]
+    assert mismatches == []
+
+
+def test_render_is_a_fixed_point():
+    chart_decl = "chart M even x,y odd xi,eta;"
+    objects = _random_objects(random.Random(21), parse(chart_decl).charts["M"], 25)
+    kinds = {"SuperFunction": "fn", "CFunction": "cfn", "VectorField": "vf", "KForm": "form"}
+    declarations = [f"{kinds[type(obj).__name__]} o{k} = {obj};" for k, obj in enumerate(objects)]
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.ssp"))]
+    texts.append("\n".join([chart_decl] + declarations))
+    for text in texts:
+        once = render(parse(text))
+        assert render(parse(once)) == once

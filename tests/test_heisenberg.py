@@ -57,6 +57,19 @@ def random_element(rng, spec):
 # ----------------------------------------------------------------------
 
 
+def test_coordinate_with_both_parities_is_named():
+    spec = heisenberg_33()
+    zero = gnum(0)
+    a = [zero] * spec.dimension
+    mixed = gnum(1) + gen(1)
+    with pytest.raises(ValueError, match=r"^coordinate a\^1 must have parity 0$"):
+        GroupElement(spec, [mixed] + a[1:], zero, zero)
+    with pytest.raises(ValueError, match="^b0 must be even$"):
+        GroupElement(spec, a, mixed, zero)
+    with pytest.raises(ValueError, match="^b1 must be odd$"):
+        GroupElement(spec, a, zero, mixed)
+
+
 def test_neutral_element(rng):
     spec = heisenberg_33()
     g = random_element(rng, spec)

@@ -19,6 +19,9 @@ The rows are measured on the checkout that holds this script:
   itself, its `ext_d`, and its `contract` with a two-component field;
 * an L4/L5 row: `liecoh.h2` of the 3|3 extension algebra of the bundled
   pairing, on a freshly built algebra;
+* a DSL row: `Document.evaluate` of every distinct (chart, expression
+  text) pair of a seed-1 `poisson` round, all of them in one timed call;
+  the texts come from `bench/inputs.py`, which is only imported;
 * L5 scaling rows, in the same units: `hamiltonian_field` of y c0 on the
   variable-rank 2|2 form x dx^dy + dx^dxi + dy^deta at ansatz degree 2
   to 5, and of one member of the 2|1 constant form dx^dy + dx^dxi, each
@@ -105,12 +108,32 @@ def micro_rows() -> list:
         ("L3 forms contract of f d/dx + x xi d/deta with the 2|2 form", lambda: contract(field, omega)),
         ("L5 liecoh h2 of the 3|3 extension algebra, freshly built", lambda: h2(algebra_of(heisenberg_33()))),
     ]
-    rows += l5_rows()
+    rows += [dsl_row()] + l5_rows()
     out = []
     for name, fn in rows:
         raw, reference = _best_us(fn)
         out.append({"row": name, "unit": "reference us", "best_of": REPEAT, "value": round(reference, 3), "raw_us": round(raw, 3)})
     return out
+
+
+def dsl_row() -> tuple:
+    import inputs
+    from supersymp.dsl import parse
+
+    inp = inputs.poisson(1)
+    doc = parse(inp["documents"]["poisson"])
+    pairs = set()
+    for op in inp["ops"]:
+        items = [op.get("f"), op.get("g"), op.get("section")] + op.get("fgh", []) + op.get("sections", [])
+        for item in filter(None, items):
+            pairs.add((op["chart"], item["text"] if isinstance(item, dict) else item))
+    calls = [(text, doc.charts[chart]) for chart, text in sorted(pairs)]
+
+    def evaluate_all():
+        for text, chart in calls:
+            doc.evaluate(text, chart)
+
+    return f"DSL Document.evaluate of the {len(calls)} distinct expression texts of a seed-1 poisson round", evaluate_all
 
 
 def l5_rows() -> list:
