@@ -339,6 +339,8 @@ def load_cover(text: str) -> Cover:
                 (f_vals if parts[0] == "f" else a_vals)[verts] = val
             elif parts[0] == "d" and parts[1] == "=":
                 d = Fraction(parts[2])
+                if d < 0:
+                    raise ValueError("d must be >= 0")
             else:
                 raise ValueError(f"unrecognized directive {parts[0]!r}")
         except (ValueError, IndexError) as exc:

@@ -209,6 +209,8 @@ def cmd_symplectic_darboux(args) -> int:
 
     matrix = _parse_matrix(args.matrix)
     parities = [_number(p, "--parities entry", int) for p in args.parities.split(",")]
+    if not set(parities) <= {0, 1}:
+        raise CliError(f"--parities: each entry must be 0 or 1, got {args.parities!r}")
     homogeneity = 1 if args.odd else 0
     try:
         res = darboux_normal_form(matrix, parities, homogeneity)
@@ -349,9 +351,22 @@ def cmd_heisenberg_momentum(args) -> int:
 
 
 def _load_cover(path: str):
-    from .cech import load_cover
+    from .cech import NerveError, load_cover
 
-    return load_cover(_read(path))
+    try:
+        return load_cover(_read(path))
+    except NerveError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _divisor(args, default):
+    """--d if given, else `default`; Q/dZ needs d >= 0 (0 means Q)."""
+    if args.d is None:
+        return default
+    d = _number(args.d, "--d")
+    if d < 0:
+        raise CliError(f"--d: {args.d!r} is negative; give d >= 0 (0 means Q)")
+    return d
 
 
 def cmd_cech_periods(args) -> int:
@@ -371,7 +386,7 @@ def cmd_cech_prequantize(args) -> int:
     from .cech import normalize_to_periods, period_group, prequantum_exists
 
     cover = _load_cover(args.file)
-    d = _number(args.d, "--d") if args.d is not None else cover.d
+    d = _divisor(args, cover.d)
     if d is None:
         raise CliError("no d given on the command line or in the cover file")
     a = cover.cocycle()
@@ -394,7 +409,7 @@ def cmd_cech_classify(args) -> int:
     from .cech import classify_prequantum
 
     cover = _load_cover(args.file)
-    d = _number(args.d, "--d") if args.d is not None else (cover.d if cover.d is not None else Fraction(0))
+    d = _divisor(args, cover.d if cover.d is not None else Fraction(0))
     rep = classify_prequantum(cover.nerve, d)
     rep["command"] = "cech classify"
     return _emit(rep, True)

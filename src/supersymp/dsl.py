@@ -16,6 +16,14 @@ read, so there is no syntax tree, and the first error in reading order is
 the one reported, with its line and column.  `_Parser.sequence` reads every
 comma list (coordinate names, parities, basis indices, matrix rows and
 entries, bracket and cochain values).
+
+A `Document` from `parse` is read-only: its eight name tables are
+`MappingProxyType` views, so the names an expression can resolve are fixed
+once `parse` returns.  `Document.evaluate` therefore memoizes: each
+distinct (text, chart) is read once per document, and a repeat returns the
+same object (a value is never changed after it is built).  Nothing
+invalidates an entry; the memo is freed with the document.  A text that
+fails is read again on every call and raises the same `DslError`.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 import operator
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, TypeVar
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, TypeVar
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, wedge
@@ -396,32 +405,45 @@ class _Parser:
 # ----------------------------------------------------------------------
 
 
+TABLES = ("charts", "functions", "cfunctions", "fields", "forms", "algebras", "cocycles", "heisenbergs")
+
+
 @dataclass
 class Document:
-    charts: Dict[str, Chart] = field(default_factory=dict)
-    functions: Dict[str, SuperFunction] = field(default_factory=dict)
-    cfunctions: Dict[str, CFunction] = field(default_factory=dict)
-    fields: Dict[str, VectorField] = field(default_factory=dict)
-    forms: Dict[str, KForm] = field(default_factory=dict)
-    algebras: Dict[str, SuperLieAlgebra] = field(default_factory=dict)
-    cocycles: Dict[str, CECochain] = field(default_factory=dict)
-    heisenbergs: Dict[str, HeisenbergSpec] = field(default_factory=dict)
+    """The declarations of a text.  `parse` fills the tables and then makes
+    them read-only, which is what lets `evaluate` memoize."""
+
+    charts: Mapping[str, Chart] = field(default_factory=dict)
+    functions: Mapping[str, SuperFunction] = field(default_factory=dict)
+    cfunctions: Mapping[str, CFunction] = field(default_factory=dict)
+    fields: Mapping[str, VectorField] = field(default_factory=dict)
+    forms: Mapping[str, KForm] = field(default_factory=dict)
+    algebras: Mapping[str, SuperLieAlgebra] = field(default_factory=dict)
+    cocycles: Mapping[str, CECochain] = field(default_factory=dict)
+    heisenbergs: Mapping[str, HeisenbergSpec] = field(default_factory=dict)
     order: List[Tuple[str, str]] = field(default_factory=list)  # (kind, name)
     current_chart: Optional[str] = None
     generators: int = DEFAULT_GENERATORS  # of every chart the document declares
+    # (text, chart) -> value of every evaluation that succeeded
+    _memo: Dict[Tuple[str, Optional[Chart]], object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def all_names(self):
         for _, name in self.order:
             yield name
 
     def evaluate(self, text: str, chart: Optional[Chart] = None):
-        """Evaluate a standalone expression in this document's scope."""
+        """Evaluate a standalone expression in this document's scope, on
+        `chart` or else the current chart; a repeat returns the same object."""
         if chart is None and self.current_chart is not None:
             chart = self.charts[self.current_chart]
-        parser = _Parser(text, self, chart)
-        value = parser.expression()
-        if parser.peek().kind != "eof":
-            parser.fail("trailing input after expression")
+        key = (text, chart)
+        value = self._memo.get(key)  # no expression has the value None
+        if value is None:
+            parser = _Parser(text, self, chart)
+            value = parser.expression()
+            if parser.peek().kind != "eof":
+                parser.fail("trailing input after expression")
+            self._memo[key] = value
         return value
 
 
@@ -437,6 +459,8 @@ def parse(text: str, generators: int = DEFAULT_GENERATORS) -> Document:
     parser = _Parser(text, doc)
     while parser.peek().kind != "eof":
         _statement(parser)
+    for name in TABLES:
+        setattr(doc, name, MappingProxyType(getattr(doc, name)))
     return doc
 
 

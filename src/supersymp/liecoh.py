@@ -65,6 +65,7 @@ class SuperLieAlgebra:
             full[(i, j)] = dict(vec)
             full[(j, i)] = mirror
         self.brackets = full
+        self._rows: Dict[int, Dict[Key, Dict[Key, Fraction]]] = {}  # _coboundary_rows by degree
 
     @property
     def dimension(self) -> int:
@@ -205,7 +206,11 @@ class CECochain(Linear):
 def _coboundary_rows(g: SuperLieAlgebra, degree: int) -> Dict[Key, Dict[Key, Fraction]]:
     """d: C^degree -> C^(degree+1) as sparse rows, with the
     repeated-contraction sign: (dc)[key] = sum row[src] * c[src] over the
-    canonical degree-tuples src, for each canonical (degree+1)-tuple key."""
+    canonical degree-tuples src, for each canonical (degree+1)-tuple key.
+    Built once per (algebra, degree) and kept on `g`, whose table never
+    changes after `__init__`: do not modify the rows."""
+    if degree in g._rows:
+        return g._rows[degree]
     eps = g.parities
     k = degree
     rows: Dict[Key, Dict[Key, Fraction]] = {}
@@ -224,6 +229,7 @@ def _coboundary_rows(g: SuperLieAlgebra, degree: int) -> Dict[Key, Dict[Key, Fra
                         accumulate(row, src, sign * coeff)
         if row:
             rows[key] = row
+    g._rows[degree] = rows
     return rows
 
 

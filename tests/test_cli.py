@@ -42,6 +42,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
 
 ZERO_DENOMINATOR = "algebra g parities 0,0 bracket [1,1] = 1/0*e1;"
 ZERO_COVER = "simplex 0 1\nf 0 1 = 1/0\n"
+NEGATIVE_D_COVER = "simplex 0 1\nd = -1\n"
 
 
 @pytest.mark.parametrize(
@@ -80,18 +81,30 @@ ZERO_COVER = "simplex 0 1\nf 0 1 = 1/0\n"
         (("heisenberg", "kks", FIXTURES / "heis33.ssp", "--ybar1", "1/0"), "--ybar1: '1/0' is not a rational number"),
         (("cech", "prequantize", FIXTURES / "sphere.cov", "--d", "1/0"), "--d: '1/0' is not a rational number"),
         (("cech", "classify", FIXTURES / "circle.cov", "--d", "x"), "--d: 'x' is not a rational number"),
-        (("cech", "periods", ZERO_COVER), "NerveError: cover file line 2: division by zero"),
+        (("cech", "periods", ZERO_COVER), "cover file line 2: division by zero"),
+        (
+            ("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]]", "--parities", "0,2", "--even"),
+            "--parities: each entry must be 0 or 1, got '0,2'",
+        ),
+        (
+            ("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]]", "--parities", "0,-1", "--even"),
+            "--parities: each entry must be 0 or 1, got '0,-1'",
+        ),
+        (("cech", "classify", FIXTURES / "circle.cov", "--d", "-1"), "--d: '-1' is negative"),
+        (("cech", "prequantize", FIXTURES / "sphere.cov", "--d=-3/2"), "--d: '-3/2' is negative"),
+        (("cech", "classify", NEGATIVE_D_COVER), "cover file line 2: d must be >= 0"),
     ],
     ids=[
         "zero_point", "deep_nesting", "darboux_shape", "zero_denominator",
         "point_literal", "point_no_value", "matrix_not_json", "matrix_not_rows", "matrix_zero_denominator",
         "parities_literal", "y0_literal", "y0_zero_denominator", "ybar1_zero_denominator",
         "d_zero_denominator", "d_literal", "cover_zero_denominator",
+        "parities_two", "parities_negative", "d_negative_classify", "d_negative_prequantize", "cover_negative_d",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, error_start):
     # a declaration or cover text in argv is passed as a file holding it
-    files = {ZERO_DENOMINATOR: tmp_path / "doc.ssp", ZERO_COVER: tmp_path / "cover.cov"}
+    files = {ZERO_DENOMINATOR: tmp_path / "doc.ssp", ZERO_COVER: tmp_path / "cover.cov", NEGATIVE_D_COVER: tmp_path / "d.cov"}
     for text, path in files.items():
         path.write_text(text)
     code = main([str(files[a]) if a in files else str(a) for a in argv])
@@ -198,6 +211,8 @@ def test_cech_pipeline(capsys):
     assert code == 0 and rep["trivial"] is True
     code, rep = run(capsys, "cech", "classify", FIXTURES / "circle.cov")
     assert code == 0 and rep["free_rank"] == 1
+    code, rep = run(capsys, "cech", "classify", FIXTURES / "circle.cov", "--d", "0")
+    assert code == 0 and rep["coefficients"] == "Q"
 
 
 def test_prequant_commands(capsys):

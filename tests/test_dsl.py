@@ -320,3 +320,58 @@ def test_render_is_a_fixed_point():
     for text in texts:
         once = render(parse(text))
         assert render(parse(once)) == once
+
+
+MEMO_DOC = """
+chart M even x,y odd xi;
+chart N even x,y odd xi;
+fn f on M = x^2 + xi;
+vf X on M = y*d/dx;
+form w on M = dx^dy;
+algebra g parities 0,0,0 bracket [1,2] = e3;
+cocycle c on g degree 2 values [1,2] = 1*c0;
+heisenberg h parities 0,1 omega0 [[0,0],[0,1]] omega1 [[0,1],[-1,0]];
+"""
+
+
+def test_evaluate_returns_the_memoized_value():
+    doc = parse(MEMO_DOC)
+    chart = doc.charts["M"]
+    for text in ("f*x*c0 + xi*y*c1", "X", "w^dx", "(x - y)^3"):
+        first = doc.evaluate(text, chart)
+        assert doc.evaluate(text, chart) is first
+        assert doc.evaluate(text, chart) == parse(MEMO_DOC).evaluate(text, chart)
+    # with no chart given, the current chart (the last one declared) is the key
+    assert doc.evaluate("x*y") is doc.evaluate("x*y", doc.charts["N"])
+
+
+def test_one_text_on_two_charts_gives_two_values():
+    doc = parse(MEMO_DOC)
+    on_m, on_n = (doc.evaluate("x*xi + y", doc.charts[name]) for name in ("M", "N"))
+    assert on_m.chart == doc.charts["M"] and on_n.chart == doc.charts["N"]
+    assert on_m != on_n
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("x + zz", "undefined identifier 'zz'", (1, 5)),
+        ("x\n  + )", "unexpected token ')'", (2, 5)),
+        ("x y", "trailing input after expression", (1, 3)),
+    ],
+)
+def test_a_failing_text_fails_alike_on_every_call(text, message, position):
+    doc = parse(MEMO_DOC)
+    for _ in range(3):
+        with pytest.raises(DslError) as err:
+            doc.evaluate(text)
+        assert (err.value.message, (err.value.line, err.value.col)) == (message, position)
+
+
+@pytest.mark.parametrize("table", ["charts", "functions", "cfunctions", "fields", "forms", "algebras", "cocycles", "heisenbergs"])
+def test_the_tables_of_a_parsed_document_are_read_only(table):
+    doc = parse(MEMO_DOC)
+    with pytest.raises(TypeError):
+        getattr(doc, table)["f"] = doc.functions["f"]
+    with pytest.raises(AttributeError):
+        getattr(doc, table).clear()

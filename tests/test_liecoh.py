@@ -8,6 +8,7 @@ from supersymp.liecoh import (
     CECochain,
     SuperLieAlgebra,
     _coboundary_matrix,
+    _coboundary_rows,
     canonical_keys,
     ce_coboundary,
     central_extension,
@@ -185,6 +186,15 @@ def test_coboundary_matrix_columns_are_images_of_basis_cochains(rng):
                 image = reference_coboundary(CECochain(g, degree, {key: unit}))
                 expected = [GaussianRational(image.evaluate(t)[tuple_parity(g.parities, t)]) for t in dst]
                 assert [row[col] for row in matrix] == expected
+
+
+def test_coboundary_rows_are_built_once_per_algebra_and_degree(rng):
+    for g in oracle_algebras(rng):
+        rows = {degree: _coboundary_rows(g, degree) for degree in (0, 1, 2)}
+        fresh = SuperLieAlgebra(g.parities, g.brackets)
+        for degree, built in rows.items():
+            assert _coboundary_rows(g, degree) is built
+            assert _coboundary_rows(fresh, degree) == built
 
 
 def test_skew_sorting():
