@@ -1,10 +1,10 @@
 """Finite-cover Cech machinery for D-prequantization.
 
 A cover enters as an abstract nerve: simplices up to dimension 3 with
-integer boundary matrices.  Potential data is carried by rational cochains:
-f on edges (differences of local primitives), a on triangles (the
-obstruction cocycle, a = delta f when it comes from potentials).  The group
-of periods of a is its image on integer 2-cycles; existence of a
+integer boundaries, kept as sparse rows through the Smith normal form to
+the period group.  Potential data is carried by rational cochains: f on
+edges (differences of local primitives), a on triangles (the obstruction
+cocycle, a = delta f when it comes from potentials).  The group of periods of a is its image on integer 2-cycles; existence of a
 D-prequantum structure for D = d Z is the inclusion Per into D, and the
 inequivalent choices are counted by H^1 with coefficients Q/dZ.
 """
@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .grassmann import Linear, graded_sort
 from . import linalg
-from .linalg import fraction_gcd, matmul, transpose
+from .linalg import fraction_gcd
 
 Simplex = Tuple[int, ...]
 
@@ -27,6 +27,15 @@ MAX_DIM = 3
 
 class NerveError(ValueError):
     pass
+
+
+def _combine(pairs: Iterable[Tuple[int, object]], rows: Sequence[Dict[int, int]]) -> Dict[int, object]:
+    """The sum of x * rows[i] over the pairs (i, x), as a dict index -> value."""
+    out: Dict[int, object] = {}
+    for i, x in pairs:
+        for j, y in rows[i].items():
+            out[j] = out.get(j, 0) + x * y
+    return out
 
 
 def _faces(s: Simplex) -> Iterable[Tuple[int, Simplex]]:
@@ -59,36 +68,32 @@ class NerveComplex:
         self.index: Dict[int, Dict[Simplex, int]] = {
             k: {s: i for i, s in enumerate(self.simplices[k])} for k in range(MAX_DIM + 1)
         }
-        self._boundary: Dict[int, List[List[int]]] = {}
+        self._boundary: Dict[int, List[Dict[int, int]]] = {}
         self._smith: Dict[int, tuple] = {}
 
-    def boundary_matrix(self, k: int) -> List[List[int]]:
-        """Matrix of d_k: C_k -> C_(k-1); rows (k-1)-simplices, columns
-        k-simplices.  Built once per nerve and shared: do not modify it."""
+    def boundary(self, k: int) -> List[Dict[int, int]]:
+        """d_k: C_k -> C_(k-1) as sparse rows, one per (k-1)-simplex, each a
+        dict k-simplex index -> sign.  Built once per nerve and shared: do
+        not modify it."""
         if k not in self._boundary:
-            rows = self.simplices[k - 1]
-            cols = self.simplices[k]
-            out = [[0] * len(cols) for _ in rows]
-            for c, s in enumerate(cols):
+            rows: List[Dict[int, int]] = [{} for _ in self.simplices[k - 1]]
+            for c, s in enumerate(self.simplices[k]):
                 for sign, face in _faces(s):
-                    out[self.index[k - 1][face]][c] += sign
-            self._boundary[k] = out
+                    rows[self.index[k - 1][face]][c] = sign
+            self._boundary[k] = rows
         return self._boundary[k]
 
     def smith_form(self, k: int) -> tuple:
-        """(D, U, V) with D = U d_k V in Smith normal form, computed once
-        per nerve and shared by the period group, the normalization and the
-        classification."""
+        """(factors, U, V) of d_k from `linalg.smith_normal_form`, computed
+        once per nerve and shared by the period group, the normalization
+        and the classification."""
         if k not in self._smith:
-            self._smith[k] = linalg.smith_normal_form(self.boundary_matrix(k))
+            self._smith[k] = linalg.smith_normal_form(self.boundary(k), len(self.simplices[k]))
         return self._smith[k]
 
     def invariant_factors(self, k: int) -> List[int]:
         """The nonzero invariant factors of d_k; their number is its rank."""
-        if not self.simplices[k] or not self.simplices[k - 1]:
-            return []
-        d = self.smith_form(k)[0]
-        return [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
+        return self.smith_form(k)[0]
 
 
 def build_nerve(simplices: Iterable[Sequence[int]]) -> NerveComplex:
@@ -97,7 +102,8 @@ def build_nerve(simplices: Iterable[Sequence[int]]) -> NerveComplex:
     for k in range(2, MAX_DIM + 1):
         if not nerve.simplices[k]:
             continue
-        if any(any(row) for row in matmul(nerve.boundary_matrix(k - 1), nerve.boundary_matrix(k))):
+        outer = nerve.boundary(k)
+        if any(any(_combine(row.items(), outer).values()) for row in nerve.boundary(k - 1)):
             raise NerveError("boundary of boundary is nonzero")
     return nerve
 
@@ -138,25 +144,18 @@ class CechCochain(Linear):
             return Fraction(0)
         return self.values.get(canon, Fraction(0)) * sign
 
-    def vector(self) -> List[Fraction]:
-        return [self.values.get(s, Fraction(0)) for s in self.nerve.simplices[self.degree]]
-
     def __repr__(self):
         return f"<{self.degree}-cochain {self.values}>"
 
 
 def coboundary(h: CechCochain) -> CechCochain:
-    """(delta h)(s) = h(boundary s)."""
+    """(delta h)(s) = h(boundary s), read off the rows of d_(k+1) at the
+    nonzero terms of h."""
     nerve = h.nerve
     k = h.degree
-    terms: Dict[Simplex, Fraction] = {}
-    for s in nerve.simplices[k + 1]:
-        total = Fraction(0)
-        for sign, face in _faces(s):
-            total += sign * h(*face)
-        if total != 0:
-            terms[s] = total
-    return CechCochain(nerve, k + 1)._like(terms)
+    totals = _combine(((nerve.index[k][face], x) for face, x in h.terms.items()), nerve.boundary(k + 1))
+    cofaces = nerve.simplices[k + 1]
+    return CechCochain(nerve, k + 1)._like({cofaces[c]: totals[c] for c in sorted(totals) if totals[c]})
 
 
 def cocycle_from_potentials(f: CechCochain) -> CechCochain:
@@ -191,14 +190,18 @@ class PeriodGroup:
         return self.generator == 0
 
 
-def two_cycles(nerve: NerveComplex) -> List[List[int]]:
-    """Integer basis of ker d_2: the last columns of V in D = U d_2 V."""
-    ntris = len(nerve.simplices[2])
-    if not nerve.simplices[1]:
-        return [[int(i == j) for i in range(ntris)] for j in range(ntris)]
-    if not ntris:
-        return []
-    return transpose(nerve.smith_form(2)[2])[len(nerve.invariant_factors(2)):]
+def two_cycles(nerve: NerveComplex) -> List[Dict[int, int]]:
+    """Integer basis of ker d_2, each cycle a dict triangle index ->
+    nonzero coefficient: the columns of V past the invariant factors in
+    D = U d_2 V, shared with the nerve: do not modify them."""
+    factors, _, v = nerve.smith_form(2)
+    return v[len(factors):]
+
+
+def _pair(column: Dict[int, int], a: CechCochain) -> Fraction:
+    """a evaluated on an integer 2-chain given as triangle index -> coefficient."""
+    tris = a.nerve.simplices[2]
+    return sum((x * a.terms.get(tris[t], 0) for t, x in column.items()), Fraction(0))
 
 
 def period_group(a: CechCochain, nerve: Optional[NerveComplex] = None) -> PeriodGroup:
@@ -208,8 +211,7 @@ def period_group(a: CechCochain, nerve: Optional[NerveComplex] = None) -> Period
         raise NerveError("cochain does not live on this nerve")
     if a.degree != 2:
         raise ValueError("periods are computed from a 2-cochain")
-    periods = matmul(two_cycles(nerve), [[v] for v in a.vector()])
-    return PeriodGroup(fraction_gcd([p for (p,) in periods]))
+    return PeriodGroup(fraction_gcd([_pair(z, a) for z in two_cycles(nerve)]))
 
 
 def normalize_to_periods(a: CechCochain, nerve: Optional[NerveComplex] = None, per: Optional[PeriodGroup] = None):
@@ -228,15 +230,11 @@ def normalize_to_periods(a: CechCochain, nerve: Optional[NerveComplex] = None, p
         return CechCochain(nerve, 1), a, per
     if not edges:
         raise NerveError("triangles without edges")
-    _d, u, v = nerve.smith_form(2)
-    # a' = a . V  (components in the Smith coordinates of C_2)
-    (aprime,) = matmul([a.vector()], v)
-    c = [Fraction(0)] * len(edges)
-    for i, factor in enumerate(nerve.invariant_factors(2)):
-        c[i] = aprime[i] / factor
-    # b' = c . U
-    (bvals,) = matmul([c], u)
-    bprime = CechCochain(nerve, 1, dict(zip(edges, bvals)))
+    factors, u, v = nerve.smith_form(2)
+    # b' = c . U with c_i = (a . V)_i / factor_i, the components of a in the
+    # Smith coordinates of C_2 matched on the image of d_2
+    bvals = _combine(((i, _pair(column, a) / factor) for i, (factor, column) in enumerate(zip(factors, v))), u)
+    bprime = CechCochain(nerve, 1, {edges[e]: bvals[e] for e in sorted(bvals)})
     corrected = a - coboundary(bprime)
     for s in tris:
         if not per.contains(corrected.values.get(s, Fraction(0))):

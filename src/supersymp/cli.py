@@ -514,8 +514,19 @@ def _add_point_option(p):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a single-dash word as an option only when it is one, so a
+    value such as -3/2 or -x*c0 after --y0 or --f is taken as the value,
+    as in --y0=-3/2; subparsers inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supersymp",
         description="exact engine for graded symplectic geometry and prequantization",
     )

@@ -1,9 +1,9 @@
 """Exact linear algebra: the one module that handles a matrix.
 
 Matrices enter and leave as plain lists of lists, except in
-`solve_sparse`, which takes the rows of a system as dicts column ->
-nonzero entry, in any order, so a caller that already holds its system
-sparse never builds the dense matrix.
+`solve_sparse` and `smith_normal_form`, which take the rows of a matrix as
+dicts column -> nonzero entry, so a caller that already holds its matrix
+sparse never builds the dense one.
 
 * `transpose` and `matmul` for any scalar type that adds and multiplies
   (Q(i), Fraction, int, Grassmann numbers); `matmul` walks only the
@@ -16,9 +16,9 @@ sparse never builds the dense matrix.
   and, on top of them, `rank`, `solve`, `nullspace`, `inverse` and
   `independent`, the first vectors of a list that are linearly
   independent, read off one elimination;
-* sparse Smith normal form over Z, `smith_normal_form` and
-  `invariant_factors`, for the integer chain complexes of the finite
-  cover machinery.
+* sparse Smith normal form over Z, `smith_normal_form`: sparse integer
+  rows in, (invariant factors, U as sparse rows, V as sparse columns)
+  out, for the integer chain complexes of the finite cover machinery.
 
 Every elimination passes through one of two sparse kernels: `_reduce`,
 under `rref` and `solve_sparse`, or `smith_normal_form`.  Both keep each
@@ -297,21 +297,27 @@ def _next_pivot(heap, rows, holders, active) -> Tuple[int, int]:
         heappop(heap)
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
-    """Return (D, U, V) with D = U A V, U and V unimodular, D in SNF.
+def smith_normal_form(rows: Sequence[Dict[int, int]], ncols: int) -> Tuple[List[int], List[Dict[int, int]], List[Dict[int, int]]]:
+    """Return (factors, U, V) with U A V = D in Smith normal form, U and V
+    unimodular, for the integer matrix A given as its rows, dicts column ->
+    nonzero entry, like the rows of `solve_sparse`.
 
-    A is kept as sparse rows with a column index, U as sparse rows and V
-    as sparse columns.  The pivot's
-    column is cleared by row operations, then its row by column
-    operations, which touch only the pivot row of A once the column is
-    clear.  A nonzero remainder is a Euclid step: the loop picks a new,
-    smaller pivot.  The non-unit pivots are then made a divisibility chain
-    pairwise by the Bezout transform diag(a, b) -> diag(g, ab/g); the
-    pivots are put in place, units first, and made positive through U.
+    `factors` are the nonzero diagonal entries of D, each dividing the
+    next; the rest of D is zero.  U comes as its rows and V as its
+    columns, both dicts index -> nonzero entry, in the order of D's
+    diagonal, so the columns of V past the factors span the kernel of A.
+    The caller's dicts are left as they are.
+
+    A is kept as sparse rows with a column index.  The pivot's column is
+    cleared by row operations, then its row by column operations, which
+    touch only the pivot row of A once the column is clear.  A nonzero
+    remainder is a Euclid step: the loop picks a new, smaller pivot.  The
+    non-unit pivots are then made a divisibility chain pairwise by the
+    Bezout transform diag(a, b) -> diag(g, ab/g); the pivots are put in
+    place, units first, and made positive through U.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rows = [{j: int(x) for j, x in enumerate(row) if x} for row in a]
+    nrows = len(rows)
+    rows = [dict(row) for row in rows]
     holders: List[Set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j in row:
@@ -377,26 +383,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List
     col_order = [pivots[k][1] for k in order]
     row_order += sorted(set(range(nrows)) - set(row_order))
     col_order += sorted(set(range(ncols)) - set(col_order))
-    d = [[0] * ncols for _ in range(nrows)]
-    for t, k in enumerate(order):
-        d[t][t] = abs(diag[k])
-    u_out = [_dense(u[i], nrows, 0) for i in row_order]
-    v_out = [[0] * ncols for _ in range(ncols)]
-    for t, c in enumerate(col_order):
-        for i, x in v[c].items():
-            v_out[i][t] = x
-    return d, u_out, v_out
-
-
-def invariant_factors(a: Sequence[Sequence[int]]) -> List[int]:
-    if not a or not a[0]:
-        return []
-    d, _u, _v = smith_normal_form(a)
-    out = []
-    for i in range(min(len(a), len(a[0]))):
-        if d[i][i] != 0:
-            out.append(abs(d[i][i]))
-    return out
+    return [abs(diag[k]) for k in order], [u[i] for i in row_order], [v[c] for c in col_order]
 
 
 def fraction_gcd(values: Sequence[Fraction]) -> Fraction:

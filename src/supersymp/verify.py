@@ -269,7 +269,8 @@ def _c_21_jacobi():
     def pb(u, v):
         return poisson_bracket(u, v, sd)
 
-    # (-1)^(|a||c|) per term, up to one overall sign; no term vanishes, so each sign counts
+    # (-1)^(|a||c|) per term, up to one overall sign; with parities (0, 0, 1) every
+    # skew_sign here is -1, so this check cannot tell a graded Jacobi rule from an ungraded one
     jac = (
         pb(f, pb(g, h)).scale(skew_sign(pf, ph))
         + pb(g, pb(h, f)).scale(skew_sign(pg, pf))

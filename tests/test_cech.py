@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from supersymp import linalg
+from supersymp import cech, linalg
 from supersymp.cech import (
     CechCochain,
     NerveError,
@@ -38,19 +38,48 @@ def solid_triangle():
 def test_triangle_nerve_boundaries():
     nerve = circle_nerve()
     assert nerve.simplices[2] == []
-    b1 = nerve.boundary_matrix(1)
-    assert len(b1) == 3 and len(b1[0]) == 3
+    b1 = nerve.boundary(1)
+    # 3 vertex rows over the 3 edge columns, no zero stored
+    assert len(b1) == 3 and len(nerve.simplices[1]) == 3
+    assert all(set(row) <= {0, 1, 2} and all(row.values()) for row in b1)
     # each edge has boundary (head - tail)
-    assert [row[0] for row in b1] == [-1, 1, 0]  # edge (0,1)
+    assert [row.get(0, 0) for row in b1] == [-1, 1, 0]  # edge (0,1)
 
 
 def test_tetrahedron_dd_zero():
     nerve = sphere_nerve()
-    b2 = nerve.boundary_matrix(2)
-    b1 = nerve.boundary_matrix(1)
+    b2 = nerve.boundary(2)
+    b1 = nerve.boundary(1)
+    assert (len(b1), len(b2)) == (4, 6)
     for c in range(4):
         for r in range(4):
-            assert sum(b1[r][m] * b2[m][c] for m in range(6)) == 0
+            assert sum(b1[r].get(m, 0) * b2[m].get(c, 0) for m in range(6)) == 0
+
+
+def octahedron_simplices():
+    """The octahedron, poles 0 and 5 over the square 1..4, closed downward."""
+    ring = [1, 2, 3, 4]
+    tris = [t for a, b in zip(ring, ring[1:] + ring[:1]) for t in ((0, a, b), (5, b, a))]
+    return [face for t in tris for k in (1, 2, 3) for face in combinations(sorted(t), k)]
+
+
+@pytest.mark.parametrize("flipped", [(0, 1, 2), (0, 1)])
+def test_a_flipped_boundary_sign_is_rejected(monkeypatch, flipped):
+    """d d = 0 is checked on every construction: with the sign of one face
+    of one triangle or one edge flipped, the octahedron is refused."""
+    assert len(build_nerve(octahedron_simplices()).simplices[2]) == 8
+    faces = cech._faces
+
+    def flip(s):
+        out = list(faces(s))
+        if s == flipped:
+            sign, face = out[0]
+            out[0] = (-sign, face)
+        return out
+
+    monkeypatch.setattr(cech, "_faces", flip)
+    with pytest.raises(NerveError, match="^boundary of boundary is nonzero$"):
+        build_nerve(octahedron_simplices())
 
 
 def test_missing_face_rejected():
@@ -108,6 +137,24 @@ def test_zero_cocycle_trivial_periods():
     nerve, _ = sphere_cocycle(0)
     a = CechCochain(nerve, 2)
     assert period_group(a).is_trivial()
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [(sphere_nerve, 1), (lambda: torus_nerve(10, 10), 1), (lambda: rp2_nerve(), 0)],
+    ids=["sphere", "torus_10x10", "rp2"],
+)
+def test_two_cycles_are_cycles(make, count):
+    """Each column two_cycles returns is a nonzero integer 2-chain z with
+    d_2 z = 0: one fundamental cycle on the sphere and the torus, none on RP^2."""
+    nerve = make()
+    cycles = two_cycles(nerve)
+    assert len(cycles) == count
+    for z in cycles:
+        assert z and all(type(x) is int and x for x in z.values())
+        assert set(z) <= set(range(len(nerve.simplices[2])))
+        for row in nerve.boundary(2):
+            assert sum(x * z.get(t, 0) for t, x in row.items()) == 0
 
 
 def test_sphere_periods():
@@ -293,7 +340,7 @@ def test_one_smith_form_per_boundary_degree(monkeypatch, rng):
     Each gives the same result as on a fresh nerve of its own."""
     calls = []
     snf = linalg.smith_normal_form
-    monkeypatch.setattr(linalg, "smith_normal_form", lambda a: calls.append(len(a)) or snf(a))
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda rows, ncols: calls.append(len(rows)) or snf(rows, ncols))
     nerve = torus_nerve(10, 10)
     assert len(nerve.simplices[2]) == 200
     per, _, rep = _surface_pipeline(nerve, {t: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for t in nerve.simplices[2]})

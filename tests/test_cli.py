@@ -93,6 +93,7 @@ NEGATIVE_D_COVER = "simplex 0 1\nd = -1\n"
         (("cech", "classify", FIXTURES / "circle.cov", "--d", "-1"), "--d: '-1' is negative"),
         (("cech", "prequantize", FIXTURES / "sphere.cov", "--d=-3/2"), "--d: '-3/2' is negative"),
         (("cech", "classify", NEGATIVE_D_COVER), "cover file line 2: d must be >= 0"),
+        (("cech", "classify", FIXTURES / "circle.cov", "--d", "-1/2"), "--d: '-1/2' is negative"),
     ],
     ids=[
         "zero_point", "deep_nesting", "darboux_shape", "zero_denominator",
@@ -100,6 +101,7 @@ NEGATIVE_D_COVER = "simplex 0 1\nd = -1\n"
         "parities_literal", "y0_literal", "y0_zero_denominator", "ybar1_zero_denominator",
         "d_zero_denominator", "d_literal", "cover_zero_denominator",
         "parities_two", "parities_negative", "d_negative_classify", "d_negative_prequantize", "cover_negative_d",
+        "d_negative_fraction_spaced",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, error_start):
@@ -198,6 +200,18 @@ def test_heisenberg_orbit_cases(capsys):
     code, rep = run(capsys, "heisenberg", "momentum", FIXTURES / "heis33.ssp", "--y0", "0", "--ybar1", "1")
     assert code == 0
     assert rep["strongly_hamiltonian"] is True
+
+
+def test_a_value_with_a_leading_minus_reads_as_with_equals(capsys):
+    """--opt -3/2 is the value -3/2, as --opt=-3/2 is, not an unknown option."""
+    heis = ("heisenberg", "orbit", FIXTURES / "heis33.ssp")
+    spaced = run(capsys, *heis, "--y0", "-3/2")
+    assert spaced == run(capsys, *heis, "--y0=-3/2")
+    assert spaced[0] == 0 and spaced[1]["y0"] == "-3/2"
+    ham = ("symplectic", "hamiltonian", FIXTURES / "mixed21.ssp", "--point", "x=0,y=0")
+    code, rep = run(capsys, *ham, "--f", "-x*c0")
+    assert code == 0 and rep["status"] == "member"
+    assert (code, rep) == run(capsys, *ham, "--f=-x*c0")
 
 
 def test_cech_pipeline(capsys):

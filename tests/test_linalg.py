@@ -252,6 +252,23 @@ def test_sparse_integer_matmul_against_sympy():
         assert all(type(x) is int for row in product for x in row)
 
 
+def _sparse_rows(a):
+    """The rows of a dense integer matrix as dicts column -> nonzero entry."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def _dense_smith_form(rows, ncols):
+    """smith_normal_form of sparse rows, with D, U and V made dense after
+    checking the shapes and that no stored entry is zero."""
+    nrows = len(rows)
+    factors, u, v = linalg.smith_normal_form(rows, ncols)
+    assert len(factors) <= min(nrows, ncols) and len(u) == nrows and len(v) == ncols
+    assert all(set(row) <= set(range(nrows)) and all(row.values()) for row in u)
+    assert all(set(col) <= set(range(ncols)) and all(col.values()) for col in v)
+    d = [[factors[i] if i == j and i < len(factors) else 0 for j in range(ncols)] for i in range(nrows)]
+    return d, [[row.get(j, 0) for j in range(nrows)] for row in u], [[col.get(i, 0) for col in v] for i in range(ncols)]
+
+
 def test_invariant_factors_against_sympy():
     rng = random.Random(11)
     for _ in range(60):
@@ -260,9 +277,9 @@ def test_invariant_factors_against_sympy():
         if m > 1 and rng.random() < 0.4:
             a[-1] = [rng.randint(-2, 2) * v for v in a[0]]
         want = [abs(int(f)) for f in normalforms.invariant_factors(sp.Matrix(a), domain=sp.ZZ) if f != 0]
-        assert linalg.invariant_factors(a) == want
+        assert linalg.smith_normal_form(_sparse_rows(a), n)[0] == want
 
-        d, u, v = linalg.smith_normal_form(a)
+        d, u, v = _dense_smith_form(_sparse_rows(a), n)
         assert sp.Matrix(u) * sp.Matrix(a) * sp.Matrix(v) == sp.Matrix(d)
         assert abs(sp.Matrix(u).det()) == 1 and abs(sp.Matrix(v).det()) == 1
 
@@ -313,14 +330,14 @@ def test_sparse_smith_form_against_sympy():
         a = [[x if i == j else 0 for j in range(len(diag) + 1)] for i, x in enumerate(diag)]
         for _ in range(3):
             scrambled = _unimodular_scramble(rng, a)
-            assert linalg.invariant_factors(scrambled) == want
+            assert linalg.smith_normal_form(_sparse_rows(scrambled), len(scrambled[0]))[0] == want
             cases.append(scrambled)
     zero_rows_cols = 0
     for a in cases:
         zero_rows_cols += not all(any(row) for row in a) and not all(any(col) for col in zip(*a))
         want = [abs(int(f)) for f in normalforms.invariant_factors(sp.Matrix(a), domain=sp.ZZ) if f != 0]
-        assert linalg.invariant_factors(a) == want
-        d, u, v = linalg.smith_normal_form(a)
+        assert linalg.smith_normal_form(_sparse_rows(a), len(a[0]))[0] == want
+        d, u, v = _dense_smith_form(_sparse_rows(a), len(a[0]))
         _assert_smith_form(a, d, u, v)
         assert {abs(sp.Matrix(w).to_DM(domain=sp.ZZ).det()) for w in (u, v)} == {1}
     assert zero_rows_cols >= 20
@@ -331,12 +348,15 @@ def test_smith_form_of_the_torus_boundaries():
     d_2 (300 x 200) has 199."""
     nerve = torus_nerve(10, 10)
     for k, shape, rank in ((1, (100, 300), 99), (2, (300, 200), 199)):
-        a = nerve.boundary_matrix(k)
-        assert (len(a), len(a[0])) == shape
-        d, u, v = linalg.smith_normal_form(a)
+        rows, ncols = nerve.boundary(k), len(nerve.simplices[k])
+        before = [dict(row) for row in rows]
+        assert (len(rows), ncols) == shape
+        a = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        d, u, v = _dense_smith_form(rows, ncols)
         _assert_smith_form(a, d, u, v)
         assert [d[i][i] for i in range(min(shape))] == [1] * rank + [0] * (min(shape) - rank)
-        assert linalg.smith_normal_form(a) == (d, u, v)
+        assert linalg.smith_normal_form(rows, ncols) == linalg.smith_normal_form(rows, ncols)
+        assert rows == before
 
 
 def _rescan_pivot(heap, rows, holders, active):
@@ -358,10 +378,11 @@ def test_smith_form_pivots_match_a_full_rescan(monkeypatch):
     for _ in range(30):
         m, n = rng.randint(1, 25), rng.randint(1, 30)
         density = rng.choice((0.05, 0.15, 0.4))
-        cases.append([[rng.choice((-6, -3, -2, -1, 1, 2, 4)) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)])
+        a = [[rng.choice((-6, -3, -2, -1, 1, 2, 4)) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        cases.append((_sparse_rows(a), n))
     for size in ((3, 4), (10, 10)):
         nerve = torus_nerve(*size)
-        cases += [nerve.boundary_matrix(1), nerve.boundary_matrix(2)]
+        cases += [(nerve.boundary(k), len(nerve.simplices[k])) for k in (1, 2)]
     fast = linalg._next_pivot
     steps = []
 
@@ -371,9 +392,9 @@ def test_smith_form_pivots_match_a_full_rescan(monkeypatch):
         steps.append(got == want)
         return got
 
-    for a in cases:
+    for rows, ncols in cases:
         monkeypatch.setattr(linalg, "_next_pivot", checked)
-        result = linalg.smith_normal_form(a)
+        result = linalg.smith_normal_form(rows, ncols)
         monkeypatch.setattr(linalg, "_next_pivot", _rescan_pivot)
-        assert linalg.smith_normal_form(a) == result
+        assert linalg.smith_normal_form(rows, ncols) == result
     assert all(steps) and len(steps) > 500

@@ -31,6 +31,14 @@ The rows are measured on the checkout that holds this script:
   to 5, and of one member of the 2|1 constant form dx^dy + dx^dxi, each
   call on a `SymplecticData` built afresh inside the timed call (so no
   cached column or field is reused, and the build is part of the row);
+* an L4 row per boundary of the 10x10 torus: `smith_normal_form` of d_1
+  (100 x 300) and of d_2 (300 x 200), on a nerve built outside the
+  timed call;
+* Cech scaling rows on the m x m torus for m = 5, 10, 14 and 20 (50, 200,
+  392 and 800 triangles): `load_cover` of the generated cover text, then
+  `period_group`, `normalize_to_periods` and `classify_prequantum` with
+  d = 3, all in one timed call, so the nerve and its Smith forms are
+  built afresh each time;
 * end-to-end rows: the last-line JSON of
   `python3 bench/run.py --workload W --seed S --seconds T --trace 0`
   for every workload and seed given;
@@ -46,6 +54,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import random
 import subprocess
 import sys
 import timeit
@@ -113,7 +122,7 @@ def micro_rows() -> list:
         ("L3 forms contract of f d/dx + x xi d/deta with the 2|2 form", lambda: contract(field, omega)),
         ("L5 liecoh h2 of the 3|3 extension algebra, freshly built", lambda: h2(algebra_of(heisenberg_33()))),
     ]
-    rows += dsl_rows() + l5_rows()
+    rows += dsl_rows() + l5_rows() + cech_rows()
     out = []
     for name, fn in rows:
         raw, reference = _best_us(fn)
@@ -169,6 +178,31 @@ def l5_rows() -> list:
     ]
     rows.append(("L5 symplectic hamiltonian_field of a 2|1 constant-form member, fresh SymplecticData",
                  lambda: hamiltonian_field(member, SymplecticData(data21.omega))))
+    return rows
+
+
+def cech_rows() -> list:
+    import inputs
+    from supersymp import cech, linalg
+
+    def torus_text(m):
+        return inputs.surface(random.Random(1), "torus", inputs.torus(m, m))["text"]
+
+    def pipeline(text):
+        cover = cech.load_cover(text)
+        a = cover.cocycle()
+        per = cech.period_group(a, cover.nerve)
+        cech.normalize_to_periods(a, cover.nerve, per)
+        cech.classify_prequantum(cover.nerve, 3)
+
+    nerve = cech.load_cover(torus_text(10)).nerve
+    rows = []
+    for k, shape in ((1, "100 x 300"), (2, "300 x 200")):
+        rows.append((f"L4 linalg smith_normal_form of d_{k} ({shape}) of the 10x10 torus",
+                     lambda k=k: linalg.smith_normal_form(nerve.boundary(k), len(nerve.simplices[k]))))
+    for m in (5, 10, 14, 20):
+        rows.append((f"L5 cech load_cover, period_group, normalize_to_periods and classify_prequantum "
+                     f"of the {m}x{m} torus ({2 * m * m} triangles)", lambda text=torus_text(m): pipeline(text)))
     return rows
 
 
