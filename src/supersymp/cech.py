@@ -4,9 +4,10 @@ A cover enters as an abstract nerve: simplices up to dimension 3 with
 integer boundaries, kept as sparse rows through the Smith normal form to
 the period group.  Potential data is carried by rational cochains: f on
 edges (differences of local primitives), a on triangles (the obstruction
-cocycle, a = delta f when it comes from potentials).  The group of periods of a is its image on integer 2-cycles; existence of a
-D-prequantum structure for D = d Z is the inclusion Per into D, and the
-inequivalent choices are counted by H^1 with coefficients Q/dZ.
+cocycle, a = delta f when it comes from potentials).  The group of periods
+of a is its image on integer 2-cycles; existence of a D-prequantum
+structure for D = d Z is the inclusion Per into D, and the inequivalent
+choices are counted by H^1 with coefficients Q/dZ.
 """
 
 from __future__ import annotations

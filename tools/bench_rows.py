@@ -227,13 +227,16 @@ def main(argv=None) -> None:
     ap.add_argument("--seconds", type=float, default=20)
     args = ap.parse_args(argv)
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True)
+    # the end-to-end runs go first: Linux keeps a process's peak RSS across
+    # fork and exec, so after the micro rows a run would report their peak
+    end_to_end = end_to_end_rows(
+        [w for w in args.workloads.split(",") if w], [int(s) for s in args.seeds.split(",") if s], args.seconds
+    )
     entry = {
         "commit": commit.stdout.strip(),
         "python": platform.python_version(),
         "micro": micro_rows(),
-        "end_to_end": end_to_end_rows(
-            [w for w in args.workloads.split(",") if w], [int(s) for s in args.seeds.split(",") if s], args.seconds
-        ),
+        "end_to_end": end_to_end,
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": {}}
     doc["rows"][args.label] = entry
