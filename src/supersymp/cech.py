@@ -154,6 +154,8 @@ def coboundary(h: CechCochain) -> CechCochain:
     nonzero terms of h."""
     nerve = h.nerve
     k = h.degree
+    if k >= MAX_DIM:
+        raise NerveError(f"no coboundary of a {k}-cochain: the nerve stops at dimension {MAX_DIM}")
     totals = _combine(((nerve.index[k][face], x) for face, x in h.terms.items()), nerve.boundary(k + 1))
     cofaces = nerve.simplices[k + 1]
     return CechCochain(nerve, k + 1)._like({cofaces[c]: totals[c] for c in sorted(totals) if totals[c]})

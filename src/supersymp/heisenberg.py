@@ -448,8 +448,8 @@ def _solve_kks(orbit: Orbit) -> KForm:
     wc = linalg.matmul(linalg.matmul(minv, w_target), linalg.transpose(minv))
     omega = form_from_contraction_matrix(chart, wc)
     # well defined: i_(v*) i_(w*) omega = (M W M^T)[v][w] is the target on
-    # all n generators (with r = 0 nothing moves and the target is zero)
-    if r and linalg.matmul(linalg.matmul(m_rows, wc), linalg.transpose(m_rows)) != target:
+    # all n generators
+    if linalg.matmul(linalg.matmul(m_rows, wc, r), linalg.transpose(m_rows), n) != target:
         raise ValueError("orbit pairing is inconsistent; form not well defined")
     return omega
 

@@ -90,17 +90,21 @@ def _dense(row: Dict[int, object], ncols: int, zero) -> list:
     return out
 
 
-def matmul(left: Sequence[Sequence], right: Sequence[Sequence]) -> List[list]:
-    """The product left . right.
+def matmul(left: Sequence[Sequence], right: Sequence[Sequence], ncols: Optional[int] = None) -> List[list]:
+    """The product left . right, with `ncols` columns: the length of the
+    rows of `right`, which must be given when `right` has no rows.
 
     Only nonzero entries of both factors are multiplied, in the order of
     the inner index, and every entry starts from a zero of the product's
-    type, so the result keeps the operands' scalar type.
+    type, so the result keeps the operands' scalar type.  An n x 0 times
+    0 x m product has no term to take a type from; it is the n x m
+    matrix of int 0.
     """
-    if not left or not right:
-        return [[] for _ in left]
+    if ncols is None:
+        ncols = len(right[0]) if right else 0
+    if not left or not right or not ncols:
+        return [[0] * ncols for _ in left]
     zero = left[0][0] * right[0][0] * 0
-    ncols = len(right[0])
     right_nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in right]
     out = []
     for row in left:

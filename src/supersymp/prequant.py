@@ -13,7 +13,8 @@ substitution d/dt -> -i/hbar, with hbar = 1 and i an exact Gaussian unit.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import cached_property
+from typing import Dict, Sequence, Tuple
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, contract, double, ext_d, lie_derivative, lift_form, lift_function
@@ -26,7 +27,11 @@ MINUS_I = GaussianRational(0, -1)
 
 class PrequantChart:
     """Base symplectic data, a potential theta with d(theta) = omega, and
-    the two fiber coordinates of the structure group."""
+    the two fiber coordinates of the structure group.
+
+    `quantum_op` keeps, per function f, the pair (X_f, <X_f, theta_0> + f0)
+    that Q(f) needs; an entry and theta_0 are built on first use.
+    """
 
     fiber_even = "t"
     fiber_odd = "tau"
@@ -53,6 +58,20 @@ class PrequantChart:
             theta0 + KForm.differential(self.total, self.fiber_even),
             theta1 + KForm.differential(self.total, self.fiber_odd),
         )
+        self._operators: Dict[CFunction, Tuple[VectorField, SuperFunction]] = {}
+
+    @cached_property
+    def _theta0(self) -> KForm:
+        return self.theta.parity_part(0)
+
+    def operator_parts(self, f: CFunction) -> Tuple[VectorField, SuperFunction]:
+        """(X_f, <X_f, theta_0> + f0), solved once per f.  A non-member f
+        stores nothing and raises `PoissonMembershipError` on every call."""
+        parts = self._operators.get(f)
+        if parts is None:
+            xf = require_hamiltonian_field(f, self.base)
+            parts = self._operators[f] = (xf, contract(xf, self._theta0).as_function() + f.f0)
+        return parts
 
     # -- infinitesimal symmetries ---------------------------------------
 
@@ -105,12 +124,12 @@ def quantum_op(f: CFunction, s: Section, chart: PrequantChart) -> Section:
     """Q(f) s = -i hbar nabla_(X_f) s + f0 s with hbar = 1.
 
     In the trivialization nabla_X s = X s + i <X, theta_0> s, so
-    Q(f) s = -i X_f(s) + <X_f, theta_0> s + f0 s, all exact in Q(i).
+    Q(f) s = -i X_f(s) + <X_f, theta_0> s + f0 s, all exact in Q(i).  The
+    field X_f and the multiplier <X_f, theta_0> + f0 come from
+    `chart.operator_parts(f)`, built on the first call with that f.
     """
-    xf = require_hamiltonian_field(f, chart.base)
-    pairing = contract(xf, chart.theta.parity_part(0)).as_function()
-    out = xf.apply(s.fun).scale(MINUS_I) + pairing * s.fun + f.f0 * s.fun
-    return Section(out)
+    xf, multiplier = chart.operator_parts(f)
+    return Section(xf.apply(s.fun).scale(MINUS_I) + multiplier * s.fun)
 
 
 def rep_check(f: CFunction, g: CFunction, chart: PrequantChart, sections: Sequence[Section]) -> bool:

@@ -13,13 +13,15 @@ contraction: the word dz_i^dz_j * g with i < j is W[i][j] = -(-1)^(|i||j|) g
 and W[j][i] = g, and dz_i^dz_i * g is W[i][i] = 2g.  The sign is
 `grassmann.skew_sign`; `linalg.skew_violation` checks the pattern.
 
-Each `SymplecticData` owns the solver's state: the contraction column of
-every ansatz basis field and the Hamiltonian field of every function
-already solved are cached on it, and live and die with it.  A column is a
-sparse dict keyed by `RowKey`, so the coefficient system of a solve is
-gathered row by row from the cached columns and `_ckform_rows(df)` and
-handed to `linalg.solve_sparse` as it is: no dense matrix is built and no
-row key is sorted.
+Each `SymplecticData` owns the solver's state: the contraction
+i_(d/dz) of the doubled form for each coordinate z, the contraction
+column of every ansatz basis field and the Hamiltonian field of every
+function already solved are cached on it, and live and die with it.  A
+column is read off the contraction of its coordinate by left-linearity
+(`_column`), not contracted anew.  It is a sparse dict keyed by `RowKey`,
+so the coefficient system of a solve is gathered row by row from the
+cached columns and `_ckform_rows(df)` and handed to `linalg.solve_sparse`
+as it is: no dense matrix is built and no row key is sorted.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .charts import CFunction, Chart, ExpKey, VectorField
-from .forms import CKForm, DegreeError, KForm, contract, double, ext_d
+from .charts import CFunction, Chart, ExpKey, SuperFunction, VectorField
+from .forms import CKForm, DegreeError, KForm, Word, contract, double, ext_d, word_parity
 from .grassmann import GrassmannNumber, Index, skew_sign
 from .scalars import ONE, ZERO, GaussianRational
 
@@ -150,11 +152,15 @@ def is_symplectic(omega: KForm, points: Sequence[Mapping[str, object]] = ()) -> 
 class SymplecticData:
     """A closed 2-form together with its C-valued doubling.
 
-    `hamiltonian_field` fills two caches on the instance: the contraction
-    column of each ansatz basis field, keyed by (coordinate, monomial,
-    Grassmann index set) and held as a sparse dict RowKey -> nonzero
-    entry, from which every later system takes its rows; and the result
-    for each function it has solved.
+    `hamiltonian_field` fills three caches on the instance, each entry on
+    first use, so construction builds none of them:
+    - `contraction(z)`, the terms of i_(d/dz) of the doubled form, one
+      `contract` per coordinate z;
+    - the contraction column of each ansatz basis field, keyed by
+      (coordinate, monomial, Grassmann index set) and held as a sparse
+      dict RowKey -> nonzero entry, read off `contraction(z)` by
+      `_column` and shared by every later system;
+    - the result for each function it has solved.
     """
 
     def __init__(self, omega: KForm, points: Sequence[Mapping[str, object]] = ()):
@@ -169,12 +175,25 @@ class SymplecticData:
             if not rep.homogeneously_nondegenerate:
                 raise NotSymplectic(f"homogeneously degenerate at {rep.point}")
         self._constant = all(g.is_constant() and g.constant_value().is_scalar() for g in omega.terms.values())
+        self._contractions: Dict[str, List[Tuple[int, Word, int, SuperFunction]]] = {}
         self._columns: Dict[Tuple[str, ExpKey, Index], Dict[RowKey, GaussianRational]] = {}
         self._fields: Dict[object, HamiltonianResult] = {}
 
     @property
     def chart(self) -> Chart:
         return self.omega.chart
+
+    def contraction(self, name: str) -> List[Tuple[int, Word, int, SuperFunction]]:
+        """The terms (alpha, u, |u|, g) of i_(d/dz) doubled-omega for the
+        coordinate z = name: the word u times g in part alpha."""
+        table = self._contractions.get(name)
+        if table is None:
+            chart = self.chart
+            cw = contract(VectorField(chart, {name: chart.one()}), self.doubled)
+            table = self._contractions[name] = [
+                (alpha, u, word_parity(chart, u), g) for alpha, part in cw.terms.items() for u, g in part.terms.items()
+            ]
+        return table
 
     def has_constant_coefficients(self) -> bool:
         return self._constant
@@ -207,6 +226,26 @@ def _ckform_rows(w: CKForm) -> Dict[RowKey, GaussianRational]:
             for (e, odd, gidx), scal in g.terms.items():
                 rows[(alpha, word, (e, odd), gidx)] = scal
     return rows
+
+
+def _column(data: SymplecticData, name: str, mono: ExpKey, idx: Index) -> Dict[RowKey, GaussianRational]:
+    """The rows of i_(m d/dz) doubled-omega for the monomial m = th_I x^a xi_w
+    and the coordinate z = name, by left-linearity of the contraction:
+
+        i_(m d/dz) omega = sum_u (-1)^(|m| |u|) m (i_(d/dz) omega)_u,
+
+    with |m| = |w| + |I|: m moved through the odd rest u of a word becomes
+    its involution, -m when m is odd (the sign rule of `contract`).  Each
+    (alpha, u) occurs once in the table, so each row is written once.
+    """
+    m = data.chart.zero()._like({mono + (idx,): ONE})
+    odd = (len(mono[1]) + len(idx)) % 2
+    column: Dict[RowKey, GaussianRational] = {}
+    for alpha, u, u_parity, g in data.contraction(name):
+        flip = odd and u_parity
+        for (e, w, gidx), c in (m * g).terms.items():
+            column[(alpha, u, (e, w), gidx)] = -c if flip else c
+    return column
 
 
 def _all_monomials(chart: Chart, degree: int):
@@ -247,6 +286,10 @@ def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optiona
     Results are cached on `data`: per f when omega has constant scalar
     coefficients (the degree plays no part there), else per f and
     effective degree.  The same result object is returned on a repeat.
+    A solve also fills the caches its system reads, both on `data`:
+    i_(d/dz) doubled-omega per coordinate z, and the column of each
+    ansatz unknown, read off it by `_column`.  Every solved field is
+    rechecked against the defining equation by a full `contract`.
     """
     if f.chart != data.chart:
         raise ValueError("function lives on a different chart")
@@ -284,8 +327,7 @@ def _solve_hamiltonian(f: CFunction, data: SymplecticData, ansatz_degree: Option
                 unknown = (name, mono, idx)
                 column = data._columns.get(unknown)
                 if column is None:
-                    basis_field = VectorField(chart, {name: chart.zero()._like({mono + (idx,): ONE})})
-                    column = data._columns[unknown] = _ckform_rows(contract(basis_field, data.doubled))
+                    column = data._columns[unknown] = _column(data, name, mono, idx)
                 unknowns.append(unknown)
                 columns.append(column)
 

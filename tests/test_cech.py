@@ -56,6 +56,18 @@ def test_tetrahedron_dd_zero():
             assert sum(b1[r].get(m, 0) * b2[m].get(c, 0) for m in range(6)) == 0
 
 
+def test_coboundary_of_a_top_degree_cochain_names_the_degree():
+    """The solid tetrahedron's 3-simplex is the top degree: there is no
+    4-simplex to take a coboundary on."""
+    nerve = build_nerve([s for k in range(1, 5) for s in combinations(range(4), k)])
+    assert len(nerve.simplices[3]) == 1
+    for values in ({(0, 1, 2, 3): 1}, {}):
+        with pytest.raises(NerveError, match=r"^no coboundary of a 3-cochain: the nerve stops at dimension 3$"):
+            coboundary(CechCochain(nerve, 3, values))
+    # one degree lower the coboundary is still read off d_3
+    assert coboundary(CechCochain(nerve, 2, {(1, 2, 3): 1})).values == {(0, 1, 2, 3): 1}
+
+
 def octahedron_simplices():
     """The octahedron, poles 0 and 5 over the square 1..4, closed downward."""
     ring = [1, 2, 3, 4]

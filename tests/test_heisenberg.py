@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from supersymp import linalg
 from supersymp.forms import contract, wedge
 from supersymp.grassmann import GrassmannNumber
 from supersymp.heisenberg import (
@@ -323,6 +324,26 @@ def test_trivial_orbit():
     assert orbit.dimension == (0, 0)
     with pytest.raises(ValueError):
         orbit.kks_form()
+
+
+def test_zero_pairing_orbit_checks_its_form(monkeypatch):
+    """With a zero pairing the case-i orbit through y0 = 1 is a point: its
+    chart has no coordinates, and the identity M W M^T = target is checked
+    on 2 x 0 and 0 x 0 factors, against the 2 x 2 zero target."""
+    products = []
+
+    def recording(*args):
+        products.append(matmul(*args))
+        return products[-1]
+
+    matmul = linalg.matmul
+    monkeypatch.setattr(linalg, "matmul", recording)
+    zero = [[0, 0], [0, 0]]
+    orbit = orbit_classify(HeisenbergSpec([0, 0], zero, zero), 1, 0, generators=NG)
+    assert (orbit.case, orbit.dimension, orbit.chart.coords) == ("case_i", (0, 0), ())
+    omega = orbit.kks_form()
+    assert omega.degree == 2 and omega.is_zero()
+    assert products[-1] == zero
 
 
 def test_case_i_classification():

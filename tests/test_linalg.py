@@ -132,6 +132,18 @@ def test_matmul_keeps_the_scalar_type():
     assert linalg.matmul([], [[1]]) == []
 
 
+def test_matmul_with_an_empty_dimension():
+    """n x 0 times 0 x m is the n x m zero matrix; m must be given, as a
+    factor without rows has no row length to read it off."""
+    product = linalg.matmul([[], []], [], 3)
+    assert product == [[0, 0, 0], [0, 0, 0]]
+    assert product == [[GaussianRational(0)] * 3] * 2
+    assert linalg.matmul([[], []], []) == [[], []]
+    # an empty outer dimension: n x k times k x 0, and 0 x k times k x m
+    assert linalg.matmul([[1, 2]], [[], []]) == [[]]
+    assert linalg.matmul([], [[], []], 0) == []
+
+
 def _sparse_matrix(rng, m, n, density):
     """An m x n matrix with about density * m * n nonzero entries, some of
     its rows and columns left entirely zero."""

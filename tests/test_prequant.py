@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from supersymp.charts import CFunction, vf_commutator
+from supersymp.dsl import parse
 from supersymp.forms import contract
+from supersymp.grassmann import GrassmannNumber
 from supersymp.prequant import PrequantChart, Section, quantum_op, rep_check
 from supersymp.reference import ORIGIN, even_chart_20, mixed_chart_21
 from supersymp.scalars import GaussianRational
-from supersymp.symplectic import PoissonMembershipError, SymplecticData, poisson_bracket
+from supersymp.symplectic import PoissonMembershipError, SymplecticData, hamiltonian_field, poisson_bracket
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture
@@ -167,6 +172,51 @@ def test_q_rejects_non_members(mixed_chart):
     y = chart.var("y")
     with pytest.raises(PoissonMembershipError):
         quantum_op(c0_fn(chart, y * y), Section(chart.one()), pq)
+
+
+def _fixture_prequant(name):
+    doc = parse((FIXTURES / f"{name}.ssp").read_text())
+    chart = next(iter(doc.charts.values()))
+    return chart, PrequantChart(SymplecticData(doc.forms["omega"], [ORIGIN]), doc.forms["theta"])
+
+
+def test_cached_quantum_op_equals_the_formula(rng):
+    """On the fixtures with a potential, Q(f) s from the per-f cache equals
+    -i X_f(s) + <X_f, theta_0> s + f0 s built afresh, on the first call
+    and on repeats, for sections with and without Grassmann coefficients."""
+    from conftest import random_superfunction
+
+    th1 = GrassmannNumber.generator(1)
+    cases = 0
+    for name in ("mixed21", "even20"):
+        chart, pq = _fixture_prequant(name)
+        x, y = chart.var("x"), chart.var("y")
+        fs = [c0_fn(chart, x), c0_fn(chart, x * th1 + chart.constant(3))]
+        if chart.odd:
+            xi = chart.var("xi")
+            fs += [CFunction(y + x * y, xi + x * xi), c1_fn(chart, x)]
+        else:
+            fs += [c0_fn(chart, y), c0_fn(chart, x * y + y * y.scale(Fraction(1, 2)))]
+        sections = [Section(random_superfunction(rng, chart, degree=2, with_grassmann=with_th)) for with_th in (False, True)]
+        for f in fs:
+            xf = hamiltonian_field(f, SymplecticData(pq.base.omega)).field
+            pairing = contract(xf, pq.theta.parity_part(0)).as_function()
+            for s in sections:
+                expected = xf.apply(s.fun).scale(GaussianRational(0, -1)) + pairing * s.fun + f.f0 * s.fun
+                assert quantum_op(f, s, pq).fun == expected
+                assert quantum_op(f, s, pq).fun == expected
+                cases += 1
+        assert set(pq._operators) == set(fs)
+    assert cases == 16
+
+
+def test_non_member_raises_on_every_call():
+    chart, pq = _fixture_prequant("mixed21")
+    bad = c0_fn(chart, chart.var("y") * chart.var("y"))
+    for _ in range(2):
+        with pytest.raises(PoissonMembershipError):
+            quantum_op(bad, Section(chart.one()), pq)
+    assert bad not in pq._operators
 
 
 def test_rep_check_constants(even_chart):

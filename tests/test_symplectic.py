@@ -238,6 +238,38 @@ def _cache_cases():
     return cases
 
 
+def test_column_rule_matches_contract():
+    """Each ansatz column read off i_(d/dz) of the doubled form by
+    left-linearity equals the rows of the full contraction with its basis
+    field m d/dz: on the fixture forms and the variable-rank 2|2 form, for
+    every coordinate, every monomial up to degree 2 and the index sets (),
+    (1,) and (1, 2).  Odd m meets odd words u, so a flipped sign fails."""
+    from supersymp.charts import VectorField
+    from supersymp.scalars import ONE
+    from supersymp.symplectic import _all_monomials, _ckform_rows, _column
+
+    forms = [_variable_rank_form()[1]]
+    for name in ("mixed21", "mixed22", "even20"):
+        doc = parse((FIXTURES / f"{name}.ssp").read_text())
+        forms += [omega for omega in doc.forms.values() if omega.degree == 2]
+    assert len(forms) == 4
+    columns = odd_against_odd = 0
+    for omega in forms:
+        sd = SymplecticData(omega)
+        chart = omega.chart
+        for name in chart.coords:
+            odd_words = any(parity for _, _, parity, _ in sd.contraction(name))
+            for mono in _all_monomials(chart, 2):
+                for idx in ((), (1,), (1, 2)):
+                    m = chart.zero()._like({mono + (idx,): ONE})
+                    full = _ckform_rows(contract(VectorField(chart, {name: m}), sd.doubled))
+                    assert _column(sd, name, mono, idx) == full, (name, mono, idx)
+                    columns += 1
+                    odd_against_odd += bool(full) and odd_words and m.parity() == 1
+    assert columns == 429
+    assert odd_against_odd == 107
+
+
 def test_warm_solver_agrees_with_fresh():
     """Results from a SymplecticData whose caches other functions filled
     equal those of a fresh one, for member, not_member and inconclusive."""

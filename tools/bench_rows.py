@@ -31,6 +31,12 @@ The rows are measured on the checkout that holds this script:
   to 5, and of one member of the 2|1 constant form dx^dy + dx^dxi, each
   call on a `SymplecticData` built afresh inside the timed call (so no
   cached column or field is reused, and the build is part of the row);
+* an L4 row: `linalg.solve_sparse` of the one Hamiltonian system of y c0
+  on the variable-rank 2|2 form at ansatz degree 3, its rows captured
+  from that solve outside the timed call;
+* an L5 row: `prequant.rep_check` of a pair of 2|1 members on three
+  sections, on a `PrequantChart` built afresh inside the timed call (so
+  no Hamiltonian field or operator is reused);
 * an L4 row per boundary of the 10x10 torus: `smith_normal_form` of d_1
   (100 x 300) and of d_2 (300 x 200), on a nerve built outside the
   timed call;
@@ -156,8 +162,10 @@ def dsl_rows() -> list:
 
 
 def l5_rows() -> list:
+    from supersymp import linalg
     from supersymp.charts import CFunction, Chart
     from supersymp.forms import wedge
+    from supersymp.prequant import PrequantChart, Section, rep_check
     from supersymp.reference import d, mixed_chart_21, poisson_member_21
     from supersymp.symplectic import SymplecticData, hamiltonian_field
 
@@ -178,6 +186,25 @@ def l5_rows() -> list:
     ]
     rows.append(("L5 symplectic hamiltonian_field of a 2|1 constant-form member, fresh SymplecticData",
                  lambda: hamiltonian_field(member, SymplecticData(data21.omega))))
+
+    systems = []
+    solve_sparse = linalg.solve_sparse
+    linalg.solve_sparse = lambda rows, ncols: systems.append((rows, ncols)) or solve_sparse(rows, ncols)
+    try:
+        hamiltonian_field(y_c0, SymplecticData(omega), 3)
+    finally:
+        linalg.solve_sparse = solve_sparse
+    (system, ncols), = systems
+    shape = f"{len(system)} x {ncols + 1}, {sum(map(len, system))} nonzeros"
+    rows.append((f"L4 linalg solve_sparse of the Hamiltonian system of y c0 on the variable-rank 2|2 form, "
+                 f"ansatz degree 3 ({shape})", lambda: solve_sparse(system, ncols)))
+
+    x, y, xi = (data21.chart.var(name) for name in data21.chart.coords)
+    even, odd = poisson_member_21(data21, [1, 2, 3], [], [1, 1]), poisson_member_21(data21, [], [2, 1], [])
+    sections = [Section(s) for s in (data21.chart.one(), x * y + xi, y * y * xi - x.scale(3))]
+    assert rep_check(even, odd, PrequantChart(SymplecticData(data21.omega), data21.theta), sections)
+    rows.append(("L5 prequant rep_check of an even and an odd 2|1 member on three sections, fresh PrequantChart",
+                 lambda: rep_check(even, odd, PrequantChart(SymplecticData(data21.omega), data21.theta), sections)))
     return rows
 
 
