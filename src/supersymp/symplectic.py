@@ -13,15 +13,12 @@ contraction: the word dz_i^dz_j * g with i < j is W[i][j] = -(-1)^(|i||j|) g
 and W[j][i] = g, and dz_i^dz_i * g is W[i][i] = 2g.  The sign is
 `grassmann.skew_sign`; `linalg.skew_violation` checks the pattern.
 
-Each `SymplecticData` owns the solver's state: the contraction
-i_(d/dz) of the doubled form for each coordinate z, the contraction
-column of every ansatz basis field and the Hamiltonian field of every
-function already solved are cached on it, and live and die with it.  A
-column is read off the contraction of its coordinate by left-linearity
-(`_column`), not contracted anew.  It is a sparse dict keyed by `RowKey`,
-so the coefficient system of a solve is gathered row by row from the
-cached columns and `_ckform_rows(df)` and handed to `linalg.solve_sparse`
-as it is: no dense matrix is built and no row key is sorted.
+Each `SymplecticData` owns the solver's state: its caches live and die
+with it.  A column is a sparse dict keyed by `RowKey`, read off one
+contraction per coordinate (`_column`), so the coefficient system of a
+solve is gathered row by row from the cached columns and `_ckform_rows(df)`
+and handed to `linalg.solve_sparse` as it is: no dense matrix is built and
+no row key is sorted.
 """
 
 from __future__ import annotations
@@ -286,10 +283,9 @@ def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optiona
     Results are cached on `data`: per f when omega has constant scalar
     coefficients (the degree plays no part there), else per f and
     effective degree.  The same result object is returned on a repeat.
-    A solve also fills the caches its system reads, both on `data`:
-    i_(d/dz) doubled-omega per coordinate z, and the column of each
-    ansatz unknown, read off it by `_column`.  Every solved field is
-    rechecked against the defining equation by a full `contract`.
+    A solve also fills the `contraction` table of each coordinate and the
+    column of each ansatz unknown on `data`; every solved field is still
+    rechecked against its defining equation by a full `contract`.
     """
     if f.chart != data.chart:
         raise ValueError("function lives on a different chart")
