@@ -247,12 +247,26 @@ def cmd_liecoh_h2(args) -> int:
     return _emit(report, True)
 
 
+def _two_cochain(doc: Document, g, name):
+    """The cocycle `name` (picked by `_unique`), checked to be a 2-cochain on g."""
+    from .liecoh import require_2_cochain
+
+    om = _unique(doc.cocycles, "cocycle", name)
+    try:
+        require_2_cochain(g, om)
+    except ValueError:
+        name, on, chosen = (next(n for n, v in table.items() if v is x) for table, x in ((doc.cocycles, om), (doc.algebras, om.g), (doc.algebras, g)))
+        raise CliError(f"cocycle {name!r} is a {om.degree}-cochain on algebra {on!r}; "
+                       f"a central extension needs a 2-cochain on algebra {chosen!r}") from None
+    return om
+
+
 def cmd_liecoh_extend(args) -> int:
     from .liecoh import ce_coboundary, central_extension, jacobi_check
 
     doc = _load_document(args)
     g = _unique(doc.algebras, "algebra", args.name)
-    om = _unique(doc.cocycles, "cocycle", args.cocycle)
+    om = _two_cochain(doc, g, args.cocycle)
     ext = central_extension(g, om)
     ok, witness = jacobi_check(ext)
     report = {
@@ -275,8 +289,8 @@ def cmd_liecoh_equiv(args) -> int:
 
     doc = _load_document(args)
     g = _unique(doc.algebras, "algebra", args.name)
-    om1 = _unique(doc.cocycles, "cocycle", args.cocycle)
-    om2 = _unique(doc.cocycles, "cocycle", args.cocycle2)
+    om1 = _two_cochain(doc, g, args.cocycle)
+    om2 = _two_cochain(doc, g, args.cocycle2)
     ok, witness = extension_equivalent(om1, om2, g)
     report = {
         "command": "liecoh equiv",

@@ -16,8 +16,9 @@ koszul(0, v_i .. v_k) * koszul(eps_j, v_(i+1) .. v_(j-1)) with
 `grassmann.koszul` over the parities of the letters.  One sweep over the
 canonical (k+1)-tuples writes d as sparse rows over the canonical
 k-tuples; a bracket preserves parity, so a row and its entries share one
-C-component, and the same rows serve `ce_coboundary` and the dense matrix
-of `h2`.
+C-component, and the same rows serve `ce_coboundary` and, indexed by
+the place of each tuple among the canonical ones, the sparse eliminations
+of `h2` and `extension_equivalent`; no dense matrix is built.
 """
 
 from __future__ import annotations
@@ -249,33 +250,23 @@ def ce_coboundary(c: CECochain, g: SuperLieAlgebra | None = None) -> CECochain:
 # ----------------------------------------------------------------------
 
 
-def _cochain_to_vector(c: CECochain, keys: Sequence[Key]) -> List[GaussianRational]:
-    return [GaussianRational(c.terms.get(key, 0)) for key in keys]
-
-
-def _vector_to_cochain(g: SuperLieAlgebra, degree: int, keys: Sequence[Key], vec) -> CECochain:
-    terms: Dict[Key, Fraction] = {}
-    for key, v in zip(keys, vec):
-        v = Fraction(v.re) if isinstance(v, GaussianRational) else Fraction(v)
-        if v:
-            terms[key] = v
-    return CECochain(g, degree)._like(terms)
-
-
-def _coboundary_matrix(g: SuperLieAlgebra, degree: int):
-    """Matrix of d: C^degree -> C^(degree+1) in the canonical bases, with
-    those bases (the source and target tuples)."""
+def _indexed_rows(g: SuperLieAlgebra, degree: int) -> Tuple[List[Key], Dict[Key, Dict[int, GaussianRational]]]:
+    """The canonical degree-tuples and the rows of d by target tuple, each a
+    dict (place of a source tuple among those) -> nonzero Q(i) entry."""
     src = canonical_keys(g.parities, degree)
-    dst = canonical_keys(g.parities, degree + 1)
     column = {key: c for c, key in enumerate(src)}
     rows = _coboundary_rows(g, degree)
-    matrix = []
-    for key in dst:
-        line = [GaussianRational(0)] * len(src)
-        for s, v in rows.get(key, {}).items():
-            line[column[s]] = GaussianRational(v)
-        matrix.append(line)
-    return matrix, src, dst
+    return src, {key: {column[s]: GaussianRational(v) for s, v in row.items()} for key, row in rows.items()}
+
+
+def require_2_cochain(g: SuperLieAlgebra, *omegas: CECochain) -> None:
+    """A ValueError unless each omega is a 2-cochain on g or on an algebra
+    with g's parities and brackets."""
+    for omega in omegas:
+        if omega.degree != 2:
+            raise ValueError(f"central extensions are built from 2-cochains, not from {omega.degree}-cochains")
+        if omega.g is not g and (omega.g.parities, omega.g.brackets) != (g.parities, g.brackets):
+            raise ValueError("the 2-cochain lives on another algebra")
 
 
 @dataclass
@@ -289,18 +280,20 @@ class H2Report:
 
 def h2(g: SuperLieAlgebra) -> H2Report:
     """Second cohomology with values in C, with representative cocycles."""
-    d2, keys2, _ = _coboundary_matrix(g, 2)
-    d1, _, _ = _coboundary_matrix(g, 1)
-    z_basis = linalg.nullspace(d2) if d2 else [
-        [GaussianRational(1 if i == j else 0) for i in range(len(keys2))] for j in range(len(keys2))
-    ]
-    # one elimination of [coboundaries | cocycles]: the pivots among the
-    # coboundary columns span B^2, and the cocycle pivots are the
+    keys1, d1 = _indexed_rows(g, 1)
+    keys2, d2 = _indexed_rows(g, 2)
+    z_basis = linalg.kernel(list(d2.values()), len(keys2))
+    # one elimination of [coboundaries | cocycles], a row per 2-tuple: the
+    # coboundary pivots span B^2, and the cocycle pivots are the
     # representatives, independent modulo B^2 and each other
-    b_cols = linalg.transpose(d1)
-    pivots = linalg.independent(b_cols + z_basis)
-    dim_b = sum(1 for c in pivots if c < len(b_cols))
-    reps = [_vector_to_cochain(g, 2, keys2, z_basis[c - len(b_cols)]) for c in pivots[dim_b:]]
+    nb = len(keys1)
+    rows = [d1.get(key, {}) for key in keys2]
+    for z, vec in enumerate(z_basis):
+        for c, v in vec.items():
+            rows[c][nb + z] = v
+    pivots = linalg.pivot_columns(rows, nb + len(z_basis))
+    dim_b = sum(1 for c in pivots if c < nb)
+    reps = [CECochain(g, 2)._like({keys2[c]: v.re for c, v in z_basis[p - nb].items()}) for p in pivots[dim_b:]]
     return H2Report(
         dim_c2=len(keys2),
         dim_z2=len(z_basis),
@@ -317,8 +310,7 @@ def central_extension(g: SuperLieAlgebra, omega: CECochain) -> SuperLieAlgebra:
     The result satisfies Jacobi exactly when d(omega) = 0; build it and
     check, a failure is a reported outcome, not an exception.
     """
-    if omega.degree != 2:
-        raise ValueError("central extensions are built from 2-cochains")
+    require_2_cochain(g, omega)
     n = g.dimension
     parities = g.parities + (0, 1)
     brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
@@ -335,17 +327,17 @@ def central_extension(g: SuperLieAlgebra, omega: CECochain) -> SuperLieAlgebra:
 
 
 def extension_equivalent(omega1: CECochain, omega2: CECochain, g: SuperLieAlgebra) -> Tuple[bool, Optional[CECochain]]:
-    """Solvability of omega1 - omega2 = dF for an even 1-cochain F."""
-    diff = omega1 - omega2
-    d1, keys1, keys2 = _coboundary_matrix(g, 1)
-    rhs = _cochain_to_vector(diff, keys2)
-    if not keys1:
-        ok = all(x.is_zero() for x in rhs)
-        return ok, (CECochain(g, 1) if ok else None)
-    sol, _ = linalg.solve(d1, rhs)
+    """Solvability of omega1 - omega2 = dF for an even 1-cochain F, with
+    F when it exists; both omegas must pass `require_2_cochain` on g."""
+    require_2_cochain(g, omega1, omega2)
+    keys1, rows = _indexed_rows(g, 1)
+    n = len(keys1)
+    for key, v in (omega1 - omega2).terms.items():
+        rows.setdefault(key, {})[n] = GaussianRational(v)
+    sol, _ = linalg.solve_sparse(list(rows.values()), n)
     if sol is None:
         return False, None
-    return True, _vector_to_cochain(g, 1, keys1, sol)
+    return True, CECochain(g, 1)._like({keys1[c]: x.re for c, x in enumerate(sol) if x})
 
 
 def transported_bracket_isomorphic(g: SuperLieAlgebra, omega1: CECochain, omega2: CECochain, f: CECochain) -> bool:
@@ -394,9 +386,7 @@ def class_difference(g: SuperLieAlgebra, point1, point2) -> Tuple[CECochain, Opt
     witness F solving dF = difference when one exists."""
     c1 = pullback_class(g, *point1)
     c2 = pullback_class(g, *point2)
-    diff = c1 - c2
-    ok, witness = extension_equivalent(c1, c2, g)
-    return diff, (witness if ok else None)
+    return c1 - c2, extension_equivalent(c1, c2, g)[1]
 
 
 def momentum_cocycle(g: SuperLieAlgebra, momentum, bracket) -> Tuple[CECochain, bool]:

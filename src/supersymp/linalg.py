@@ -1,9 +1,8 @@
 """Exact linear algebra: the one module that handles a matrix.
 
-Matrices enter and leave as plain lists of lists, except in
-`solve_sparse` and `smith_normal_form`, which take the rows of a matrix as
-dicts column -> nonzero entry, so a caller that already holds its matrix
-sparse never builds the dense one.
+Matrices enter and leave as plain lists of lists, except in the sparse
+solvers, which take the rows of a matrix as dicts column -> nonzero entry,
+so a caller that already holds its matrix sparse never builds the dense one.
 
 * `transpose` and `matmul` for any scalar type that adds and multiplies
   (Q(i), Fraction, int, Grassmann numbers); `matmul` walks only the
@@ -12,19 +11,21 @@ sparse never builds the dense one.
   symmetry W[j][i] = -(-1)^(|i||j|) W[i][j] under given parities, and
   `parity_violation`, the first nonzero entry off the block pattern of a
   homogeneous matrix;
-* sparse Gauss-Jordan elimination over Q(i): `rref`, `solve_sparse`
-  and, on top of them, `rank`, `solve`, `nullspace`, `inverse` and
-  `independent`, the first vectors of a list that are linearly
+* sparse Gauss-Jordan elimination over Q(i): on sparse rows,
+  `solve_sparse`, `kernel` and `pivot_columns`; on the small dense
+  matrices of the Darboux, KKS and orbit code, `rref`, `rank`, `inverse`
+  and `independent`, the first vectors of a list that are linearly
   independent, read off one elimination;
 * sparse Smith normal form over Z, `smith_normal_form`: sparse integer
   rows in, (invariant factors, U as sparse rows, V as sparse columns)
   out, for the integer chain complexes of the finite cover machinery.
 
 Every elimination passes through one of two sparse kernels: `_reduce`,
-under `rref` and `solve_sparse`, or `smith_normal_form`.  Both keep each
-row as a dict column -> nonzero entry and index each column by the rows
-that are nonzero there, so an elimination step touches only the rows that
-hold the pivot column and only the nonzeros of the pivot row.
+under `rref`, `solve_sparse`, `kernel` and `pivot_columns`, or
+`smith_normal_form`.  Both keep each row as a dict column -> nonzero entry
+and index each column by the rows that are nonzero there, so an
+elimination step touches only the rows that hold the pivot column and
+only the nonzeros of the pivot row.
 
 `_reduce` takes pivot columns left to right; within a pivot column the
 shortest candidate row is the pivot, the Markowitz rule of sparse direct
@@ -117,11 +118,6 @@ def matmul(left: Sequence[Sequence], right: Sequence[Sequence], ncols: Optional[
     return out
 
 
-def _sparse(row: Sequence[GaussianRational]) -> SparseRow:
-    # the shared ZERO that fills a dense system is skipped without a test
-    return {j: GaussianRational.coerce(x) for j, x in enumerate(row) if x is not ZERO and x}
-
-
 def _reduce(sparse: List[SparseRow], ncols: int) -> Tuple[List[SparseRow], List[int]]:
     """The elimination kernel: the reduced rows, one per pivot in pivot
     order, and the pivot columns.  `sparse` holds no zero entry and is
@@ -171,15 +167,15 @@ def rref(rows: Sequence[Sequence[GaussianRational]]) -> Tuple[Matrix, List[int]]
     """Reduced row echelon form and the list of pivot columns."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    reduced, pivots = _reduce([_sparse(row) for row in rows], ncols)
+    # the shared ZERO that fills a dense matrix is skipped without a test
+    sparse = [{j: GaussianRational.coerce(x) for j, x in enumerate(row) if x is not ZERO and x} for row in rows]
+    reduced, pivots = _reduce(sparse, ncols)
     out = [_dense(row, ncols, ZERO) for row in reduced]
     out.extend([ZERO] * ncols for _ in range(nrows - len(reduced)))
     return out, pivots
 
 
 def rank(rows: Sequence[Sequence[GaussianRational]]) -> int:
-    if not rows:
-        return 0
     return len(rref(rows)[1])
 
 
@@ -202,29 +198,23 @@ def solve_sparse(rows: Sequence[SparseRow], ncols: int) -> Tuple[Optional[Vector
     return x, len(pivots)
 
 
-def solve(rows: Sequence[Sequence[GaussianRational]], rhs: Sequence[GaussianRational]) -> Tuple[Optional[Vector], int]:
-    """`solve_sparse` of the dense matrix A and right-hand side b."""
-    if not rows:
-        return [], 0
-    return solve_sparse([_sparse(list(row) + [y]) for row, y in zip(rows, rhs)], len(rows[0]))
+def kernel(rows: Sequence[SparseRow], ncols: int) -> List[SparseRow]:
+    """A basis of the right kernel of A, from its rows as in `solve_sparse`:
+    per free column f, 1 at f and, at each reduced row's pivot, minus its entry at f."""
+    reduced, pivots = _reduce([dict(row) for row in rows], ncols)
+    basis = {f: {f: ONE} for f in range(ncols)}
+    for row, c in zip(reduced, pivots):
+        del basis[c]
+        for f, v in row.items():
+            if f != c:
+                basis[f][c] = -v
+    return list(basis.values())
 
 
-def nullspace(rows: Sequence[Sequence[GaussianRational]]) -> List[Vector]:
-    """Basis of the right kernel of A."""
-    nrows = len(rows)
-    if nrows == 0:
-        return []
-    ncols = len(rows[0])
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][fc]
-        basis.append(v)
-    return basis
+def pivot_columns(rows: Sequence[SparseRow], ncols: int) -> List[int]:
+    """The columns of A that are not combinations of earlier ones, from
+    its rows as in `solve_sparse`."""
+    return _reduce([dict(row) for row in rows], ncols)[1]
 
 
 def inverse(rows: Sequence[Sequence[GaussianRational]]) -> Matrix:

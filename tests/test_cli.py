@@ -187,6 +187,39 @@ def test_liecoh_extend_and_equiv(capsys):
     assert code == 0 and rep["equivalent"] is True
 
 
+OFF_ALGEBRA = (FIXTURES / "algebra.ssp").read_text() + """
+algebra h parities 0,1;
+cocycle v1 on h degree 2 values [1,2] = c1;
+cocycle u1 on g degree 1 values [1] = c0;
+cocycle u2 on g degree 1 values [2] = 5*c0;
+cocycle t3 on g degree 3 values [1,2,3] = c1;
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("extend", "--cocycle", "v1", "--name", "g"), "cocycle 'v1' is a 2-cochain on algebra 'h'; a central extension needs a 2-cochain on algebra 'g'"),
+        (("extend", "--cocycle", "t3", "--name", "g"), "cocycle 't3' is a 3-cochain on algebra 'g'; a central extension needs a 2-cochain on algebra 'g'"),
+        (("equiv", "--cocycle", "u1", "--cocycle2", "u2", "--name", "g"), "cocycle 'u1' is a 1-cochain on algebra 'g'; a central extension needs a 2-cochain on algebra 'g'"),
+        (("equiv", "--cocycle", "w1", "--cocycle2", "w2", "--name", "h"), "cocycle 'w1' is a 2-cochain on algebra 'g'; a central extension needs a 2-cochain on algebra 'h'"),
+        (("equiv", "--cocycle", "w1", "--cocycle2", "t3", "--name", "g"), "cocycle 't3' is a 3-cochain on algebra 'g'; a central extension needs a 2-cochain on algebra 'g'"),
+    ],
+    ids=["extend_other_algebra", "extend_degree_3", "equiv_degree_1", "equiv_other_algebra", "equiv_second_degree_3"],
+)
+def test_liecoh_cocycle_off_the_algebra_exits_2(capsys, tmp_path, argv, error):
+    doc = tmp_path / "doc.ssp"
+    doc.write_text(OFF_ALGEBRA)
+    command, *options = argv
+    code = main(["liecoh", command, str(doc), *options])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err) == {"error": error}
+    # the 2-cochains on the chosen algebra still get their verdicts
+    code, rep = run(capsys, "liecoh", "equiv", doc, "--cocycle", "w1", "--cocycle2", "w2", "--name", "g")
+    assert code == 1 and rep["equivalent"] is False
+
+
 def test_heisenberg_orbit_cases(capsys):
     code, rep = run(capsys, "heisenberg", "orbit", FIXTURES / "heis33.ssp", "--y0", "1", "--ybar1", "0")
     assert code == 0

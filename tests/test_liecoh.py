@@ -7,7 +7,6 @@ import pytest
 from supersymp.liecoh import (
     CECochain,
     SuperLieAlgebra,
-    _coboundary_matrix,
     _coboundary_rows,
     canonical_keys,
     ce_coboundary,
@@ -20,7 +19,6 @@ from supersymp.liecoh import (
     sort_with_sign,
     tuple_parity,
 )
-from supersymp.scalars import GaussianRational
 
 from conftest import random_ce_cochain
 
@@ -174,18 +172,19 @@ def test_coboundary_matches_the_per_term_sweep(rng):
                 assert ce_coboundary(c) == reference_coboundary(c)
 
 
-def test_coboundary_matrix_columns_are_images_of_basis_cochains(rng):
+def test_coboundary_rows_hold_the_images_of_basis_cochains(rng):
     for g in oracle_algebras(rng):
         for degree in (1, 2):
-            matrix, src, dst = _coboundary_matrix(g, degree)
-            assert src == canonical_keys(g.parities, degree)
-            assert dst == canonical_keys(g.parities, degree + 1)
-            assert len(matrix) == len(dst)
-            for col, key in enumerate(src):
+            rows = _coboundary_rows(g, degree)
+            src = canonical_keys(g.parities, degree)
+            dst = canonical_keys(g.parities, degree + 1)
+            assert set(rows) <= set(dst)
+            assert all(set(row) <= set(src) and all(row.values()) for row in rows.values())
+            for key in src:
                 unit = (Fraction(0), Fraction(1)) if tuple_parity(g.parities, key) else (Fraction(1), Fraction(0))
                 image = reference_coboundary(CECochain(g, degree, {key: unit}))
-                expected = [GaussianRational(image.evaluate(t)[tuple_parity(g.parities, t)]) for t in dst]
-                assert [row[col] for row in matrix] == expected
+                expected = [image.evaluate(t)[tuple_parity(g.parities, t)] for t in dst]
+                assert [rows.get(t, {}).get(key, 0) for t in dst] == expected
 
 
 def test_coboundary_rows_are_built_once_per_algebra_and_degree(rng):
@@ -195,6 +194,27 @@ def test_coboundary_rows_are_built_once_per_algebra_and_degree(rng):
         for degree, built in rows.items():
             assert _coboundary_rows(g, degree) is built
             assert _coboundary_rows(fresh, degree) == built
+
+
+def test_extension_equivalence_takes_only_2_cochains_on_its_algebra():
+    g = gl11()
+    u1 = CECochain(g, 1, {(0,): (1, 0)})
+    u2 = CECochain(g, 1, {(1,): (5, 0)})
+    with pytest.raises(ValueError, match="not from 1-cochains"):
+        extension_equivalent(u1, u2, g)
+    w1 = CECochain(g, 2, {(0, 1): (1, 0)})
+    w2 = CECochain(g, 2, {(0, 1): (1, 0), (2, 2): (2, 0)})
+    h = abelian((0, 1))
+    for other in (h, abelian(g.parities)):
+        with pytest.raises(ValueError, match="lives on another algebra"):
+            extension_equivalent(w1, w2, other)
+        with pytest.raises(ValueError, match="lives on another algebra"):
+            central_extension(other, w1)
+    # an equal algebra that is another object is the same algebra
+    same = SuperLieAlgebra(g.parities, g.brackets)
+    assert extension_equivalent(w1, w2, same) == extension_equivalent(w1, w2, g) == (False, None)
+    ok, witness = extension_equivalent(w1, w1 + ce_coboundary(u2), same)
+    assert ok and ce_coboundary(witness) == -ce_coboundary(u2)
 
 
 def test_skew_sorting():

@@ -1,5 +1,5 @@
-"""linalg against sympy on seeded random matrices: rank, kernel and solve
-over Q(i), dense and as sparse rows in any order, including
+"""linalg against sympy on seeded random matrices: rank, kernel, pivots
+and solve over Q(i), as sparse rows in any order, including
 rank-deficient and inconsistent systems, the exact reduced row
 echelon form of sparse tall matrices and degenerate shapes, products,
 transposes and the choice of independent vectors, and the invariant
@@ -65,7 +65,12 @@ def test_parity_violation_finds_the_first_entry_off_the_pattern():
     assert linalg.parity_violation([row[:] for row in even], parities, 2) is None
 
 
-def test_rank_nullspace_solve_against_sympy():
+def _dicts(rows):
+    """The rows of a dense matrix as dicts column -> nonzero entry."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def test_rank_kernel_solve_against_sympy():
     rng = random.Random(7)
     deficient = 0
     for _ in range(80):
@@ -76,8 +81,10 @@ def test_rank_nullspace_solve_against_sympy():
         deficient += r < min(m, n)
         assert linalg.rank(a) == r
 
-        kernel = linalg.nullspace(a)
+        kernel = linalg.kernel(_dicts(a), n)
         assert len(kernel) == n - r
+        assert all(all(v.values()) for v in kernel)
+        kernel = [[v.get(j, GaussianRational(0)) for j in range(n)] for v in kernel]
         for v in kernel:
             assert all(_dot(row, v).is_zero() for row in a)
         if kernel:
@@ -85,7 +92,7 @@ def test_rank_nullspace_solve_against_sympy():
 
         x0 = [_entry(rng) for _ in range(n)]
         for b in ([_dot(row, x0) for row in a], [_entry(rng) for _ in range(m)]):
-            x, rank = linalg.solve(a, b)
+            x, rank = linalg.solve_sparse(_dicts([row + [y] for row, y in zip(a, b)]), n)
             assert rank == r
             consistent = ref.row_join(_sympy_matrix([[v] for v in b])).rank() == r
             assert (x is not None) == consistent
@@ -183,7 +190,7 @@ def test_rref_entries_and_pivots_against_sympy():
         tall += len(a) >= 60
         ref, ref_pivots = _sympy_rref(a, n)
         m, pivots = linalg.rref(a)
-        assert pivots == ref_pivots
+        assert pivots == ref_pivots == linalg.pivot_columns(_dicts(a), n)
         assert len(m) == len(a) and all(len(row) == n for row in m)
         assert all(type(x) is GaussianRational for row in m for x in row)
         assert sp.Matrix(len(a), n, [_sympy(x) for row in m for x in row]) == ref
@@ -208,17 +215,18 @@ def test_solve_sets_free_variables_to_zero_like_sympy():
         want = [0] * n
         for r, c in enumerate(pivots):
             want[c] = ref[r, n]
-        x, rank = linalg.solve(a, b)
+        x, rank = linalg.solve_sparse(_dicts([row + [y] for row, y in zip(a, b)]), n)
         assert rank == len(pivots) and n not in pivots
         assert [_sympy(v) for v in x] == want
         underdetermined += rank < n
     assert underdetermined >= 30
 
 
-def test_solve_sparse_matches_dense_solve_in_any_row_order():
+def test_solve_sparse_and_kernel_are_the_same_in_any_row_order():
     """The rows of [A | b] as dicts, shuffled and each with its entries in
-    shuffled order, give `solve`'s solution, rank and inconsistency on the
-    dense A and b, and the caller's dicts are left as they were."""
+    shuffled order, give the solution, rank and inconsistency of the rows
+    in order, the rows of A the same kernel, and the caller's dicts are
+    left as they were."""
     rng = random.Random(29)
     deficient = inconsistent = 0
     for _ in range(100):
@@ -240,8 +248,11 @@ def test_solve_sparse_matches_dense_solve_in_any_row_order():
         rng.shuffle(rows)
         kept = [dict(row) for row in rows]
         x, rank = linalg.solve_sparse(rows, n)
-        assert (x, rank) == linalg.solve(a, b)
+        assert (x, rank) == linalg.solve_sparse(_dicts([row + [y] for row, y in zip(a, b)]), n)
         assert rows == kept
+        without_b = [{j: v for j, v in row.items() if j != n} for row in rows]
+        assert linalg.kernel(without_b, n) == linalg.kernel(_dicts(a), n)
+        assert without_b == [{j: v for j, v in row.items() if j != n} for row in kept]
         ref = _sympy_matrix(a)
         r = ref.rank()
         consistent = ref.row_join(_sympy_matrix([[v] for v in b])).rank() == r

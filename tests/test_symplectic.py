@@ -411,6 +411,22 @@ def test_bracket_graded_antisymmetry_and_jacobi(rng, sd21):
         assert jac.is_zero()
 
 
+def test_graded_jacobi_sign_on_two_odd_members():
+    """On dx^dy + dxi^dxi + deta^deta (2|2), the triple (x, y xi, xi) c0 of
+    parities (0, 1, 1) has two odd members with a nonzero bracket, so the
+    sign (-1)^(|h||g|) of the third cyclic term decides the sum: the graded
+    sum vanishes, the sum without signs is -c0.  The 2|1 chart above has
+    no such pair and cannot tell the two rules apart."""
+    chart = Chart("S", ("x", "y"), ("xi", "eta"), 4)
+    omega = wedge(d(chart, "x"), d(chart, "y")) + wedge(d(chart, "xi"), d(chart, "xi")) + wedge(d(chart, "eta"), d(chart, "eta"))
+    sd = SymplecticData(omega, [ORIGIN])
+    x, y, xi = (chart.var(n) for n in ("x", "y", "xi"))
+    f, g, h = (CFunction(v, chart.zero()) for v in (x, y * xi, xi))
+    cyclic = [poisson_bracket(a, poisson_bracket(b, c, sd), sd) for a, b, c in ((f, g, h), (g, h, f), (h, f, g))]
+    assert (cyclic[0] + cyclic[1] - cyclic[2]).is_zero()
+    assert cyclic[0] + cyclic[1] + cyclic[2] == CFunction(chart.constant(-1), chart.zero())
+
+
 def test_field_morphism(rng, sd21):
     """[X_f, X_g] = X_{{f,g}} on the 2|1 chart."""
     data, sd = sd21

@@ -19,6 +19,8 @@ The rows are measured on the checkout that holds this script:
   itself, its `ext_d`, and its `contract` with a two-component field;
 * an L4/L5 row: `liecoh.h2` of the 3|3 extension algebra of the bundled
   pairing, on a freshly built algebra;
+* an L4 row: `linalg.kernel` of d on the 2-cochains of that algebra, its
+  sparse rows built outside the timed call;
 * two DSL rows: `Document.evaluate` of every distinct (chart, expression
   text) pair of a seed-1 `poisson` round, all of them in one timed call;
   the texts come from `bench/inputs.py`, which is only imported.  The
@@ -93,8 +95,9 @@ def micro_rows() -> list:
     from supersymp.charts import CFunction, Chart
     from supersymp.forms import contract, ext_d, wedge
     from supersymp.grassmann import GrassmannNumber
+    from supersymp import linalg
     from supersymp.heisenberg import algebra_of
-    from supersymp.liecoh import h2
+    from supersymp.liecoh import _indexed_rows, h2
     from supersymp.reference import d, heisenberg_33
     from supersymp.scalars import GaussianRational
 
@@ -128,6 +131,11 @@ def micro_rows() -> list:
         ("L3 forms contract of f d/dx + x xi d/deta with the 2|2 form", lambda: contract(field, omega)),
         ("L5 liecoh h2 of the 3|3 extension algebra, freshly built", lambda: h2(algebra_of(heisenberg_33()))),
     ]
+    keys2, d2 = _indexed_rows(algebra_of(heisenberg_33()), 2)
+    d2 = list(d2.values())
+    shape = f"{len(d2)} x {len(keys2)}, {sum(map(len, d2))} nonzeros"
+    rows.append((f"L4 linalg kernel of d on the 2-cochains of the 3|3 extension algebra ({shape})",
+                 lambda: linalg.kernel(d2, len(keys2))))
     rows += dsl_rows() + l5_rows() + cech_rows()
     out = []
     for name, fn in rows:
