@@ -8,40 +8,39 @@ machinery for D-prequantization, and the local model of the prequantum
 connection with its operator representation.
 """
 
-from .scalars import GaussianRational, Q
-from .grassmann import DEFAULT_GENERATORS, GrassmannNumber, NotInvertible
-from .charts import CFunction, Chart, SuperFunction, VectorField, vf_apply, vf_commutator
-from .forms import (
-    CKForm,
-    KForm,
-    contract,
-    double,
-    ext_d,
-    lie_derivative,
-    undouble,
-    wedge,
-)
+# name -> submodule; each is imported on first access (PEP 562), so that
+# `import supersymp.cli` loads only what the command it runs needs
+_EXPORTS = {
+    "GaussianRational": "scalars",
+    "Q": "scalars",
+    "GrassmannNumber": "grassmann",
+    "NotInvertible": "grassmann",
+    "DEFAULT_GENERATORS": "grassmann",
+    "Chart": "charts",
+    "SuperFunction": "charts",
+    "CFunction": "charts",
+    "VectorField": "charts",
+    "vf_apply": "charts",
+    "vf_commutator": "charts",
+    "KForm": "forms",
+    "CKForm": "forms",
+    "wedge": "forms",
+    "ext_d": "forms",
+    "contract": "forms",
+    "lie_derivative": "forms",
+    "double": "forms",
+    "undouble": "forms",
+}
 
-__all__ = [
-    "GaussianRational",
-    "Q",
-    "GrassmannNumber",
-    "NotInvertible",
-    "DEFAULT_GENERATORS",
-    "Chart",
-    "SuperFunction",
-    "CFunction",
-    "VectorField",
-    "vf_apply",
-    "vf_commutator",
-    "KForm",
-    "CKForm",
-    "wedge",
-    "ext_d",
-    "contract",
-    "lie_derivative",
-    "double",
-    "undouble",
-]
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    globals()[name] = value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value

@@ -12,7 +12,6 @@ choices are counted by H^1 with coefficients Q/dZ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -168,11 +167,14 @@ def cocycle_from_potentials(f: CechCochain) -> CechCochain:
     return coboundary(f)
 
 
-@dataclass
 class PeriodGroup:
     """Per = lambda Z, with lambda = 0 encoding the trivial group."""
 
-    generator: Fraction
+    def __init__(self, generator: Fraction):
+        self.generator = generator
+
+    def __eq__(self, other):
+        return isinstance(other, PeriodGroup) and self.generator == other.generator
 
     def contains(self, value: Fraction) -> bool:
         value = Fraction(value)
@@ -299,12 +301,9 @@ def classify_prequantum(nerve: NerveComplex, d) -> dict:
 # ----------------------------------------------------------------------
 
 
-@dataclass
 class Cover:
-    nerve: NerveComplex
-    f: CechCochain
-    a: CechCochain
-    d: Optional[Fraction]
+    def __init__(self, nerve: NerveComplex, f: CechCochain, a: CechCochain, d: Optional[Fraction]):
+        self.nerve, self.f, self.a, self.d = nerve, f, a, d
 
     def cocycle(self) -> CechCochain:
         """a-data if given directly, else delta f."""

@@ -21,7 +21,6 @@ gives (-1)^(pos+|I|) c th_I x^a xi_(w without xi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Mapping, Tuple
@@ -41,21 +40,33 @@ class UnknownCoordinate(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class Chart:
-    """Names and parities of the coordinates of a p|q chart."""
+class ReadOnly:
+    """Attributes set once, through vars(self) in __init__, and never again."""
 
-    name: str
-    even: Tuple[str, ...]
-    odd: Tuple[str, ...]
-    generators: int = DEFAULT_GENERATORS
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __post_init__(self):
-        object.__setattr__(self, "even", tuple(self.even))
-        object.__setattr__(self, "odd", tuple(self.odd))
-        names = self.even + self.odd
-        if len(set(names)) != len(names):
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Chart(ReadOnly):
+    """Names and parities of the coordinates of a p|q chart; equal to a
+    chart with the same name, coordinates and generators."""
+
+    def __init__(self, name: str, even: Tuple[str, ...], odd: Tuple[str, ...], generators: int = DEFAULT_GENERATORS):
+        even, odd = tuple(even), tuple(odd)
+        if len(set(even + odd)) != len(even) + len(odd):
             raise ValueError("coordinate names must be distinct")
+        vars(self).update(name=name, even=even, odd=odd, generators=generators)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.even, self.odd, self.generators) == (other.name, other.even, other.odd, other.generators)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.even, self.odd, self.generators))
 
     @property
     def coords(self) -> Tuple[str, ...]:

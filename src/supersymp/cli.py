@@ -7,7 +7,9 @@ the bundled-example verifier.  Output is a single JSON report on stdout.
 
 Exit codes: 0 when the requested claims are verified, 1 when a computation
 ran but refuted a claim, 2 on errors (parse failures, bad options, input the
-engine cannot compute with).
+engine cannot compute with) and on a membership it cannot decide.  The
+modules a command needs are imported by its handler, so a cold process
+loads only those.
 
 SUPERSYMP_GENERATORS (default 6) sets the number N of Grassmann generators of
 every chart; it is read here and nowhere else in the package.
@@ -20,11 +22,14 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .charts import CFunction, SuperFunction
-from .dsl import Document, DslError, _as_function, parse
 from .grassmann import DEFAULT_GENERATORS
 from .scalars import GaussianRational
+
+if TYPE_CHECKING:
+    from .charts import CFunction, SuperFunction
+    from .dsl import Document
 
 
 class CliError(Exception):
@@ -47,6 +52,8 @@ def _generator_count() -> int:
 
 
 def _load_document(args) -> Document:
+    from .dsl import parse
+
     return parse(_read(args.file), args.generators)
 
 
@@ -77,9 +84,11 @@ def _fmt(value):
     return str(value)
 
 
-def _emit(report: dict, ok: bool) -> int:
+def _emit(report: dict, ok) -> int:
+    """Print the report; exit 0 if `ok` is true, 1 (refuted) if it is false,
+    2 if it is None: the engine could not decide the claim."""
     print(json.dumps(_fmt(report), indent=2, sort_keys=False))
-    return 0 if ok else 1
+    return 2 if ok is None else 0 if ok else 1
 
 
 def _number(text: str, where: str, kind=Fraction):
@@ -113,6 +122,9 @@ def _parse_matrix(text: str) -> list:
 
 
 def _cfunction(doc: Document, expr: str, chart) -> CFunction:
+    from .charts import CFunction
+    from .dsl import _as_function
+
     value = doc.evaluate(expr, chart)
     f = _as_function(value, chart)
     if f is not None:
@@ -124,6 +136,8 @@ def _cfunction(doc: Document, expr: str, chart) -> CFunction:
 
 def _superfunction(doc: Document, expr: str, chart, error: str) -> SuperFunction:
     """The superfunction `expr` on `chart`, a scalar lifted to a constant."""
+    from .dsl import _as_function
+
     f = _as_function(doc.evaluate(expr, chart), chart)
     if f is None:
         raise CliError(error)
@@ -177,11 +191,11 @@ def cmd_symplectic_hamiltonian(args) -> int:
         "unique": res.unique,
         "detail": res.detail,
     }
-    return _emit(report, res.status == "member")
+    return _emit(report, None if res.status == "inconclusive" else res.status == "member")
 
 
 def cmd_symplectic_poisson(args) -> int:
-    from .symplectic import PoissonMembershipError, SymplecticData, poisson_bracket
+    from .symplectic import MembershipUndecided, PoissonMembershipError, SymplecticData, poisson_bracket
 
     doc = _load_document(args)
     omega = _unique(doc.forms, "form", args.name)
@@ -191,10 +205,9 @@ def cmd_symplectic_poisson(args) -> int:
     try:
         bracket = poisson_bracket(f, g, sd, args.degree)
     except PoissonMembershipError as exc:
-        return _emit(
-            {"command": "symplectic poisson", "error": f"not in the Poisson algebra: {exc}"},
-            False,
-        )
+        undecided = isinstance(exc, MembershipUndecided)
+        error = f"undecided: {exc}" if undecided else f"not in the Poisson algebra: {exc}"
+        return _emit({"command": "symplectic poisson", "error": error}, None if undecided else False)
     report = {
         "command": "symplectic poisson",
         "f": str(f),
@@ -676,8 +689,11 @@ def main(argv=None) -> int:
         args.generators = _generator_count()
         return args.fn(args)
     except Exception as exc:
-        # any failure to compute is an error (2), never a refutation (1)
-        msg = str(exc) if isinstance(exc, (CliError, DslError)) else f"{type(exc).__name__}: {exc}"
+        # any failure to compute is an error (2), never a refutation (1); a
+        # DslError can only come from a command that imported the DSL
+        dsl = sys.modules.get(f"{__package__}.dsl")
+        known = (CliError,) if dsl is None else (CliError, dsl.DslError)
+        msg = str(exc) if isinstance(exc, known) else f"{type(exc).__name__}: {exc}"
         print(json.dumps({"error": msg}), file=sys.stderr)
         return 2
 

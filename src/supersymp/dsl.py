@@ -29,18 +29,19 @@ fails is read again on every call and raises the same `DslError`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 import operator
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, TypeVar
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
 from .forms import CKForm, KForm, wedge
 from .grassmann import DEFAULT_GENERATORS, GrassmannNumber, accumulate
-from .heisenberg import HeisenbergSpec
-from .liecoh import CECochain, SuperLieAlgebra
 from .scalars import GaussianRational
+
+if TYPE_CHECKING:  # imported by the declarations that build them
+    from .heisenberg import HeisenbergSpec
+    from .liecoh import CECochain, SuperLieAlgebra
 
 
 class DslError(Exception):
@@ -408,24 +409,24 @@ class _Parser:
 TABLES = ("charts", "functions", "cfunctions", "fields", "forms", "algebras", "cocycles", "heisenbergs")
 
 
-@dataclass
 class Document:
     """The declarations of a text.  `parse` fills the tables and then makes
     them read-only, which is what lets `evaluate` memoize."""
 
-    charts: Mapping[str, Chart] = field(default_factory=dict)
-    functions: Mapping[str, SuperFunction] = field(default_factory=dict)
-    cfunctions: Mapping[str, CFunction] = field(default_factory=dict)
-    fields: Mapping[str, VectorField] = field(default_factory=dict)
-    forms: Mapping[str, KForm] = field(default_factory=dict)
-    algebras: Mapping[str, SuperLieAlgebra] = field(default_factory=dict)
-    cocycles: Mapping[str, CECochain] = field(default_factory=dict)
-    heisenbergs: Mapping[str, HeisenbergSpec] = field(default_factory=dict)
-    order: List[Tuple[str, str]] = field(default_factory=list)  # (kind, name)
-    current_chart: Optional[str] = None
-    generators: int = DEFAULT_GENERATORS  # of every chart the document declares
-    # (text, chart) -> value of every evaluation that succeeded
-    _memo: Dict[Tuple[str, Optional[Chart]], object] = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, generators: int = DEFAULT_GENERATORS):
+        self.charts: Mapping[str, Chart] = {}
+        self.functions: Mapping[str, SuperFunction] = {}
+        self.cfunctions: Mapping[str, CFunction] = {}
+        self.fields: Mapping[str, VectorField] = {}
+        self.forms: Mapping[str, KForm] = {}
+        self.algebras: Mapping[str, SuperLieAlgebra] = {}
+        self.cocycles: Mapping[str, CECochain] = {}
+        self.heisenbergs: Mapping[str, HeisenbergSpec] = {}
+        self.order: List[Tuple[str, str]] = []  # (kind, name)
+        self.current_chart: Optional[str] = None
+        self.generators = generators  # of every chart the document declares
+        # (text, chart) -> value of every evaluation that succeeded
+        self._memo: Dict[Tuple[str, Optional[Chart]], object] = {}
 
     def all_names(self):
         for _, name in self.order:
@@ -537,6 +538,8 @@ def _statement(parser: _Parser) -> None:
         if parser.peek().text == "bracket":
             parser.next()
             brackets = dict(parser.sequence(bracket))
+        from .liecoh import SuperLieAlgebra
+
         try:
             algebra = SuperLieAlgebra(parities, brackets)
         except ValueError as exc:
@@ -545,6 +548,8 @@ def _statement(parser: _Parser) -> None:
         doc.algebras[name] = algebra
 
     elif head.text == "cocycle":
+        from .liecoh import CECochain
+
         parser.expect("on")
         alg_tok = parser.expect_name("algebra name")
         if alg_tok.text not in doc.algebras:
@@ -570,6 +575,8 @@ def _statement(parser: _Parser) -> None:
         doc.cocycles[name] = cochain
 
     elif head.text == "heisenberg":
+        from .heisenberg import HeisenbergSpec
+
         parities = _parities(parser)
         parser.expect("omega0")
         omega0 = parser.matrix()

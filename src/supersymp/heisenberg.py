@@ -10,7 +10,6 @@ obtained by inverting the fundamental-field coefficient matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,14 +68,9 @@ class HeisenbergSpec:
         return tuple(linalg.matmul(linalg.matmul(row, s), column)[0][0] for s in self._signed)
 
 
-@dataclass
 class GroupElement:
-    spec: HeisenbergSpec
-    a: List[GrassmannNumber]
-    b0: GrassmannNumber
-    b1: GrassmannNumber
-
-    def __post_init__(self):
+    def __init__(self, spec: HeisenbergSpec, a: List[GrassmannNumber], b0: GrassmannNumber, b1: GrassmannNumber):
+        self.spec, self.a, self.b0, self.b1 = spec, a, b0, b1
         # every term must have the coordinate's parity: zero passes, mixed parities fail
         for i, (coord, parity) in enumerate(zip(self.a, self.spec.parities)):
             if not coord._parities() <= {parity}:
@@ -137,7 +131,6 @@ def algebra_of(spec: HeisenbergSpec) -> SuperLieAlgebra:
 # ----------------------------------------------------------------------
 
 
-@dataclass
 class OrbitPoint:
     """Point of the dual in the coordinates (x_i, xbar_i, y0, ybar1).
 
@@ -146,11 +139,11 @@ class OrbitPoint:
     (the coadjoint action introduces group coordinates).
     """
 
-    spec: HeisenbergSpec
-    x: List[GrassmannNumber]
-    xbar: List[GrassmannNumber]
-    y0: Fraction
-    ybar1: Fraction
+    def __init__(self, spec: HeisenbergSpec, x: List[GrassmannNumber], xbar: List[GrassmannNumber], y0: Fraction, ybar1: Fraction):
+        self.spec, self.x, self.xbar, self.y0, self.ybar1 = spec, x, xbar, y0, ybar1
+
+    def __eq__(self, other):
+        return isinstance(other, OrbitPoint) and vars(self) == vars(other)
 
     @staticmethod
     def base(spec: HeisenbergSpec, y0, ybar1, x=None, xbar=None, generators: int = DEFAULT_GENERATORS) -> "OrbitPoint":
@@ -278,21 +271,17 @@ def _constant_field(spec: HeisenbergSpec, coefficients: Sequence[Fraction], char
 # ----------------------------------------------------------------------
 
 
-@dataclass
 class Orbit:
-    spec: HeisenbergSpec
-    y0: Fraction
-    ybar1: Fraction
-    base: OrbitPoint
-    case: str
-    chart: Optional[Chart]
-    coordinates: Tuple[str, ...]
-    dimension: Tuple[int, int]
-    invariants: Tuple[str, ...]
-    tangent_fields: Dict[int, VectorField] = field(default_factory=dict)
-    restrictions: Dict[int, List[Tuple[str, Fraction]]] = field(default_factory=dict)
-    _kks: Optional[KForm] = field(default=None, compare=False)
-    _data: Optional[SymplecticData] = field(default=None, repr=False, compare=False)
+    def __init__(self, spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction, base: OrbitPoint, case: str,
+                 chart: Optional[Chart], coordinates: Tuple[str, ...], dimension: Tuple[int, int],
+                 invariants: Tuple[str, ...], tangent_fields: Optional[Dict[int, VectorField]] = None,
+                 restrictions: Optional[Dict[int, List[Tuple[str, Fraction]]]] = None):
+        self.spec, self.y0, self.ybar1, self.base, self.case, self.chart = spec, y0, ybar1, base, case, chart
+        self.coordinates, self.dimension, self.invariants = coordinates, dimension, invariants
+        self.tangent_fields = tangent_fields or {}
+        self.restrictions = restrictions or {}
+        self._kks: Optional[KForm] = None
+        self._data: Optional[SymplecticData] = None
 
     def kks_form(self) -> KForm:
         if self.case == "trivial":

@@ -23,7 +23,6 @@ of `h2` and `extension_equivalent`; no dense matrix is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -235,8 +234,9 @@ def _coboundary_rows(g: SuperLieAlgebra, degree: int) -> Dict[Key, Dict[Key, Fra
 
 
 def ce_coboundary(c: CECochain, g: SuperLieAlgebra | None = None) -> CECochain:
-    """Coboundary C^k -> C^(k+1) with the repeated-contraction sign."""
-    g = g or c.g
+    """Coboundary C^k -> C^(k+1) with the repeated-contraction sign; a given
+    g must be c's algebra or equal to it by value."""
+    g = c.g if g is None else _require_on(g, c)
     terms: Dict[Key, Fraction] = {}
     for key, row in _coboundary_rows(g, c.degree).items():
         total = sum((coeff * c.terms[src] for src, coeff in row.items() if src in c.terms), Fraction(0))
@@ -259,23 +259,26 @@ def _indexed_rows(g: SuperLieAlgebra, degree: int) -> Tuple[List[Key], Dict[Key,
     return src, {key: {column[s]: GaussianRational(v) for s, v in row.items()} for key, row in rows.items()}
 
 
+def _require_on(g: SuperLieAlgebra, c: CECochain) -> SuperLieAlgebra:
+    """g, or a ValueError unless c lives on g or on an algebra with g's parities and brackets."""
+    if c.g is not g and (c.g.parities, c.g.brackets) != (g.parities, g.brackets):
+        raise ValueError(f"the {c.degree}-cochain lives on another algebra")
+    return g
+
+
 def require_2_cochain(g: SuperLieAlgebra, *omegas: CECochain) -> None:
     """A ValueError unless each omega is a 2-cochain on g or on an algebra
     with g's parities and brackets."""
     for omega in omegas:
         if omega.degree != 2:
             raise ValueError(f"central extensions are built from 2-cochains, not from {omega.degree}-cochains")
-        if omega.g is not g and (omega.g.parities, omega.g.brackets) != (g.parities, g.brackets):
-            raise ValueError("the 2-cochain lives on another algebra")
+        _require_on(g, omega)
 
 
-@dataclass
 class H2Report:
-    dim_c2: int
-    dim_z2: int
-    dim_b2: int
-    dim_h2: int
-    representatives: List[CECochain]
+    def __init__(self, dim_c2: int, dim_z2: int, dim_b2: int, dim_h2: int, representatives: List[CECochain]):
+        self.dim_c2, self.dim_z2, self.dim_b2, self.dim_h2 = dim_c2, dim_z2, dim_b2, dim_h2
+        self.representatives = representatives
 
 
 def h2(g: SuperLieAlgebra) -> H2Report:

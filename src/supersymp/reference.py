@@ -10,7 +10,6 @@ acceptance tests both compare the engine against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,20 +35,16 @@ def d(chart: Chart, name: str) -> KForm:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MixedCounterexample:
-    chart: Chart
-    omega: KForm
-    X: VectorField
-    Y: VectorField
-    # The displays [X,Y] = -2 xi d/dx - 2 y d/deta - 2 xi d/deta,
-    # i_[X,Y] omega = d(y xi) + 2 xi dxi and d(i_[X,Y] omega) = 2 dxi^dxi.
-    # The last two are inconsistent with the elementary contractions by an
-    # exact factor -2 (bilinearity gives -2 (d(y xi) + 2 xi dxi)); they are
-    # kept as displayed.
-    XY_display: VectorField
-    iXY_display: KForm
-    diXY_display: KForm
+    def __init__(self, chart: Chart, omega: KForm, X: VectorField, Y: VectorField,
+                 XY_display: VectorField, iXY_display: KForm, diXY_display: KForm):
+        self.chart, self.omega, self.X, self.Y = chart, omega, X, Y
+        # The displays [X,Y] = -2 xi d/dx - 2 y d/deta - 2 xi d/deta,
+        # i_[X,Y] omega = d(y xi) + 2 xi dxi and d(i_[X,Y] omega) = 2 dxi^dxi.
+        # The last two are inconsistent with the elementary contractions by an
+        # exact factor -2 (bilinearity gives -2 (d(y xi) + 2 xi dxi)); they are
+        # kept as displayed.
+        self.XY_display, self.iXY_display, self.diXY_display = XY_display, iXY_display, diXY_display
 
 
 def mixed_counterexample(generators: int = DEFAULT_GENERATORS) -> MixedCounterexample:
@@ -75,11 +70,10 @@ def mixed_counterexample(generators: int = DEFAULT_GENERATORS) -> MixedCounterex
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MixedChart21:
-    chart: Chart
-    omega: KForm
-    theta: KForm  # potential with d(theta) = omega
+    def __init__(self, chart: Chart, omega: KForm, theta: KForm):
+        self.chart, self.omega = chart, omega
+        self.theta = theta  # potential with d(theta) = omega
 
 
 def mixed_chart_21(generators: int = DEFAULT_GENERATORS) -> MixedChart21:

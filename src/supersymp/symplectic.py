@@ -23,12 +23,11 @@ no row key is sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .charts import CFunction, Chart, ExpKey, SuperFunction, VectorField
+from .charts import CFunction, Chart, ExpKey, ReadOnly, SuperFunction, VectorField
 from .forms import CKForm, DegreeError, KForm, Word, contract, double, ext_d, word_parity
 from .grassmann import GrassmannNumber, Index, skew_sign
 from .scalars import ONE, ZERO, GaussianRational
@@ -40,6 +39,10 @@ class NotSymplectic(ValueError):
 
 class PoissonMembershipError(ValueError):
     """Raised when an operation needs f in the Poisson algebra and it is not."""
+
+
+class MembershipUndecided(PoissonMembershipError):
+    """Raised instead when no field was found but nothing proves that f is not a member."""
 
 
 # ----------------------------------------------------------------------
@@ -90,13 +93,11 @@ def form_from_contraction_matrix(chart: Chart, w) -> KForm:
 # ----------------------------------------------------------------------
 
 
-@dataclass
 class PointEvaluation:
-    point: Dict[str, Fraction]
-    m0: list
-    m1: list
-    nondegenerate: bool
-    homogeneously_nondegenerate: bool
+    def __init__(self, point: Dict[str, Fraction], m0: list, m1: list, nondegenerate: bool, homogeneously_nondegenerate: bool):
+        self.point, self.m0, self.m1 = point, m0, m1
+        self.nondegenerate = nondegenerate
+        self.homogeneously_nondegenerate = homogeneously_nondegenerate
 
 
 def _validate_real_point(chart: Chart, point: Mapping[str, object]) -> Dict[str, Fraction]:
@@ -201,12 +202,15 @@ class SymplecticData:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HamiltonianResult:
-    status: str  # "member" | "not_member" | "inconclusive"
-    field: Optional[VectorField] = None
-    unique: bool = True
-    detail: str = ""
+class HamiltonianResult(ReadOnly):
+    """Read-only, since `hamiltonian_field` hands one cached result to every caller."""
+
+    def __init__(self, status: str, field: Optional[VectorField] = None, unique: bool = True, detail: str = ""):
+        # status: "member" | "not_member" | "inconclusive"
+        vars(self).update(status=status, field=field, unique=unique, detail=detail)
+
+    def __eq__(self, other):
+        return isinstance(other, HamiltonianResult) and vars(self) == vars(other)
 
     def __bool__(self):
         return self.status == "member"
@@ -357,7 +361,7 @@ def _solve_hamiltonian(f: CFunction, data: SymplecticData, ansatz_degree: Option
 def require_hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optional[int] = None) -> VectorField:
     res = hamiltonian_field(f, data, ansatz_degree)
     if not res:
-        raise PoissonMembershipError(res.detail or res.status)
+        raise (MembershipUndecided if res.status == "inconclusive" else PoissonMembershipError)(res.detail or res.status)
     return res.field
 
 
@@ -381,16 +385,14 @@ def poisson_bracket_by_contraction(f: CFunction, g: CFunction, data: SymplecticD
 # ----------------------------------------------------------------------
 
 
-@dataclass
 class DarbouxResult:
-    kind: str  # "even" | "odd"
-    parities: Tuple[int, ...]
-    basis_change: list  # rows: new frame vectors in the old frame
-    canonical_matrix: list  # contraction matrix in the new frame
-    k: int = 0
-    ell: int = 0
-    odd_coefficients: Tuple[Fraction, ...] = ()
-    exact: bool = True
+    def __init__(self, kind: str, parities: Tuple[int, ...], basis_change: list, canonical_matrix: list,
+                 k: int = 0, ell: int = 0, odd_coefficients: Tuple[Fraction, ...] = (), exact: bool = True):
+        self.kind = kind  # "even" | "odd"
+        self.parities = parities
+        self.basis_change = basis_change  # rows: new frame vectors in the old frame
+        self.canonical_matrix = canonical_matrix  # contraction matrix in the new frame
+        self.k, self.ell, self.odd_coefficients, self.exact = k, ell, odd_coefficients, exact
 
     def canonical_chart(self) -> Chart:
         p = sum(1 for e in self.parities if e == 0)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import traceback
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
@@ -88,17 +87,12 @@ from .symplectic import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    section: str
-    ok: bool
-    expected: str
-    got: str
-    note: str = ""
+    def __init__(self, name: str, section: str, ok: bool, expected: str, got: str, note: str = ""):
+        self.name, self.section, self.ok, self.expected, self.got, self.note = name, section, ok, expected, got, note
 
     def as_dict(self) -> dict:
-        out = asdict(self)
+        out = dict(vars(self))
         if not self.note:
             del out["note"]
         return out

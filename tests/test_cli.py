@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import supersymp
 from supersymp.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -149,6 +154,34 @@ def test_hamiltonian_member_and_nonmember(capsys):
         capsys, "symplectic", "hamiltonian", FIXTURES / "mixed21.ssp", "--f", "y^2*c0", "--point", "x=0,y=0"
     )
     assert code == 1 and rep["status"] == "not_member"
+
+
+VARIABLE_RANK = "chart V even x,y odd xi,eta; form omega = x*dx^dy + dx^dxi + dy^deta;"
+
+
+def test_undecided_hamiltonian_field_exits_2(capsys, tmp_path):
+    """No field up to the ansatz degree, and no proof that none exists: the
+    report says inconclusive, and the exit code is not 1 (refuted)."""
+    doc = tmp_path / "rank.ssp"
+    doc.write_text(VARIABLE_RANK)
+    code, rep = run(capsys, "symplectic", "hamiltonian", doc, "--f", "y*c0", "--point", "x=1,y=0")
+    assert code == 2 and rep["status"] == "inconclusive" and rep["field"] is None
+
+
+def test_undecided_poisson_operand_exits_2(capsys, tmp_path):
+    doc = tmp_path / "rank.ssp"
+    doc.write_text(VARIABLE_RANK)
+    code, rep = run(capsys, "symplectic", "poisson", doc, "--f", "y*c0", "--g", "x*c0")
+    assert code == 2
+    assert rep == {"command": "symplectic poisson", "error": "undecided: no solution up to degree 2"}
+
+
+def test_proven_non_member_poisson_operand_exits_1(capsys):
+    code, rep = run(
+        capsys, "symplectic", "poisson", FIXTURES / "mixed21.ssp", "--f", "y^2*c0", "--g", "x*c0", "--point", "x=0,y=0"
+    )
+    assert code == 1
+    assert rep["error"] == "not in the Poisson algebra: coefficient system inconsistent (degree-independent)"
 
 
 def test_poisson_bracket(capsys):
@@ -327,3 +360,52 @@ def test_verify_section3_reports_known_display_mismatch(capsys):
     ]
     # all the substantive claims still hold
     assert rep["passed"] == rep["total"] - 2
+
+
+# ----------------------------------------------------------------------
+# import graph: a cold command loads only the modules it runs
+# ----------------------------------------------------------------------
+
+
+def _loaded_after(code: str) -> set:
+    """The modules loaded once `code` has run in a fresh interpreter (-S, so
+    that no site hook of the installation loads modules of its own)."""
+    probe = f"{code}\nimport sys\nprint(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], cwd=ROOT, env=env, capture_output=True, text=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _command(*argv) -> str:
+    return f"from supersymp.cli import main\nmain({list(argv)!r})"
+
+
+def test_importing_the_cli_loads_no_command_module():
+    loaded = _loaded_after("import supersymp.cli")
+    assert "supersymp.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "supersymp.dsl", "supersymp.symplectic", "supersymp.liecoh", "supersymp.heisenberg"}
+    assert not loaded & unwanted
+
+
+def test_cech_command_loads_no_dsl():
+    loaded = _loaded_after(_command("cech", "periods", "fixtures/sphere.cov"))
+    assert "supersymp.cech" in loaded
+    assert not loaded & {"supersymp.dsl", "supersymp.charts"}
+
+
+def test_symplectic_command_loads_no_lie_algebra_module():
+    loaded = _loaded_after(_command("symplectic", "check", "fixtures/mixed21.ssp"))
+    assert {"supersymp.dsl", "supersymp.symplectic"} <= loaded
+    assert not loaded & {"supersymp.liecoh", "supersymp.heisenberg"}
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from supersymp import *", namespace)
+    assert set(supersymp.__all__) <= set(namespace)
+    from supersymp import charts, forms, grassmann, scalars
+
+    assert namespace["Chart"] is charts.Chart and namespace["wedge"] is forms.wedge
+    assert namespace["Q"] is scalars.Q and namespace["DEFAULT_GENERATORS"] == grassmann.DEFAULT_GENERATORS
+    with pytest.raises(AttributeError):
+        supersymp.no_such_name

@@ -17,6 +17,7 @@ from supersymp.liecoh import (
     jacobi_check,
     pullback_class,
     sort_with_sign,
+    transported_bracket_isomorphic,
     tuple_parity,
 )
 
@@ -215,6 +216,24 @@ def test_extension_equivalence_takes_only_2_cochains_on_its_algebra():
     assert extension_equivalent(w1, w2, same) == extension_equivalent(w1, w2, g) == (False, None)
     ok, witness = extension_equivalent(w1, w1 + ce_coboundary(u2), same)
     assert ok and ce_coboundary(witness) == -ce_coboundary(u2)
+
+
+def test_coboundary_takes_only_cochains_on_its_algebra():
+    """An explicit g must be the cochain's algebra by value, in every degree:
+    a cochain on `algebra h parities 0,1` is not read as one on gl(1|1)."""
+    g, h = gl11(), abelian((0, 1))
+    w = CECochain(h, 2, {(0, 1): (0, 1)})
+    f = CECochain(h, 1, {(1,): (0, 1)})
+    for c in (w, f):
+        with pytest.raises(ValueError, match=f"^the {c.degree}-cochain lives on another algebra$"):
+            ce_coboundary(c, g)
+    with pytest.raises(ValueError, match="^the 1-cochain lives on another algebra$"):
+        transported_bracket_isomorphic(g, 0, 0, f)
+    # an equal algebra that is another object is the same algebra
+    u = CECochain(g, 1, {(2,): (0, 1)})
+    assert ce_coboundary(u, SuperLieAlgebra(g.parities, g.brackets)) == ce_coboundary(u)
+    assert not ce_coboundary(u).is_zero()
+    assert ce_coboundary(f, abelian((0, 1))) == ce_coboundary(f)
 
 
 def test_skew_sorting():

@@ -267,6 +267,24 @@ def test_rep_check_mixed_chart(mixed_chart, rng):
             assert rep_check(f, g, pq, sections)
 
 
+def test_rep_check_uses_the_graded_commutator():
+    """For the odd pair (xi c0, eta c0) on omega = dx^dy + dxi^dxi + deta^deta
+    the identity holds with the graded commutator Q(f)Q(g) + Q(g)Q(f) and
+    fails with the plain one, so the sign of rep_check is seen."""
+    doc = parse(
+        "chart V even x,y odd xi,eta;"
+        "form omega = dx^dy + dxi^dxi + deta^deta;"
+        "form theta = x*dy + xi*dxi + eta*deta;"
+    )
+    pq = PrequantChart(SymplecticData(doc.forms["omega"]), doc.forms["theta"])
+    f, g = doc.evaluate("xi*c0"), doc.evaluate("eta*c0")
+    sections = [Section(doc.evaluate(text)) for text in ("x", "xi", "eta", "xi*eta", "y*xi")]
+    assert rep_check(f, g, pq, sections)
+    s = sections[1]
+    plain = quantum_op(f, quantum_op(g, s, pq), pq) - quantum_op(g, quantum_op(f, s, pq), pq)
+    assert plain != quantum_op(poisson_bracket(f, g, pq.base), s, pq).scale(GaussianRational(0, -1))
+
+
 def test_q_is_even_and_linear(mixed_chart, rng):
     data, pq = mixed_chart
     chart = data.chart

@@ -24,9 +24,9 @@ The rows are measured on the checkout that holds this script:
 * two DSL rows: `Document.evaluate` of every distinct (chart, expression
   text) pair of a seed-1 `poisson` round, all of them in one timed call;
   the texts come from `bench/inputs.py`, which is only imported.  The
-  first row times first evaluations only: each call evaluates on a fresh
-  copy of the parsed document (`dataclasses.replace`, no parse), so no
-  memo entry is reused.  The second times the warm path, one document
+  first row times first evaluations only: each call evaluates on a
+  shallow copy of the parsed document with an empty memo (no parse), so
+  no memo entry is reused.  The second times the warm path, one document
   whose every evaluation is already memoized;
 * L5 scaling rows, in the same units: `hamiltonian_field` of y c0 on the
   variable-rank 2|2 form x dx^dy + dx^dxi + dy^deta at ansatz degree 2
@@ -47,6 +47,14 @@ The rows are measured on the checkout that holds this script:
   `period_group`, `normalize_to_periods` and `classify_prequantum` with
   d = 3, all in one timed call, so the nerve and its Smith forms are
   built afresh each time;
+* cold-start rows, each the median of COLD_REPEATS fresh interpreters
+  timed from outside by `bench/run.py`'s `run_child`, with `src/` on the
+  path and bytecode caching on, as the `cli` workload runs them: `import
+  supersymp.cli`, then one command per group on the bundled fixtures
+  (`cech periods`, `symplectic check`, `liecoh h2`, `heisenberg orbit`,
+  `verify-paper section7`); the rows take turns, and each is given in
+  raw ms (`raw_ms`) and in reference ms (`value`), scaled by the cold
+  calibration processes of `bench/calib.child_once` around it;
 * end-to-end rows: the last-line JSON of
   `python3 bench/run.py --workload W --seed S --seconds T --trace 0`
   for every workload and seed given;
@@ -60,13 +68,14 @@ one file in turn.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import timeit
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,6 +84,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import calib  # noqa: E402
 
 REPEAT = 7
+COLD_REPEATS = 15
 
 
 def _best_us(stmt) -> tuple:
@@ -161,10 +171,15 @@ def dsl_rows() -> list:
         for text, chart in calls:
             on.evaluate(text, chart)
 
+    def unmemoized():
+        out = copy.copy(doc)
+        out._memo = {}
+        return out
+
     evaluate_all(doc)
     name = f"DSL Document.evaluate of the {len(calls)} distinct expression texts of a seed-1 poisson round"
     return [
-        (name, lambda: evaluate_all(replace(doc))),
+        (name, lambda: evaluate_all(unmemoized())),
         (f"{name}, each a repeat on one document", lambda: evaluate_all(doc)),
     ]
 
@@ -241,6 +256,37 @@ def cech_rows() -> list:
     return rows
 
 
+def cold_rows() -> list:
+    import run
+
+    env = run.child_env()
+    command = [sys.executable, "-c", run.LAUNCH]
+    rows = [("import supersymp.cli", [sys.executable, "-c", "import supersymp.cli"])] + [
+        (" ".join(args), command + args)
+        for args in (
+            ["cech", "periods", "fixtures/sphere.cov"],
+            ["symplectic", "check", "fixtures/mixed21.ssp", "--point", "x=0,y=0"],
+            ["liecoh", "h2", "fixtures/algebra.ssp"],
+            ["heisenberg", "orbit", "fixtures/heis33.ssp", "--y0", "2", "--ybar1", "0"],
+            ["verify-paper", "section7"],
+        )
+    ]
+    clocks = {name: calib.Clock(lambda: calib.child_once(env), calib.REFERENCE_CHILD_S, window=2) for name, _ in rows}
+    for name, argv in rows:  # untimed: writes the bytecode caches
+        run.run_child(argv, env)
+    for _ in range(COLD_REPEATS):
+        for name, argv in rows:
+            run.run_child(argv, env, clocks[name])
+    out = []
+    for name, _ in rows:
+        clock = clocks[name]
+        clock.sample()
+        out.append({"row": f"cold process: {name}", "unit": "reference ms", "median_of": COLD_REPEATS,
+                    "value": round(statistics.median(clock.calibrated()) * 1e3, 2),
+                    "raw_ms": round(statistics.median(clock.raw) * 1e3, 2)})
+    return out
+
+
 def end_to_end_rows(workloads, seeds, seconds: float) -> list:
     rows = []
     for workload in workloads:
@@ -271,6 +317,7 @@ def main(argv=None) -> None:
         "commit": commit.stdout.strip(),
         "python": platform.python_version(),
         "micro": micro_rows(),
+        "cold": cold_rows(),
         "end_to_end": end_to_end,
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": {}}
