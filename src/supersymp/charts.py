@@ -368,10 +368,11 @@ class VectorField(Graded, Linear):
             raise TypeError("vector fields act on superfunctions")
         if f.chart != self.chart:
             raise ChartMismatch("function on a different chart")
-        total = self.chart.zero()
-        for name, comp in self.components.items():
-            total = total + comp * f.partial(name)
-        return total
+        out: Dict[TermKey, GaussianRational] = {}
+        for name, comp in self.terms.items():
+            for key, c in (comp * f.partial(name)).terms.items():
+                accumulate(out, key, c)
+        return f._like(out)
 
     def __str__(self):
         if not self.components:

@@ -6,16 +6,28 @@ algebra, the affine coadjoint action on the 2n real coordinates (x_i,
 xbar_i) of the dual, the fundamental vector fields, the orbit trichotomy
 (y0 only / ybar1 only / both nonzero), and the orbit symplectic form
 obtained by inverting the fundamental-field coefficient matrix.
+
+`orbit_classify` classifies the orbit through a given (y0, ybar1) once per
+spec and generator count: every later call returns that same read-only
+`Orbit` while a caller holds it, and else a new one that shares its parts,
+so the KKS form, `SymplecticData` and momentum cocycle are computed once
+for all callers.  The spec keeps only the parts, which do not refer back to
+it, so no reference cycle keeps a spec and its orbits alive once they are
+dropped.  `momentum_check` hands each tangent field to
+`SymplecticData.admit_field` as a candidate: a field that meets
+i_X doubled-omega = dJ exactly is recorded, not solved for again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
+from weakref import WeakValueDictionary
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .charts import CFunction, Chart, SuperFunction, VectorField
-from .forms import KForm, contract, ext_d
+from .charts import CFunction, Chart, ReadOnly, SuperFunction, VectorField
+from .forms import KForm
 from .grassmann import DEFAULT_GENERATORS, GrassmannNumber, skew_sign
 from .liecoh import CECochain, SuperLieAlgebra, momentum_cocycle as _momentum_cocycle, pullback_class as _pullback_class
 from .scalars import GaussianRational
@@ -50,6 +62,10 @@ class HeisenbergSpec:
             for omega in (self.omega0, self.omega1)
         ]
         self._tangent: Dict = {}  # tangent_matrix by (y0, ybar1)
+        # orbit_classify without a base, by (y0, ybar1, generators): the parts
+        # every orbit through that point shares, and the orbit a caller holds
+        self._orbit_parts: Dict = {}
+        self._orbits: WeakValueDictionary = WeakValueDictionary()
 
     @property
     def dimension(self) -> int:
@@ -131,16 +147,17 @@ def algebra_of(spec: HeisenbergSpec) -> SuperLieAlgebra:
 # ----------------------------------------------------------------------
 
 
-class OrbitPoint:
+class OrbitPoint(ReadOnly):
     """Point of the dual in the coordinates (x_i, xbar_i, y0, ybar1).
 
     The restriction to orbits through real points forces y1 = ybar0 = 0,
     so only y0 and ybar1 are carried.  x and xbar entries may be Grassmann
-    (the coadjoint action introduces group coordinates).
+    (the coadjoint action introduces group coordinates).  Read-only, x and
+    xbar as tuples, since an orbit hands its base point to every caller.
     """
 
-    def __init__(self, spec: HeisenbergSpec, x: List[GrassmannNumber], xbar: List[GrassmannNumber], y0: Fraction, ybar1: Fraction):
-        self.spec, self.x, self.xbar, self.y0, self.ybar1 = spec, x, xbar, y0, ybar1
+    def __init__(self, spec: HeisenbergSpec, x: Sequence[GrassmannNumber], xbar: Sequence[GrassmannNumber], y0: Fraction, ybar1: Fraction):
+        vars(self).update(spec=spec, x=tuple(x), xbar=tuple(xbar), y0=y0, ybar1=ybar1)
 
     def __eq__(self, other):
         return isinstance(other, OrbitPoint) and vars(self) == vars(other)
@@ -271,32 +288,31 @@ def _constant_field(spec: HeisenbergSpec, coefficients: Sequence[Fraction], char
 # ----------------------------------------------------------------------
 
 
-class Orbit:
-    def __init__(self, spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction, base: OrbitPoint, case: str,
-                 chart: Optional[Chart], coordinates: Tuple[str, ...], dimension: Tuple[int, int],
-                 invariants: Tuple[str, ...], tangent_fields: Optional[Dict[int, VectorField]] = None,
-                 restrictions: Optional[Dict[int, List[Tuple[str, Fraction]]]] = None):
-        self.spec, self.y0, self.ybar1, self.base, self.case, self.chart = spec, y0, ybar1, base, case, chart
-        self.coordinates, self.dimension, self.invariants = coordinates, dimension, invariants
-        self.tangent_fields = tangent_fields or {}
-        self.restrictions = restrictions or {}
-        self._kks: Optional[KForm] = None
-        self._data: Optional[SymplecticData] = None
+class Orbit(ReadOnly):
+    """Read-only, since orbits through one point of a spec share their
+    parts: `tangent_fields` and `restrictions` are read-only mappings, and
+    the algebra, the KKS form, its `SymplecticData` and the momentum cocycle
+    are each built on first use and kept in the shared `_memo`."""
+
+    def __init__(self, spec: HeisenbergSpec, base: OrbitPoint, parts: Dict):
+        vars(self).update(parts, spec=spec, base=base)
+
+    def _cached(self, name: str, build):
+        value = self._memo.get(name)
+        if value is None:
+            value = self._memo[name] = build()
+        return value
 
     def kks_form(self) -> KForm:
         if self.case == "trivial":
             raise ValueError("the trivial orbit carries no symplectic form")
-        if self._kks is None:
-            self._kks = _solve_kks(self)
-        return self._kks
+        return self._cached("kks", lambda: _solve_kks(self))
 
     def symplectic_data(self) -> SymplecticData:
-        if self._data is None:
-            self._data = SymplecticData(self.kks_form(), [{name: 0 for name in self.chart.even}])
-        return self._data
+        return self._cached("data", lambda: SymplecticData(self.kks_form(), [{name: 0 for name in self.chart.even}]))
 
     def algebra(self) -> SuperLieAlgebra:
-        return algebra_of(self.spec)
+        return self._cached("algebra", lambda: algebra_of(self.spec))
 
     def ambient_coordinate_function(self, slot: int) -> SuperFunction:
         """The ambient dual coordinate restricted to the orbit, as an affine
@@ -334,11 +350,11 @@ class Orbit:
 
     def momentum_cocycle(self) -> Tuple[CECochain, bool]:
         sd = self.symplectic_data()
-        return _momentum_cocycle(
+        return self._cached("cocycle", lambda: _momentum_cocycle(
             self.algebra(),
             self.momentum_function,
             lambda f, g: poisson_bracket(f, g, sd),
-        )
+        ))
 
     def pullback_cocycle(self) -> CECochain:
         """<[v,w], mu> on the extended algebra at the base point."""
@@ -353,20 +369,36 @@ def orbit_classify(spec: HeisenbergSpec, y0, ybar1, base: Optional[OrbitPoint] =
 
     The chart has the Grassmann generator count of `base` when one is
     given, else `generators`, which also builds the default base point.
+    Without `base` the orbit is classified once per (y0, ybar1, generators)
+    and its parts kept on `spec`, as its tangent matrices are: a repeat
+    returns the same read-only `Orbit` while a caller holds it, else a new
+    one on the same parts.
     """
     y0 = Fraction(y0)
     ybar1 = Fraction(ybar1)
-    if base is None:
-        base = OrbitPoint.base(spec, y0, ybar1, generators=generators)
-    elif base.x:
-        generators = base.x[0].n
+    if base is not None:
+        return Orbit(spec, base, _classify(spec, y0, ybar1, base.x[0].n if base.x else generators))
+    key = y0, ybar1, generators
+    orbit = spec._orbits.get(key)
+    if orbit is None:
+        parts = spec._orbit_parts.get(key)
+        if parts is None:
+            parts = spec._orbit_parts[key] = _classify(spec, y0, ybar1, generators)
+        orbit = spec._orbits[key] = Orbit(spec, OrbitPoint.base(spec, y0, ybar1, generators=generators), parts)
+    return orbit
+
+
+def _classify(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction, generators: int) -> Dict:
+    """The parts of the orbit through (y0, ybar1), none of which refers to `spec`."""
     n = spec.dimension
     names = ambient_names(spec)
     eps_amb = ambient_parities(spec)
     t = tangent_matrix(spec, y0, ybar1)
 
+    parts = dict(y0=y0, ybar1=ybar1, _memo={})
     if y0 == 0 and ybar1 == 0:
-        return Orbit(spec, y0, ybar1, base, "trivial", None, (), (0, 0), ())
+        return dict(parts, case="trivial", chart=None, coordinates=(), dimension=(0, 0), invariants=(),
+                    tangent_fields=MappingProxyType({}), restrictions=MappingProxyType({}))
     if ybar1 == 0:
         case = "case_i"
     elif y0 == 0:
@@ -387,30 +419,27 @@ def orbit_classify(spec: HeisenbergSpec, y0, ybar1, base: Optional[OrbitPoint] =
     chart = Chart(f"orbit_{case}", even, odd, generators)
 
     invariants = []
-    restrictions: Dict[int, List[Tuple[str, Fraction]]] = {}
+    restrictions: Dict[int, Tuple[Tuple[str, Fraction], ...]] = {}
     for col, s in enumerate(moving):
         if col in pivots:
             continue
         combo = [(sel, m[r][col]) for r, sel in enumerate(selected) if not m[r][col].is_zero()]
-        restrictions[s] = [(names[sel], c.re) for sel, c in combo]
+        restrictions[s] = tuple((names[sel], c.re) for sel, c in combo)
         kernel = sorted([(s, GaussianRational(1))] + [(sel, -c) for sel, c in combo])
         invariants.append(" + ".join(f"({c})*{names[k]}" for k, c in kernel))
 
     # the fundamental field of e_j is column j of t
     fields = {j: _constant_field(spec, col, chart) for j, col in enumerate(linalg.transpose(t))}
 
-    return Orbit(
-        spec,
-        y0,
-        ybar1,
-        base,
-        case,
-        chart,
-        tuple(names[s] for s in selected),
-        (len(even), len(odd)),
-        tuple(invariants),
-        fields,
-        restrictions,
+    return dict(
+        parts,
+        case=case,
+        chart=chart,
+        coordinates=tuple(names[s] for s in selected),
+        dimension=(len(even), len(odd)),
+        invariants=tuple(invariants),
+        tangent_fields=MappingProxyType(fields),
+        restrictions=MappingProxyType(restrictions),
     )
 
 
@@ -445,22 +474,21 @@ def _solve_kks(orbit: Orbit) -> KForm:
 
 def momentum_check(orbit: Orbit) -> dict:
     """Verify i_(v*) doubled-omega = d<v, J> and the strong-hamiltonian
-    bracket identity on all basis pairs of the extended algebra."""
+    bracket identity on all basis pairs of the extended algebra.
+
+    Each fundamental field v* is offered to `admit_field` as the field of
+    <v, J>: it is recorded when it meets the equation exactly on the
+    orbit's constant, homogeneously nondegenerate form, where the solution
+    is unique, and left to the solver otherwise.  Either way the field the
+    solver's cache then returns must be v*."""
     sd = orbit.symplectic_data()
-    g = orbit.algebra()
-    n_ext = g.dimension
     n = orbit.spec.dimension
     hamiltonian_ok = True
-    for m in range(n_ext):
-        if m < n:
-            fld = orbit.tangent_fields[m]
-        else:
-            fld = VectorField(orbit.chart, {})
+    for m in range(orbit.algebra().dimension):
+        fld = orbit.tangent_fields[m] if m < n else VectorField(orbit.chart, {})
         jm = orbit.momentum_function(m)
-        if contract(fld, sd.doubled) != ext_d(jm):
-            hamiltonian_ok = False
-        xjm = require_hamiltonian_field(jm, sd)
-        if xjm != fld:
+        sd.admit_field(jm, fld)
+        if require_hamiltonian_field(jm, sd) != fld:
             hamiltonian_ok = False
     cocycle, constant = orbit.momentum_cocycle()
     return {

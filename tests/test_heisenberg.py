@@ -145,6 +145,68 @@ def test_explicit_zero_generators_reach_the_result():
     assert orbit.base.x[0].n == 0
 
 
+def test_orbit_classify_keeps_one_read_only_orbit_per_key():
+    """Without a base point the orbit is classified once per (y0, ybar1,
+    generators) on its spec: a repeat returns the same orbit, with its KKS
+    form and momentum cocycle; another generator count, an explicit base or
+    another spec builds a new one, and no caller can change the shared
+    orbit."""
+    spec = heisenberg_33()
+    orbit = orbit_classify(spec, 1, 1, generators=NG)
+    again = orbit_classify(spec, Fraction(1), Fraction(2, 2), generators=NG)
+    assert again is orbit
+    assert again.kks_form() is orbit.kks_form() and again.symplectic_data() is orbit.symplectic_data()
+    momentum_check(orbit)
+    assert again.momentum_cocycle() is orbit.momentum_cocycle()
+    assert orbit_classify(spec, 1, 1, generators=4) is not orbit
+    assert orbit_classify(spec, 1, 1, generators=4).chart.generators == 4
+    based = orbit_classify(spec, 1, 1, base=OrbitPoint.base(spec, 1, 1, generators=NG))
+    assert based is not orbit and based.kks_form() is not orbit.kks_form()
+    assert orbit_classify(spec, 1, 1, base=based.base) is not based
+    assert orbit_classify(heisenberg_33(), 1, 1, generators=NG) is not orbit
+    with pytest.raises(AttributeError):
+        orbit.case = "trivial"
+    with pytest.raises(AttributeError):
+        del orbit.chart
+    with pytest.raises(TypeError):
+        orbit.tangent_fields[0] = orbit.tangent_fields[1]
+    slot = next(iter(orbit.restrictions))
+    with pytest.raises(TypeError):
+        orbit.restrictions[slot] = ()
+    assert all(isinstance(r, tuple) for r in orbit.restrictions.values())
+    with pytest.raises(TypeError):
+        orbit.base.xbar[3] = orbit.base.xbar[0]
+    with pytest.raises(AttributeError):
+        orbit.base.y0 = 2
+
+
+def test_orbit_parts_outlive_their_orbit_but_not_their_spec():
+    """The spec keeps what an orbit computed after the caller drops the
+    orbit, and nothing refers back to the spec: once the last reference
+    goes, spec, orbits and caches are freed at once, with no reference
+    cycle left for the garbage collector."""
+    import gc
+    import weakref
+
+    spec = heisenberg_33()
+    orbit = orbit_classify(spec, 1, 1, generators=NG)
+    kks, rep = orbit.kks_form(), momentum_check(orbit)
+    cocycle = orbit.momentum_cocycle()
+    del orbit
+    later = orbit_classify(spec, 1, 1, generators=NG)
+    assert later.kks_form() is kks and later.momentum_cocycle() is cocycle
+    assert momentum_check(later) == rep
+    refs = [weakref.ref(x) for x in (spec, later, later.symplectic_data())]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del spec, later
+        assert [r() for r in refs] == [None] * 3
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_orbit_chart_takes_the_generator_count_of_a_given_base_point():
     spec = heisenberg_33()
     mu = OrbitPoint.base(spec, 1, 0, x=[3, 4, 0, 0, 0, 0], generators=3)
@@ -486,8 +548,10 @@ def test_kks_refuses_an_inconsistent_pairing(y0, yb1, monkeypatch):
     well-definedness check sees it."""
     from supersymp import heisenberg, linalg
 
+    # well defined as built; on its own spec, since orbits are memoized per
+    # spec and the first KKS form would be kept
+    orbit_classify(_degenerate_spec(), y0, yb1, generators=NG).kks_form()
     spec = _degenerate_spec()
-    orbit_classify(spec, y0, yb1, generators=NG).kks_form()  # well defined as built
     orbit = orbit_classify(spec, y0, yb1, generators=NG)
     coords = orbit.chart.coords
     rows = [
@@ -520,14 +584,38 @@ def test_momentum_check(y0, yb1):
 
 
 def test_momentum_check_solves_each_momentum_function_once(solve_calls):
-    """The bracket of every pair of momentum functions reuses the fields
-    that the membership checks solved on the orbit's SymplecticData."""
+    """Each momentum function is solved at most once, and in fact never:
+    its fundamental field passes the exact check of `admit_field` on the
+    constant, homogeneously nondegenerate KKS form and is recorded, and the
+    bracket of every pair of momentum functions reuses those fields."""
     orbit = orbit_classify(heisenberg_33(), 1, 1, generators=NG)
     orbit.symplectic_data()
-    distinct = {orbit.momentum_function(m) for m in range(orbit.algebra().dimension)}
     solve_calls.clear()
     assert momentum_check(orbit)["strongly_hamiltonian"]
-    assert 0 < len(solve_calls) <= len(distinct)
+    assert len(solve_calls) == 0
+
+
+def test_momentum_check_refuses_a_wrong_tangent_field(monkeypatch, solve_calls):
+    """Tangent fields scaled by 2 fail i_X doubled-omega = dJ: none of the
+    nonzero ones is recorded, the solver decides each of their momentum
+    functions, and the check reports them as not hamiltonian."""
+    from supersymp import heisenberg
+    from supersymp.symplectic import hamiltonian_field
+
+    constant_field = heisenberg._constant_field
+    monkeypatch.setattr(heisenberg, "_constant_field",
+                        lambda spec, coefficients, chart: constant_field(spec, [2 * c for c in coefficients], chart))
+    orbit = orbit_classify(heisenberg_33(), 1, 1, generators=NG)
+    sd = orbit.symplectic_data()
+    rep = momentum_check(orbit)
+    assert not rep["hamiltonian"] and not rep["strongly_hamiltonian"]
+    assert rep["momentum_cocycle_zero"] and rep["cocycle_constant"]
+    wrong = {m: fld for m, fld in orbit.tangent_fields.items() if fld}
+    assert wrong
+    assert len(solve_calls) == len({orbit.momentum_function(m) for m in wrong})
+    for m, fld in wrong.items():
+        assert not sd.admit_field(orbit.momentum_function(m), fld)
+        assert hamiltonian_field(orbit.momentum_function(m), sd).field.scale(2) == fld
 
 
 def test_trivial_orbit_momentum_vacuous():

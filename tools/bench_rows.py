@@ -39,6 +39,12 @@ The rows are measured on the checkout that holds this script:
 * an L5 row: `prequant.rep_check` of a pair of 2|1 members on three
   sections, on a `PrequantChart` built afresh inside the timed call (so
   no Hamiltonian field or operator is reused);
+* two L5 Heisenberg rows on the 3|3 pairing of `fixtures/heis33.ssp`,
+  each call on a spec built afresh inside the timed call (so no orbit,
+  KKS form or Hamiltonian field is reused): `momentum_check` of the orbit
+  through (1, 1), its classification, KKS form and `SymplecticData`
+  included; and the `orbit`, `kks` and `momentum` operations of the
+  `algebra` workload at (1, 1) in turn, each calling `orbit_classify`;
 * an L4 row per boundary of the 10x10 torus: `smith_normal_form` of d_1
   (100 x 300) and of d_2 (300 x 200), on a nerve built outside the
   timed call;
@@ -228,7 +234,30 @@ def l5_rows() -> list:
     assert rep_check(even, odd, PrequantChart(SymplecticData(data21.omega), data21.theta), sections)
     rows.append(("L5 prequant rep_check of an even and an odd 2|1 member on three sections, fresh PrequantChart",
                  lambda: rep_check(even, odd, PrequantChart(SymplecticData(data21.omega), data21.theta), sections)))
-    return rows
+    return rows + heisenberg_rows()
+
+
+def heisenberg_rows() -> list:
+    from supersymp.dsl import parse
+    from supersymp.heisenberg import HeisenbergSpec, momentum_check, orbit_classify
+
+    (heis,) = parse((ROOT / "fixtures" / "heis33.ssp").read_text()).heisenbergs.values()
+
+    def fresh():
+        return HeisenbergSpec(heis.parities, heis.omega0, heis.omega1)
+
+    def orbit_kks_momentum():
+        spec = fresh()
+        orbit_classify(spec, 1, 1)
+        orbit_classify(spec, 1, 1).kks_form()
+        return momentum_check(orbit_classify(spec, 1, 1))
+
+    assert momentum_check(orbit_classify(fresh(), 1, 1))["strongly_hamiltonian"]
+    return [
+        ("L5 heisenberg momentum_check of the 3|3 orbit through (1, 1), fresh spec and orbit",
+         lambda: momentum_check(orbit_classify(fresh(), 1, 1))),
+        ("L5 heisenberg orbit, kks and momentum operations at (1, 1) on one fresh 3|3 spec", orbit_kks_momentum),
+    ]
 
 
 def cech_rows() -> list:
