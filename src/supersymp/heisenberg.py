@@ -45,8 +45,9 @@ class HeisenbergSpec:
     def __init__(self, parities: Sequence[int], omega0, omega1):
         self.parities = tuple(int(p) % 2 for p in parities)
         n = len(self.parities)
-        self.omega0 = [[Fraction(omega0[i][j]) for j in range(n)] for i in range(n)]
-        self.omega1 = [[Fraction(omega1[i][j]) for j in range(n)] for i in range(n)]
+        # read-only: the tangent matrices, orbit parts and KKS forms cached below are built from them
+        self.omega0 = tuple(tuple(Fraction(omega0[i][j]) for j in range(n)) for i in range(n))
+        self.omega1 = tuple(tuple(Fraction(omega1[i][j]) for j in range(n)) for i in range(n))
         for name, m in (("omega0", self.omega0), ("omega1", self.omega1)):
             bad = linalg.skew_violation(m, self.parities)
             if bad is not None:

@@ -94,8 +94,8 @@ def form_from_contraction_matrix(chart: Chart, w) -> KForm:
 
 
 class PointEvaluation:
-    def __init__(self, point: Dict[str, Fraction], m0: list, m1: list, nondegenerate: bool, homogeneously_nondegenerate: bool):
-        self.point, self.m0, self.m1 = point, m0, m1
+    def __init__(self, point: Dict[str, Fraction], nondegenerate: bool, homogeneously_nondegenerate: bool):
+        self.point = point
         self.nondegenerate = nondegenerate
         self.homogeneously_nondegenerate = homogeneously_nondegenerate
 
@@ -125,8 +125,6 @@ def evaluate_at_point(omega: KForm, point: Mapping[str, object]) -> PointEvaluat
     total = [[m0[i][j] + m1[i][j] for j in range(n)] for i in range(n)]
     return PointEvaluation(
         point=clean,
-        m0=m0,
-        m1=m1,
         nondegenerate=linalg.rank(total) == n,
         homogeneously_nondegenerate=linalg.rank(stacked) == n,
     )

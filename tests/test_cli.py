@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import supersymp
-from supersymp.cli import main
+from supersymp.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -360,6 +362,90 @@ def test_verify_section3_reports_known_display_mismatch(capsys):
     ]
     # all the substantive claims still hold
     assert rep["passed"] == rep["total"] - 2
+
+
+# ----------------------------------------------------------------------
+# the parser and the report contract
+# ----------------------------------------------------------------------
+
+
+def _subcommands(parser, path=()):
+    """(command path, parser) for each leaf subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, (*path, name))
+            return
+    yield " ".join(path), parser
+
+
+REQ, OPT = (True, None, None), (False, None, None)
+POINT, INT = (False, [], None), (False, None, "int")
+FORM = {"file": REQ, "--name": OPT, "--point": POINT}
+CHART = {"file": REQ, "--f": REQ, "--omega": OPT, "--theta": OPT, "--point": POINT}
+ORBIT = {"file": REQ, "--y0": (False, "1", None), "--ybar1": (False, "0", None), "--name": OPT}
+PARSER = {
+    "symplectic check": FORM,
+    "symplectic hamiltonian": {**FORM, "--f": REQ, "--degree": INT},
+    "symplectic poisson": {**FORM, "--f": REQ, "--g": REQ, "--degree": INT},
+    "symplectic darboux": {
+        "--matrix": REQ, "--parities": REQ, "--even": (False, False, None), "--odd": (False, False, None),
+        ("--even", "--odd"): "one required",
+    },
+    "liecoh h2": {"file": REQ, "--name": OPT},
+    "liecoh extend": {"file": REQ, "--cocycle": OPT, "--name": OPT},
+    "liecoh equiv": {"file": REQ, "--cocycle": REQ, "--cocycle2": REQ, "--name": OPT},
+    "heisenberg orbit": ORBIT,
+    "heisenberg kks": ORBIT,
+    "heisenberg momentum": ORBIT,
+    "cech periods": {"file": REQ},
+    "cech prequantize": {"file": REQ, "--d": OPT},
+    "cech classify": {"file": REQ, "--d": OPT},
+    "prequant eta": CHART,
+    "prequant qop": {**CHART, "--section": REQ},
+    "prequant repcheck": {**CHART, "--g": REQ, "--sections": REQ},
+    "verify-paper": {"section": REQ},
+}
+
+
+def test_the_parser_keeps_every_option_default_required_flag_and_type():
+    found = {}
+    for path, parser in _subcommands(build_parser()):
+        options = found[path] = {
+            (a.option_strings or [a.dest])[0]: (a.required, a.default, getattr(a.type, "__name__", a.type))
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for group in parser._mutually_exclusive_groups:
+            options[tuple(a.option_strings[0] for a in group._group_actions)] = "one required" if group.required else "at most one"
+    assert found == PARSER
+
+
+def _readme_commands():
+    """The argument lists of the `supersymp` lines of the README's CLI section."""
+    block = (ROOT / "README.md").read_text().split("## CLI")[1].split("```sh")[1].split("```")[0]
+    lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
+    return [argv[1:] for argv in lines if argv[:1] == ["supersymp"]]
+
+
+REFUTED = {
+    "symplectic hamiltonian fixtures/mixed21.ssp --f y^2*c0 --point x=0,y=0",
+    "liecoh extend fixtures/algebra.ssp --cocycle w1",
+    "liecoh equiv fixtures/algebra.ssp --cocycle w1 --cocycle2 w2",
+    "cech prequantize fixtures/sphere.cov --d 2",
+    "verify-paper all",
+}
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_every_report_begins_with_its_command(capsys, monkeypatch, argv):
+    """The first key of each report is "command", the subcommand path; the
+    exit code is 1 for a refuted claim and 0 for a verified one."""
+    monkeypatch.chdir(ROOT)
+    code, rep = run(capsys, *argv)
+    path = " ".join(argv[:1] if argv[0] == "verify-paper" else argv[:2])
+    assert next(iter(rep.items())) == ("command", path)
+    assert code == (1 if " ".join(argv) in REFUTED else 0)
 
 
 # ----------------------------------------------------------------------

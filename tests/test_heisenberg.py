@@ -662,3 +662,14 @@ def test_spec_rejects_entries_off_the_parity_pattern():
         HeisenbergSpec((0, 0), zero, [[0, 1], [-1, 0]])
     with pytest.raises(ValueError, match=r"^omega0 must vanish on odd pairs \(0,1\)$"):
         HeisenbergSpec((0, 1), [[0, 1], [-1, 0]], zero)
+
+
+def test_the_pairing_is_read_only():
+    """The cached tangent matrices, orbit parts and KKS forms are built from
+    omega0 and omega1, so neither can be changed in place."""
+    spec = heisenberg_33()
+    for omega in (spec.omega0, spec.omega1):
+        with pytest.raises(TypeError):
+            omega[0][1] = 7
+        with pytest.raises(TypeError):
+            omega[0] = omega[1]
