@@ -273,6 +273,8 @@ def cmd_symplectic_darboux(args):
         res = darboux_normal_form(matrix, parities, 1 if args.odd else 0)
     except NotSymplectic as exc:
         return {"error": str(exc)}, False
+    except ValueError as exc:  # the shape, symmetry or parity pattern of the input
+        raise CliError(f"--matrix, --parities: {exc}") from None
     return {
         "kind": res.kind,
         "k": res.k,
@@ -441,7 +443,10 @@ def cmd_prequant_repcheck(args):
 def cmd_verify(args):
     from .verify import run_section
 
-    results = run_section(args.section)
+    try:
+        results = run_section(args.section)
+    except ValueError as exc:  # an unknown section: every check reports its own failure
+        raise CliError(f"section: {exc}") from None
     ok = all(r.ok for r in results)
     return {
         "section": args.section,

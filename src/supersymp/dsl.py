@@ -24,6 +24,9 @@ distinct (text, chart) is read once per document, and a repeat returns the
 same object (a value is never changed after it is built).  Nothing
 invalidates an entry; the memo is freed with the document.  A text that
 fails is read again on every call and raises the same `DslError`.
+Likewise each generator token ``thK`` that resolves on a chart is built
+once per (document, chart), and every later ``thK`` on that chart is the
+same constant; an out-of-range ``thK`` is never kept and fails each time.
 """
 
 from __future__ import annotations
@@ -231,12 +234,18 @@ class _Parser:
                 return chart.var(text)
             if text.startswith("d") and text[1:] in chart.coords:
                 return KForm.differential(chart, text[1:])
-            m = re.fullmatch(r"th(\d+)", text)
-            if m:
-                k = int(m.group(1))
-                if not 1 <= k <= chart.generators:
-                    self.fail(f"Grassmann generator th{k} is out of range (N = {chart.generators})", tok)
-                return chart.constant(GrassmannNumber.generator(k, chart.generators))
+            if text.startswith("th"):
+                key = text, chart
+                value = doc._generators.get(key)
+                if value is not None:
+                    return value
+                m = re.fullmatch(r"th(\d+)", text)
+                if m:
+                    k = int(m.group(1))
+                    if not 1 <= k <= chart.generators:
+                        self.fail(f"Grassmann generator th{k} is out of range (N = {chart.generators})", tok)
+                    value = doc._generators[key] = chart.constant(GrassmannNumber.generator(k, chart.generators))
+                    return value
         if text in ("c0", "c1"):
             return CBasis(int(text[1]))
         self.fail(f"undefined identifier {text!r}", tok)
@@ -427,6 +436,8 @@ class Document:
         self.generators = generators  # of every chart the document declares
         # (text, chart) -> value of every evaluation that succeeded
         self._memo: Dict[Tuple[str, Optional[Chart]], object] = {}
+        # (thK, chart) -> the constant th_K, the value of every thK token on that chart
+        self._generators: Dict[Tuple[str, Chart], SuperFunction] = {}
 
     def all_names(self):
         for _, name in self.order:

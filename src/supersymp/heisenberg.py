@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .charts import CFunction, Chart, ReadOnly, SuperFunction, VectorField
 from .forms import KForm
-from .grassmann import DEFAULT_GENERATORS, GrassmannNumber, skew_sign
+from .grassmann import DEFAULT_GENERATORS, DimensionError, GrassmannNumber, accumulate, graded_sort, skew_sign
 from .liecoh import CECochain, SuperLieAlgebra, momentum_cocycle as _momentum_cocycle, pullback_class as _pullback_class
 from .scalars import GaussianRational
 from .symplectic import (
@@ -56,13 +56,20 @@ class HeisenbergSpec:
             bad = linalg.parity_violation(m, self.parities, parity)
             if bad is not None:
                 raise ValueError(f"{name} must vanish on {pairs} pairs ({bad[0]},{bad[1]})")
-        # S^alpha_ij = (-1)^(eps_i eps_j) Omega^alpha_ij, read by every pairing
+        # column j of Omega^alpha, and of S^alpha_ij = (-1)^(eps_i eps_j)
+        # Omega^alpha_ij, as its nonzero (i, entry) pairs: the coadjoint shift
+        # rows are built from the first, every pairing reads the second
         eps = self.parities
-        self._signed = [
-            [[w if skew_sign(ei, ej) < 0 else -w for ej, w in zip(eps, ws)] for ei, ws in zip(eps, omega)]
+        self._columns = tuple(
+            tuple(tuple((i, GaussianRational(omega[i][j])) for i in range(n) if omega[i][j]) for j in range(n))
             for omega in (self.omega0, self.omega1)
-        ]
+        )
+        self._signed = tuple(
+            tuple(tuple((i, w if skew_sign(eps[i], eps[j]) < 0 else -w) for i, w in column) for j, column in enumerate(columns))
+            for columns in self._columns
+        )
         self._tangent: Dict = {}  # tangent_matrix by (y0, ybar1)
+        self._shift: Dict = {}  # _shift_rows by (y0, ybar1)
         # orbit_classify without a base, by (y0, ybar1, generators): the parts
         # every orbit through that point shares, and the orbit a caller holds
         self._orbit_parts: Dict = {}
@@ -77,12 +84,46 @@ class HeisenbergSpec:
 
         Left bilinearity pulls the second coordinates through the first
         basis slot: Omega(a,b) = a^T S b with S_ij = (-1)^(eps_i eps_j) Omega_ij.
-        On the zero space it is the scalar 0, which takes N from what it is added to.
+        For each column j of S the sum u_j = sum_i a_i S_ij is made in one
+        terms dict, and its products with b_j go straight into the result,
+        so no Grassmann number is built per entry.  On the zero space it is
+        the scalar 0, which takes N from what it is added to.
         """
         if not a:
             return GaussianRational(0), GaussianRational(0)
-        row, column = [a], [[y] for y in b]
-        return tuple(linalg.matmul(linalg.matmul(row, s), column)[0][0] for s in self._signed)
+        n = a[0].n
+        out = []
+        for columns in self._signed:
+            terms: Dict = {}
+            for column, y in zip(columns, b):
+                if not column or not y.terms:
+                    continue
+                _check_generators(y, n)
+                u: Dict = {}
+                _add_row_product(u, column, a, n)
+                for ia, ca in u.items():
+                    for ib, cb in y.terms.items():
+                        sign, idx = graded_sort(ia + ib)
+                        if sign:
+                            accumulate(terms, idx, ca * cb if sign > 0 else -(ca * cb))
+            out.append(a[0]._like(terms))
+        return tuple(out)
+
+
+def _check_generators(x: GrassmannNumber, n: int) -> None:
+    if x.n != n:
+        raise DimensionError(f"generator counts differ: {n} vs {x.n}")
+
+
+def _add_row_product(terms: Dict, row: Sequence[Tuple[int, GaussianRational]], vector: Sequence[GrassmannNumber], n: int) -> None:
+    """terms += sum_j c_j vector[j], for a sparse rational row of (j, c)
+    pairs with c nonzero and a vector of Grassmann numbers over N = n: the
+    one product of the pairing and the coadjoint action."""
+    for j, c in row:
+        x = vector[j]
+        _check_generators(x, n)
+        for idx, v in x.terms.items():
+            accumulate(terms, idx, v * c)
 
 
 class GroupElement:
@@ -191,14 +232,20 @@ def coad(g: GroupElement, mu: OrbitPoint) -> OrbitPoint:
     x_i -> x_i - (-1)^eps_i y0 Omega^0(a, e_i),
     xbar_i -> xbar_i - ybar1 Omega^1(a, e_i); y's unchanged.
 
-    The shifts are the tangent matrix applied to a.
+    The shifts are the tangent matrix t applied to a: each moved coordinate
+    is mu's terms plus the sparse row of -t at its slot times a, summed in
+    one terms dict; a coordinate the action does not move is kept as is.
     """
     spec = mu.spec
     n = spec.dimension
-    shift = linalg.matmul(tangent_matrix(spec, mu.y0, mu.ybar1), [[a] for a in g.a])
-    x = [c - s for c, (s,) in zip(mu.x, shift[:n])]
-    xbar = [c - s for c, (s,) in zip(mu.xbar, shift[n:])]
-    return OrbitPoint(spec, x, xbar, mu.y0, mu.ybar1)
+    moved = []
+    for c, row in zip(mu.x + mu.xbar, _shift_rows(spec, mu.y0, mu.ybar1)):
+        if row:
+            terms = dict(c.terms)
+            _add_row_product(terms, row, g.a, c.n)
+            c = c._like(terms)
+        moved.append(c)
+    return OrbitPoint(spec, moved[:n], moved[n:], mu.y0, mu.ybar1)
 
 
 def coad_infinitesimal(spec: HeisenbergSpec, v: Sequence[Fraction], mu: OrbitPoint):
@@ -257,6 +304,23 @@ def tangent_matrix(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction) -> Tuple
         top = [tuple((-y0 if e else y0) * w for w in col) for e, col in zip(spec.parities, linalg.transpose(spec.omega0))]
         t = spec._tangent[key] = tuple(top + [tuple(ybar1 * w for w in col) for col in linalg.transpose(spec.omega1)])
     return t
+
+
+def _shift_rows(spec: HeisenbergSpec, y0, ybar1) -> Tuple[Tuple[Tuple[int, GaussianRational], ...], ...]:
+    """-t for the tangent matrix t at (y0, ybar1), one row per ambient slot
+    as its nonzero (j, -t_sj) pairs, built once per (spec, y0, ybar1) from
+    the Gaussian-rational columns of the pairing."""
+    key = y0, ybar1
+    rows = spec._shift.get(key)
+    if rows is None:
+        y0, ybar1 = GaussianRational(y0), GaussianRational(ybar1)
+        # t_ij = (-1)^eps_i y0 Omega^0_ji on the x-slots, ybar1 Omega^1_ji on the xbar-slots
+        factors = [y0 if e else -y0 for e in spec.parities] + [-ybar1] * spec.dimension
+        columns = spec._columns[0] + spec._columns[1]
+        rows = spec._shift[key] = tuple(
+            tuple((j, w * f) for j, w in column) if f else () for f, column in zip(factors, columns)
+        )
+    return rows
 
 
 def _field_coefficients(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1) -> List[Fraction]:
@@ -336,18 +400,23 @@ class Orbit(ReadOnly):
         return out
 
     def momentum_function(self, m: int) -> CFunction:
-        """<e_m, doubled J> as a C-valued function on the orbit chart."""
+        """<e_m, doubled J> as a C-valued function on the orbit chart, for
+        m = 0..n+1; the n + 2 of them are built once and kept in `_memo`."""
+        return self._cached("momentum", self._momentum_functions)[m]
+
+    def _momentum_functions(self) -> Tuple[CFunction, ...]:
         spec = self.spec
         n = spec.dimension
         chart = self.chart
-        if m < n:
+        out = []
+        for m in range(n):
             sign = -skew_sign(spec.parities[m], 1)
             f0 = self.ambient_coordinate_function(m).scale(sign)
             f1 = self.ambient_coordinate_function(n + m)
-            return CFunction(f0, f1)
-        if m == n:
-            return CFunction(chart.constant(self.y0), chart.zero())
-        return CFunction(chart.zero(), chart.constant(self.ybar1))
+            out.append(CFunction(f0, f1))
+        out.append(CFunction(chart.constant(self.y0), chart.zero()))
+        out.append(CFunction(chart.zero(), chart.constant(self.ybar1)))
+        return tuple(out)
 
     def momentum_cocycle(self) -> Tuple[CECochain, bool]:
         sd = self.symplectic_data()

@@ -66,7 +66,10 @@ NEGATIVE_D_COVER = "simplex 0 1\nd = -1\n"
             ),
             "line 1, column 101: expression nested deeper than",
         ),
-        (("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]]", "--parities", "0", "--even"), ""),
+        (
+            ("symplectic", "darboux", "--matrix", "[[0,2],[-2,0]]", "--parities", "0", "--even"),
+            "--matrix, --parities: matrix must be 1 x 1, one row and column per parity",
+        ),
         (("liecoh", "h2", ZERO_DENOMINATOR), "line 1, column 42: division by zero"),
         (
             ("symplectic", "check", FIXTURES / "mixed21.ssp", "--point", "x=0,y=abc"),
@@ -101,6 +104,15 @@ NEGATIVE_D_COVER = "simplex 0 1\nd = -1\n"
         (("cech", "prequantize", FIXTURES / "sphere.cov", "--d=-3/2"), "--d: '-3/2' is negative"),
         (("cech", "classify", NEGATIVE_D_COVER), "cover file line 2: d must be >= 0"),
         (("cech", "classify", FIXTURES / "circle.cov", "--d", "-1/2"), "--d: '-1/2' is negative"),
+        (
+            ("symplectic", "darboux", "--matrix", "[[0,0,1],[0,1,0],[1,0,0]]", "--parities", "0,1,1", "--odd"),
+            "--matrix, --parities: matrix is not graded skew-symmetric",
+        ),
+        (
+            ("symplectic", "darboux", "--matrix", "[[0,1,0],[-1,0,0],[0,0,1]]", "--parities", "0,0,1", "--odd"),
+            "--matrix, --parities: matrix entry violates the declared homogeneity",
+        ),
+        (("verify-paper", "nosuch"), "section: unknown section 'nosuch'; choose from section3, "),
     ],
     ids=[
         "zero_point", "deep_nesting", "darboux_shape", "zero_denominator",
@@ -108,7 +120,7 @@ NEGATIVE_D_COVER = "simplex 0 1\nd = -1\n"
         "parities_literal", "y0_literal", "y0_zero_denominator", "ybar1_zero_denominator",
         "d_zero_denominator", "d_literal", "cover_zero_denominator",
         "parities_two", "parities_negative", "d_negative_classify", "d_negative_prequantize", "cover_negative_d",
-        "d_negative_fraction_spaced",
+        "d_negative_fraction_spaced", "darboux_not_skew", "darboux_off_homogeneity", "verify_unknown_section",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, error_start):

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from conftest import random_field, random_superfunction
-from supersymp.charts import CFunction
+from supersymp.charts import CFunction, Chart
 from supersymp.dsl import DslError, parse, render
 from supersymp.forms import KForm, contract, wedge
+from supersymp.grassmann import GrassmannNumber
 from supersymp.reference import d, heisenberg_33, mixed_counterexample
 from supersymp.scalars import GaussianRational
 
@@ -352,12 +353,30 @@ def test_one_text_on_two_charts_gives_two_values():
     assert on_m != on_n
 
 
+def test_a_generator_token_is_one_object_per_document_and_chart():
+    """Every thK on one chart of one document is the same constant; another
+    chart, one with another generator count, or another document builds its
+    own.  A parenthesis returns its operand, so "(th1)" is the token's value."""
+    doc = parse(MEMO_DOC)
+    m, n = doc.charts["M"], doc.charts["N"]
+    th1 = doc.evaluate("th1", m)
+    assert th1 == m.constant(GrassmannNumber.generator(1, 6))
+    assert doc.evaluate("(th1)", m) is th1
+    assert doc.evaluate("(th1)", n) is not th1 and doc.evaluate("(th1)", n).chart == n
+    small = Chart("M", m.even, m.odd, 4)
+    on_small = doc.evaluate("(th1)", small)
+    assert on_small is not th1 and on_small == small.constant(GrassmannNumber.generator(1, 4))
+    assert doc.evaluate("th1", small) is on_small
+    assert parse(MEMO_DOC).evaluate("(th1)", m) is not th1
+
+
 @pytest.mark.parametrize(
     "text, message, position",
     [
         ("x + zz", "undefined identifier 'zz'", (1, 5)),
         ("x\n  + )", "unexpected token ')'", (2, 5)),
         ("x y", "trailing input after expression", (1, 3)),
+        ("x + th7", "Grassmann generator th7 is out of range (N = 6)", (1, 5)),
     ],
 )
 def test_a_failing_text_fails_alike_on_every_call(text, message, position):

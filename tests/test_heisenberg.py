@@ -6,7 +6,7 @@ import pytest
 
 from supersymp import linalg
 from supersymp.forms import contract, wedge
-from supersymp.grassmann import GrassmannNumber
+from supersymp.grassmann import DimensionError, GrassmannNumber
 from supersymp.heisenberg import (
     GroupElement,
     HeisenbergSpec,
@@ -24,6 +24,7 @@ from supersymp.heisenberg import (
 )
 from supersymp.liecoh import jacobi_check
 from supersymp.reference import d, heisenberg_33
+from supersymp.scalars import GaussianRational
 from supersymp.symplectic import is_symplectic
 
 NG = 6
@@ -124,7 +125,82 @@ def test_group_mul_pairs_odd_coordinates_with_the_graded_sign():
 
 def test_pairing_on_the_zero_space_is_zero():
     zero = GrassmannNumber.zero()
-    assert HeisenbergSpec([], [], []).pairing_c([], []) == (zero, zero)
+    pairing = HeisenbergSpec([], [], []).pairing_c([], [])
+    assert pairing == (zero, zero)
+    assert all(isinstance(c, GaussianRational) for c in pairing)
+
+
+def random_kk_spec(rng, k):
+    """A k|k pairing with small random entries on its parity pattern: Omega^0
+    skew on even pairs and symmetric on odd ones, Omega^1 skew on mixed ones."""
+    parities = [0] * k + [1] * k
+    rng.shuffle(parities)
+    n = 2 * k
+    omega0 = [[0] * n for _ in range(n)]
+    omega1 = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            if parities[i] != parities[j]:
+                omega1[i][j], omega1[j][i] = v, -v
+            elif parities[i]:
+                omega0[i][j] = omega0[j][i] = v
+            elif i != j:
+                omega0[i][j], omega0[j][i] = v, -v
+    return HeisenbergSpec(parities, omega0, omega1)
+
+
+def random_coordinates(rng, parities, generators, zero=False):
+    """Grassmann numbers over N = generators, each of the given parity, with
+    up to three terms of up to three generators (none when `zero`)."""
+    out = []
+    for e in parities:
+        terms = {}
+        for _ in range(0 if zero else rng.randint(0, 3)):
+            size = rng.choice([s for s in range(4) if s % 2 == e])
+            terms[tuple(sorted(rng.sample(range(1, generators + 1), size)))] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        out.append(GrassmannNumber(generators, terms))
+    return out
+
+
+def test_pairing_and_coad_kernels_match_the_dense_formula(rng):
+    """pairing_c is a^T S b with S_ij = (-1)^(eps_i eps_j) Omega_ij and coad
+    moves (x, xbar) by -t a, t the tangent matrix, each a product of
+    `linalg.matmul`; checked on random k|k pairings and the 3|3 one, with odd
+    coordinates, N = 4..6 and zero vectors."""
+    from supersymp.heisenberg import tangent_matrix
+
+    specs = [random_kk_spec(rng, k) for k in (1, 2, 3)] + [heisenberg_33()]
+    for spec in specs:
+        eps, n = spec.parities, spec.dimension
+        signed = [[[omega[i][j] * (-1) ** (eps[i] * eps[j]) for j in range(n)] for i in range(n)]
+                  for omega in (spec.omega0, spec.omega1)]
+        for generators in (4, 5, 6):
+            for trial in range(4):
+                a, b = (random_coordinates(rng, eps, generators, zero=trial == z) for z in (1, 2))
+                dense = tuple(linalg.matmul(linalg.matmul([a], s), [[y] for y in b])[0][0] for s in signed)
+                pairing = spec.pairing_c(a, b)
+                assert pairing == dense
+                assert all(c.n == generators for c in pairing)
+
+                y0, ybar1 = (rng.choice((0, 1, -2, Fraction(2, 3))) for _ in range(2))
+                mu = OrbitPoint(spec, random_coordinates(rng, eps, generators),
+                                random_coordinates(rng, [1 - e for e in eps], generators), y0, ybar1)
+                zero = GrassmannNumber.zero(generators)
+                shift = linalg.matmul(tangent_matrix(spec, y0, ybar1), [[x] for x in a])
+                moved = [c - s for c, (s,) in zip(mu.x + mu.xbar, shift)]
+                assert coad(GroupElement(spec, a, zero, zero), mu) == OrbitPoint(spec, moved[:n], moved[n:], y0, ybar1)
+
+
+def test_pairing_and_coad_refuse_two_generator_counts():
+    spec = heisenberg_33()
+    ones = [GrassmannNumber.scalar(1, 6) if e == 0 else GrassmannNumber.generator(1, 6) for e in spec.parities]
+    fours = [GrassmannNumber.scalar(1, 4) if e == 0 else GrassmannNumber.generator(1, 4) for e in spec.parities]
+    with pytest.raises(DimensionError):
+        spec.pairing_c(ones, fours)
+    zero = GrassmannNumber.zero(6)
+    with pytest.raises(DimensionError):
+        coad(GroupElement(spec, ones, zero, zero), OrbitPoint.base(spec, 1, 1, generators=4))
 
 
 def test_group_law_on_the_zero_space_keeps_the_generator_count():
@@ -616,6 +692,35 @@ def test_momentum_check_refuses_a_wrong_tangent_field(monkeypatch, solve_calls):
     for m, fld in wrong.items():
         assert not sd.admit_field(orbit.momentum_function(m), fld)
         assert hamiltonian_field(orbit.momentum_function(m), sd).field.scale(2) == fld
+
+
+def test_momentum_functions_are_built_once_per_orbit_parts(monkeypatch):
+    """The n + 2 momentum functions are built once for the parts of an orbit
+    and read by both the admit loop and the cocycle of `momentum_check`; a
+    later orbit of the same key returns the same objects, another spec or an
+    explicit base point builds its own."""
+    import weakref
+    from supersymp.heisenberg import Orbit
+
+    builds = []
+    build = Orbit._momentum_functions
+    monkeypatch.setattr(Orbit, "_momentum_functions", lambda self: builds.append(1) or build(self))
+    spec = heisenberg_33()
+    orbit = orbit_classify(spec, 1, 1, generators=NG)
+    assert momentum_check(orbit)["strongly_hamiltonian"]
+    assert len(builds) == 1
+    functions = [orbit.momentum_function(m) for m in range(spec.dimension + 2)]
+    gone = weakref.ref(orbit)
+    del orbit
+    assert gone() is None
+    later = orbit_classify(spec, 1, 1, generators=NG)
+    assert all(later.momentum_function(m) is f for m, f in enumerate(functions))
+    assert len(builds) == 1
+    for other in (orbit_classify(heisenberg_33(), 1, 1, generators=NG),
+                  orbit_classify(spec, 1, 1, base=OrbitPoint.base(spec, 1, 1, generators=NG))):
+        for m, f in enumerate(functions):
+            assert other.momentum_function(m) is not f and other.momentum_function(m) == f
+    assert len(builds) == 3
 
 
 def test_trivial_orbit_momentum_vacuous():

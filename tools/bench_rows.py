@@ -45,6 +45,13 @@ The rows are measured on the checkout that holds this script:
   through (1, 1), its classification, KKS form and `SymplecticData`
   included; and the `orbit`, `kks` and `momentum` operations of the
   `algebra` workload at (1, 1) in turn, each calling `orbit_classify`;
+* L5 pairing rows on the seed-1 k|k pairings K1, K2, K3 (k = 1-3) and
+  the 3|3 pairing H of `fixtures/heis33.ssp`, each call on a spec built
+  afresh inside the timed call (so no pairing column or coadjoint shift
+  row is reused), with the two group elements and the base point of the
+  spec's first `coad` operation of the seed-1 `algebra` round: their
+  `group_mul`, and the three coadjoint actions of that operation,
+  coad(g1 g2) mu and coad(g1) coad(g2) mu, with g1 g2 made outside;
 * an L4 row per boundary of the 10x10 torus: `smith_normal_form` of d_1
   (100 x 300) and of d_2 (300 x 200), on a nerve built outside the
   timed call;
@@ -257,7 +264,47 @@ def heisenberg_rows() -> list:
         ("L5 heisenberg momentum_check of the 3|3 orbit through (1, 1), fresh spec and orbit",
          lambda: momentum_check(orbit_classify(fresh(), 1, 1))),
         ("L5 heisenberg orbit, kks and momentum operations at (1, 1) on one fresh 3|3 spec", orbit_kks_momentum),
-    ]
+    ] + pairing_rows()
+
+
+def pairing_rows() -> list:
+    import inputs
+    from supersymp.dsl import parse
+    from supersymp.heisenberg import GroupElement, HeisenbergSpec, OrbitPoint, coad, group_mul
+
+    inp = inputs.make("algebra", 1)
+    doc = parse(inp["documents"]["algebra"])
+    chart = doc.charts["G"]
+    zero = chart.zero().constant_value()
+    rows = []
+    for name in ("K1", "K2", "K3", "H"):
+        spec = doc.heisenbergs[name]
+        op = next(op for op in inp["ops"] if op["kind"] == "coad" and op["spec"] == name)
+        coords = [[doc.evaluate(c["text"], chart).constant_value() for c in g] for g in op["g"]]
+        y0, ybar1 = (Fraction(v) for v in op["point"])
+
+        def fresh(spec=spec):
+            return HeisenbergSpec(spec.parities, spec.omega0, spec.omega1)
+
+        def mul(fresh=fresh, coords=coords):
+            spec = fresh()  # group_mul pairs on the spec of its elements
+            return group_mul(*(GroupElement(spec, a, zero, zero) for a in coords))
+
+        # coad reads the spec of the point and only the coordinates of the elements
+        g1, g2 = (GroupElement(spec, a, zero, zero) for a in coords)
+        h = group_mul(g1, g2)
+
+        def actions(fresh=fresh, g1=g1, g2=g2, h=h, y0=y0, ybar1=ybar1):
+            mu = OrbitPoint.base(fresh(), y0, ybar1, generators=chart.generators)
+            return coad(h, mu), coad(g1, coad(g2, mu))
+
+        first, second = actions()
+        assert first == second
+        size = "|".join(str(spec.parities.count(p)) for p in (0, 1))
+        rows.append((f"L5 heisenberg group_mul of the seed-1 coad elements on {name} ({size}), fresh spec", mul))
+        rows.append((f"L5 heisenberg three coad of the seed-1 coad operation on {name} ({size}), fresh spec",
+                     actions))
+    return rows
 
 
 def cech_rows() -> list:
