@@ -1,24 +1,26 @@
 """Finite-cover Cech machinery for D-prequantization.
 
 A cover enters as an abstract nerve: simplices up to dimension 3 with
-integer boundaries, kept as sparse rows through the Smith normal form to
-the period group.  Potential data is carried by rational cochains: f on
-edges (differences of local primitives), a on triangles (the obstruction
-cocycle, a = delta f when it comes from potentials).  The group of periods
-of a is its image on integer 2-cycles; existence of a D-prequantum
-structure for D = d Z is the inclusion Per into D, and the inequivalent
-choices are counted by H^1 with coefficients Q/dZ.
+integer boundaries, kept as sparse rows.  Only d_2 gets a Smith normal
+form; rank d_1 is read off the connected components of the 1-skeleton.
+Potential data is carried by rational cochains: f on edges (differences
+of local primitives), a on triangles (the obstruction cocycle, a = delta f
+when it comes from potentials).  The group of periods of a is its image on
+integer 2-cycles; it and the normalization b' are integer sums over the
+one common denominator of a.  Existence of a D-prequantum structure for
+D = d Z is the inclusion Per into D, and the inequivalent choices are
+counted by H^1 with coefficients Q/dZ.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .grassmann import Linear, graded_sort
 from . import linalg
-from .linalg import fraction_gcd
 
 Simplex = Tuple[int, ...]
 
@@ -85,15 +87,11 @@ class NerveComplex:
 
     def smith_form(self, k: int) -> tuple:
         """(factors, U, V) of d_k from `linalg.smith_normal_form`, computed
-        once per nerve and shared by the period group, the normalization
-        and the classification."""
+        once per nerve.  Only d_2 gets one, shared by the period group,
+        the normalization and the classification."""
         if k not in self._smith:
             self._smith[k] = linalg.smith_normal_form(self.boundary(k), len(self.simplices[k]))
         return self._smith[k]
-
-    def invariant_factors(self, k: int) -> List[int]:
-        """The nonzero invariant factors of d_k; their number is its rank."""
-        return self.smith_form(k)[0]
 
 
 def build_nerve(simplices: Iterable[Sequence[int]]) -> NerveComplex:
@@ -203,20 +201,28 @@ def two_cycles(nerve: NerveComplex) -> List[Dict[int, int]]:
     return v[len(factors):]
 
 
-def _pair(column: Dict[int, int], a: CechCochain) -> Fraction:
-    """a evaluated on an integer 2-chain given as triangle index -> coefficient."""
-    tris = a.nerve.simplices[2]
-    return sum((x * a.terms.get(tris[t], 0) for t, x in column.items()), Fraction(0))
-
-
-def period_group(a: CechCochain, nerve: Optional[NerveComplex] = None) -> PeriodGroup:
-    """Image of a on integer 2-cycles, as a cyclic subgroup of Q."""
+def _numerators(a: CechCochain, nerve: Optional[NerveComplex]) -> Tuple[NerveComplex, int, Dict[int, int]]:
+    """(nerve, L, numerators) with a = numerators / L on the triangles: L
+    the lcm of a's denominators, numerators a dict triangle index -> integer."""
     nerve = nerve or a.nerve
     if a.nerve is not nerve:
         raise NerveError("cochain does not live on this nerve")
     if a.degree != 2:
         raise ValueError("periods are computed from a 2-cochain")
-    return PeriodGroup(fraction_gcd([_pair(z, a) for z in two_cycles(nerve)]))
+    den = lcm(*(x.denominator for x in a.terms.values()))
+    index = nerve.index[2]
+    return nerve, den, {index[s]: x.numerator * (den // x.denominator) for s, x in a.terms.items()}
+
+
+def _dot(column: Dict[int, int], nums: Dict[int, int]) -> int:
+    return sum(x * nums.get(t, 0) for t, x in column.items())
+
+
+def period_group(a: CechCochain, nerve: Optional[NerveComplex] = None) -> PeriodGroup:
+    """Image of a on integer 2-cycles, as a cyclic subgroup of Q: the gcd
+    of the integer pairings <numerators, z> over L."""
+    nerve, den, nums = _numerators(a, nerve)
+    return PeriodGroup(Fraction(gcd(*(_dot(z, nums) for z in two_cycles(nerve))), den))
 
 
 def normalize_to_periods(a: CechCochain, nerve: Optional[NerveComplex] = None, per: Optional[PeriodGroup] = None):
@@ -225,9 +231,11 @@ def normalize_to_periods(a: CechCochain, nerve: Optional[NerveComplex] = None, p
     Constructive version of the divisible-module argument: in the Smith
     normal coordinates of d_2, the image components are matched exactly and
     the kernel components already lie in Per by definition of the period
-    group.  Returns (b_prime, corrected_a, per).
+    group.  With a = numerators / L and F the lcm of the factors, b' is
+    one integer sum over the rows of U and one fraction over F L per edge.
+    Returns (b_prime, corrected_a, per).
     """
-    nerve = nerve or a.nerve
+    nerve, den, nums = _numerators(a, nerve)
     per = per or period_group(a, nerve)
     edges = nerve.simplices[1]
     tris = nerve.simplices[2]
@@ -236,14 +244,15 @@ def normalize_to_periods(a: CechCochain, nerve: Optional[NerveComplex] = None, p
     if not edges:
         raise NerveError("triangles without edges")
     factors, u, v = nerve.smith_form(2)
-    # b' = c . U with c_i = (a . V)_i / factor_i, the components of a in the
-    # Smith coordinates of C_2 matched on the image of d_2
-    bvals = _combine(((i, _pair(column, a) / factor) for i, (factor, column) in enumerate(zip(factors, v))), u)
-    bprime = CechCochain(nerve, 1, {edges[e]: bvals[e] for e in sorted(bvals)})
+    # b' = c . U with c_i = (a . V)_i / factor_i = w_i (F / factor_i) / (F L),
+    # the components of a in the Smith coordinates of C_2 matched on the image of d_2
+    top = lcm(*factors)
+    bvals = _combine(((i, _dot(column, nums) * (top // factor)) for i, (factor, column) in enumerate(zip(factors, v))), u)
+    bprime = CechCochain(nerve, 1)._like({edges[e]: Fraction(bvals[e], top * den) for e in sorted(bvals) if bvals[e]})
     corrected = a - coboundary(bprime)
-    for s in tris:
-        if not per.contains(corrected.values.get(s, Fraction(0))):
-            raise AssertionError("normalization failed to land in the period group")
+    # a zero value lies in every Per, so only the nonzero terms are checked
+    if not all(per.contains(x) for x in corrected.terms.values()):
+        raise AssertionError("normalization failed to land in the period group")
     return bprime, corrected, per
 
 
@@ -278,16 +287,33 @@ def transition_data(f: CechCochain, d) -> dict:
     return {"g": g, "cocycle_mod_d": not failures, "failures": failures}
 
 
+def _rank_d1(nerve: NerveComplex) -> int:
+    """|vertices| - #components, by union-find over the edges: the
+    vertices that end up below another one."""
+    root = {v: v for (v,) in nerve.simplices[0]}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for i, j in nerve.simplices[1]:
+        root[find(i)] = find(j)
+    return sum(root[v] != v for v in root)
+
+
 def classify_prequantum(nerve: NerveComplex, d) -> dict:
-    """H^1(nerve, Q/dZ) via Smith normal form of the boundary matrices.
+    """H^1(nerve, Q/dZ) from the Smith normal form of d_2 and the rank of
+    d_1, |vertices| - #components: the invariant factors of a graph's
+    incidence matrix are all 1, so d_1 needs no Smith form.
 
     For d != 0 the answer is (Q/dZ)^b1 plus the torsion of H_1; for d = 0
     the coefficients are Q and the torsion disappears.
     """
     d = Fraction(d)
-    factors = nerve.invariant_factors(2)
+    factors = nerve.smith_form(2)[0]
     torsion = [fct for fct in factors if fct != 1]
-    free_rank = len(nerve.simplices[1]) - len(nerve.invariant_factors(1)) - len(factors)
+    free_rank = len(nerve.simplices[1]) - _rank_d1(nerve) - len(factors)
     return {
         "free_rank": free_rank,
         "torsion": torsion if d != 0 else [],

@@ -110,6 +110,13 @@ class HeisenbergSpec:
         return tuple(out)
 
 
+def _check_pairing(spec: HeisenbergSpec, other: HeisenbergSpec) -> None:
+    """Refuse operands on two pairings: the same spec, or one with equal
+    parities, omega0 and omega1."""
+    if spec is not other and (spec.parities, spec.omega0, spec.omega1) != (other.parities, other.omega0, other.omega1):
+        raise ValueError(f"operands on different pairings: dimension {spec.dimension} vs {other.dimension}")
+
+
 def _check_generators(x: GrassmannNumber, n: int) -> None:
     if x.n != n:
         raise DimensionError(f"generator counts differ: {n} vs {x.n}")
@@ -155,6 +162,7 @@ def group_identity(spec: HeisenbergSpec, generators: int = DEFAULT_GENERATORS) -
 def group_mul(g: GroupElement, h: GroupElement) -> GroupElement:
     """(a,b) (a',b') = (a + a', b + b' + Omega(a,a')/2)."""
     spec = g.spec
+    _check_pairing(spec, h.spec)
     a = [x + y for x, y in zip(g.a, h.a)]
     c0, c1 = spec.pairing_c(g.a, h.a)
     half = GaussianRational(Fraction(1, 2))
@@ -237,6 +245,7 @@ def coad(g: GroupElement, mu: OrbitPoint) -> OrbitPoint:
     one terms dict; a coordinate the action does not move is kept as is.
     """
     spec = mu.spec
+    _check_pairing(g.spec, spec)
     n = spec.dimension
     moved = []
     for c, row in zip(mu.x + mu.xbar, _shift_rows(spec, mu.y0, mu.ybar1)):

@@ -44,7 +44,6 @@ matrix to find its pivot.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -324,14 +323,14 @@ def smith_normal_form(rows: Sequence[Dict[int, int]], ncols: int) -> Tuple[List[
     dirty_rows, dirty_cols = active, ()
     while active:
         # a step changes the keys of the entries in the rows and the
-        # columns it touches, and of no other entry
+        # columns it touches, and of no other entry: one key for each
         for i in dirty_rows:
             if i in active:
                 for j in rows[i]:
                     heappush(heap, _pivot_key(rows, holders, i, j))
         for j in dirty_cols:
             for i in holders[j]:
-                if i in active:
+                if i in active and i not in dirty_rows:
                     heappush(heap, _pivot_key(rows, holders, i, j))
         p, c = _next_pivot(heap, rows, holders, active)
         prow = rows[p]
@@ -342,6 +341,8 @@ def smith_normal_form(rows: Sequence[Dict[int, int]], ncols: int) -> Tuple[List[
                 q = rows[i][c] // x
                 _add_multiple(rows[i], prow, -q, holders, i)
                 _add_multiple(u[i], u[p], -q)
+        # only the rows this step's row operations emptied leave `active`
+        active.difference_update([i for i in dirty_rows if not rows[i]])
         if len(holders[c]) > 1:
             continue
         for j in [j for j in prow if j != c]:
@@ -356,7 +357,6 @@ def smith_normal_form(rows: Sequence[Dict[int, int]], ncols: int) -> Tuple[List[
             continue
         pivots.append((p, c))
         active.discard(p)
-        active -= {i for i in active if not rows[i]}
     diag = [rows[p][c] for p, c in pivots]
     units = [k for k, x in enumerate(diag) if abs(x) == 1]
     chain = [k for k, x in enumerate(diag) if abs(x) != 1]
@@ -379,18 +379,3 @@ def smith_normal_form(rows: Sequence[Dict[int, int]], ncols: int) -> Tuple[List[
     col_order += sorted(set(range(ncols)) - set(col_order))
     return [abs(diag[k]) for k in order], [u[i] for i in row_order], [v[c] for c in col_order]
 
-
-def fraction_gcd(values: Sequence[Fraction]) -> Fraction:
-    """gcd of rationals: the positive generator of the group they generate."""
-    vals = [Fraction(v) for v in values if v != 0]
-    if not vals:
-        return Fraction(0)
-    from math import gcd, lcm
-
-    denom = 1
-    for v in vals:
-        denom = lcm(denom, v.denominator)
-    g = 0
-    for v in vals:
-        g = gcd(g, abs(int(v * denom)))
-    return Fraction(g, denom)

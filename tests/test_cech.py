@@ -2,8 +2,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from supersymp import cech, linalg
 from supersymp.cech import (
@@ -346,18 +349,19 @@ def _surface_pipeline(nerve, values):
     return per, normalize_to_periods(a, nerve, per), classify_prequantum(nerve, 3)
 
 
-def test_one_smith_form_per_boundary_degree(monkeypatch, rng):
+def test_only_d2_gets_a_smith_form(monkeypatch, rng):
     """The period group, the normalization and the classification share the
-    Smith forms of their nerve: one per boundary degree on the 10x10 torus.
-    Each gives the same result as on a fresh nerve of its own."""
+    one Smith form of d_2 of their nerve on the 10x10 torus; d_1 gets no
+    Smith form, its rank is read off the connected components.  Each gives
+    the same result as on a fresh nerve of its own."""
     calls = []
     snf = linalg.smith_normal_form
     monkeypatch.setattr(linalg, "smith_normal_form", lambda rows, ncols: calls.append(len(rows)) or snf(rows, ncols))
     nerve = torus_nerve(10, 10)
     assert len(nerve.simplices[2]) == 200
     per, _, rep = _surface_pipeline(nerve, {t: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for t in nerve.simplices[2]})
-    # one Smith form of d_1 (100 vertex rows) and one of d_2 (300 edge rows)
-    assert sorted(calls) == [100, 300]
+    # one Smith form of d_2 (300 edge rows), none of d_1 (100 vertex rows)
+    assert sorted(calls) == [300]
     assert (rep["free_rank"], rep["torsion"]) == (2, [])
 
     nerve = torus_nerve(5, 5)
@@ -366,6 +370,116 @@ def test_one_smith_form_per_boundary_degree(monkeypatch, rng):
     assert period_group(CechCochain(torus_nerve(5, 5), 2, values)) == per
     assert normalize_to_periods(CechCochain(torus_nerve(5, 5), 2, values)) == normalized
     assert classify_prequantum(torus_nerve(5, 5), 3) == rep
+
+
+def two_triangles_nerve():
+    """Two disjoint solid triangles: two connected components."""
+    return build_nerve([face for t in ((0, 1, 2), (3, 4, 5)) for k in (1, 2, 3) for face in combinations(t, k)])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [sphere_nerve, lambda: torus_nerve(3, 4), lambda: torus_nerve(10, 10), rp2_nerve, circle_nerve, two_triangles_nerve],
+    ids=["sphere", "torus_3x4", "torus_10x10", "rp2", "circle", "two_triangles"],
+)
+def test_classify_reads_the_rank_of_d1_off_the_components(make):
+    """The rank of d_1 that the classification uses, |vertices| -
+    #components, is the number of invariant factors of d_1."""
+    nerve = make()
+    rep = classify_prequantum(nerve, 3)
+    rank2 = len(nerve.smith_form(2)[0])
+    rank1 = len(nerve.simplices[1]) - rep["free_rank"] - rank2
+    assert rank1 == len(linalg.smith_normal_form(nerve.boundary(1), len(nerve.simplices[1]))[0])
+
+
+def _fraction_normalization(a):
+    """b' = sum_i ((a . V)_i / factor_i) U_i and a - delta b', in Fractions
+    throughout, from a Smith form of d_2 of its own."""
+    nerve = a.nerve
+    edges, tris = nerve.simplices[1], nerve.simplices[2]
+    factors, u, v = linalg.smith_normal_form(nerve.boundary(2), len(tris))
+    b = {}
+    for factor, column, row in zip(factors, v, u):
+        c = sum((x * a(*tris[t]) for t, x in column.items()), Fraction(0)) / factor
+        for e, y in row.items():
+            b[e] = b.get(e, 0) + c * y
+    bprime = CechCochain(nerve, 1, {edges[e]: b[e] for e in sorted(b)})
+    return bprime, a - coboundary(bprime)
+
+
+@pytest.mark.parametrize(
+    "make, denominators",
+    [(rp2_nerve, (1, 2, 3)), (lambda: torus_nerve(5, 5), (2,)), (lambda: torus_nerve(10, 10), (2, 3))],
+    ids=["rp2", "torus_5x5", "torus_10x10"],
+)
+def test_integer_normalization_matches_the_fraction_formula(rng, make, denominators):
+    """b' and the corrected cocycle, summed in integers over one common
+    denominator, are exactly those of the Fraction formula, key order
+    included; RP^2's d_2 has the invariant factor 2."""
+    nerve = make()
+    for _ in range(3):
+        a = CechCochain(nerve, 2, {t: Fraction(rng.randint(-5, 5), rng.choice(denominators)) for t in nerve.simplices[2]})
+        bprime, corrected, _ = normalize_to_periods(a)
+        want_b, want_corrected = _fraction_normalization(a)
+        assert list(bprime.terms.items()) == list(want_b.terms.items())
+        assert list(corrected.terms.items()) == list(want_corrected.terms.items())
+        assert all(type(x) is Fraction for x in bprime.terms.values())
+
+
+def _rational_gcd(values):
+    """The positive generator of the subgroup of Q the values generate."""
+    g = Fraction(0)
+    for x in values:
+        g = Fraction(gcd(g.numerator * x.denominator, x.numerator * g.denominator), g.denominator * x.denominator)
+    return g
+
+
+GRID = torus_nerve(3, 3).simplices[2]
+SUBCOMPLEX_EXAMPLES = 60
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=SUBCOMPLEX_EXAMPLES,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.one_of(st.just(frozenset(range(len(GRID)))), st.frozensets(st.integers(0, len(GRID) - 1), min_size=1)),
+    st.data(),
+)
+def test_normalization_on_random_subcomplexes_of_a_grid(chosen, data):
+    """On subcomplexes of the 3x3 torus grid (the whole grid has a 2-cycle,
+    every proper one none) with random rational 2-cochains: the corrected
+    cocycle is a - delta b', lies in Per, and Per is generated by the
+    pairings of a with the integer 2-cycles."""
+    tris = [GRID[t] for t in sorted(chosen)]
+    nerve = build_nerve([face for t in tris for k in (1, 2, 3) for face in combinations(t, k)])
+    rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    a = CechCochain(nerve, 2, data.draw(st.dictionaries(st.sampled_from(tris), rationals)))
+    bprime, corrected, per = normalize_to_periods(a)
+    assert corrected == a - coboundary(bprime)
+    assert all(per.contains(x) for x in corrected.terms.values())
+    pairings = [sum((x * a(*nerve.simplices[2][t]) for t, x in z.items()), Fraction(0)) for z in two_cycles(nerve)]
+    assert per.generator == _rational_gcd(pairings)
+    assert len(pairings) == (len(tris) == len(GRID))
+
+
+def test_normalize_checks_its_arguments_even_when_per_is_given():
+    """Like period_group: a cochain on another nerve, or of another degree,
+    is refused before any work, with or without the period group."""
+    nerve, a = sphere_cocycle(3)
+    per = period_group(a)
+    other = CechCochain(sphere_nerve(), 2, {(0, 1, 2): 3})
+    for args in ((other, nerve), (other, nerve, per)):
+        with pytest.raises(NerveError, match="^cochain does not live on this nerve$"):
+            normalize_to_periods(*args)
+    f = CechCochain(nerve, 1, {(0, 1): 1})
+    for args in ((f,), (f, nerve, per)):
+        with pytest.raises(ValueError, match="^periods are computed from a 2-cochain$"):
+            normalize_to_periods(*args)
 
 
 # ----------------------------------------------------------------------

@@ -203,6 +203,33 @@ def test_pairing_and_coad_refuse_two_generator_counts():
         coad(GroupElement(spec, ones, zero, zero), OrbitPoint.base(spec, 1, 1, generators=4))
 
 
+def _plane():
+    """A 2|0 pairing, to pair against the 3|3 one."""
+    return HeisenbergSpec([0, 0], [[0, 1], [-1, 0]], [[0, 0], [0, 0]])
+
+
+def test_group_mul_refuses_elements_on_two_pairings():
+    """Before the check, the 3|3 element times the 2|0 one came back as a
+    6-dimensional element with 2 coordinates."""
+    g33, g2 = group_identity(heisenberg_33()), group_identity(_plane())
+    for g, h in ((g33, g2), (g2, g33)):
+        with pytest.raises(ValueError, match=r"^operands on different pairings: dimension (6 vs 2|2 vs 6)$"):
+            group_mul(g, h)
+    # equal pairings that are two objects still multiply
+    assert group_mul(g33, group_identity(heisenberg_33())) == g33
+
+
+def test_coad_refuses_an_element_on_another_pairing():
+    """Before the check, a 2|0 element acting on a 3|3 point ended in a
+    bare IndexError."""
+    mu33 = OrbitPoint.base(heisenberg_33(), 1, 1)
+    g2 = GroupElement(_plane(), [gnum(1), gnum(2)], gnum(0), gnum(0))
+    with pytest.raises(ValueError, match=r"^operands on different pairings: dimension 2 vs 6$"):
+        coad(g2, mu33)
+    # an element on an equal pairing object acts
+    assert coad(group_identity(heisenberg_33()), mu33) == mu33
+
+
 def test_group_law_on_the_zero_space_keeps_the_generator_count():
     spec = HeisenbergSpec([], [], [])
     g = GroupElement(spec, [], GrassmannNumber.scalar(2, 3), GrassmannNumber.generator(1, 3))
