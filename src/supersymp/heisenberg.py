@@ -111,8 +111,8 @@ class HeisenbergSpec:
 
 
 def _check_pairing(spec: HeisenbergSpec, other: HeisenbergSpec) -> None:
-    """Refuse operands on two pairings: the same spec, or one with equal
-    parities, omega0 and omega1."""
+    """Refuse operands on two pairings; a spec with the same parities,
+    omega0 and omega1 is the same pairing."""
     if spec is not other and (spec.parities, spec.omega0, spec.omega1) != (other.parities, other.omega0, other.omega1):
         raise ValueError(f"operands on different pairings: dimension {spec.dimension} vs {other.dimension}")
 

@@ -323,7 +323,7 @@ def smith_normal_form(rows: Sequence[Dict[int, int]], ncols: int) -> Tuple[List[
     dirty_rows, dirty_cols = active, ()
     while active:
         # a step changes the keys of the entries in the rows and the
-        # columns it touches, and of no other entry: one key for each
+        # columns it touches, and of no other entry; each gets one new key
         for i in dirty_rows:
             if i in active:
                 for j in rows[i]:
