@@ -120,6 +120,7 @@ class CechCochain(Linear):
         self.degree = degree
         self.terms: Dict[Simplex, Fraction] = {}
         if values:
+            given: Dict[Simplex, Fraction] = {}  # zeros included, so a later key cannot contradict one
             for key, val in values.items():
                 sign, canon = graded_sort(key)
                 if sign == 0:
@@ -127,7 +128,7 @@ class CechCochain(Linear):
                 if canon not in nerve.index[degree]:
                     raise NerveError(f"simplex {canon} is not in the nerve")
                 val = Fraction(val) * sign
-                if canon in self.terms and self.terms[canon] != val:
+                if given.setdefault(canon, val) != val:
                     raise NerveError(f"conflicting values on {canon}")
                 if val != 0:
                     self.terms[canon] = val
@@ -332,10 +333,9 @@ class Cover:
         self.nerve, self.f, self.a, self.d = nerve, f, a, d
 
     def cocycle(self) -> CechCochain:
-        """a-data if given directly, else delta f."""
-        if not self.a.is_zero():
-            return self.a + cocycle_from_potentials(self.f)
-        return cocycle_from_potentials(self.f)
+        """a-data if given directly, else delta f: a zero a adds no term and
+        keeps the key order of delta f."""
+        return self.a + cocycle_from_potentials(self.f)
 
 
 def load_cover(text: str) -> Cover:
@@ -362,11 +362,15 @@ def load_cover(text: str) -> Cover:
                 expect = 2 if parts[0] == "f" else 3
                 if len(verts) != expect:
                     raise ValueError(f"{parts[0]}-line needs {expect} vertices")
-                (f_vals if parts[0] == "f" else a_vals)[verts] = val
+                if (f_vals if parts[0] == "f" else a_vals).setdefault(verts, val) != val:
+                    raise ValueError(f"conflicting values on {verts}")
             elif parts[0] == "d" and parts[1] == "=":
-                d = Fraction(parts[2])
-                if d < 0:
+                val = Fraction(parts[2])
+                if val < 0:
                     raise ValueError("d must be >= 0")
+                if d is not None and d != val:
+                    raise ValueError("conflicting values on d")
+                d = val
             else:
                 raise ValueError(f"unrecognized directive {parts[0]!r}")
         except (ValueError, IndexError) as exc:

@@ -439,10 +439,6 @@ class Document:
         # (thK, chart) -> the constant th_K, the value of every thK token on that chart
         self._generators: Dict[Tuple[str, Chart], SuperFunction] = {}
 
-    def all_names(self):
-        for _, name in self.order:
-            yield name
-
     def evaluate(self, text: str, chart: Optional[Chart] = None):
         """Evaluate a standalone expression in this document's scope, on
         `chart` or else the current chart; a repeat returns the same object."""
@@ -460,7 +456,7 @@ class Document:
 
 
 def _register(parser: _Parser, kind: str, name: str, tok: Token):
-    if name in set(parser.doc.all_names()):
+    if any(name in getattr(parser.doc, table) for table in TABLES):
         parser.fail(f"name {name!r} already declared", tok)
     parser.doc.order.append((kind, name))
 
@@ -536,19 +532,7 @@ def _statement(parser: _Parser) -> None:
 
     elif head.text == "algebra":
         parities = _parities(parser)
-
-        def bracket() -> Tuple[Tuple[int, int], Dict[int, Fraction]]:
-            open_tok = parser.peek()
-            pair = parser.index_list()
-            if len(pair) != 2:
-                parser.fail("a bracket takes two basis indices", open_tok)
-            parser.expect("=")
-            return pair, _basis_expression(parser, len(parities))
-
-        brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        if parser.peek().text == "bracket":
-            parser.next()
-            brackets = dict(parser.sequence(bracket))
+        brackets = _entries(parser, "bracket", "bracket", lambda: _basis_expression(parser, len(parities)), pairs=True)
         from .liecoh import SuperLieAlgebra
 
         try:
@@ -568,16 +552,7 @@ def _statement(parser: _Parser) -> None:
         algebra = doc.algebras[alg_tok.text]
         parser.expect("degree")
         degree = parser.integer("a degree")
-
-        def entry() -> Tuple[Tuple[int, ...], Tuple[Fraction, Fraction]]:
-            key = parser.index_list()
-            parser.expect("=")
-            return key, _cvalue_expression(parser)
-
-        values: Dict[Tuple[int, ...], Tuple[Fraction, Fraction]] = {}
-        if parser.peek().text == "values":
-            parser.next()
-            values = dict(parser.sequence(entry))
+        values = _entries(parser, "values", "tuple", lambda: _cvalue_expression(parser))
         try:
             cochain = CECochain(algebra, degree, values)
         except ValueError as exc:
@@ -614,6 +589,29 @@ def _parities(parser: _Parser) -> List[int]:
     """parities p1, ..., pn: one signed integer per basis vector."""
     parser.expect("parities")
     return parser.sequence(lambda: parser.integer("an integer", signed=True))
+
+
+def _entries(parser: _Parser, keyword: str, what: str, value: Callable[[], T], pairs: bool = False) -> Dict[Tuple[int, ...], T]:
+    """An optional list  keyword [i, ...] = value (, [i, ...] = value)...  as
+    a dict from 0-based index tuples, two indices each if `pairs`; a key
+    given twice must have one value, zero included."""
+    out: Dict[Tuple[int, ...], T] = {}
+    if parser.peek().text != keyword:
+        return out
+    parser.next()
+
+    def entry() -> None:
+        tok = parser.peek()
+        key = parser.index_list()
+        if pairs and len(key) != 2:
+            parser.fail(f"a {what} takes two basis indices", tok)
+        parser.expect("=")
+        val = value()
+        if out.setdefault(key, val) != val:
+            parser.fail(f"conflicting values on {what} {key}", tok)
+
+    parser.sequence(entry)
+    return out
 
 
 def _signed_sum(parser: _Parser, what: str, basis: Callable[[Token], object]) -> Dict[object, Fraction]:

@@ -169,6 +169,17 @@ def accumulate(terms: Dict, key, c) -> None:
         terms.pop(key, None)
 
 
+def add_product(terms: Dict, x: Dict[Index, GaussianRational], y: Dict[Index, GaussianRational]) -> None:
+    """terms += x y for the terms of two Grassmann numbers: each pair of
+    index sets is merged by `graded_sort`, and a repeated generator drops
+    the pair."""
+    for ia, ca in x.items():
+        for ib, cb in y.items():
+            sign, idx = graded_sort(ia + ib)
+            if sign:
+                accumulate(terms, idx, ca * cb if sign > 0 else -(ca * cb))
+
+
 class Linear:
     """Finite sum  sum_k c_k * (basis element k)  over a fixed frame.
 
@@ -356,11 +367,7 @@ class GrassmannNumber(Graded, Linear):
             c = self.terms[()]
             return other._map(lambda k, v: c * v)
         terms: Dict[Index, GaussianRational] = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                sign, idx = graded_sort(ia + ib)
-                if sign:
-                    accumulate(terms, idx, ca * cb if sign > 0 else -(ca * cb))
+        add_product(terms, self.terms, other.terms)
         return self._like(terms)
 
     def __rmul__(self, other):

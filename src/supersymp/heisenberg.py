@@ -7,13 +7,18 @@ xbar_i) of the dual, the fundamental vector fields, the orbit trichotomy
 (y0 only / ybar1 only / both nonzero), and the orbit symplectic form
 obtained by inverting the fundamental-field coefficient matrix.
 
+Every kernel reads one table derived from Omega, the columns of
+S^alpha_ij = (-1)^(eps_i eps_j) Omega^alpha_ij over Q(i): the pairing is
+a^T S b, and the tangent matrix at (y0, ybar1), which gives the coadjoint
+action, the fundamental fields, the orbit charts and the KKS form, is S^0
+times y0 on the x-slots and S^1 times ybar1 on the xbar-slots.
+
 `orbit_classify` classifies the orbit through a given (y0, ybar1) once per
-spec and generator count: every later call returns that same read-only
-`Orbit` while a caller holds it, and else a new one that shares its parts,
-so the KKS form, `SymplecticData` and momentum cocycle are computed once
-for all callers.  The spec keeps only the parts, which do not refer back to
-it, so no reference cycle keeps a spec and its orbits alive once they are
-dropped.  `momentum_check` hands each tangent field to
+spec and generator count and keeps its parts on the spec: every later call
+returns a new read-only `Orbit` on those parts, so the KKS form,
+`SymplecticData` and momentum cocycle are computed once for all callers.
+The parts do not refer back to the spec, so no reference cycle keeps a
+spec alive once it is dropped.  `momentum_check` hands each tangent field to
 `SymplecticData.admit_field` as a candidate: a field that meets
 i_X doubled-omega = dJ exactly is recorded, not solved for again.
 """
@@ -22,15 +27,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from weakref import WeakValueDictionary
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .charts import CFunction, Chart, ReadOnly, SuperFunction, VectorField
 from .forms import KForm
-from .grassmann import DEFAULT_GENERATORS, DimensionError, GrassmannNumber, accumulate, graded_sort, skew_sign
+from .grassmann import DEFAULT_GENERATORS, DimensionError, GrassmannNumber, accumulate, add_product, skew_sign
 from .liecoh import CECochain, SuperLieAlgebra, momentum_cocycle as _momentum_cocycle, pullback_class as _pullback_class
-from .scalars import GaussianRational
+from .scalars import ZERO, GaussianRational
 from .symplectic import (
     SymplecticData,
     form_from_contraction_matrix,
@@ -45,7 +49,7 @@ class HeisenbergSpec:
     def __init__(self, parities: Sequence[int], omega0, omega1):
         self.parities = tuple(int(p) % 2 for p in parities)
         n = len(self.parities)
-        # read-only: the tangent matrices, orbit parts and KKS forms cached below are built from them
+        # read-only: the tangent rows, orbit parts and KKS forms cached below are built from them
         self.omega0 = tuple(tuple(Fraction(omega0[i][j]) for j in range(n)) for i in range(n))
         self.omega1 = tuple(tuple(Fraction(omega1[i][j]) for j in range(n)) for i in range(n))
         for name, m in (("omega0", self.omega0), ("omega1", self.omega1)):
@@ -56,24 +60,18 @@ class HeisenbergSpec:
             bad = linalg.parity_violation(m, self.parities, parity)
             if bad is not None:
                 raise ValueError(f"{name} must vanish on {pairs} pairs ({bad[0]},{bad[1]})")
-        # column j of Omega^alpha, and of S^alpha_ij = (-1)^(eps_i eps_j)
-        # Omega^alpha_ij, as its nonzero (i, entry) pairs: the coadjoint shift
-        # rows are built from the first, every pairing reads the second
+        # column j of S^alpha_ij = (-1)^(eps_i eps_j) Omega^alpha_ij as its
+        # nonzero (i, entry) pairs: the one table every kernel reads
         eps = self.parities
-        self._columns = tuple(
-            tuple(tuple((i, GaussianRational(omega[i][j])) for i in range(n) if omega[i][j]) for j in range(n))
+        self._signed = tuple(
+            tuple(tuple((i, GaussianRational(-skew_sign(eps[i], eps[j]) * w)) for i, w in enumerate(column) if w)
+                  for j, column in enumerate(zip(*omega)))
             for omega in (self.omega0, self.omega1)
         )
-        self._signed = tuple(
-            tuple(tuple((i, w if skew_sign(eps[i], eps[j]) < 0 else -w) for i, w in column) for j, column in enumerate(columns))
-            for columns in self._columns
-        )
-        self._tangent: Dict = {}  # tangent_matrix by (y0, ybar1)
-        self._shift: Dict = {}  # _shift_rows by (y0, ybar1)
+        self._tangent: Dict = {}  # _tangent_rows by (y0, ybar1)
         # orbit_classify without a base, by (y0, ybar1, generators): the parts
-        # every orbit through that point shares, and the orbit a caller holds
+        # every orbit through that point shares
         self._orbit_parts: Dict = {}
-        self._orbits: WeakValueDictionary = WeakValueDictionary()
 
     @property
     def dimension(self) -> int:
@@ -101,11 +99,7 @@ class HeisenbergSpec:
                 _check_generators(y, n)
                 u: Dict = {}
                 _add_row_product(u, column, a, n)
-                for ia, ca in u.items():
-                    for ib, cb in y.terms.items():
-                        sign, idx = graded_sort(ia + ib)
-                        if sign:
-                            accumulate(terms, idx, ca * cb if sign > 0 else -(ca * cb))
+                add_product(terms, u, y.terms)
             out.append(a[0]._like(terms))
         return tuple(out)
 
@@ -240,15 +234,16 @@ def coad(g: GroupElement, mu: OrbitPoint) -> OrbitPoint:
     x_i -> x_i - (-1)^eps_i y0 Omega^0(a, e_i),
     xbar_i -> xbar_i - ybar1 Omega^1(a, e_i); y's unchanged.
 
-    The shifts are the tangent matrix t applied to a: each moved coordinate
-    is mu's terms plus the sparse row of -t at its slot times a, summed in
-    one terms dict; a coordinate the action does not move is kept as is.
+    The shifts are -t a for the tangent matrix t, which is linear in (y0,
+    ybar1), so -t = t(-y0, -ybar1): each moved coordinate is mu's terms plus
+    the sparse row of that table at its slot times a, summed in one terms
+    dict; a coordinate the action does not move is kept as is.
     """
     spec = mu.spec
     _check_pairing(g.spec, spec)
     n = spec.dimension
     moved = []
-    for c, row in zip(mu.x + mu.xbar, _shift_rows(spec, mu.y0, mu.ybar1)):
+    for c, row in zip(mu.x + mu.xbar, _tangent_rows(spec, -mu.y0, -mu.ybar1)):
         if row:
             terms = dict(c.terms)
             _add_row_product(terms, row, g.a, c.n)
@@ -265,7 +260,7 @@ def coad_infinitesimal(spec: HeisenbergSpec, v: Sequence[Fraction], mu: OrbitPoi
     return rates[:n], rates[n:]
 
 
-def coad_pairing(spec: HeisenbergSpec, v: int, w: int, mu: OrbitPoint) -> Fraction:
+def coad_pairing(spec: HeisenbergSpec, v: int, w: int, mu: OrbitPoint) -> GaussianRational:
     """<e_v, coad(e_w) mu> at a real point.
 
     The algebraic coadjoint action is the derivative of the coordinate
@@ -302,40 +297,36 @@ def ambient_chart(spec: HeisenbergSpec, generators: int = DEFAULT_GENERATORS) ->
     return Chart("dual", even, odd, generators)
 
 
-def tangent_matrix(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Rows: 2n ambient slots; columns: generators e_j.  Entry = coefficient
-    of the fundamental field of e_j on that coordinate.  Built once per
-    (spec, y0, ybar1), as tuples, so no caller can change it."""
-    key = Fraction(y0), Fraction(ybar1)
-    t = spec._tangent.get(key)
-    if t is None:
-        y0, ybar1 = key
-        top = [tuple((-y0 if e else y0) * w for w in col) for e, col in zip(spec.parities, linalg.transpose(spec.omega0))]
-        t = spec._tangent[key] = tuple(top + [tuple(ybar1 * w for w in col) for col in linalg.transpose(spec.omega1)])
-    return t
+def _tangent_rows(spec: HeisenbergSpec, y0, ybar1) -> Tuple[Tuple[Tuple[int, GaussianRational], ...], ...]:
+    """The tangent matrix t at (y0, ybar1), one row per ambient slot s as
+    its nonzero (j, t_sj) pairs, built once per (spec, y0, ybar1).
 
-
-def _shift_rows(spec: HeisenbergSpec, y0, ybar1) -> Tuple[Tuple[Tuple[int, GaussianRational], ...], ...]:
-    """-t for the tangent matrix t at (y0, ybar1), one row per ambient slot
-    as its nonzero (j, -t_sj) pairs, built once per (spec, y0, ybar1) from
-    the Gaussian-rational columns of the pairing."""
+    t_sj is (-1)^eps_s y0 Omega^0_js on x_s and ybar1 Omega^1_js on xbar_s.
+    Omega^0 lives on pairs of one parity and Omega^1 on mixed pairs, so that
+    is y0 S^0_js and ybar1 S^1_js: row s is column s of S^0 times y0, and
+    row n + s is column s of S^1 times ybar1."""
     key = y0, ybar1
-    rows = spec._shift.get(key)
+    rows = spec._tangent.get(key)
     if rows is None:
-        y0, ybar1 = GaussianRational(y0), GaussianRational(ybar1)
-        # t_ij = (-1)^eps_i y0 Omega^0_ji on the x-slots, ybar1 Omega^1_ji on the xbar-slots
-        factors = [y0 if e else -y0 for e in spec.parities] + [-ybar1] * spec.dimension
-        columns = spec._columns[0] + spec._columns[1]
-        rows = spec._shift[key] = tuple(
-            tuple((j, w * f) for j, w in column) if f else () for f, column in zip(factors, columns)
+        factors = GaussianRational.coerce(y0), GaussianRational.coerce(ybar1)
+        rows = spec._tangent[key] = tuple(
+            tuple((j, w * y) for j, w in column) if y else ()
+            for y, columns in zip(factors, spec._signed)
+            for column in columns
         )
     return rows
 
 
-def _field_coefficients(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1) -> List[Fraction]:
-    """Coefficients of the fundamental field of v on the 2n ambient slots."""
-    t = tangent_matrix(spec, y0, ybar1)
-    return [c for (c,) in linalg.matmul(t, [[Fraction(x)] for x in v])]
+def tangent_matrix(spec: HeisenbergSpec, y0, ybar1) -> Tuple[Tuple[GaussianRational, ...], ...]:
+    """Rows: 2n ambient slots; columns: generators e_j.  Entry = coefficient
+    of the fundamental field of e_j on that coordinate: the dense view of
+    `_tangent_rows`, as tuples."""
+    return tuple(tuple(dict(row).get(j, ZERO) for j in range(spec.dimension)) for row in _tangent_rows(spec, y0, ybar1))
+
+
+def _field_coefficients(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1) -> List[GaussianRational]:
+    """Coefficients of the fundamental field of v on the 2n ambient slots: t v."""
+    return [sum((c * v[j] for j, c in row), ZERO) for row in _tangent_rows(spec, y0, ybar1)]
 
 
 def fundamental_field(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1, chart: Optional[Chart] = None) -> VectorField:
@@ -348,7 +339,7 @@ def fundamental_field(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1, ch
     return _constant_field(spec, _field_coefficients(spec, v, y0, ybar1), chart or ambient_chart(spec))
 
 
-def _constant_field(spec: HeisenbergSpec, coefficients: Sequence[Fraction], chart: Chart) -> VectorField:
+def _constant_field(spec: HeisenbergSpec, coefficients: Sequence[GaussianRational], chart: Chart) -> VectorField:
     """The constant field with these coefficients on the 2n ambient slots of `chart`."""
     comps: Dict[str, SuperFunction] = {}
     for name, c in zip(ambient_names(spec), coefficients):
@@ -449,22 +440,18 @@ def orbit_classify(spec: HeisenbergSpec, y0, ybar1, base: Optional[OrbitPoint] =
     The chart has the Grassmann generator count of `base` when one is
     given, else `generators`, which also builds the default base point.
     Without `base` the orbit is classified once per (y0, ybar1, generators)
-    and its parts kept on `spec`, as its tangent matrices are: a repeat
-    returns the same read-only `Orbit` while a caller holds it, else a new
-    one on the same parts.
+    and its parts kept on `spec`, as its tangent rows are: a repeat returns
+    a new read-only `Orbit` on the same parts.
     """
     y0 = Fraction(y0)
     ybar1 = Fraction(ybar1)
     if base is not None:
         return Orbit(spec, base, _classify(spec, y0, ybar1, base.x[0].n if base.x else generators))
     key = y0, ybar1, generators
-    orbit = spec._orbits.get(key)
-    if orbit is None:
-        parts = spec._orbit_parts.get(key)
-        if parts is None:
-            parts = spec._orbit_parts[key] = _classify(spec, y0, ybar1, generators)
-        orbit = spec._orbits[key] = Orbit(spec, OrbitPoint.base(spec, y0, ybar1, generators=generators), parts)
-    return orbit
+    parts = spec._orbit_parts.get(key)
+    if parts is None:
+        parts = spec._orbit_parts[key] = _classify(spec, y0, ybar1, generators)
+    return Orbit(spec, OrbitPoint.base(spec, y0, ybar1, generators=generators), parts)
 
 
 def _classify(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction, generators: int) -> Dict:
@@ -478,12 +465,7 @@ def _classify(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction, generators: i
     if y0 == 0 and ybar1 == 0:
         return dict(parts, case="trivial", chart=None, coordinates=(), dimension=(0, 0), invariants=(),
                     tangent_fields=MappingProxyType({}), restrictions=MappingProxyType({}))
-    if ybar1 == 0:
-        case = "case_i"
-    elif y0 == 0:
-        case = "case_ii"
-    else:
-        case = "case_iii"
+    case = "case_i" if ybar1 == 0 else "case_ii" if y0 == 0 else "case_iii"
 
     # one elimination of the moving tangent rows, taken as columns: the
     # pivots are the chart, ambient coordinates whose projection stays an
@@ -491,7 +473,7 @@ def _classify(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction, generators: i
     # a fixed combination of the pivots, read off its column, which gives
     # both a linear invariant and its restriction to the chart
     moving = [s for s in range(2 * n) if any(t[s])]
-    m, pivots = linalg.rref(linalg.transpose([[GaussianRational(v) for v in t[s]] for s in moving]))
+    m, pivots = linalg.rref(linalg.transpose([t[s] for s in moving]))
     selected = [moving[c] for c in pivots]
     even = tuple(names[s] for s in selected if eps_amb[s] == 0)
     odd = tuple(names[s] for s in selected if eps_amb[s] == 1)
@@ -532,14 +514,15 @@ def _solve_kks(orbit: Orbit) -> KForm:
     # M: the tangent components of the n generators on the chart's slots, as rows
     t = tangent_matrix(spec, orbit.y0, orbit.ybar1)
     names = ambient_names(spec)
-    m_rows = [[GaussianRational(t[names.index(name)][j]) for name in chart.coords] for j in range(n)]
+    slots = [names.index(name) for name in chart.coords]
+    m_rows = [[t[s][j] for s in slots] for j in range(n)]
     chosen = linalg.independent(m_rows)
     if len(chosen) != r:
         raise ValueError("tangent fields do not span the orbit chart")
 
     # Omega^0 vanishes on mixed pairs and Omega^1 on unmixed ones, so the
     # tangent rows a and n + a are -y0 Omega^0_a. and -ybar1 Omega^1_a.
-    target = [[GaussianRational(-t[a][b] - t[n + a][b]) for b in range(n)] for a in range(n)]
+    target = [[-t[a][b] - t[n + a][b] for b in range(n)] for a in range(n)]
     minv = linalg.inverse([m_rows[j] for j in chosen])
     w_target = [[target[a][b] for b in chosen] for a in chosen]
     wc = linalg.matmul(linalg.matmul(minv, w_target), linalg.transpose(minv))

@@ -154,6 +154,7 @@ class CECochain(Linear):
         self.degree = degree
         self.terms: Dict[Key, Fraction] = {}
         if values:
+            given: Dict[Key, Fraction] = {}  # zeros included, so a later key cannot contradict one
             for key, val in values.items():
                 sign, canon = sort_with_sign(g.parities, key)
                 if sign == 0:
@@ -167,11 +168,10 @@ class CECochain(Linear):
                         f"evenness violated on {key}: component c{1 - parity} must vanish"
                     )
                 v = val[parity] * sign
-                if not v:
-                    continue
-                if canon in self.terms and self.terms[canon] != v:
+                if given.setdefault(canon, v) != v:
                     raise ValueError(f"conflicting values on tuple {canon}")
-                self.terms[canon] = v
+                if v:
+                    self.terms[canon] = v
 
     @property
     def values(self) -> Dict[Key, Tuple[Fraction, Fraction]]:

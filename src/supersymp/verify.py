@@ -251,26 +251,33 @@ def _c_21_family():
     return ok, "member x3", "member x3" if ok else "failure"
 
 
-@check("2|1: graded Jacobi on three members", "section3")
+@check("graded Jacobi on three members, on 2|1 and on an odd pair of 2|2", "section3")
 def _c_21_jacobi():
     data = mixed_chart_21()
-    sd = SymplecticData(data.omega, [ORIGIN])
     f = poisson_member_21(data, [], [], [1])  # even
     g = poisson_member_21(data, [], [], [0, 1])  # even
     h = poisson_member_21(data, [], [2, 0, 1], [])  # odd
-    pf, pg, ph = 0, 0, 1
+    jac21 = _jacobi_sum(SymplecticData(data.omega, [ORIGIN]), (f, g, h), (0, 0, 1))
+    # with parities (0, 0, 1) every sign is -1 and cannot tell a graded Jacobi rule from an
+    # ungraded one; on dx^dy + dxi^dxi + deta^deta the triple (x, y xi, xi) c0 has an odd
+    # pair with a nonzero bracket, and its sum without signs is -c0
+    chart = Chart("S", ("x", "y"), ("xi", "eta"), 4)
+    omega = wedge(d(chart, "x"), d(chart, "y")) + wedge(d(chart, "xi"), d(chart, "xi")) + wedge(d(chart, "eta"), d(chart, "eta"))
+    x, y, xi = (chart.var(n) for n in ("x", "y", "xi"))
+    members = [CFunction(v, chart.zero()) for v in (x, y * xi, xi)]
+    jac22 = _jacobi_sum(SymplecticData(omega, [ORIGIN]), members, (0, 1, 1))
+    return jac21.is_zero() and jac22.is_zero(), "0 on 2|1 and on 2|2", f"2|1: {jac21}; 2|2: {jac22}"
 
-    def pb(u, v):
-        return poisson_bracket(u, v, sd)
 
-    # (-1)^(|a||c|) per term, up to one overall sign; with parities (0, 0, 1) every
-    # skew_sign here is -1, so this check cannot tell a graded Jacobi rule from an ungraded one
-    jac = (
-        pb(f, pb(g, h)).scale(skew_sign(pf, ph))
-        + pb(g, pb(h, f)).scale(skew_sign(pg, pf))
-        + pb(h, pb(f, g)).scale(skew_sign(ph, pg))
-    )
-    return jac.is_zero(), "0", jac
+def _jacobi_sum(sd: SymplecticData, members, parities):
+    """The sum over the cyclic orders (a, b, c) = (k, k + 1, k + 2) of
+    (-1)^(|a||c|) {a, {b, c}}, up to one overall sign: zero by the graded
+    Jacobi identity."""
+    terms = []
+    for k in range(3):
+        a, b, c = members[k], members[k - 2], members[k - 1]
+        terms.append(poisson_bracket(a, poisson_bracket(b, c, sd), sd).scale(skew_sign(parities[k], parities[k - 1])))
+    return terms[0] + terms[1] + terms[2]
 
 
 @check("darboux: 0|1 with omega = -dxi^dxi has signature 0", "section3")

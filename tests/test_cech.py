@@ -511,3 +511,43 @@ def test_load_cover_roundtrip():
 def test_load_cover_bad_line():
     with pytest.raises(NerveError):
         load_cover("simplex 0 1\nf 0 = 3\n")
+
+
+def test_a_key_out_of_vertex_order_is_skew():
+    """f(1, 0) = 3/2 is f(0, 1) = -3/2, given to the constructor or as the
+    cover-file line `f 1 0 = 3/2`; the same holds on a triangle."""
+    for f in (CechCochain(solid_triangle(), 1, {(1, 0): Fraction(3, 2)}), load_cover("simplex 0 1 2\nf 1 0 = 3/2\n").f):
+        assert f.terms == {(0, 1): Fraction(-3, 2)}
+        assert (f(0, 1), f(1, 0)) == (Fraction(-3, 2), Fraction(3, 2))
+    a = load_cover("a 0 2 1 = 5\n").a
+    assert a.terms == {(0, 1, 2): Fraction(-5)}
+
+
+@pytest.mark.parametrize("values", [
+    {(0, 1): 0, (1, 0): 3},
+    {(1, 0): 3, (0, 1): 0},
+    {(0, 1): 1, (1, 0): 1},
+])
+def test_conflicting_cochain_values_are_refused(values):
+    """Two values on one simplex must agree up to the key's sign, a zero
+    included: (0, 1) = 0 then (1, 0) = 3 used to load as f(0, 1) = -3."""
+    with pytest.raises(NerveError, match=r"^conflicting values on \(0, 1\)$"):
+        CechCochain(solid_triangle(), 1, values)
+    text = "".join(f"f {i} {j} = {v}\n" for (i, j), v in values.items())
+    with pytest.raises(NerveError, match=r"^conflicting values on \(0, 1\)$"):
+        load_cover(text)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["f 0 1 = 1", "f 0 1 = 2"], "line 2: conflicting values on (0, 1)"),
+    (["f 0 1 = 0", "f 0 1 = 2"], "line 2: conflicting values on (0, 1)"),
+    (["a 0 1 2 = 3", "a 0 1 2 = 0"], "line 2: conflicting values on (0, 1, 2)"),
+    (["d = 3", "simplex 0 1", "d = 2"], "line 3: conflicting values on d"),
+])
+def test_load_cover_refuses_two_values_on_one_line_key(lines, message):
+    """A repeated f, a or d line must repeat its value; it used to keep the
+    last one."""
+    with pytest.raises(NerveError) as err:
+        load_cover("\n".join(lines))
+    assert str(err.value) == f"cover file {message}"
+    load_cover("\n".join(lines[:-1] + lines[:1]))  # an equal repeat is accepted

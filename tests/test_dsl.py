@@ -222,6 +222,33 @@ def test_index_list_errors_carry_positions(text, message, col):
     assert (err.value.line, err.value.col) == (2, col)
 
 
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("algebra g parities 0,0,0 bracket [1,2] = e3, [1,2] = 2*e3;", "conflicting values on bracket (0, 1)", 46),
+        ("algebra g parities 0,0,0 bracket [1,2] = 0, [1,3] = e2, [1,2] = e3;", "conflicting values on bracket (0, 1)", 57),
+        ("algebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = c0, [1,2] = 0;", "conflicting values on tuple (0, 1)", 69),
+        ("algebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = 0, [2,1] = 3*c0;", "conflicting values on tuple (0, 1)", 26),
+    ],
+)
+def test_a_key_given_twice_needs_one_value(text, message, col):
+    """Two unequal values on one bracket or cochain key, a zero included,
+    are refused; the list used to keep the last one."""
+    with pytest.raises(DslError) as err:
+        parse("\n" + text)
+    assert err.value.message == message
+    assert (err.value.line, err.value.col) == (2, col)
+
+
+def test_a_key_repeated_with_its_value_is_accepted():
+    doc = parse(
+        "algebra g parities 0,0,0 bracket [1,2] = e3, [1,2] = e3;"
+        "cocycle w on g degree 2 values [1,2] = c0, [2,1] = -c0, [1,2] = c0;"
+    )
+    assert doc.algebras["g"].bracket_basis(0, 1) == {2: 1}
+    assert doc.cocycles["w"].values == {(0, 1): (Fraction(1), Fraction(0))}
+
+
 def test_index_lists_are_zero_based():
     doc = parse(
         "algebra g parities 0,1,1 bracket [2,3] = e1;"

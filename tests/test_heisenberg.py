@@ -165,11 +165,10 @@ def random_coordinates(rng, parities, generators, zero=False):
 
 def test_pairing_and_coad_kernels_match_the_dense_formula(rng):
     """pairing_c is a^T S b with S_ij = (-1)^(eps_i eps_j) Omega_ij and coad
-    moves (x, xbar) by -t a, t the tangent matrix, each a product of
-    `linalg.matmul`; checked on random k|k pairings and the 3|3 one, with odd
-    coordinates, N = 4..6 and zero vectors."""
-    from supersymp.heisenberg import tangent_matrix
-
+    moves (x, xbar) by -t a, t the tangent matrix with t_sj = (-1)^eps_s y0
+    Omega^0_js on x_s and ybar1 Omega^1_js on xbar_s, each a product of
+    `linalg.matmul` built here from Omega; checked on random k|k pairings and
+    the 3|3 one, with odd coordinates, N = 4..6 and zero vectors."""
     specs = [random_kk_spec(rng, k) for k in (1, 2, 3)] + [heisenberg_33()]
     for spec in specs:
         eps, n = spec.parities, spec.dimension
@@ -187,7 +186,9 @@ def test_pairing_and_coad_kernels_match_the_dense_formula(rng):
                 mu = OrbitPoint(spec, random_coordinates(rng, eps, generators),
                                 random_coordinates(rng, [1 - e for e in eps], generators), y0, ybar1)
                 zero = GrassmannNumber.zero(generators)
-                shift = linalg.matmul(tangent_matrix(spec, y0, ybar1), [[x] for x in a])
+                t = [[(-1) ** eps[s] * y0 * spec.omega0[j][s] for j in range(n)] for s in range(n)]
+                t += [[ybar1 * spec.omega1[j][s] for j in range(n)] for s in range(n)]
+                shift = linalg.matmul(t, [[x] for x in a])
                 moved = [c - s for c, (s,) in zip(mu.x + mu.xbar, shift)]
                 assert coad(GroupElement(spec, a, zero, zero), mu) == OrbitPoint(spec, moved[:n], moved[n:], y0, ybar1)
 
@@ -250,14 +251,13 @@ def test_explicit_zero_generators_reach_the_result():
 
 def test_orbit_classify_keeps_one_read_only_orbit_per_key():
     """Without a base point the orbit is classified once per (y0, ybar1,
-    generators) on its spec: a repeat returns the same orbit, with its KKS
-    form and momentum cocycle; another generator count, an explicit base or
-    another spec builds a new one, and no caller can change the shared
-    orbit."""
+    generators) on its spec: a repeat returns an orbit on the same parts,
+    with the same KKS form and momentum cocycle; another generator count, an
+    explicit base or another spec builds new parts, and no caller can change
+    the shared ones."""
     spec = heisenberg_33()
     orbit = orbit_classify(spec, 1, 1, generators=NG)
     again = orbit_classify(spec, Fraction(1), Fraction(2, 2), generators=NG)
-    assert again is orbit
     assert again.kks_form() is orbit.kks_form() and again.symplectic_data() is orbit.symplectic_data()
     momentum_check(orbit)
     assert again.momentum_cocycle() is orbit.momentum_cocycle()

@@ -265,6 +265,10 @@ def test_cochain_constructor_errors():
         CECochain(g, 2, {(2, 0): (1, 0)})
     with pytest.raises(ValueError, match=r"conflicting values on tuple \(0, 1\)"):
         CECochain(g, 2, {(0, 1): (2, 0), (1, 0): (2, 0)})
+    # a zero value conflicts too, in either order
+    for values in ({(0, 1): (0, 0), (1, 0): (3, 0)}, {(1, 0): (3, 0), (0, 1): (0, 0)}):
+        with pytest.raises(ValueError, match=r"conflicting values on tuple \(0, 1\)"):
+            CECochain(g, 2, values)
 
 
 def test_cochain_values_round_trip(rng):
