@@ -305,10 +305,10 @@ def _tangent_rows(spec: HeisenbergSpec, y0, ybar1) -> Tuple[Tuple[Tuple[int, Gau
     Omega^0 lives on pairs of one parity and Omega^1 on mixed pairs, so that
     is y0 S^0_js and ybar1 S^1_js: row s is column s of S^0 times y0, and
     row n + s is column s of S^1 times ybar1."""
-    key = y0, ybar1
+    key = Fraction(y0), Fraction(ybar1)
     rows = spec._tangent.get(key)
     if rows is None:
-        factors = GaussianRational.coerce(y0), GaussianRational.coerce(ybar1)
+        factors = GaussianRational(key[0]), GaussianRational(key[1])
         rows = spec._tangent[key] = tuple(
             tuple((j, w * y) for j, w in column) if y else ()
             for y, columns in zip(factors, spec._signed)
@@ -321,11 +321,17 @@ def tangent_matrix(spec: HeisenbergSpec, y0, ybar1) -> Tuple[Tuple[GaussianRatio
     """Rows: 2n ambient slots; columns: generators e_j.  Entry = coefficient
     of the fundamental field of e_j on that coordinate: the dense view of
     `_tangent_rows`, as tuples."""
-    return tuple(tuple(dict(row).get(j, ZERO) for j in range(spec.dimension)) for row in _tangent_rows(spec, y0, ybar1))
+    n = spec.dimension
+    dense = []
+    for row in _tangent_rows(spec, y0, ybar1):
+        entries = dict(row)
+        dense.append(tuple(entries.get(j, ZERO) for j in range(n)))
+    return tuple(dense)
 
 
 def _field_coefficients(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1) -> List[GaussianRational]:
     """Coefficients of the fundamental field of v on the 2n ambient slots: t v."""
+    v = [Fraction(x) for x in v]
     return [sum((c * v[j] for j, c in row), ZERO) for row in _tangent_rows(spec, y0, ybar1)]
 
 

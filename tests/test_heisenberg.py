@@ -21,6 +21,7 @@ from supersymp.heisenberg import (
     group_mul,
     momentum_check,
     orbit_classify,
+    tangent_matrix,
 )
 from supersymp.liecoh import jacobi_check
 from supersymp.reference import d, heisenberg_33
@@ -193,6 +194,19 @@ def test_pairing_and_coad_kernels_match_the_dense_formula(rng):
                 assert coad(GroupElement(spec, a, zero, zero), mu) == OrbitPoint(spec, moved[:n], moved[n:], y0, ybar1)
 
 
+def test_tangent_kernels_read_their_scalars_as_fractions():
+    """tangent_matrix, fundamental_field and coad_infinitesimal read y0,
+    ybar1 and the entries of v as Fraction does, strings included."""
+    spec = heisenberg_33()
+    half = Fraction(1, 2)
+    assert tangent_matrix(spec, "1/2", "-3") == tangent_matrix(spec, half, -3)
+    v = [Fraction(j + 1, 3) for j in range(spec.dimension)]
+    text = [str(x) for x in v]
+    assert fundamental_field(spec, text, "1/2", 1) == fundamental_field(spec, v, half, 1)
+    mu = OrbitPoint.base(spec, half, 1)
+    assert coad_infinitesimal(spec, text, mu) == coad_infinitesimal(spec, v, mu)
+
+
 def test_pairing_and_coad_refuse_two_generator_counts():
     spec = heisenberg_33()
     ones = [GrassmannNumber.scalar(1, 6) if e == 0 else GrassmannNumber.generator(1, 6) for e in spec.parities]
@@ -261,12 +275,15 @@ def test_orbit_classify_keeps_one_read_only_orbit_per_key():
     assert again.kks_form() is orbit.kks_form() and again.symplectic_data() is orbit.symplectic_data()
     momentum_check(orbit)
     assert again.momentum_cocycle() is orbit.momentum_cocycle()
-    assert orbit_classify(spec, 1, 1, generators=4) is not orbit
-    assert orbit_classify(spec, 1, 1, generators=4).chart.generators == 4
+    assert again._memo is orbit._memo and again.tangent_fields is orbit.tangent_fields
+    four = orbit_classify(spec, 1, 1, generators=4)
+    assert four._memo is not orbit._memo and four.chart.generators == 4
+    assert orbit_classify(spec, 1, 1, generators=4)._memo is four._memo
     based = orbit_classify(spec, 1, 1, base=OrbitPoint.base(spec, 1, 1, generators=NG))
-    assert based is not orbit and based.kks_form() is not orbit.kks_form()
-    assert orbit_classify(spec, 1, 1, base=based.base) is not based
-    assert orbit_classify(heisenberg_33(), 1, 1, generators=NG) is not orbit
+    assert based._memo is not orbit._memo and based.kks_form() is not orbit.kks_form()
+    assert orbit_classify(spec, 1, 1, base=based.base)._memo is not based._memo
+    other = orbit_classify(heisenberg_33(), 1, 1, generators=NG)
+    assert other._memo is not orbit._memo and other.kks_form() is not orbit.kks_form()
     with pytest.raises(AttributeError):
         orbit.case = "trivial"
     with pytest.raises(AttributeError):

@@ -1,6 +1,6 @@
 """Sign-mutation audit of the graded sign rules.
 
-    python3 tools/sign_mutants.py [--list] [--timeout SECONDS]
+    python3 tools/sign_mutants.py
 
 Makes one mutant per call site of `skew_sign`, `koszul` and `graded_sort`
 in `src/supersymp/`; each mutant drops one graded sign:
@@ -13,16 +13,15 @@ in `src/supersymp/`; each mutant drops one graded sign:
 Each mutant runs the tier-1 suite with `-x` in a copy of the checkout
 (without `.git`), made once in a temporary directory, with the tests that
 already fail on the unmutated copy deselected.  Every site is printed as
-`killed` with the first failing test, `survived`, `equivalent` with the
-reason (a site listed in EQUIVALENT, or a mutant whose source is the
-original's) or `timeout`.  With --list the sites and their mutants are printed and
-nothing runs.  One full pass takes a few minutes; the audit is not part
-of tier-1.
+`killed` with the first failing test (or with the time limit, when a run
+gives no result within TIMEOUT seconds), `survived`, or `equivalent` with
+the reason (a site listed in EQUIVALENT, or a mutant whose source is the
+original's).  One full pass takes a few minutes; the audit is not part of
+tier-1.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import re
@@ -36,6 +35,7 @@ from typing import List, NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "supersymp")
 RULES = ("skew_sign", "koszul", "graded_sort")
+TIMEOUT = 600.0  # seconds per test run; one run takes 2-14 s
 
 # (file, enclosing function, rule) -> why the mutant cannot change a result
 EQUIVALENT = {
@@ -104,38 +104,26 @@ def equivalence(site: Site, source: bytes) -> str:
     return EQUIVALENT.get((site.file, site.scope, site.rule), "")
 
 
-def run_tests(copy: str, timeout: float, extra: List[str]) -> subprocess.CompletedProcess:
+def run_tests(copy: str, extra: List[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *extra, "tests"]
-    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
 
 
 def failures(proc: subprocess.CompletedProcess) -> List[str]:
     return re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--list", action="store_true", help="print the sites and their mutants, run nothing")
-    ap.add_argument("--timeout", type=float, default=600.0, help="seconds per test run")
-    args = ap.parse_args(argv)
-
+def main() -> int:
     package = os.path.join(ROOT, PACKAGE)
     modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
     sites = [s for f in modules for s in find_sites(os.path.join(package, f))]
-    if args.list:
-        for site in sites:
-            with open(os.path.join(package, site.file), "rb") as fh:
-                original = fh.read()[site.start:site.end].decode()
-            print(f"{site.name()}: {original} -> {site.mutant.decode()}")
-        print(f"{len(sites)} sites")
-        return 0
 
     work = tempfile.mkdtemp(prefix="sign-mutants-")
     try:
         copy = os.path.join(work, "repo")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache"))
-        proc = run_tests(copy, args.timeout, [])
+        proc = run_tests(copy, [])
         if re.search(r"^ERROR ", proc.stdout, re.M):
             print(f"# the unmutated copy does not collect:\n{proc.stdout}")
             return 2
@@ -143,7 +131,7 @@ def main(argv=None) -> int:
         print(f"# unmutated copy: {len(baseline)} failing test(s) deselected: {' '.join(baseline) or '-'}", flush=True)
         deselect = [arg for test in baseline for arg in ("--deselect", test)]
 
-        counts = {"killed": 0, "survived": 0, "equivalent": 0, "timeout": 0}
+        counts = {"killed": 0, "survived": 0, "equivalent": 0}
         for site in sites:
             path = os.path.join(copy, PACKAGE, site.file)
             with open(path, "rb") as fh:
@@ -156,14 +144,14 @@ def main(argv=None) -> int:
                     fh.write(source[:site.start] + site.mutant + source[site.end:])
                 t0 = time.perf_counter()
                 try:
-                    proc = run_tests(copy, args.timeout, ["-x", *deselect])
+                    proc = run_tests(copy, ["-x", *deselect])
                     failed = failures(proc)
                     if proc.returncode == 0:
                         status, detail = "survived", "-"
                     else:
                         status, detail = "killed", failed[0] if failed else f"pytest exit {proc.returncode}"
                 except subprocess.TimeoutExpired:
-                    status, detail = "timeout", f"no result in {args.timeout:.0f} s"
+                    status, detail = "killed", f"no result in {TIMEOUT:.0f} s"
                 finally:
                     with open(path, "wb") as fh:
                         fh.write(source)
@@ -171,7 +159,7 @@ def main(argv=None) -> int:
             counts[status] += 1
             print(f"{status:<10} {site.name()}  {detail}", flush=True)
         print(f"# {len(sites)} sites: " + ", ".join(f"{n} {k}" for k, n in counts.items()))
-        return 1 if counts["survived"] or counts["timeout"] else 0
+        return 1 if counts["survived"] else 0
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
