@@ -140,12 +140,7 @@ class GroupElement:
             raise ValueError("b1 must be odd")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.a == other.a
-            and self.b0 == other.b0
-            and self.b1 == other.b1
-        )
+        return isinstance(other, GroupElement) and (self.a, self.b0, self.b1) == (other.a, other.b0, other.b1)
 
 
 def group_identity(spec: HeisenbergSpec, generators: int = DEFAULT_GENERATORS) -> GroupElement:
@@ -321,12 +316,7 @@ def tangent_matrix(spec: HeisenbergSpec, y0, ybar1) -> Tuple[Tuple[GaussianRatio
     """Rows: 2n ambient slots; columns: generators e_j.  Entry = coefficient
     of the fundamental field of e_j on that coordinate: the dense view of
     `_tangent_rows`, as tuples."""
-    n = spec.dimension
-    dense = []
-    for row in _tangent_rows(spec, y0, ybar1):
-        entries = dict(row)
-        dense.append(tuple(entries.get(j, ZERO) for j in range(n)))
-    return tuple(dense)
+    return tuple(tuple(row.get(j, ZERO) for j in range(spec.dimension)) for row in map(dict, _tangent_rows(spec, y0, ybar1)))
 
 
 def _field_coefficients(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1) -> List[GaussianRational]:
