@@ -51,8 +51,8 @@ class NerveComplex:
     def __init__(self, simplices: Iterable[Sequence[int]]):
         by_dim: Dict[int, set] = {k: set() for k in range(MAX_DIM + 1)}
         for s in simplices:
-            sign, canon = graded_sort(s)
-            if sign == 0:
+            canon = tuple(sorted(s))
+            if len(set(canon)) < len(canon):
                 raise NerveError(f"degenerate simplex {tuple(s)}")
             k = len(canon) - 1
             if k > MAX_DIM:
@@ -276,14 +276,11 @@ def transition_data(f: CechCochain, d) -> dict:
         return x - (x / d).__floor__() * d
 
     g = {s: mod_d(f.values.get(s, Fraction(0))) for s in nerve.simplices[1]}
+    periods = PeriodGroup(d)
     failures = []
     for s in nerve.simplices[2]:
         val = a.values.get(s, Fraction(0))
-        if d == 0:
-            ok = val == 0
-        else:
-            ok = (val / d).denominator == 1
-        if not ok:
+        if not periods.contains(val):
             failures.append({"simplex": s, "value": val})
     return {"g": g, "cocycle_mod_d": not failures, "failures": failures}
 

@@ -58,15 +58,16 @@ def _load_document(args) -> Document:
     return parse(_read(args.file), args.generators)
 
 
-def _unique(table: dict, kind: str, name, prefer: str = "omega"):
+def _unique(table: dict, kind: str, name):
+    """The entry `name` of `table`, else its only entry, else the form omega."""
     if name is not None:
         if name not in table:
             raise CliError(f"no {kind} named {name!r} in the document")
         return table[name]
     if len(table) == 1:
         return next(iter(table.values()))
-    if prefer in table:
-        return table[prefer]
+    if kind == "form" and "omega" in table:
+        return table["omega"]
     raise CliError(f"document has {len(table)} {kind}s; pick one with --name")
 
 
@@ -211,7 +212,11 @@ def _prequant_chart(args):
     theta = _unique(doc.forms, "form", args.theta) if args.theta else doc.forms.get("theta")
     if theta is None:
         raise CliError("document needs a form named theta (or use --theta)")
-    return doc, PrequantChart(SymplecticData(omega, _points(args)), theta)
+    data = SymplecticData(omega, _points(args))
+    try:
+        return doc, PrequantChart(data, theta)
+    except ValueError as exc:  # theta is no potential of omega, or the chart names t or tau
+        raise CliError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------

@@ -76,18 +76,17 @@ _TOKEN_RE = re.compile(
 
 
 class Token(NamedTuple):
-    kind: str  # "partial" | "name" | "int" | "op" | "eof"
+    kind: str  # "partial" | "name" | "int" | "op" | "bad" | "eof"
     text: str
     offset: int
 
 
 def tokenize(text: str) -> List[Token]:
-    """The tokens of `text`, ended by an "eof" token at its end."""
+    """The tokens of `text`, ended by an "eof" token at its end; a character
+    the language does not use is a "bad" token, refused by `_Parser.peek`."""
     tokens: List[Token] = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "bad":
-            raise DslError(f"unexpected character {m.group()!r}", text, m.start())
         if kind != "ws" and kind != "comment":
             tokens.append(Token(kind, m.group(), m.start()))
     tokens.append(Token("eof", "", len(text)))
@@ -147,7 +146,12 @@ class _Parser:
         self.chart = chart
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        """The current token; every token is peeked before `next` takes it,
+        so a "bad" one is refused here when the parser reaches it."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "bad":
+            self.fail(f"unexpected character {tok.text!r}", tok)
+        return tok
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -202,7 +206,11 @@ class _Parser:
             if power <= floor:
                 return value
             self.next()
-            value = self._ACTIONS[tok.text](self, value, self.expression(power), tok)
+            right = self.expression(power)
+            try:
+                value = self._ACTIONS[tok.text](self, value, right, tok)
+            except ValueError as exc:  # operands on two charts, generator counts or degrees
+                raise self.error(str(exc), tok) from exc
 
     def atom(self):
         tok = self.next()
@@ -271,10 +279,7 @@ class _Parser:
                 return fa + fb
         for kind in (VectorField, KForm, CKForm, CFunction):
             if isinstance(a, kind) and isinstance(b, kind):
-                try:
-                    return a + b
-                except Exception as exc:
-                    raise self.error(str(exc), tok) from exc
+                return a + b
         if isinstance(a, CFunction) and _as_function(b, a.chart) is not None:
             self.fail("cannot add a C-valued and a plain function; tag with c0/c1", tok)
         if isinstance(b, CFunction) and self.chart is not None and _as_function(a, self.chart) is not None:
@@ -416,6 +421,7 @@ class _Parser:
 
 
 TABLES = ("charts", "functions", "cfunctions", "fields", "forms", "algebras", "cocycles", "heisenbergs")
+ON_CHART = {"fn": "functions", "cfn": "cfunctions", "vf": "fields", "form": "forms"}  # declarations on a chart, by table
 
 
 class Document:
@@ -455,10 +461,16 @@ class Document:
         return value
 
 
-def _register(parser: _Parser, kind: str, name: str, tok: Token):
-    if any(name in getattr(parser.doc, table) for table in TABLES):
+def _register(parser: _Parser, kind: str, name: str, tok: Token, table: str, value) -> None:
+    """Declare `name` as `value` in `table`: a new name, on the chart the declaration names."""
+    doc = parser.doc
+    if any(name in getattr(doc, t) for t in TABLES):
         parser.fail(f"name {name!r} already declared", tok)
-    parser.doc.order.append((kind, name))
+    chart = getattr(value, "chart", None)
+    if chart is not None and chart != parser.chart:
+        parser.fail(f"{kind} {name} is on chart {chart.name!r}, not on {parser.chart.name!r}", tok)
+    doc.order.append((kind, name))
+    getattr(doc, table)[name] = value
 
 
 def parse(text: str, generators: int = DEFAULT_GENERATORS) -> Document:
@@ -488,11 +500,10 @@ def _statement(parser: _Parser) -> None:
             chart = Chart(name, coords["even"], coords["odd"], doc.generators)
         except ValueError as exc:
             raise parser.error(str(exc), head) from exc
-        _register(parser, "chart", name, name_tok)
-        doc.charts[name] = chart
+        _register(parser, "chart", name, name_tok, "charts", chart)
         doc.current_chart = name
 
-    elif head.text in ("fn", "cfn", "vf", "form"):
+    elif head.text in ON_CHART:
         chart_name = doc.current_chart
         if parser.peek().text == "on":
             parser.next()
@@ -506,29 +517,22 @@ def _statement(parser: _Parser) -> None:
             value = _as_function(value, chart)
             if value is None:
                 parser.fail("fn expects a plain superfunction", head)
-            _register(parser, "fn", name, name_tok)
-            doc.functions[name] = value
         elif head.text == "cfn":
             if isinstance(value, (GaussianRational, SuperFunction)):
                 parser.fail("cfn expects c0/c1 components", head)
             if not isinstance(value, CFunction):
                 parser.fail("cfn expects a C-valued function", head)
-            _register(parser, "cfn", name, name_tok)
-            doc.cfunctions[name] = value
         elif head.text == "vf":
             if isinstance(value, GaussianRational) and value.is_zero():
                 value = VectorField(chart, {})
             if not isinstance(value, VectorField):
                 parser.fail("vf expects a vector field", head)
-            _register(parser, "vf", name, name_tok)
-            doc.fields[name] = value
         else:
             if isinstance(value, (GaussianRational, SuperFunction)):
                 value = KForm.from_function(_as_function(value, chart))
             if not isinstance(value, KForm):
                 parser.fail("form expects a differential form", head)
-            _register(parser, "form", name, name_tok)
-            doc.forms[name] = value
+        _register(parser, head.text, name, name_tok, ON_CHART[head.text], value)
 
     elif head.text == "algebra":
         parities = _parities(parser)
@@ -539,8 +543,7 @@ def _statement(parser: _Parser) -> None:
             algebra = SuperLieAlgebra(parities, brackets)
         except ValueError as exc:
             raise parser.error(f"parity mismatch or invalid bracket: {exc}", head) from exc
-        _register(parser, "algebra", name, name_tok)
-        doc.algebras[name] = algebra
+        _register(parser, "algebra", name, name_tok, "algebras", algebra)
 
     elif head.text == "cocycle":
         from .liecoh import CECochain
@@ -557,8 +560,7 @@ def _statement(parser: _Parser) -> None:
             cochain = CECochain(algebra, degree, values)
         except ValueError as exc:
             raise parser.error(str(exc), head) from exc
-        _register(parser, "cocycle", name, name_tok)
-        doc.cocycles[name] = cochain
+        _register(parser, "cocycle", name, name_tok, "cocycles", cochain)
 
     elif head.text == "heisenberg":
         from .heisenberg import HeisenbergSpec
@@ -576,8 +578,7 @@ def _statement(parser: _Parser) -> None:
             spec = HeisenbergSpec(parities, omega0, omega1)
         except ValueError as exc:
             raise parser.error(str(exc), head) from exc
-        _register(parser, "heisenberg", name, name_tok)
-        doc.heisenbergs[name] = spec
+        _register(parser, "heisenberg", name, name_tok, "heisenbergs", spec)
 
     else:
         parser.fail(f"unknown declaration {head.text!r}", head)

@@ -33,7 +33,8 @@ from . import linalg
 from .charts import CFunction, Chart, ReadOnly, SuperFunction, VectorField
 from .forms import KForm
 from .grassmann import DEFAULT_GENERATORS, DimensionError, GrassmannNumber, accumulate, add_product, skew_sign
-from .liecoh import CECochain, SuperLieAlgebra, momentum_cocycle as _momentum_cocycle, pullback_class as _pullback_class
+from .liecoh import CECochain, SuperLieAlgebra, central_extension
+from .liecoh import momentum_cocycle as _momentum_cocycle, pullback_class as _pullback_class
 from .scalars import ZERO, GaussianRational
 from .symplectic import (
     SymplecticData,
@@ -165,20 +166,14 @@ def group_inverse(g: GroupElement) -> GroupElement:
 
 
 def algebra_of(spec: HeisenbergSpec) -> SuperLieAlgebra:
-    """Central extension algebra: [e_i, e_j] = Omega^0_ij c0 + Omega^1_ij c1."""
+    """Central extension algebra: [e_i, e_j] = Omega^0_ij c0 + Omega^1_ij c1,
+    the extension of the abelian p|q algebra by the pairing.  The spec has
+    checked that Omega^0 vanishes on odd pairs and Omega^1 on even ones, so
+    the nonzero one of the two is the cochain's value on (i, j)."""
     n = spec.dimension
-    parities = spec.parities + (0, 1)
-    brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for i in range(n):
-        for j in range(i, n):
-            vec: Dict[int, Fraction] = {}
-            if spec.omega0[i][j]:
-                vec[n] = spec.omega0[i][j]
-            if spec.omega1[i][j]:
-                vec[n + 1] = spec.omega1[i][j]
-            if vec:
-                brackets[(i, j)] = vec
-    return SuperLieAlgebra(parities, brackets)
+    abelian = SuperLieAlgebra(spec.parities, {})
+    omega = {(i, j): w for i in range(n) for j in range(i, n) if (w := spec.omega0[i][j] or spec.omega1[i][j])}
+    return central_extension(abelian, CECochain(abelian, 2)._like(omega))
 
 
 # ----------------------------------------------------------------------

@@ -156,6 +156,8 @@ class CECochain(Linear):
         if values:
             given: Dict[Key, Fraction] = {}  # zeros included, so a later key cannot contradict one
             for key, val in values.items():
+                if not all(0 <= i < len(g.parities) for i in key):
+                    raise ValueError(f"basis index out of range in tuple {tuple(key)}")
                 sign, canon = sort_with_sign(g.parities, key)
                 if sign == 0:
                     if val != (0, 0):
@@ -319,12 +321,8 @@ def central_extension(g: SuperLieAlgebra, omega: CECochain) -> SuperLieAlgebra:
     brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for (i, j), vec in g.brackets.items():
         brackets[(i, j)] = dict(vec)
-    for i in range(n):
-        for j in range(i, n):
-            for alpha, v in enumerate(omega.evaluate((i, j))):
-                if v:
-                    entry = brackets.setdefault((i, j), {})
-                    entry[n + alpha] = entry.get(n + alpha, Fraction(0)) + v
+    for key, v in sorted(omega.terms.items()):  # each pair i <= j with Omega(e_i, e_j) = v c_alpha
+        brackets.setdefault(key, {})[n + tuple_parity(g.parities, key)] = v
     cleaned = {k: v for k, v in brackets.items() if k[0] <= k[1]}
     return SuperLieAlgebra(parities, cleaned)
 

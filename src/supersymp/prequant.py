@@ -13,11 +13,10 @@ substitution d/dt -> -i/hbar, with hbar = 1 and i an exact Gaussian unit.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
-from .forms import CKForm, KForm, contract, double, ext_d, lie_derivative, lift_form, lift_function
+from .forms import CKForm, KForm, contract, double, ext_d, lie_derivative, lift_field, lift_form, lift_function
 from .grassmann import Linear, skew_sign
 from .scalars import GaussianRational
 from .symplectic import SymplecticData, require_hamiltonian_field
@@ -30,7 +29,7 @@ class PrequantChart:
     the two fiber coordinates of the structure group.
 
     `quantum_op` keeps, per function f, the pair (X_f, <X_f, theta_0> + f0)
-    that Q(f) needs; an entry and theta_0 are built on first use.
+    that Q(f) needs; an entry is built on first use.
     """
 
     fiber_even = "t"
@@ -52,17 +51,14 @@ class PrequantChart:
             base_chart.odd + (self.fiber_odd,),
             base_chart.generators,
         )
-        theta0 = lift_form(theta.parity_part(0), self.total)
+        self._theta0 = theta.parity_part(0)
+        theta0 = lift_form(self._theta0, self.total)
         theta1 = lift_form(theta.parity_part(1), self.total)
         self.alpha = CKForm(
             theta0 + KForm.differential(self.total, self.fiber_even),
             theta1 + KForm.differential(self.total, self.fiber_odd),
         )
         self._operators: Dict[CFunction, Tuple[VectorField, SuperFunction]] = {}
-
-    @cached_property
-    def _theta0(self) -> KForm:
-        return self.theta.parity_part(0)
 
     def operator_parts(self, f: CFunction) -> Tuple[VectorField, SuperFunction]:
         """(X_f, <X_f, theta_0> + f0), solved once per f.  A non-member f
@@ -94,13 +90,9 @@ class PrequantChart:
 
     def project_field(self, z: VectorField) -> VectorField:
         """Drop the fiber components: the pushforward to the base."""
-        base_chart = self.base.chart
-        comps = {}
-        for name, c in z.components.items():
-            if name in (self.fiber_even, self.fiber_odd):
-                continue
-            comps[name] = lift_function(c, base_chart)
-        return VectorField(base_chart, comps)
+        fiber = (self.fiber_even, self.fiber_odd)
+        base = {name: c for name, c in z.components.items() if name not in fiber}
+        return lift_field(VectorField(z.chart, base), self.base.chart)
 
 
 class Section(Linear):

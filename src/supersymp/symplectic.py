@@ -24,6 +24,7 @@ no row key is sorted.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
@@ -133,7 +134,7 @@ def evaluate_at_point(omega: KForm, point: Mapping[str, object]) -> PointEvaluat
 def is_symplectic(omega: KForm, points: Sequence[Mapping[str, object]] = ()) -> dict:
     """Report closedness and (homogeneous) non-degeneracy at base points."""
     if omega.degree != 2:
-        raise ValueError("symplectic test expects a 2-form")
+        raise NotSymplectic("symplectic test expects a 2-form")
     closed = ext_d(omega).is_zero()
     evals = [evaluate_at_point(omega, pt) for pt in points]
     return {
@@ -260,42 +261,28 @@ def _column(data: SymplecticData, name: str, mono: ExpKey, idx: Index) -> Dict[R
 
         i_(m d/dz) omega = sum_u (-1)^(|m| |u|) m (i_(d/dz) omega)_u,
 
-    with |m| = |w| + |I|: m moved through the odd rest u of a word becomes
-    its involution, -m when m is odd (the sign rule of `contract`).  Each
-    (alpha, u) occurs once in the table, so each row is written once.
+    m moved through the odd rest u of a word being its involution (the sign
+    rule of `contract`).  Each (alpha, u) occurs once in the table, so each
+    row is written once.
     """
     m = data.chart.zero()._like({mono + (idx,): ONE})
-    odd = (len(mono[1]) + len(idx)) % 2
+    moved = (m, m.involution())
     column: Dict[RowKey, GaussianRational] = {}
     for alpha, u, u_parity, g in data.contraction(name):
-        flip = odd and u_parity
-        for (e, w, gidx), c in (m * g).terms.items():
-            column[(alpha, u, (e, w), gidx)] = -c if flip else c
+        for (e, w, gidx), c in (moved[u_parity] * g).terms.items():
+            column[(alpha, u, (e, w), gidx)] = c
     return column
 
 
 def _all_monomials(chart: Chart, degree: int):
-    from itertools import combinations
-
+    """The monomials x^a xi_w of total degree at most `degree`, by total
+    degree, then odd word, then exponent vector ascending."""
     p, q = len(chart.even), len(chart.odd)
-    out = []
-    for total in range(degree + 1):
-        for odd_len in range(min(q, total) + 1):
-            for word in combinations(range(q), odd_len):
-                rest = total - odd_len
-                for exps in _compositions(rest, p):
-                    out.append((tuple(exps), word))
-    return out
-
-
-def _compositions(total: int, slots: int):
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+    by_total: Dict[int, List[Tuple[int, ...]]] = {}
+    for exps in product(range(degree + 1), repeat=p):
+        by_total.setdefault(sum(exps), []).append(exps)
+    return [(exps, word) for total in range(degree + 1) for odd_len in range(min(q, total) + 1)
+            for word in combinations(range(q), odd_len) for exps in by_total.get(total - odd_len, ())]
 
 
 def hamiltonian_field(f: CFunction, data: SymplecticData, ansatz_degree: Optional[int] = None) -> HamiltonianResult:

@@ -271,6 +271,23 @@ def test_transition_data_pass_and_fail():
     assert rep_bad["failures"]
 
 
+def test_transition_data_with_d_zero_needs_an_exact_cocycle():
+    """d = 0 means Q/0Z = Q: g is f itself, and the triangle values of df
+    must vanish exactly rather than lie in dZ."""
+    nerve = solid_triangle()
+    exact = CechCochain(nerve, 1, {(0, 1): Fraction(1, 2), (1, 2): Fraction(3), (0, 2): Fraction(7, 2)})
+    rep = transition_data(exact, 0)
+    assert rep["g"] == {(0, 1): Fraction(1, 2), (0, 2): Fraction(7, 2), (1, 2): Fraction(3)}
+    assert rep["cocycle_mod_d"] and rep["failures"] == []
+    # df(0,1,2) = f12 - f02 + f01 = 1/2 + 3 - 4 = -1/2, in Z but not 0
+    off = CechCochain(nerve, 1, {(0, 1): Fraction(1, 2), (1, 2): Fraction(3), (0, 2): Fraction(4)})
+    rep = transition_data(off, 0)
+    assert rep["g"][(0, 2)] == 4
+    assert not rep["cocycle_mod_d"]
+    assert rep["failures"] == [{"simplex": (0, 1, 2), "value": Fraction(-1, 2)}]
+    assert transition_data(off, Fraction(1, 2))["cocycle_mod_d"]
+
+
 def test_normalized_data_passes_pipeline(rng):
     nerve, a0 = sphere_cocycle(3)
     edges = nerve.simplices[1]
@@ -511,6 +528,18 @@ def test_load_cover_roundtrip():
 def test_load_cover_bad_line():
     with pytest.raises(NerveError):
         load_cover("simplex 0 1\nf 0 = 3\n")
+
+
+def test_load_cover_refuses_an_unrecognized_directive():
+    with pytest.raises(NerveError) as err:
+        load_cover("simplex 0 1\ng 0 1 = 2\n")
+    assert str(err.value) == "cover file line 2: unrecognized directive 'g'"
+
+
+def test_a_simplex_with_a_repeated_vertex_is_refused():
+    with pytest.raises(NerveError, match=r"^degenerate simplex \(1, 0, 1\)$"):
+        build_nerve([(0,), (1,), (0, 1), (1, 0, 1)])
+    assert build_nerve([(1,), (0,), (1, 0)]).simplices[1] == [(0, 1)]
 
 
 def test_a_key_out_of_vertex_order_is_skew():

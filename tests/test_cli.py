@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import argparse
+import builtins
+import contextlib
+import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import supersymp
 from supersymp.cli import build_parser, main
@@ -50,6 +56,9 @@ def test_parse_error_exit_code(capsys, tmp_path):
 ZERO_DENOMINATOR = "algebra g parities 0,0 bracket [1,1] = 1/0*e1;"
 ZERO_COVER = "simplex 0 1\nf 0 1 = 1/0\n"
 NEGATIVE_D_COVER = "simplex 0 1\nd = -1\n"
+ONE_FORM = "chart M even x,y; form omega = dx;"
+TWO_FORM_THETA = "chart P even x,y; form omega = dx^dy; form theta = dx^dy;"
+COCYCLE_OFF_BASIS = "algebra g parities 0,0; cocycle w on g degree 2 values [1,9] = c0;"
 
 
 @pytest.mark.parametrize(
@@ -113,6 +122,9 @@ NEGATIVE_D_COVER = "simplex 0 1\nd = -1\n"
             "--matrix, --parities: matrix entry violates the declared homogeneity",
         ),
         (("verify-paper", "nosuch"), "section: unknown section 'nosuch'; choose from section3, "),
+        (("symplectic", "check", ONE_FORM), "NotSymplectic: symplectic test expects a 2-form"),
+        (("prequant", "qop", TWO_FORM_THETA, "--f", "x*c0", "--section", "x"), "the potential must be a 1-form"),
+        (("liecoh", "extend", COCYCLE_OFF_BASIS, "--cocycle", "w"), "line 1, column 25: basis index out of range in tuple (0, 8)"),
     ],
     ids=[
         "zero_point", "deep_nesting", "darboux_shape", "zero_denominator",
@@ -121,11 +133,13 @@ NEGATIVE_D_COVER = "simplex 0 1\nd = -1\n"
         "d_zero_denominator", "d_literal", "cover_zero_denominator",
         "parities_two", "parities_negative", "d_negative_classify", "d_negative_prequantize", "cover_negative_d",
         "d_negative_fraction_spaced", "darboux_not_skew", "darboux_off_homogeneity", "verify_unknown_section",
+        "check_one_form", "prequant_theta_two_form", "cocycle_off_basis",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, error_start):
     # a declaration or cover text in argv is passed as a file holding it
-    files = {ZERO_DENOMINATOR: tmp_path / "doc.ssp", ZERO_COVER: tmp_path / "cover.cov", NEGATIVE_D_COVER: tmp_path / "d.cov"}
+    files = {ZERO_DENOMINATOR: tmp_path / "doc.ssp", ZERO_COVER: tmp_path / "cover.cov", NEGATIVE_D_COVER: tmp_path / "d.cov",
+             ONE_FORM: tmp_path / "one.ssp", TWO_FORM_THETA: tmp_path / "theta.ssp", COCYCLE_OFF_BASIS: tmp_path / "co.ssp"}
     for text, path in files.items():
         path.write_text(text)
     code = main([str(files[a]) if a in files else str(a) for a in argv])
@@ -265,6 +279,18 @@ def test_liecoh_cocycle_off_the_algebra_exits_2(capsys, tmp_path, argv, error):
     # the 2-cochains on the chosen algebra still get their verdicts
     code, rep = run(capsys, "liecoh", "equiv", doc, "--cocycle", "w1", "--cocycle2", "w2", "--name", "g")
     assert code == 1 and rep["equivalent"] is False
+
+
+def test_an_algebra_named_omega_is_not_picked_without_name(capsys, tmp_path):
+    """Only a form named omega is the default; two algebras need --name."""
+    doc = tmp_path / "doc.ssp"
+    doc.write_text("algebra omega parities 0,0; algebra g parities 0,0 bracket [1,2] = e1;")
+    assert main(["liecoh", "h2", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "document has 2 algebras; pick one with --name"}
+    code, rep = run(capsys, "liecoh", "h2", doc, "--name", "omega")
+    assert code == 0 and rep["dim_h2"] == 1
 
 
 def test_heisenberg_orbit_cases(capsys):
@@ -507,3 +533,60 @@ def test_star_import_binds_every_exported_name():
     assert namespace["Q"] is scalars.Q and namespace["DEFAULT_GENERATORS"] == grassmann.DEFAULT_GENERATORS
     with pytest.raises(AttributeError):
         supersymp.no_such_name
+
+
+# ----------------------------------------------------------------------
+# contract fuzz: mutated fixtures keep the exit-code contract
+# ----------------------------------------------------------------------
+
+FUZZ_CASES = [
+    ("mixed21.ssp", ("symplectic", "check", "--point", "x=0,y=0")),
+    ("mixed22.ssp", ("symplectic", "check", "--point", "x=0,y=0")),
+    ("even20.ssp", ("prequant", "qop", "--f", "x*c0", "--section", "x*y", "--point", "x=0,y=0")),
+    ("algebra.ssp", ("liecoh", "extend", "--cocycle", "w2")),
+    ("heis33.ssp", ("heisenberg", "orbit", "--y0", "1")),
+    ("sphere.cov", ("cech", "prequantize")),
+    ("circle.cov", ("cech", "classify")),
+]
+FUZZ_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[^\sA-Za-z0-9_]")
+MUTATION = st.tuples(st.sampled_from(["delete", "duplicate", "replace", "truncate"]), st.integers(0, 400), st.integers(0, 400))
+
+
+def _mutate(text: str, mutations) -> str:
+    """Apply each (kind, i, j) to the token spans of `text`: token i is
+    deleted, doubled, replaced by token j, or the text is cut before it."""
+    for kind, i, j in mutations:
+        spans = [m.span() for m in FUZZ_TOKEN.finditer(text)]
+        if not spans:
+            break
+        start, end = spans[i % len(spans)]
+        other = text[slice(*spans[j % len(spans)])]
+        text = {
+            "delete": text[:start] + text[end:],
+            "duplicate": text[:end] + " " + text[start:end] + text[end:],
+            "replace": text[:start] + other + text[end:],
+            "truncate": text[:start],
+        }[kind]
+    return text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(FUZZ_CASES), mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path, case, mutations):
+    fixture, (group, command, *options) = case
+    path = tmp_path / fixture
+    path.write_text(_mutate((FIXTURES / fixture).read_text(), mutations))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([group, command, str(path), *options])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        (line,) = err.getvalue().splitlines()
+        report = json.loads(line)
+        assert list(report) == ["error"] and report["error"]
+        named = report["error"].split(":", 1)[0]
+        assert not isinstance(getattr(builtins, named, None), type), report["error"]
+    else:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["command"] == f"{group} {command}"

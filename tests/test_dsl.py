@@ -9,7 +9,7 @@ import pytest
 from conftest import random_field, random_superfunction
 from supersymp.charts import CFunction, Chart
 from supersymp.dsl import DslError, parse, render
-from supersymp.forms import KForm, contract, wedge
+from supersymp.forms import CKForm, KForm, contract, wedge
 from supersymp.grassmann import GrassmannNumber
 from supersymp.reference import d, heisenberg_33, mixed_counterexample
 from supersymp.scalars import GaussianRational
@@ -421,3 +421,63 @@ def test_the_tables_of_a_parsed_document_are_read_only(table):
         getattr(doc, table)["f"] = doc.functions["f"]
     with pytest.raises(AttributeError):
         getattr(doc, table).clear()
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("chart P even x;\nfn f = x + ;\nfn g = $;", "unexpected token ';'", (2, 12)),
+        ("chart P even x;\nfn f = $;\nfn g = x + ;", "unexpected character '$'", (2, 8)),
+        ("chart P even x;\nfn f = x $ ;", "unexpected character '$'", (2, 10)),
+    ],
+    ids=["syntax_error_first", "bad_character_first", "bad_character_after_an_operand"],
+)
+def test_a_bad_character_is_reported_in_reading_order(text, message, position):
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert (err.value.message, (err.value.line, err.value.col)) == (message, position)
+
+
+TWO_CHARTS = "chart M even x odd xi; fn f = x; cfn h = f*c1; vf X = d/dx; form w = dx; chart N even y; "
+
+
+@pytest.mark.parametrize(
+    "statement, message, col",
+    [
+        ("fn g on N = f + 1;", "N vs M", 15),
+        ("fn g on N = y * f;", "M vs N", 15),
+        ("vf Y on N = X - d/dy;", "vector fields on different charts", 15),
+        ("form v on N = dy ^ w;", "wedge of forms on different charts", 18),
+    ],
+    ids=["sum", "product", "field_difference", "wedge"],
+)
+def test_an_operator_on_two_charts_is_positioned_at_its_token(statement, message, col):
+    with pytest.raises(DslError) as err:
+        parse(TWO_CHARTS + statement)
+    assert (err.value.message, err.value.col) == (message, len(TWO_CHARTS) + col)
+
+
+@pytest.mark.parametrize(
+    "statement, kind",
+    [("fn g on N = f;", "fn"), ("cfn g on N = h;", "cfn"), ("vf g on N = X;", "vf"), ("form g on N = w;", "form")],
+    ids=["fn", "cfn", "vf", "form"],
+)
+def test_a_declaration_must_live_on_the_chart_it_names(statement, kind):
+    with pytest.raises(DslError) as err:
+        parse(TWO_CHARTS + statement)
+    assert err.value.message == f"{kind} g is on chart 'M', not on 'N'"
+    assert err.value.col == len(TWO_CHARTS) + len(kind) + 2
+    assert parse(TWO_CHARTS + statement.replace(" on N", " on M")).order[-1] == (kind, "g")
+
+
+def test_forms_tagged_and_multiplied_match_the_engine_products():
+    doc = parse("chart M even x,y odd xi; fn f = x*xi + y;")
+    m, f = doc.charts["M"], doc.functions["f"]
+    dx, dy, dxi = (KForm.differential(m, z) for z in ("x", "y", "xi"))
+    assert doc.evaluate("dx*c1") == CKForm(KForm.zero(m, 1), dx)
+    assert doc.evaluate("dx*dy") == wedge(dx, dy)
+    # f moved past the odd dxi is its involution
+    assert doc.evaluate("f^dxi") == dxi.left_multiply(f)
+    assert doc.evaluate("dxi^f") == dxi.left_multiply(f.involution())
+    assert doc.evaluate("dxi^f") != doc.evaluate("f^dxi")
+    assert doc.evaluate("dx^f") == doc.evaluate("f^dx") == dx.left_multiply(f)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,14 @@ def test_cochain_constructor_errors():
             CECochain(g, 2, values)
 
 
+@pytest.mark.parametrize("key", [(0, 3), (-1, 0)], ids=["past_the_basis", "negative"])
+def test_a_cochain_key_must_hold_basis_indices(key):
+    """A key off the basis used to raise IndexError, or with a negative
+    index to be kept as a term no evaluation reads."""
+    with pytest.raises(ValueError, match=rf"^basis index out of range in tuple {re.escape(str(key))}$"):
+        CECochain(SuperLieAlgebra((0, 0, 1), {}), 2, {key: (0, 1)})
+
+
 def test_cochain_values_round_trip(rng):
     for g in oracle_algebras(rng):
         for degree in (0, 1, 2, 3):
@@ -374,6 +383,23 @@ def test_extension_by_cocycle_iff_jacobi(rng):
         seen_fail += not ok
         seen_pass += ok
     assert seen_pass  # zero cochains etc.
+
+
+def test_extension_brackets_add_omega_on_the_central_vectors(rng):
+    """[e_i, e_j] in g x C is [e_i, e_j] in g plus Omega(e_i, e_j) = c0 c_0 + c1 c_1
+    on the appended c0, c1, for every ordered pair, read by `evaluate`."""
+    for g in (abelian((0, 0, 1, 1)), gl11()):
+        for _ in range(5):
+            om = random_ce_cochain(rng, g, 2)
+            ext = central_extension(g, om)
+            n = g.dimension
+            for i in range(n):
+                for j in range(n):
+                    expected = dict(g.bracket_basis(i, j))
+                    for alpha, v in enumerate(om.evaluate((i, j))):
+                        if v:
+                            expected[n + alpha] = v
+                    assert ext.bracket_basis(i, j) == expected
 
 
 def test_extension_with_nonclosed_cocycle_fails_on_witness(rng):

@@ -678,6 +678,29 @@ def test_darboux_even_odd_p():
         darboux_normal_form([[0]], (0,), 0)
 
 
+@pytest.mark.parametrize(
+    "w, parities, coefficients",
+    [([[0, 1], [1, 0]], (1, 1), (1, -1)), ([[8]], (1,), (1,))],
+    ids=["zero_diagonal", "rational_square"],
+)
+def test_darboux_odd_block_reaches_plus_minus_one(w, parities, coefficients):
+    """The zero-diagonal fix-up and the rational-square reduction of the
+    symmetric block, against B W B^T and the inertia of W in sympy: the
+    canonical matrix is diag(2c) with c = +-1 and ell positive entries."""
+    sp = pytest.importorskip("sympy")
+    res = darboux_normal_form(w, parities, 0)
+
+    def exact(m):
+        return sp.Matrix([[sp.Rational(x.re.numerator, x.re.denominator) for x in row] for row in m])
+
+    b = exact(res.basis_change)
+    assert all(x.im == 0 for row in res.basis_change + res.canonical_matrix for x in row)
+    assert b * sp.Matrix(w) * b.T == exact(res.canonical_matrix) == sp.diag(*(2 * c for c in coefficients))
+    positive = sum(m for v, m in sp.Matrix(w).eigenvals().items() if v > 0)
+    assert (res.kind, res.k, res.ell, res.exact) == ("even", 0, positive, True)
+    assert res.odd_coefficients == coefficients
+
+
 def _congruence(p, w):
     """P W P^T."""
     return linalg.matmul(linalg.matmul(p, w), linalg.transpose(p))

@@ -14,9 +14,8 @@ Each mutant runs the tier-1 suite with `-x` in a copy of the checkout
 (without `.git`), made once in a temporary directory, with the tests that
 already fail on the unmutated copy deselected.  Every site is printed as
 `killed` with the first failing test (or with the time limit, when a run
-gives no result within TIMEOUT seconds), `survived`, or `equivalent` with
-the reason (a site listed in EQUIVALENT, or a mutant whose source is the
-original's).  One full pass takes a few minutes; the audit is not part of
+gives no result within TIMEOUT seconds), `survived`, or `equivalent` when
+the mutant's source is the original's.  One full pass takes a few minutes; the audit is not part of
 tier-1.
 """
 
@@ -36,11 +35,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "supersymp")
 RULES = ("skew_sign", "koszul", "graded_sort")
 TIMEOUT = 600.0  # seconds per test run; one run takes 2-14 s
-
-# (file, enclosing function, rule) -> why the mutant cannot change a result
-EQUIVALENT = {
-    ("cech.py", "NerveComplex.__init__", "graded_sort"): "only the sorted simplex and the degenerate 0 are read",
-}
 
 
 class Site(NamedTuple):
@@ -97,13 +91,6 @@ def find_sites(path: str) -> List[Site]:
     return sorted(sites, key=lambda s: s.start)
 
 
-def equivalence(site: Site, source: bytes) -> str:
-    """Why the mutant of `site` is equivalent, or '' when it is not known to be."""
-    if source[site.start:site.end] == site.mutant:
-        return f"already {site.rule}({site.mutant.decode()}, ...)"
-    return EQUIVALENT.get((site.file, site.scope, site.rule), "")
-
-
 def run_tests(copy: str, extra: List[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *extra, "tests"]
@@ -136,9 +123,8 @@ def main() -> int:
             path = os.path.join(copy, PACKAGE, site.file)
             with open(path, "rb") as fh:
                 source = fh.read()
-            reason = equivalence(site, source)
-            if reason:
-                status, detail = "equivalent", reason
+            if source[site.start:site.end] == site.mutant:
+                status, detail = "equivalent", f"already {site.rule}({site.mutant.decode()}, ...)"
             else:
                 with open(path, "wb") as fh:
                     fh.write(source[:site.start] + site.mutant + source[site.end:])
