@@ -55,8 +55,8 @@ class NerveComplex:
             if len(set(canon)) < len(canon):
                 raise NerveError(f"degenerate simplex {tuple(s)}")
             k = len(canon) - 1
-            if k > MAX_DIM:
-                raise NerveError(f"simplex dimension {k} exceeds {MAX_DIM}")
+            if not 0 <= k <= MAX_DIM:
+                raise NerveError(f"simplex dimension {k} exceeds {MAX_DIM}" if canon else "empty simplex ()")
             by_dim[k].add(canon)
         # closure check: all faces must be present
         for k in range(MAX_DIM, 0, -1):
@@ -350,11 +350,14 @@ def load_cover(text: str) -> Cover:
             continue
         parts = line.split()
         try:
-            if parts[0] == "simplex":
-                simplices.append(tuple(int(p) for p in parts[1:]))
-            elif parts[0] in ("f", "a") and "=" in parts:
-                eq = parts.index("=")
+            if parts[0] == "simplex" or parts[0] in ("f", "a") and "=" in parts:
+                eq = len(parts) if parts[0] == "simplex" else parts.index("=")
                 verts = tuple(int(p) for p in parts[1:eq])
+                if len(set(verts)) < len(verts):
+                    raise ValueError(f"repeated vertex in {verts}")
+            if parts[0] == "simplex":
+                simplices.append(verts)
+            elif parts[0] in ("f", "a") and "=" in parts:
                 val = Fraction(parts[eq + 1])
                 expect = 2 if parts[0] == "f" else 3
                 if len(verts) != expect:
@@ -376,7 +379,7 @@ def load_cover(text: str) -> Cover:
             raise NerveError(f"cover file line {lineno}: division by zero") from exc
     closure = set()
     for s in simplices + list(f_vals) + list(a_vals):
-        canon = tuple(sorted(set(s)))
+        canon = tuple(sorted(s))
         for k in range(1, len(canon) + 1):
             closure.update(combinations(canon, k))
     nerve = build_nerve(sorted(closure))

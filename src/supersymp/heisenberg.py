@@ -18,9 +18,9 @@ spec and generator count and keeps its parts on the spec: every later call
 returns a new read-only `Orbit` on those parts, so the KKS form,
 `SymplecticData` and momentum cocycle are computed once for all callers.
 The parts do not refer back to the spec, so no reference cycle keeps a
-spec alive once it is dropped.  `momentum_check` hands each tangent field to
-`SymplecticData.admit_field` as a candidate: a field that meets
-i_X doubled-omega = dJ exactly is recorded, not solved for again.
+spec alive once it is dropped.  The momentum map J of an orbit is the
+inclusion, so each fundamental field v* is checked as the field of <v, J>
+and the momentum cocycle reads its brackets off them: nothing is solved.
 """
 
 from __future__ import annotations
@@ -31,17 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .charts import CFunction, Chart, ReadOnly, SuperFunction, VectorField
-from .forms import KForm
+from .forms import KForm, contract, ext_d
 from .grassmann import DEFAULT_GENERATORS, DimensionError, GrassmannNumber, accumulate, add_product, skew_sign
 from .liecoh import CECochain, SuperLieAlgebra, central_extension
 from .liecoh import momentum_cocycle as _momentum_cocycle, pullback_class as _pullback_class
 from .scalars import ZERO, GaussianRational
-from .symplectic import (
-    SymplecticData,
-    form_from_contraction_matrix,
-    poisson_bracket,
-    require_hamiltonian_field,
-)
+from .symplectic import SymplecticData, form_from_contraction_matrix
 
 
 class HeisenbergSpec:
@@ -347,8 +342,8 @@ def _constant_field(spec: HeisenbergSpec, coefficients: Sequence[GaussianRationa
 class Orbit(ReadOnly):
     """Read-only, since orbits through one point of a spec share their
     parts: `tangent_fields` and `restrictions` are read-only mappings, and
-    the algebra, the KKS form, its `SymplecticData` and the momentum cocycle
-    are each built on first use and kept in the shared `_memo`."""
+    the algebra, the KKS form, its `SymplecticData`, `hamiltonian` and the
+    momentum cocycle are each built on first use and kept in the shared `_memo`."""
 
     def __init__(self, spec: HeisenbergSpec, base: OrbitPoint, parts: Dict):
         vars(self).update(parts, spec=spec, base=base)
@@ -396,6 +391,8 @@ class Orbit(ReadOnly):
         return self._cached("momentum", self._momentum_functions)[m]
 
     def _momentum_functions(self) -> Tuple[CFunction, ...]:
+        if self.case == "trivial":
+            raise ValueError("the trivial orbit carries no symplectic form")
         spec = self.spec
         n = spec.dimension
         chart = self.chart
@@ -409,12 +406,24 @@ class Orbit(ReadOnly):
         out.append(CFunction(chart.zero(), chart.constant(self.ybar1)))
         return tuple(out)
 
+    def momentum_field(self, m: int) -> VectorField:
+        """The fundamental field e_m* on the orbit chart, zero on c0 and c1."""
+        return self.tangent_fields[m] if m < self.spec.dimension else VectorField(self.chart, {})
+
+    def hamiltonian(self) -> bool:
+        """i_(v*) doubled-omega = d<v, J> for each of the n + 2 generators v."""
+        return self._cached("hamiltonian", lambda: all(
+            ext_d(self.momentum_function(m)) == contract(self.momentum_field(m), self.symplectic_data().doubled)
+            for m in range(self.algebra().dimension)
+        ))
+
     def momentum_cocycle(self) -> Tuple[CECochain, bool]:
-        sd = self.symplectic_data()
+        """The cocycle with {J_i, J_j} = e_i*(J_j), that of J where `hamiltonian`
+        holds: any X with i_X doubled-omega = dJ_i has X(J_j) = i_X i_(e_j*) doubled-omega."""
         return self._cached("cocycle", lambda: _momentum_cocycle(
             self.algebra(),
             self.momentum_function,
-            lambda f, g: poisson_bracket(f, g, sd),
+            lambda i, j: self.momentum_field(i).apply(self.momentum_function(j)),
         ))
 
     def pullback_cocycle(self) -> CECochain:
@@ -527,22 +536,9 @@ def _solve_kks(orbit: Orbit) -> KForm:
 
 def momentum_check(orbit: Orbit) -> dict:
     """Verify i_(v*) doubled-omega = d<v, J> and the strong-hamiltonian
-    bracket identity on all basis pairs of the extended algebra.
-
-    Each fundamental field v* is offered to `admit_field` as the field of
-    <v, J>: it is recorded when it meets the equation exactly on the
-    orbit's constant, homogeneously nondegenerate form, where the solution
-    is unique, and left to the solver otherwise.  Either way the field the
-    solver's cache then returns must be v*."""
-    sd = orbit.symplectic_data()
-    n = orbit.spec.dimension
-    hamiltonian_ok = True
-    for m in range(orbit.algebra().dimension):
-        fld = orbit.tangent_fields[m] if m < n else VectorField(orbit.chart, {})
-        jm = orbit.momentum_function(m)
-        sd.admit_field(jm, fld)
-        if require_hamiltonian_field(jm, sd) != fld:
-            hamiltonian_ok = False
+    bracket identity on all basis pairs of the extended algebra, both read
+    off the orbit's momentum fields."""
+    hamiltonian_ok = orbit.hamiltonian()
     cocycle, constant = orbit.momentum_cocycle()
     return {
         "hamiltonian": hamiltonian_ok,

@@ -156,6 +156,8 @@ class CECochain(Linear):
         if values:
             given: Dict[Key, Fraction] = {}  # zeros included, so a later key cannot contradict one
             for key, val in values.items():
+                if len(key) != degree:
+                    raise ValueError(f"tuple {tuple(key)} needs {degree} indices")
                 if not all(0 <= i < len(g.parities) for i in key):
                     raise ValueError(f"basis index out of range in tuple {tuple(key)}")
                 sign, canon = sort_with_sign(g.parities, key)
@@ -394,7 +396,7 @@ def momentum_cocycle(g: SuperLieAlgebra, momentum, bracket) -> Tuple[CECochain, 
     """Cocycle  Omega_J(v,w) = {<v,J>, <w,J>} - <[v,w], J>  on basis pairs.
 
     `momentum` maps a basis index to the C-valued function <e_i, J> on some
-    chart; `bracket` is the Poisson bracket of two such functions.  Returns
+    chart; `bracket(i, j)` is the Poisson bracket {<e_i, J>, <e_j, J>}.  Returns
     the cochain of constant values and a flag reporting whether every entry
     really was coordinate-independent.
     """
@@ -404,7 +406,7 @@ def momentum_cocycle(g: SuperLieAlgebra, momentum, bracket) -> Tuple[CECochain, 
     constant = True
     for key in canonical_keys(eps, 2):
         i, j = key
-        f = bracket(moments[i], moments[j])
+        f = bracket(i, j)
         for m, coeff in g.bracket_basis(i, j).items():
             f = f - moments[m].scale(coeff)
         if not f.is_constant():

@@ -157,8 +157,7 @@ class SymplecticData:
       (coordinate, monomial, Grassmann index set) and held as a sparse
       dict RowKey -> nonzero entry, read off `contraction(z)` by
       `_column` and shared by every later system;
-    - the result for each function it has solved, or whose field a caller
-      has certified through `admit_field`.
+    - the result for each function it has solved.
     """
 
     def __init__(self, omega: KForm, points: Sequence[Mapping[str, object]] = ()):
@@ -168,15 +167,14 @@ class SymplecticData:
             raise NotSymplectic("form is not closed")
         self.omega = omega
         self.doubled: CKForm = double(omega)
-        self.point_reports = [evaluate_at_point(omega, pt) for pt in points]
-        for rep in self.point_reports:
+        for pt in points:
+            rep = evaluate_at_point(omega, pt)
             if not rep.homogeneously_nondegenerate:
                 raise NotSymplectic(f"homogeneously degenerate at {rep.point}")
         self._constant = all(g.is_constant() and g.constant_value().is_scalar() for g in omega.terms.values())
         self._contractions: Dict[str, List[Tuple[int, Word, int, SuperFunction]]] = {}
         self._columns: Dict[Tuple[str, ExpKey, Index], Dict[RowKey, GaussianRational]] = {}
         self._fields: Dict[object, HamiltonianResult] = {}
-        self._unique: Optional[bool] = None
 
     @property
     def chart(self) -> Chart:
@@ -196,31 +194,6 @@ class SymplecticData:
 
     def has_constant_coefficients(self) -> bool:
         return self._constant
-
-    def admit_field(self, f: CFunction, x: VectorField) -> bool:
-        """Record x as the Hamiltonian field of f, the result the solver would
-        return, when i_X doubled-omega = df has x as its only solution: omega
-        has constant scalar coefficients, its stacked contraction matrix has
-        rank n, and contract(x, doubled-omega) == df holds exactly.  Else
-        record nothing, so `hamiltonian_field` solves for f as before.
-        True when x was recorded; a result already cached is kept."""
-        if f.chart != self.chart or x.chart != self.chart or f in self._fields or not self._unique_solutions():
-            return False
-        df = ext_d(f)
-        if contract(x, self.doubled) != df:
-            return False
-        self._fields[f] = HamiltonianResult("member", x, True, "" if df else "df = 0")
-        return True
-
-    def _unique_solutions(self) -> bool:
-        """Constant scalar coefficients and stacked rank n everywhere: a
-        declared point has shown the rank (construction refuses a degenerate
-        one), else the origin shows it."""
-        if self._unique is None:
-            self._unique = self._constant and (
-                bool(self.point_reports) or evaluate_at_point(self.omega, {}).homogeneously_nondegenerate
-            )
-        return self._unique
 
 
 # ----------------------------------------------------------------------

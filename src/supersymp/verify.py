@@ -338,8 +338,9 @@ def _c4_ext():
 
 @check("coadjoint orbit momentum cocycle vanishes (J = id)", "section6")
 def _c6_cocycle():
-    cocycle, constant = orbit_classify(heisenberg_33(), 1, 0).momentum_cocycle()
-    return constant and cocycle.is_zero(), "0 (constant)", repr(cocycle)
+    orbit = orbit_classify(heisenberg_33(), 1, 0)
+    cocycle, constant = orbit.momentum_cocycle()
+    return orbit.hamiltonian() and constant and cocycle.is_zero(), "0 (constant)", repr(cocycle)
 
 
 @check("shifted momentum map gives a constant, nonzero cocycle", "section5")
@@ -357,7 +358,7 @@ def _c5_shift():
         return f
 
     cocycle, constant = momentum_cocycle(
-        orbit.algebra(), shifted, lambda a, b: poisson_bracket(a, b, sd)
+        orbit.algebra(), shifted, lambda i, j: poisson_bracket(shifted(i), shifted(j), sd)
     )
     return constant and not cocycle.is_zero(), "constant, nonzero", repr(cocycle)
 

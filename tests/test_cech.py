@@ -536,6 +536,23 @@ def test_load_cover_refuses_an_unrecognized_directive():
     assert str(err.value) == "cover file line 2: unrecognized directive 'g'"
 
 
+@pytest.mark.parametrize("line", ["simplex 0 1 0", "f 0 0 = 1", "a 0 1 0 = 2"], ids=["simplex", "f", "a"])
+def test_load_cover_refuses_a_repeated_vertex(line):
+    """A repeated vertex used to be dropped from a `simplex` line, so
+    `simplex 0 1 0` loaded as the edge (0, 1), and to fail on an `f` line
+    with the nerve's message and no line number."""
+    verts = tuple(int(p) for p in line.split("=")[0].split()[1:])
+    with pytest.raises(NerveError) as err:
+        load_cover(f"simplex 0 1\n{line}\n")
+    assert str(err.value) == f"cover file line 2: repeated vertex in {verts}"
+
+
+def test_build_nerve_refuses_the_empty_simplex():
+    """The empty simplex used to raise a bare KeyError: -1."""
+    with pytest.raises(NerveError, match=r"^empty simplex \(\)$"):
+        build_nerve([(0,), ()])
+
+
 def test_a_simplex_with_a_repeated_vertex_is_refused():
     with pytest.raises(NerveError, match=r"^degenerate simplex \(1, 0, 1\)$"):
         build_nerve([(0,), (1,), (0, 1), (1, 0, 1)])

@@ -240,6 +240,14 @@ def test_a_key_given_twice_needs_one_value(text, message, col):
     assert (err.value.line, err.value.col) == (2, col)
 
 
+def test_a_cochain_key_of_another_length_is_refused_at_its_declaration():
+    """`[2] = c0` on a 2-cochain used to be kept as a term no evaluation reads."""
+    with pytest.raises(DslError) as err:
+        parse("\nalgebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = c0, [2] = c0;")
+    assert err.value.message == "tuple (1,) needs 2 indices"
+    assert (err.value.line, err.value.col) == (2, 26)
+
+
 def test_a_key_repeated_with_its_value_is_accepted():
     doc = parse(
         "algebra g parities 0,0,0 bracket [1,2] = e3, [1,2] = e3;"
@@ -252,7 +260,7 @@ def test_a_key_repeated_with_its_value_is_accepted():
 def test_index_lists_are_zero_based():
     doc = parse(
         "algebra g parities 0,1,1 bracket [2,3] = e1;"
-        "cocycle w on g degree 3 values [3,1,3] = c0, [2] = 0;"
+        "cocycle w on g degree 3 values [3,1,3] = c0, [2,2,3] = 0;"
     )
     assert doc.algebras["g"].bracket_basis(1, 2) == {0: 1}
     # sorting (2, 0, 2) swaps the odd e3 past the even e1 once

@@ -704,10 +704,9 @@ def test_momentum_check(y0, yb1):
 
 
 def test_momentum_check_solves_each_momentum_function_once(solve_calls):
-    """Each momentum function is solved at most once, and in fact never:
-    its fundamental field passes the exact check of `admit_field` on the
-    constant, homogeneously nondegenerate KKS form and is recorded, and the
-    bracket of every pair of momentum functions reuses those fields."""
+    """Each momentum function is solved at most once, and in fact never: its
+    fundamental field is checked against i_X doubled-omega = dJ, and the
+    bracket of every pair of momentum functions is read off those fields."""
     orbit = orbit_classify(heisenberg_33(), 1, 1, generators=NG)
     orbit.symplectic_data()
     solve_calls.clear()
@@ -716,9 +715,9 @@ def test_momentum_check_solves_each_momentum_function_once(solve_calls):
 
 
 def test_momentum_check_refuses_a_wrong_tangent_field(monkeypatch, solve_calls):
-    """Tangent fields scaled by 2 fail i_X doubled-omega = dJ: none of the
-    nonzero ones is recorded, the solver decides each of their momentum
-    functions, and the check reports them as not hamiltonian."""
+    """Tangent fields scaled by 2 fail i_X doubled-omega = dJ: the check
+    reports them as not hamiltonian without a solve, and the solver's field
+    of each momentum function is half the wrong one."""
     from supersymp import heisenberg
     from supersymp.symplectic import hamiltonian_field
 
@@ -729,18 +728,61 @@ def test_momentum_check_refuses_a_wrong_tangent_field(monkeypatch, solve_calls):
     sd = orbit.symplectic_data()
     rep = momentum_check(orbit)
     assert not rep["hamiltonian"] and not rep["strongly_hamiltonian"]
-    assert rep["momentum_cocycle_zero"] and rep["cocycle_constant"]
+    assert len(solve_calls) == 0
     wrong = {m: fld for m, fld in orbit.tangent_fields.items() if fld}
     assert wrong
-    assert len(solve_calls) == len({orbit.momentum_function(m) for m in wrong})
     for m, fld in wrong.items():
-        assert not sd.admit_field(orbit.momentum_function(m), fld)
         assert hamiltonian_field(orbit.momentum_function(m), sd).field.scale(2) == fld
+
+
+@pytest.mark.parametrize("case", ["heis33_i", "heis33_ii", "heis33_iii", "random_kk"])
+def test_momentum_cocycle_from_fields_matches_the_solver(case, rng):
+    """The brackets e_i*(J_j) of the momentum fields, and the cocycle built
+    from them, equal the Poisson brackets of the momentum functions and
+    `liecoh.momentum_cocycle` on them, solved on a fresh SymplecticData of
+    the same KKS form: the solver stays the independent reference."""
+    from supersymp.liecoh import momentum_cocycle
+    from supersymp.symplectic import SymplecticData, poisson_bracket
+
+    if case == "random_kk":
+        spec, (y0, yb1) = random_kk_spec(rng, 2), (Fraction(2, 3), -2)
+    else:
+        spec, (y0, yb1) = heisenberg_33(), {"heis33_i": (1, 0), "heis33_ii": (0, 1), "heis33_iii": (1, 1)}[case]
+    orbit = orbit_classify(spec, y0, yb1, generators=NG)
+    sd = SymplecticData(orbit.kks_form())
+    size = orbit.algebra().dimension
+    for i in range(size):
+        for j in range(size):
+            f, g = orbit.momentum_function(i), orbit.momentum_function(j)
+            assert orbit.momentum_field(i).apply(g) == poisson_bracket(f, g, sd)
+    solved = momentum_cocycle(orbit.algebra(), orbit.momentum_function,
+                              lambda i, j: poisson_bracket(orbit.momentum_function(i), orbit.momentum_function(j), sd))
+    assert orbit.momentum_cocycle() == solved
+    assert orbit.hamiltonian()
+
+
+def test_a_second_momentum_check_makes_no_contraction(monkeypatch):
+    """The momentum fields are checked once per orbit parts: a second
+    `momentum_check`, on the same orbit or on a later one of the same key,
+    makes no `contract` call and returns the same report."""
+    from supersymp import heisenberg
+
+    calls = []
+    contract_ = heisenberg.contract
+    monkeypatch.setattr(heisenberg, "contract", lambda *args: calls.append(1) or contract_(*args))
+    spec = heisenberg_33()
+    orbit = orbit_classify(spec, 1, 1, generators=NG)
+    rep = momentum_check(orbit)
+    assert rep["strongly_hamiltonian"] and len(calls) == spec.dimension + 2
+    calls.clear()
+    assert momentum_check(orbit) == rep
+    assert momentum_check(orbit_classify(spec, 1, 1, generators=NG)) == rep
+    assert calls == []
 
 
 def test_momentum_functions_are_built_once_per_orbit_parts(monkeypatch):
     """The n + 2 momentum functions are built once for the parts of an orbit
-    and read by both the admit loop and the cocycle of `momentum_check`; a
+    and read by both the field check and the cocycle of `momentum_check`; a
     later orbit of the same key returns the same objects, another spec or an
     explicit base point builds its own."""
     import weakref
@@ -771,6 +813,10 @@ def test_trivial_orbit_momentum_vacuous():
     orbit = orbit_classify(heisenberg_33(), 0, 0, generators=NG)
     assert orbit.case == "trivial"
     # nothing to check: no chart, no form
+    with pytest.raises(ValueError, match="no symplectic form"):
+        momentum_check(orbit)
+    with pytest.raises(ValueError, match="no symplectic form"):
+        orbit.momentum_cocycle()
 
 
 def test_pullback_cocycle_pattern():

@@ -272,6 +272,13 @@ def test_cochain_constructor_errors():
             CECochain(g, 2, values)
 
 
+@pytest.mark.parametrize("key", [(1,), (0, 1, 2), ()], ids=["short", "long", "empty"])
+def test_a_cochain_key_must_have_degree_indices(key):
+    """A key of another length used to be kept as a term no evaluation reads."""
+    with pytest.raises(ValueError, match=rf"^tuple {re.escape(str(key))} needs 2 indices$"):
+        CECochain(SuperLieAlgebra((0, 0, 1), {}), 2, {key: (0, 0)})
+
+
 @pytest.mark.parametrize("key", [(0, 3), (-1, 0)], ids=["past_the_basis", "negative"])
 def test_a_cochain_key_must_hold_basis_indices(key):
     """A key off the basis used to raise IndexError, or with a negative

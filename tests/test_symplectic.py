@@ -304,12 +304,10 @@ def test_repeated_call_returns_the_cached_result(sd21):
     assert res.status == "member" and hamiltonian_field(f, sd) is res
 
 
-def test_admitted_field_is_the_result_the_solver_returns(rng):
-    """On constant, homogeneously nondegenerate forms, with a declared point
-    and without one, a solved field offered to a fresh SymplecticData is
-    recorded, and the recorded result equals the solved one, the df = 0
-    detail included; a field scaled by 2 is refused, and a result already
-    cached is kept."""
+def test_constant_nondegenerate_form_solves_members_uniquely(rng):
+    """On a constant, homogeneously nondegenerate form, with a declared point
+    and without one, every member is solved with unique True, and a constant
+    function with the df = 0 detail."""
     data = mixed_chart_21(4)
     chart = data.chart
     for pts in ([ORIGIN], []):
@@ -319,42 +317,33 @@ def test_admitted_field_is_the_result_the_solver_returns(rng):
         for f in fs:
             res = hamiltonian_field(f, SymplecticData(data.omega, pts))
             assert res.status == "member" and res.unique
-            sd = SymplecticData(data.omega, pts)
-            if res.field:
-                assert not sd.admit_field(f, res.field.scale(2))
-            assert sd.admit_field(f, res.field)
-            admitted = hamiltonian_field(f, sd)
-            assert admitted == res
-            assert not sd.admit_field(f, res.field) and hamiltonian_field(f, sd) is admitted
     assert res.detail == "df = 0"
 
 
-def test_degenerate_constant_form_admits_no_field(solve_calls):
+def test_degenerate_constant_form_solves_with_unique_false(solve_calls):
     """dx^dy on a 3|0 chart, built without points, is constant but leaves
-    d/dz free: a field that meets the equation exactly, with or without a
-    d/dz part, is not recorded, and the solver decides with unique False."""
+    d/dz free: fields with and without a d/dz part meet the equation
+    exactly, and one solve returns the one without it, with unique False."""
     chart = Chart("P", ("x", "y", "z"), ())
     sd = SymplecticData(wedge(d(chart, "x"), d(chart, "y")))
     f = CFunction(chart.var("x"), chart.zero())
     for candidate in (chart.vector_field({"y": -1}), chart.vector_field({"y": -1, "z": 1})):
         assert contract(candidate, sd.doubled) == ext_d(f)
-        assert not sd.admit_field(f, candidate)
     res = hamiltonian_field(f, sd)
     assert len(solve_calls) == 1
     assert (res.status, res.unique, res.field) == ("member", False, chart.vector_field({"y": -1}))
 
 
-def test_non_constant_form_admits_no_field():
-    """On (1 + x^2) dx^dy the ansatz decides even where a candidate meets
-    the equation."""
+def test_non_constant_form_member_is_found():
+    """On (1 + x^2) dx^dy the ansatz finds the field of x + x^3/3, and a
+    second SymplecticData of the form solves it alike."""
     h = Chart("H", ("x", "y"), (), 4)
     x = h.var("x")
     omega = wedge(d(h, "x"), d(h, "y")).right_multiply(1 + x * x)
     sd = SymplecticData(omega, [ORIGIN])
     f = CFunction(x + (x * x * x).scale(Fraction(1, 3)), h.zero())
     res = hamiltonian_field(f, SymplecticData(omega, [ORIGIN]))
-    assert res.status == "member"
-    assert not sd.admit_field(f, res.field)
+    assert res.status == "member" and res.field == h.vector_field({"y": -1})
     assert hamiltonian_field(f, sd) == res
 
 
