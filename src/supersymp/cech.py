@@ -335,6 +335,23 @@ class Cover:
         return self.a + cocycle_from_potentials(self.f)
 
 
+def _vertex(word: str) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise ValueError(f"bad vertex {word!r}") from None
+
+
+def _value(parts: List[str], eq: int) -> Fraction:
+    """The number after the "=" at parts[eq]."""
+    if eq + 1 == len(parts):
+        raise ValueError("missing value after '='")
+    try:
+        return Fraction(parts[eq + 1])
+    except ValueError:
+        raise ValueError(f"bad value {parts[eq + 1]!r}") from None
+
+
 def load_cover(text: str) -> Cover:
     """Line format: `simplex 0 1 2`, `f 0 1 = 3/2`, `a 0 1 2 = 3`, `d = 3`.
 
@@ -352,20 +369,20 @@ def load_cover(text: str) -> Cover:
         try:
             if parts[0] == "simplex" or parts[0] in ("f", "a") and "=" in parts:
                 eq = len(parts) if parts[0] == "simplex" else parts.index("=")
-                verts = tuple(int(p) for p in parts[1:eq])
+                verts = tuple(_vertex(p) for p in parts[1:eq])
                 if len(set(verts)) < len(verts):
                     raise ValueError(f"repeated vertex in {verts}")
             if parts[0] == "simplex":
                 simplices.append(verts)
             elif parts[0] in ("f", "a") and "=" in parts:
-                val = Fraction(parts[eq + 1])
+                val = _value(parts, eq)
                 expect = 2 if parts[0] == "f" else 3
                 if len(verts) != expect:
                     raise ValueError(f"{parts[0]}-line needs {expect} vertices")
                 if (f_vals if parts[0] == "f" else a_vals).setdefault(verts, val) != val:
                     raise ValueError(f"conflicting values on {verts}")
-            elif parts[0] == "d" and parts[1] == "=":
-                val = Fraction(parts[2])
+            elif parts[0] == "d" and parts[1:2] == ["="]:
+                val = _value(parts, 1)
                 if val < 0:
                     raise ValueError("d must be >= 0")
                 if d is not None and d != val:
@@ -373,7 +390,7 @@ def load_cover(text: str) -> Cover:
                 d = val
             else:
                 raise ValueError(f"unrecognized directive {parts[0]!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise NerveError(f"cover file line {lineno}: {exc}") from exc
         except ZeroDivisionError as exc:
             raise NerveError(f"cover file line {lineno}: division by zero") from exc

@@ -119,6 +119,31 @@ class Chart(ReadOnly):
         return VectorField(self, comps)
 
 
+def term_product(k1: TermKey, k2: TermKey) -> Tuple[int, TermKey]:
+    """(sign, key) of the product of the terms k1 and k2, the one place the
+    product's sign rule is written; sign 0 when an odd letter or a generator
+    repeats."""
+    e1, w1, i1 = k1
+    e2, w2, i2 = k2
+    sign, w = graded_sort(w1 + w2)
+    idx = i1
+    if i2:
+        # th_I2 moved left through the odd word w1 and sorted into th_I1
+        isign, idx = graded_sort(i1 + i2)
+        sign *= isign * -skew_sign(len(w1), len(i2))
+    return sign, (tuple(map(add, e1, e2)), w, idx)
+
+
+def add_term_products(out: Dict[TermKey, GaussianRational], x: Mapping, y: Mapping) -> None:
+    """out += x y for the terms of two superfunctions, each pair by `term_product`."""
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            sign, key = term_product(k1, k2)
+            if sign:
+                c = c1 * c2
+                accumulate(out, key, c if sign > 0 else -c)
+
+
 class SuperFunction(Graded, Linear):
     """Polynomial superfunction in canonical form, one scalar per (a, w, I)."""
 
@@ -181,17 +206,7 @@ class SuperFunction(Graded, Linear):
         if other is NotImplemented:
             return other
         out: Dict[TermKey, GaussianRational] = {}
-        for (e1, w1, i1), c1 in self.terms.items():
-            for (e2, w2, i2), c2 in other.terms.items():
-                sign, w = graded_sort(w1 + w2)
-                idx = i1
-                if i2:
-                    # th_I2 moved left through the odd word w1 and sorted into th_I1
-                    isign, idx = graded_sort(i1 + i2)
-                    sign *= isign * -skew_sign(len(w1), len(i2))
-                if sign:
-                    c = c1 * c2
-                    accumulate(out, (tuple(map(add, e1, e2)), w, idx), c if sign > 0 else -c)
+        add_term_products(out, self.terms, other.terms)
         return self._like(out)
 
     def __rmul__(self, other):

@@ -7,15 +7,30 @@ are ``^``, partials are ``d/dx``, differentials ``dx``, Grassmann generators
 and ``c1``.  Fixtures written in this format double as the readable record
 of every object the engine is expected to reproduce.
 
-One pass reads a document.  `_Parser.expression` is one precedence-climbing
-loop over the binding powers `+ -` 1, `* /` 2, a leading sign 3 and `^` 4,
-every operator left-associative: `2*x^2` is 2x^2, `-x^2` is -(x^2) and
-`x^2^3` is x^6, as the printers mean them, so printed objects read back as
-themselves.  Each operator applies its action at its own token as it is
-read, so there is no syntax tree, and the first error in reading order is
-the one reported, with its line and column.  `_Parser.sequence` reads every
-comma list (coordinate names, parities, basis indices, matrix rows and
-entries, bracket and cochain values).
+The lexer is one `findall` of `_TOKEN_RE` into (text, bad) pairs.  Each
+match takes the white space and comments before its token, so the matches
+cover the text: a character the language does not use is the `bad` half of
+its pair, and ("", "") ends the list.  Tokens carry no offsets; a
+`DslError` matches the text again to find its token's line and column.
+
+One pass reads a document.  An expression is products joined by ``+ -``, a
+product is factors joined by ``* /``, and a factor is an operand with its
+``^`` exponents or a leading sign with the factor after it.  Every operator
+is left-associative: `2*x^2` is 2x^2, `-x^2` is -(x^2) and `x^2^3` is x^6,
+as the printers mean them, so printed objects read back as themselves.
+Each operator applies at its own token as it is read, so there is no syntax
+tree, and the first error in reading order is the one reported.
+`_Parser.sequence` reads every comma list.
+
+Polynomials are folded, not built.  A product of numbers, coordinates,
+``thK``, ``i``, powers and divisors by numbers, parenthesised or not, is
+one pending term (c, key, chart), with key = (e, w, I) as in `charts` (None
+for a number); each factor multiplies it by `charts.term_product`.  The
+terms of a sum go into one dict, (terms, chart), and a factor of several
+terms multiplies out.  One `SuperFunction`, or one `GaussianRational` if no
+letter was read, is built only at the end of the expression or when the
+polynomial meets a form, a field, ``d/dx``, ``c0``/``c1`` or a C-valued
+function, which the actions `_mul`, `_add` and `_pow` take.
 
 A `Document` from `parse` is read-only: its eight name tables are
 `MappingProxyType` views, so the names an expression can resolve are fixed
@@ -24,9 +39,6 @@ distinct (text, chart) is read once per document, and a repeat returns the
 same object (a value is never changed after it is built).  Nothing
 invalidates an entry; the memo is freed with the document.  A text that
 fails is read again on every call and raises the same `DslError`.
-Likewise each generator token ``thK`` that resolves on a chart is built
-once per (document, chart), and every later ``thK`` on that chart is the
-same constant; an out-of-range ``thK`` is never kept and fails each time.
 """
 
 from __future__ import annotations
@@ -35,12 +47,12 @@ import re
 from fractions import Fraction
 import operator
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
-from .charts import CFunction, Chart, SuperFunction, VectorField
+from .charts import CFunction, Chart, SuperFunction, VectorField, add_term_products, term_product
 from .forms import CKForm, KForm, wedge
-from .grassmann import DEFAULT_GENERATORS, GrassmannNumber, accumulate
-from .scalars import GaussianRational
+from .grassmann import DEFAULT_GENERATORS, accumulate
+from .scalars import I, ONE, ZERO, GaussianRational
 
 if TYPE_CHECKING:  # imported by the declarations that build them
     from .heisenberg import HeisenbergSpec
@@ -63,34 +75,25 @@ class DslError(Exception):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<partial>d/d[A-Za-z0-9_]+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<op>[-+*/^()\[\],;=])
-  | (?P<bad>.)
+    (?:\s+|\#[^\n]*)*               # white space and comments before the token
+    (?: ( d/d[A-Za-z0-9_]+          # a partial derivative
+        | [A-Za-z_][A-Za-z0-9_]*    # a name
+        | \d+                       # an integer
+        | [-+*/^()\[\],;=]          # an operator
+        | \Z )                      # the end of the text
+      | (.) )                       # a character the language does not use
     """,
     re.VERBOSE,
 )
 
 
-class Token(NamedTuple):
-    kind: str  # "partial" | "name" | "int" | "op" | "bad" | "eof"
-    text: str
-    offset: int
-
-
-def tokenize(text: str) -> List[Token]:
-    """The tokens of `text`, ended by an "eof" token at its end; a character
-    the language does not use is a "bad" token, refused by `_Parser.peek`."""
-    tokens: List[Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind != "ws" and kind != "comment":
-            tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("eof", "", len(text)))
-    return tokens
+def _offset(text: str, pos: int) -> int:
+    """Where token number `pos` of `text` starts."""
+    matches = _TOKEN_RE.finditer(text)
+    for _ in range(pos):
+        next(matches)
+    m = next(matches)
+    return m.start(m.lastindex)
 
 
 # ----------------------------------------------------------------------
@@ -100,10 +103,6 @@ def tokenize(text: str) -> List[Token]:
 T = TypeVar("T")
 
 MAX_NESTING = 100  # parentheses and signs; keeps parsing off the recursion limit
-
-# binding powers of the infix operators, and of a leading sign: -x^2 is -(x^2)
-BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-PREFIX = 3
 
 
 class CBasis:
@@ -133,239 +132,372 @@ def _as_function(value, chart: Chart):
     return None
 
 
+def _one(chart: Chart):
+    """The key of the constant term on `chart`."""
+    return (0,) * len(chart.even), (), ()
+
+
+def _is_number(value) -> bool:
+    """A polynomial in which no letter was read: a term with no key."""
+    return type(value) is tuple and len(value) == 3 and value[1] is None
+
+
+def _built(value):
+    """A polynomial as the engine's object, one GaussianRational if no letter
+    was read and else one SuperFunction; any other value as it is."""
+    if type(value) is not tuple:
+        return value
+    if len(value) == 3:
+        c, key, chart = value
+        if key is None:
+            return c
+        value = {key: c} if c else {}, chart
+    terms, chart = value
+    return chart.zero()._like(terms)
+
+
 class _Parser:
-    """One pass over a token list; expressions are evaluated against `doc`
-    and the chart in scope as they are read."""
+    """One pass over the tokens of `text`; expressions are evaluated against
+    `doc` and the chart in scope as they are read.  A polynomial is a term
+    (c, key, chart) or a sum (terms, chart), and any other value is an
+    engine object (a form, a field, a C-valued function, a `CBasis`)."""
 
     def __init__(self, text: str, doc: "Document", chart: Optional[Chart] = None):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = _TOKEN_RE.findall(text)
         self.pos = 0
         self.depth = 0
         self.doc = doc
         self.chart = chart
 
-    def peek(self) -> Token:
-        """The current token; every token is peeked before `next` takes it,
-        so a "bad" one is refused here when the parser reaches it."""
-        tok = self.tokens[self.pos]
-        if tok.kind == "bad":
-            self.fail(f"unexpected character {tok.text!r}", tok)
-        return tok
+    def peek(self) -> str:
+        """The current token, "" at the end; every token is peeked before
+        `next` takes it, so a bad character is refused here when the parser
+        reaches it."""
+        text, bad = self.tokens[self.pos]
+        if bad:
+            self.fail(f"unexpected character {bad!r}", self.pos)
+        return text
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":  # never move past the final "eof" token
+    def next(self) -> str:
+        text = self.tokens[self.pos][0]
+        if text:  # never move past the end
             self.pos += 1
-        return tok
+        return text
 
-    def error(self, message: str, tok: Optional[Token] = None) -> DslError:
-        return DslError(message, self.text, (tok or self.peek()).offset)
+    def error(self, message: str, at: Optional[int] = None) -> DslError:
+        """A DslError at token number `at`, by default the current one."""
+        if at is None:
+            self.peek()
+            at = self.pos
+        return DslError(message, self.text, _offset(self.text, at))
 
-    def fail(self, message: str, tok: Optional[Token] = None):
-        raise self.error(message, tok)
+    def fail(self, message: str, at: Optional[int] = None):
+        raise self.error(message, at)
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}", tok)
+    def expect(self, text: str) -> str:
+        found = self.peek()
+        if found != text:
+            self.fail(f"expected {text!r}, found {found!r}" if found else f"expected {text!r}")
         return self.next()
 
-    def expect_name(self, what: str = "name") -> Token:
-        tok = self.peek()
-        if tok.kind != "name":
-            self.fail(f"expected a {what}", tok)
+    def expect_name(self, what: str = "name") -> str:
+        if not self.peek().isidentifier():
+            self.fail(f"expected a {what}")
         return self.next()
 
     # expressions ------------------------------------------------------
 
-    def nested(self, tok: Token, floor: int = 0):
-        """expression(floor) one nesting level deeper than `tok`."""
+    def nested(self, at: int, read: Callable[[], T]) -> T:
+        """read() one nesting level deeper than token `at`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
-        value = self.expression(floor)
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", at)
+        value = read()
         self.depth -= 1
         return value
 
-    def expression(self, floor: int = 0):
-        """An operand, then each operator that binds tighter than `floor` with
-        its right operand.  A right operand stops at an operator of its own
-        power, so all five associate to the left and a flat chain folds here."""
-        tok = self.peek()
-        if tok.text in ("+", "-"):
-            self.next()
-            value = self.nested(tok, PREFIX)
-            if tok.text == "-":
-                value = self._negate(value, tok)
-        else:
-            value = self.atom()
-        while True:
-            tok = self.peek()
-            power = BINDING.get(tok.text, 0)
-            if power <= floor:
-                return value
-            self.next()
-            right = self.expression(power)
-            try:
-                value = self._ACTIONS[tok.text](self, value, right, tok)
-            except ValueError as exc:  # operands on two charts, generator counts or degrees
-                raise self.error(str(exc), tok) from exc
+    def value(self):
+        """An expression as the engine's object."""
+        return _built(self.expression())
+
+    def expression(self):
+        """Products joined by + and -.  The products of a polynomial are
+        added into one terms dict; a non-polynomial product makes the sum an
+        object, and `_add` adds every later product to it."""
+        value = self.product()
+        op = self.peek()
+        if op != "+" and op != "-":
+            return value  # a term stays a term, to fold into an outer product
+        poly = type(value) is tuple
+        terms: Dict = {}
+        chart = self._gather(terms, None, value, None) if poly else None
+        while op == "+" or op == "-":
+            at = self.pos
+            self.pos += 1
+            right = self.product()
+            if op == "-":
+                right = self._negate(right, at)
+            if poly and type(right) is tuple:
+                chart = self._gather(terms, chart, right, at)
+            else:
+                if poly:
+                    value, poly = self._sum(terms, chart), False
+                value = self._act(_Parser._add, value, right, at)
+            op = self.peek()
+        return self._sum(terms, chart) if poly else value
+
+    def product(self):
+        """Factors joined by * and /, folded left to right; a product of
+        plain factors stays one pending term."""
+        value = self.factor()
+        op = self.peek()
+        while op == "*" or op == "/":
+            at = self.pos
+            self.pos += 1
+            right = self.factor()
+            value = self._times(value, right, at) if op == "*" else self._divide(value, right, at)
+            op = self.peek()
+        return value
+
+    def factor(self):
+        """A leading sign with the factor after it (-x^2 is -(x^2)), or an
+        operand with its ^ exponents, each a signed factor or an operand."""
+        at = self.pos
+        op = self.peek()
+        if op == "-" or op == "+":
+            self.pos += 1
+            value = self.nested(at, self.factor)
+            return self._negate(value, at) if op == "-" else value
+        value = self.atom()
+        op = self.peek()
+        while op == "^":
+            at = self.pos
+            self.pos += 1
+            op = self.peek()
+            exponent = self.factor() if op == "-" or op == "+" else self.atom()
+            op = self.peek()  # the token after the exponent is reached before the power is taken
+            value = self._raise(value, exponent, at)
+        return value
 
     def atom(self):
-        tok = self.next()
-        if tok.kind == "int":
-            return GaussianRational(int(tok.text))
-        if tok.kind == "name":
-            return self._resolve(tok)
-        if tok.kind == "partial":
-            return self._partial(tok.text[3:], tok)
-        if tok.text == "(":
-            value = self.nested(tok)
+        at = self.pos
+        text = self.next()
+        if text.isdecimal():
+            return GaussianRational.coerce(int(text)), None, None
+        if text.isidentifier():
+            return self._resolve(text, at)
+        if text == "(":
+            value = self.nested(at, self.expression)
             self.expect(")")
             return value
-        self.fail(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input", tok)
+        if text.startswith("d/d"):
+            return self._partial(text[3:], at)
+        self.fail(f"unexpected token {text!r}" if text else "unexpected end of input", at)
 
-    # semantic actions --------------------------------------------------
-
-    def _resolve(self, tok: Token):
-        text = tok.text
+    def _resolve(self, name: str, at: int):
+        """The value of a name: a declared object, i, a coordinate, its
+        differential, a generator thK, or c0/c1."""
         doc = self.doc
-        for table in (doc.functions, doc.cfunctions, doc.fields, doc.forms):
-            if text in table:
-                return table[text]
-        if text == "i":
-            return GaussianRational(0, 1)
+        if name in doc.functions:
+            f = doc.functions[name]
+            return f.terms, f.chart
+        for table in (doc.cfunctions, doc.fields, doc.forms):
+            if name in table:
+                return table[name]
+        if name == "i":
+            return I, None, None
         chart = self.chart
         if chart is not None:
-            if text in chart.coords:
-                return chart.var(text)
-            if text.startswith("d") and text[1:] in chart.coords:
-                return KForm.differential(chart, text[1:])
-            if text.startswith("th"):
-                key = text, chart
-                value = doc._generators.get(key)
-                if value is not None:
-                    return value
-                m = re.fullmatch(r"th(\d+)", text)
-                if m:
-                    k = int(m.group(1))
-                    if not 1 <= k <= chart.generators:
-                        self.fail(f"Grassmann generator th{k} is out of range (N = {chart.generators})", tok)
-                    value = doc._generators[key] = chart.constant(GrassmannNumber.generator(k, chart.generators))
-                    return value
-        if text in ("c0", "c1"):
-            return CBasis(int(text[1]))
-        self.fail(f"undefined identifier {text!r}", tok)
+            e = (0,) * len(chart.even)
+            if name in chart.even:
+                k = chart.even.index(name)
+                return ONE, (e[:k] + (1,) + e[k + 1:], (), ()), chart
+            if name in chart.odd:
+                return ONE, (e, (chart.odd.index(name),), ()), chart
+            if name.startswith("d") and name[1:] in chart.coords:
+                return KForm.differential(chart, name[1:])
+            if name.startswith("th") and name[2:].isdecimal():
+                k = int(name[2:])
+                if not 1 <= k <= chart.generators:
+                    self.fail(f"Grassmann generator th{k} is out of range (N = {chart.generators})", at)
+                return ONE, (e, (), (k,)), chart
+        if name in ("c0", "c1"):
+            return CBasis(int(name[1]))
+        self.fail(f"undefined identifier {name!r}", at)
 
-    def _partial(self, coord: str, tok: Token) -> VectorField:
+    def _partial(self, coord: str, at: int) -> VectorField:
         if self.chart is None:
-            self.fail("no chart in scope for a partial derivative", tok)
+            self.fail("no chart in scope for a partial derivative", at)
         if coord not in self.chart.coords:
-            self.fail(f"unknown coordinate {coord!r}", tok)
+            self.fail(f"unknown coordinate {coord!r}", at)
         return self.chart.vector_field({coord: 1})
 
-    def _negate(self, val, tok):
-        if isinstance(val, (GaussianRational, SuperFunction, VectorField, KForm, CKForm, CFunction)):
-            return -val
-        self.fail("cannot negate this expression", tok)
+    # polynomials -----------------------------------------------------------
 
-    def _add(self, a, b, tok):
-        if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
-            return a + b
-        if self.chart is not None:
-            fa, fb = _as_function(a, self.chart), _as_function(b, self.chart)
-            if fa is not None and fb is not None:
-                return fa + fb
+    def _same_chart(self, left: Optional[Chart], right: Optional[Chart], at: int) -> None:
+        """Polynomials on two charts are refused in the engine's words; a
+        number lives on the chart in scope, as the engine lifts it."""
+        left, right = left or self.chart, right or self.chart
+        if left is not right and left != right:
+            self.fail(f"{right.name} vs {left.name}", at)
+
+    def _gather(self, terms: Dict, chart: Optional[Chart], value, at: Optional[int]) -> Optional[Chart]:
+        """Add the polynomial `value` into the sum `terms` on `chart`, None
+        while it holds only numbers; the chart of the sum after it."""
+        if at is not None:
+            self._same_chart(chart, value[-1], at)
+        if len(value) == 2:
+            for key, c in value[0].items():
+                accumulate(terms, key, c)
+        else:  # a number goes to the constant term of the chart in scope
+            accumulate(terms, value[1] or (self.chart and _one(self.chart)), value[0])
+        return chart or value[-1]
+
+    @staticmethod
+    def _sum(terms: Dict, chart: Optional[Chart]):
+        return (terms, chart) if chart is not None else (next(iter(terms.values()), ZERO), None, None)
+
+    def _negate(self, value, at: int):
+        if type(value) is tuple:
+            if len(value) == 3:
+                c, key, chart = value
+                return -c, key, chart
+            terms, chart = value
+            return {k: -c for k, c in terms.items()}, chart
+        if isinstance(value, (VectorField, KForm, CKForm, CFunction)):
+            return -value
+        self.fail("cannot negate this expression", at)
+
+    def _times(self, a, b, at: int):
+        """a * b.  A term times a term is one term; a number scales a sum;
+        two sums multiply out.  Any other operand goes to `_mul`."""
+        if type(a) is not tuple or type(b) is not tuple:
+            return self._act(_Parser._mul, a, b, at)
+        if len(a) == 3 and len(b) == 3:
+            (c1, k1, ch1), (c2, k2, ch2) = a, b
+            c = c1 if c2 is ONE else c2 if c1 is ONE else c1 * c2
+            if k2 is None:
+                return c, k1, ch1
+            if k1 is None:
+                return c, k2, ch2
+            self._same_chart(ch1, ch2, at)
+            sign, key = term_product(k1, k2)
+            return (c if sign > 0 else -c if sign else ZERO), key, ch1
+        if _is_number(a) or _is_number(b):
+            (c, _, _), (terms, chart) = (a, b) if _is_number(a) else (b, a)
+            return ({k: c * v for k, v in terms.items()} if c else {}), chart
+        ta, cha = ({a[1]: a[0]}, a[2]) if len(a) == 3 else a
+        tb, chb = ({b[1]: b[0]}, b[2]) if len(b) == 3 else b
+        self._same_chart(cha, chb, at)
+        out: Dict = {}
+        add_term_products(out, ta, tb)
+        return out, cha
+
+    def _divide(self, a, b, at: int):
+        if not _is_number(b):
+            self.fail("division only by scalars", at)
+        if not b[0]:
+            self.fail("division by zero", at)
+        return self._times((b[0].inverse(), None, None), a, at)
+
+    def _exponent(self, n: GaussianRational, at: int) -> int:
+        if not n.is_rational() or n.re.denominator != 1 or n.re < 0:
+            self.fail("power needs a nonnegative integer exponent", at)
+        return int(n.re)
+
+    def _raise(self, a, b, at: int):
+        """a ^ b.  A polynomial to a number's power: a term of even letters
+        multiplies its exponents, any other multiplies out, so an odd letter
+        or a generator squares to zero by the product's sign.  Any other
+        operand goes to `_pow`."""
+        if type(a) is not tuple or not _is_number(b):
+            return self._act(_Parser._pow, a, b, at)
+        n = self._exponent(b[0], at)
+        if n == 0:
+            chart = a[-1]
+            return ONE, None if chart is None else _one(chart), chart
+        if len(a) == 3 and (a[1] is None or not (a[1][1] or a[1][2])):
+            c, key, chart = a
+            if key is not None:
+                key = tuple(k * n for k in key[0]), (), ()
+            return _power(c, n, operator.mul), key, chart
+        return _power(a, n, lambda u, v: self._times(u, v, at))
+
+    # actions on engine objects -----------------------------------------
+
+    def _act(self, action, a, b, at: int):
+        """action(a, b) on the built operands; an engine error (operands on
+        two charts, generator counts or degrees) is a DslError at `at`."""
+        try:
+            return action(self, _built(a), _built(b), at)
+        except ValueError as exc:
+            raise self.error(str(exc), at) from exc
+
+    def _add(self, a, b, at: int):
         for kind in (VectorField, KForm, CKForm, CFunction):
             if isinstance(a, kind) and isinstance(b, kind):
                 return a + b
         if isinstance(a, CFunction) and _as_function(b, a.chart) is not None:
-            self.fail("cannot add a C-valued and a plain function; tag with c0/c1", tok)
+            self.fail("cannot add a C-valued and a plain function; tag with c0/c1", at)
         if isinstance(b, CFunction) and self.chart is not None and _as_function(a, self.chart) is not None:
-            self.fail("cannot add a C-valued and a plain function; tag with c0/c1", tok)
-        self.fail("incompatible operands for +", tok)
+            self.fail("cannot add a C-valued and a plain function; tag with c0/c1", at)
+        self.fail("incompatible operands for +", at)
 
-    def _sub(self, a, b, tok):
-        return self._add(a, self._negate(b, tok), tok)
-
-    def _mul(self, a, b, tok):
-        if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
-            return a * b
+    def _mul(self, a, b, at: int):
         if isinstance(b, CBasis):
             chart = self.chart
             if chart is None:
-                self.fail("no chart in scope for a C-valued expression", tok)
+                self.fail("no chart in scope for a C-valued expression", at)
             fa = _as_function(a, chart)
             if fa is not None:
-                parts = [chart.zero(), chart.zero()]
-                parts[b.alpha] = fa
-                return CFunction(parts[0], parts[1])
+                return CFunction(fa, chart.zero()) if b.alpha == 0 else CFunction(chart.zero(), fa)
             if isinstance(a, KForm):
                 zero = KForm.zero(chart, a.degree)
                 return CKForm(a, zero) if b.alpha == 0 else CKForm(zero, a)
-            self.fail("only functions and forms can be tagged with c0/c1", tok)
+            self.fail("only functions and forms can be tagged with c0/c1", at)
         if isinstance(a, CBasis):
-            self.fail("write the c0/c1 tag on the right of the factor", tok)
-        if isinstance(a, GaussianRational) and isinstance(b, (SuperFunction, VectorField, KForm, CKForm, CFunction)):
+            self.fail("write the c0/c1 tag on the right of the factor", at)
+        if isinstance(a, GaussianRational):
             return b.scale(a)
         if isinstance(b, GaussianRational):
-            return self._mul(b, a, tok) if not isinstance(a, SuperFunction) else a.scale(b)
+            return a.scale(b)
         if isinstance(a, SuperFunction):
-            if isinstance(b, SuperFunction):
-                return a * b
-            if isinstance(b, VectorField):
-                return b.left_multiply(a)
-            if isinstance(b, KForm):
+            if isinstance(b, (VectorField, KForm)):
                 return b.left_multiply(a)
             if isinstance(b, CFunction):
-                self.fail("multiply plain functions before tagging with c0/c1", tok)
+                self.fail("multiply plain functions before tagging with c0/c1", at)
         if isinstance(a, KForm):
             if isinstance(b, SuperFunction):
                 return a.right_multiply(b)
             if isinstance(b, KForm):
                 return wedge(a, b)
         if isinstance(a, VectorField) and isinstance(b, SuperFunction):
-            self.fail("write coefficients to the left of d/dz", tok)
-        self.fail("incompatible operands for *", tok)
+            self.fail("write coefficients to the left of d/dz", at)
+        self.fail("incompatible operands for *", at)
 
-    def _div(self, a, b, tok):
-        if not isinstance(b, GaussianRational):
-            self.fail("division only by scalars", tok)
-        if b.is_zero():
-            self.fail("division by zero", tok)
-        return self._mul(b.inverse(), a, tok)
-
-    def _pow(self, a, b, tok):
+    def _pow(self, a, b, at: int):
         if isinstance(b, GaussianRational):
-            if not b.is_rational() or b.re.denominator != 1 or b.re < 0:
-                self.fail("power needs a nonnegative integer exponent", tok)
-            n = int(b.re)
-            if isinstance(a, GaussianRational):
-                return _power(a, n, operator.mul) if n else GaussianRational(1)
-            if isinstance(a, SuperFunction):
-                return _power(a, n, operator.mul) if n else a.chart.one()
+            n = self._exponent(b, at)
             if isinstance(a, KForm):
                 if n == 0:
-                    self.fail("zeroth wedge power is not a form", tok)
+                    self.fail("zeroth wedge power is not a form", at)
                 return _power(a, n, wedge)
-            self.fail("cannot raise this expression to a power", tok)
+            self.fail("cannot raise this expression to a power", at)
         if isinstance(a, KForm) and isinstance(b, KForm):
             return wedge(a, b)
         if isinstance(a, KForm) and isinstance(b, SuperFunction):
             return wedge(a, KForm.from_function(b))
         if isinstance(a, SuperFunction) and isinstance(b, KForm):
             return wedge(KForm.from_function(a), b)
-        self.fail("incompatible operands for ^", tok)
-
-    _ACTIONS = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
+        self.fail("incompatible operands for ^", at)
 
     # comma lists and numbers -------------------------------------------
 
     def sequence(self, item: Callable[[], T]) -> List[T]:
         """item (, item)...: one or more items separated by commas."""
         out = [item()]
-        while self.peek().text == ",":
+        while self.peek() == ",":
             self.next()
             out.append(item())
         return out
@@ -373,14 +505,12 @@ class _Parser:
     def integer(self, what: str, signed: bool = False) -> int:
         """An integer token, after a minus sign if `signed` allows one."""
         sign = 1
-        if signed and self.peek().text == "-":
+        if signed and self.peek() == "-":
             self.next()
             sign = -1
-        tok = self.peek()
-        if tok.kind != "int":
-            self.fail(f"expected {what}", tok)
-        self.next()
-        return sign * int(tok.text)
+        if not self.peek().isdecimal():
+            self.fail(f"expected {what}")
+        return sign * int(self.next())
 
     def index_list(self) -> Tuple[int, ...]:
         """[i1, ..., ik] with 1-based basis indices, returned 0-based."""
@@ -391,12 +521,12 @@ class _Parser:
 
     def rational(self) -> Fraction:
         value = Fraction(self.integer("a number", signed=True))
-        if self.peek().text == "/":
+        if self.peek() == "/":
             self.next()
-            tok = self.peek()
+            at = self.pos
             denominator = self.integer("a denominator")
             if denominator == 0:
-                self.fail("division by zero", tok)
+                self.fail("division by zero", at)
             value = value / denominator
         return value
 
@@ -405,7 +535,7 @@ class _Parser:
 
         def row() -> List[Fraction]:
             self.expect("[")
-            entries = [] if self.peek().text == "]" else self.sequence(self.rational)
+            entries = [] if self.peek() == "]" else self.sequence(self.rational)
             self.expect("]")
             return entries
 
@@ -442,8 +572,6 @@ class Document:
         self.generators = generators  # of every chart the document declares
         # (text, chart) -> value of every evaluation that succeeded
         self._memo: Dict[Tuple[str, Optional[Chart]], object] = {}
-        # (thK, chart) -> the constant th_K, the value of every thK token on that chart
-        self._generators: Dict[Tuple[str, Chart], SuperFunction] = {}
 
     def evaluate(self, text: str, chart: Optional[Chart] = None):
         """Evaluate a standalone expression in this document's scope, on
@@ -454,21 +582,21 @@ class Document:
         value = self._memo.get(key)  # no expression has the value None
         if value is None:
             parser = _Parser(text, self, chart)
-            value = parser.expression()
-            if parser.peek().kind != "eof":
+            value = parser.value()
+            if parser.peek():
                 parser.fail("trailing input after expression")
             self._memo[key] = value
         return value
 
 
-def _register(parser: _Parser, kind: str, name: str, tok: Token, table: str, value) -> None:
+def _register(parser: _Parser, kind: str, name: str, at: int, table: str, value) -> None:
     """Declare `name` as `value` in `table`: a new name, on the chart the declaration names."""
     doc = parser.doc
     if any(name in getattr(doc, t) for t in TABLES):
-        parser.fail(f"name {name!r} already declared", tok)
+        parser.fail(f"name {name!r} already declared", at)
     chart = getattr(value, "chart", None)
     if chart is not None and chart != parser.chart:
-        parser.fail(f"{kind} {name} is on chart {chart.name!r}, not on {parser.chart.name!r}", tok)
+        parser.fail(f"{kind} {name} is on chart {chart.name!r}, not on {parser.chart.name!r}", at)
     doc.order.append((kind, name))
     getattr(doc, table)[name] = value
 
@@ -477,7 +605,7 @@ def parse(text: str, generators: int = DEFAULT_GENERATORS) -> Document:
     """Parse a document with N = `generators`; errors carry line/column positions."""
     doc = Document(generators=generators)
     parser = _Parser(text, doc)
-    while parser.peek().kind != "eof":
+    while parser.peek():
         _statement(parser)
     for name in TABLES:
         setattr(doc, name, MappingProxyType(getattr(doc, name)))
@@ -486,83 +614,87 @@ def parse(text: str, generators: int = DEFAULT_GENERATORS) -> Document:
 
 def _statement(parser: _Parser) -> None:
     doc = parser.doc
+    at = parser.pos
     head = parser.expect_name("declaration keyword")
-    name_tok = parser.expect_name()
-    name = name_tok.text
+    name_at = parser.pos
+    name = parser.expect_name()
 
-    if head.text == "chart":
+    if head == "chart":
         coords = {"even": (), "odd": ()}
         for parity in coords:
-            if parser.peek().text == parity:
+            if parser.peek() == parity:
                 parser.next()
-                coords[parity] = tuple(tok.text for tok in parser.sequence(parser.expect_name))
+                coords[parity] = tuple(parser.sequence(parser.expect_name))
         try:
             chart = Chart(name, coords["even"], coords["odd"], doc.generators)
         except ValueError as exc:
-            raise parser.error(str(exc), head) from exc
-        _register(parser, "chart", name, name_tok, "charts", chart)
+            raise parser.error(str(exc), at) from exc
+        _register(parser, "chart", name, name_at, "charts", chart)
         doc.current_chart = name
 
-    elif head.text in ON_CHART:
+    elif head in ON_CHART:
         chart_name = doc.current_chart
-        if parser.peek().text == "on":
+        if parser.peek() == "on":
             parser.next()
-            chart_name = parser.expect_name("chart name").text
+            chart_name = parser.expect_name("chart name")
         parser.expect("=")
         if chart_name not in doc.charts:
-            parser.fail(f"unknown chart {chart_name!r}" if chart_name else "no chart declared", head)
+            parser.fail(f"unknown chart {chart_name!r}" if chart_name else "no chart declared", at)
         chart = parser.chart = doc.charts[chart_name]
-        value = parser.expression()
-        if head.text == "fn":
+        value = parser.value()
+        if head == "fn":
             value = _as_function(value, chart)
             if value is None:
-                parser.fail("fn expects a plain superfunction", head)
-        elif head.text == "cfn":
+                parser.fail("fn expects a plain superfunction", at)
+        elif head == "cfn":
             if isinstance(value, (GaussianRational, SuperFunction)):
-                parser.fail("cfn expects c0/c1 components", head)
+                parser.fail("cfn expects c0/c1 components", at)
             if not isinstance(value, CFunction):
-                parser.fail("cfn expects a C-valued function", head)
-        elif head.text == "vf":
+                parser.fail("cfn expects a C-valued function", at)
+        elif head == "vf":
             if isinstance(value, GaussianRational) and value.is_zero():
                 value = VectorField(chart, {})
             if not isinstance(value, VectorField):
-                parser.fail("vf expects a vector field", head)
+                parser.fail("vf expects a vector field", at)
         else:
             if isinstance(value, (GaussianRational, SuperFunction)):
                 value = KForm.from_function(_as_function(value, chart))
             if not isinstance(value, KForm):
-                parser.fail("form expects a differential form", head)
-        _register(parser, head.text, name, name_tok, ON_CHART[head.text], value)
+                parser.fail("form expects a differential form", at)
+        _register(parser, head, name, name_at, ON_CHART[head], value)
 
-    elif head.text == "algebra":
+    elif head == "algebra":
         parities = _parities(parser)
-        brackets = _entries(parser, "bracket", "bracket", lambda: _basis_expression(parser, len(parities)), pairs=True)
+        brackets, _ = _entries(parser, "bracket", "bracket", lambda: _basis_expression(parser, len(parities)), pairs=True)
         from .liecoh import SuperLieAlgebra
 
         try:
             algebra = SuperLieAlgebra(parities, brackets)
         except ValueError as exc:
-            raise parser.error(f"parity mismatch or invalid bracket: {exc}", head) from exc
-        _register(parser, "algebra", name, name_tok, "algebras", algebra)
+            raise parser.error(f"parity mismatch or invalid bracket: {exc}", at) from exc
+        _register(parser, "algebra", name, name_at, "algebras", algebra)
 
-    elif head.text == "cocycle":
-        from .liecoh import CECochain
+    elif head == "cocycle":
+        from .liecoh import CECochain, CochainKeyError
 
         parser.expect("on")
-        alg_tok = parser.expect_name("algebra name")
-        if alg_tok.text not in doc.algebras:
-            parser.fail(f"unknown algebra {alg_tok.text!r}", alg_tok)
-        algebra = doc.algebras[alg_tok.text]
+        alg_at = parser.pos
+        alg_name = parser.expect_name("algebra name")
+        if alg_name not in doc.algebras:
+            parser.fail(f"unknown algebra {alg_name!r}", alg_at)
+        algebra = doc.algebras[alg_name]
         parser.expect("degree")
         degree = parser.integer("a degree")
-        values = _entries(parser, "values", "tuple", lambda: _cvalue_expression(parser))
+        values, where = _entries(parser, "values", "tuple", lambda: _cvalue_expression(parser))
         try:
             cochain = CECochain(algebra, degree, values)
+        except CochainKeyError as exc:
+            raise parser.error(str(exc), where[exc.key]) from exc
         except ValueError as exc:
-            raise parser.error(str(exc), head) from exc
-        _register(parser, "cocycle", name, name_tok, "cocycles", cochain)
+            raise parser.error(str(exc), at) from exc
+        _register(parser, "cocycle", name, name_at, "cocycles", cochain)
 
-    elif head.text == "heisenberg":
+    elif head == "heisenberg":
         from .heisenberg import HeisenbergSpec
 
         parities = _parities(parser)
@@ -573,15 +705,15 @@ def _statement(parser: _Parser) -> None:
         n = len(parities)
         for label, m in (("omega0", omega0), ("omega1", omega1)):
             if len(m) != n or any(len(row) != n for row in m):
-                parser.fail(f"{label} must be {n}x{n}", head)
+                parser.fail(f"{label} must be {n}x{n}", at)
         try:
             spec = HeisenbergSpec(parities, omega0, omega1)
         except ValueError as exc:
-            raise parser.error(str(exc), head) from exc
-        _register(parser, "heisenberg", name, name_tok, "heisenbergs", spec)
+            raise parser.error(str(exc), at) from exc
+        _register(parser, "heisenberg", name, name_at, "heisenbergs", spec)
 
     else:
-        parser.fail(f"unknown declaration {head.text!r}", head)
+        parser.fail(f"unknown declaration {head!r}", at)
 
     parser.expect(";")
 
@@ -592,67 +724,73 @@ def _parities(parser: _Parser) -> List[int]:
     return parser.sequence(lambda: parser.integer("an integer", signed=True))
 
 
-def _entries(parser: _Parser, keyword: str, what: str, value: Callable[[], T], pairs: bool = False) -> Dict[Tuple[int, ...], T]:
+def _entries(
+    parser: _Parser, keyword: str, what: str, value: Callable[[], T], pairs: bool = False
+) -> Tuple[Dict[Tuple[int, ...], T], Dict[Tuple[int, ...], int]]:
     """An optional list  keyword [i, ...] = value (, [i, ...] = value)...  as
-    a dict from 0-based index tuples, two indices each if `pairs`; a key
-    given twice must have one value, zero included."""
+    a dict from 0-based index tuples, two indices each if `pairs`, and the
+    token of each key's first "["; a key given twice must have one value,
+    zero included."""
     out: Dict[Tuple[int, ...], T] = {}
-    if parser.peek().text != keyword:
-        return out
+    where: Dict[Tuple[int, ...], int] = {}
+    if parser.peek() != keyword:
+        return out, where
     parser.next()
 
     def entry() -> None:
-        tok = parser.peek()
+        at = parser.pos
         key = parser.index_list()
         if pairs and len(key) != 2:
-            parser.fail(f"a {what} takes two basis indices", tok)
+            parser.fail(f"a {what} takes two basis indices", at)
         parser.expect("=")
         val = value()
         if out.setdefault(key, val) != val:
-            parser.fail(f"conflicting values on {what} {key}", tok)
+            parser.fail(f"conflicting values on {what} {key}", at)
+        where.setdefault(key, at)
 
     parser.sequence(entry)
-    return out
+    return out, where
 
 
-def _signed_sum(parser: _Parser, what: str, basis: Callable[[Token], object]) -> Dict[object, Fraction]:
+def _signed_sum(parser: _Parser, what: str, basis: Callable[[str, int], object]) -> Dict[object, Fraction]:
     """Signed sum  [-] t (+|- t)...  of terms t = q*b, b or 0 with rational q.
 
-    `basis(tok)` maps a basis-vector token to its key, or fails with its
-    own message; a coefficient must be followed by `*` unless it is 0.
+    `basis(text, at)` maps the basis-vector token number `at` to its key, or
+    fails with its own message; a coefficient must be followed by `*` unless
+    it is 0.
     """
     out: Dict[object, Fraction] = {}
     sign = 1
-    if parser.peek().text == "-":
+    if parser.peek() == "-":
         parser.next()
         sign = -1
     while True:
         coeff, has_basis = Fraction(1), True
-        if parser.peek().kind == "int":
+        if parser.peek().isdecimal():
             coeff = parser.rational()
-            has_basis = parser.peek().text == "*"
+            has_basis = parser.peek() == "*"
             if has_basis:
                 parser.next()
             elif coeff:
                 parser.fail(f"expected {what} after the coefficient")
         if has_basis:
-            key = basis(parser.peek())
+            key = basis(parser.peek(), parser.pos)
             parser.next()
             accumulate(out, key, sign * coeff)
-        if parser.peek().text not in ("+", "-"):
+        if parser.peek() not in ("+", "-"):
             return out
-        sign = 1 if parser.next().text == "+" else -1
+        sign = 1 if parser.next() == "+" else -1
 
 
 def _basis_expression(parser: _Parser, dimension: int) -> Dict[int, Fraction]:
     """Linear combination of e1..en with rational coefficients."""
 
-    def basis(tok: Token) -> int:
-        if tok.kind != "name" or not re.fullmatch(r"e\d+", tok.text):
+    def basis(text: str, at: int) -> int:
+        if text[:1] != "e" or not text[1:].isdecimal():
             parser.fail("expected a basis vector e<k>")
-        k = int(tok.text[1:])
+        k = int(text[1:])
         if not 1 <= k <= dimension:
-            parser.fail(f"basis index e{k} out of range", tok)
+            parser.fail(f"basis index e{k} out of range", at)
         return k - 1
 
     return _signed_sum(parser, "a basis vector e<k>", basis)
@@ -661,10 +799,10 @@ def _basis_expression(parser: _Parser, dimension: int) -> Dict[int, Fraction]:
 def _cvalue_expression(parser: _Parser) -> Tuple[Fraction, Fraction]:
     """Linear combination of c0 and c1 with rational coefficients."""
 
-    def basis(tok: Token) -> int:
-        if tok.text not in ("c0", "c1"):
+    def basis(text: str, at: int) -> int:
+        if text not in ("c0", "c1"):
             parser.fail("expected c0 or c1")
-        return int(tok.text[1])
+        return int(text[1])
 
     out = _signed_sum(parser, "c0 or c1", basis)
     return out.get(0, Fraction(0)), out.get(1, Fraction(0))

@@ -136,6 +136,15 @@ def _pair(alpha: int, v: Fraction) -> Tuple[Fraction, Fraction]:
     return (Fraction(0), v) if alpha else (v, Fraction(0))
 
 
+class CochainKeyError(ValueError):
+    """A key of another length, or a value that contradicts an earlier key
+    once both are sorted, refused at the key given."""
+
+    def __init__(self, message: str, key: Key):
+        super().__init__(message)
+        self.key = key
+
+
 class CECochain(Linear):
     """Even C-valued k-cochain on a super Lie algebra.
 
@@ -157,7 +166,7 @@ class CECochain(Linear):
             given: Dict[Key, Fraction] = {}  # zeros included, so a later key cannot contradict one
             for key, val in values.items():
                 if len(key) != degree:
-                    raise ValueError(f"tuple {tuple(key)} needs {degree} indices")
+                    raise CochainKeyError(f"tuple {tuple(key)} needs {degree} indices", key)
                 if not all(0 <= i < len(g.parities) for i in key):
                     raise ValueError(f"basis index out of range in tuple {tuple(key)}")
                 sign, canon = sort_with_sign(g.parities, key)
@@ -173,7 +182,7 @@ class CECochain(Linear):
                     )
                 v = val[parity] * sign
                 if given.setdefault(canon, v) != v:
-                    raise ValueError(f"conflicting values on tuple {canon}")
+                    raise CochainKeyError(f"conflicting values on tuple {canon}", key)
                 if v:
                     self.terms[canon] = v
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import builtins
+import json
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -545,6 +548,38 @@ def test_load_cover_refuses_a_repeated_vertex(line):
     with pytest.raises(NerveError) as err:
         load_cover(f"simplex 0 1\n{line}\n")
     assert str(err.value) == f"cover file line 2: repeated vertex in {verts}"
+
+
+BAD_COVER_LINES = [
+    ("f 0 x = 1", "bad vertex 'x'"),
+    ("simplex 0 1 = 2", "bad vertex '='"),
+    ("a 0 1 2 = ", "missing value after '='"),
+    ("d =", "missing value after '='"),
+    ("f 0 1 = x", "bad value 'x'"),
+]
+BUILTIN_NAMES = [name for name in dir(builtins) if not name.startswith("_")]
+
+
+@pytest.mark.parametrize("line, message", BAD_COVER_LINES)
+def test_load_cover_names_the_bad_vertex_or_the_missing_value(line, message):
+    """These lines used to report Python's own messages, such as
+    "invalid literal for int() with base 10" or "list index out of range"."""
+    with pytest.raises(NerveError) as err:
+        load_cover(f"simplex 0 1\n{line}\n")
+    assert str(err.value) == f"cover file line 2: {message}"
+    assert not [name for name in BUILTIN_NAMES if re.search(rf"\b{name}\b", str(err.value))]
+
+
+@pytest.mark.parametrize("line, message", BAD_COVER_LINES)
+def test_cech_periods_exits_2_on_a_bad_cover_line(capsys, tmp_path, line, message):
+    from supersymp.cli import main
+
+    path = tmp_path / "bad.cov"
+    path.write_text(f"simplex 0 1\n{line}\n")
+    assert main(["cech", "periods", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"cover file line 2: {message}"
 
 
 def test_build_nerve_refuses_the_empty_simplex():

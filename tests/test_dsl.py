@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_field, random_superfunction
-from supersymp.charts import CFunction, Chart
+from supersymp.charts import CFunction, Chart, SuperFunction
 from supersymp.dsl import DslError, parse, render
 from supersymp.forms import CKForm, KForm, contract, wedge
 from supersymp.grassmann import GrassmannNumber
@@ -228,7 +228,7 @@ def test_index_list_errors_carry_positions(text, message, col):
         ("algebra g parities 0,0,0 bracket [1,2] = e3, [1,2] = 2*e3;", "conflicting values on bracket (0, 1)", 46),
         ("algebra g parities 0,0,0 bracket [1,2] = 0, [1,3] = e2, [1,2] = e3;", "conflicting values on bracket (0, 1)", 57),
         ("algebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = c0, [1,2] = 0;", "conflicting values on tuple (0, 1)", 69),
-        ("algebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = 0, [2,1] = 3*c0;", "conflicting values on tuple (0, 1)", 26),
+        ("algebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = 0, [2,1] = 3*c0;", "conflicting values on tuple (0, 1)", 68),
     ],
 )
 def test_a_key_given_twice_needs_one_value(text, message, col):
@@ -245,7 +245,7 @@ def test_a_cochain_key_of_another_length_is_refused_at_its_declaration():
     with pytest.raises(DslError) as err:
         parse("\nalgebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = c0, [2] = c0;")
     assert err.value.message == "tuple (1,) needs 2 indices"
-    assert (err.value.line, err.value.col) == (2, 26)
+    assert (err.value.line, err.value.col) == (2, 69)
 
 
 def test_a_key_repeated_with_its_value_is_accepted():
@@ -388,21 +388,20 @@ def test_one_text_on_two_charts_gives_two_values():
     assert on_m != on_n
 
 
-def test_a_generator_token_is_one_object_per_document_and_chart():
-    """Every thK on one chart of one document is the same constant; another
-    chart, one with another generator count, or another document builds its
-    own.  A parenthesis returns its operand, so "(th1)" is the token's value."""
+def test_a_generator_token_is_read_on_the_chart_in_scope():
+    """thK is the constant th_K on the chart it is read on, with that chart's
+    generator count; a parenthesis returns its operand."""
     doc = parse(MEMO_DOC)
     m, n = doc.charts["M"], doc.charts["N"]
     th1 = doc.evaluate("th1", m)
     assert th1 == m.constant(GrassmannNumber.generator(1, 6))
-    assert doc.evaluate("(th1)", m) is th1
-    assert doc.evaluate("(th1)", n) is not th1 and doc.evaluate("(th1)", n).chart == n
+    assert doc.evaluate("(th1)", m) == th1
+    assert doc.evaluate("(th1)", n) == n.constant(GrassmannNumber.generator(1, 6))
     small = Chart("M", m.even, m.odd, 4)
-    on_small = doc.evaluate("(th1)", small)
-    assert on_small is not th1 and on_small == small.constant(GrassmannNumber.generator(1, 4))
-    assert doc.evaluate("th1", small) is on_small
-    assert parse(MEMO_DOC).evaluate("(th1)", m) is not th1
+    assert doc.evaluate("(th1)", small) == small.constant(GrassmannNumber.generator(1, 4))
+    with pytest.raises(DslError) as err:
+        doc.evaluate("th5", small)
+    assert err.value.message == "Grassmann generator th5 is out of range (N = 4)"
 
 
 @pytest.mark.parametrize(
@@ -489,3 +488,102 @@ def test_forms_tagged_and_multiplied_match_the_engine_products():
     assert doc.evaluate("dxi^f") == dxi.left_multiply(f.involution())
     assert doc.evaluate("dxi^f") != doc.evaluate("f^dxi")
     assert doc.evaluate("dx^f") == doc.evaluate("f^dx") == dx.left_multiply(f)
+
+
+SIGN_DOC = "chart M even x,y odd xi,eta;"
+
+
+def _term(chart, coefficient, exponents=(0, 0), word=(), generators=()):
+    """c th_I x^a xi_w written out as its one term, with no product taken."""
+    grassmann = GrassmannNumber(chart.generators, {tuple(generators): coefficient})
+    return SuperFunction(chart, {(tuple(exponents), tuple(word)): grassmann})
+
+
+def _th(chart, k):
+    return chart.constant(GrassmannNumber.generator(k, chart.generators))
+
+
+@pytest.mark.parametrize(
+    "text, ring, sign, exponents, word, generators",
+    [
+        ("th2*th1", lambda m: _th(m, 2) * _th(m, 1), -1, (0, 0), (), (1, 2)),
+        ("eta*xi", lambda m: m.var("eta") * m.var("xi"), -1, (0, 0), (0, 1), ()),
+        ("xi*th1", lambda m: m.var("xi") * _th(m, 1), -1, (0, 0), (0,), (1,)),
+        ("th1*xi", lambda m: _th(m, 1) * m.var("xi"), 1, (0, 0), (0,), (1,)),
+        ("x*th1*xi", lambda m: m.var("x") * _th(m, 1) * m.var("xi"), 1, (1, 0), (0,), (1,)),
+        ("xi*th2*th1", lambda m: m.var("xi") * _th(m, 2) * _th(m, 1), -1, (0, 0), (0,), (1, 2)),
+        ("xi*eta*th1", lambda m: m.var("xi") * m.var("eta") * _th(m, 1), 1, (0, 0), (0, 1), (1,)),
+        ("xi*xi", lambda m: m.var("xi") * m.var("xi"), 0, (0, 0), (), ()),
+        ("th1^2", lambda m: _th(m, 1) * _th(m, 1), 0, (0, 0), (), ()),
+        ("xi^2", lambda m: m.var("xi") * m.var("xi"), 0, (0, 0), (), ()),
+        ("xi^0", lambda m: m.one(), 1, (0, 0), (), ()),
+        ("(xi*eta)^1", lambda m: m.var("xi") * m.var("eta"), 1, (0, 0), (0, 1), ()),
+        ("-(eta*xi)^1", lambda m: -(m.var("eta") * m.var("xi")), 1, (0, 0), (0, 1), ()),
+    ],
+)
+def test_a_product_in_any_letter_order_has_the_graded_sign(text, ring, sign, exponents, word, generators):
+    """Moving an odd letter or a generator past another costs -1, and a
+    repeated one is 0: the text equals the product the SuperFunction ring
+    builds and the one term written out with its sign."""
+    m = parse(SIGN_DOC).charts["M"]
+    value = parse(SIGN_DOC).evaluate(text, m)
+    assert value == ring(m)
+    assert value == _term(m, sign, exponents, word, generators)
+
+
+def _oracle(chart, atoms):
+    """The product of `atoms` in canonical form, its sign counted as the
+    inversions of its odd letters (generators before odd coordinates)."""
+    coefficient, exponents, odd = Fraction(1), [0, 0], []
+    for kind, k in atoms:
+        if kind == "n":
+            coefficient *= k
+        elif kind == "x":
+            exponents[k] += 1
+        else:
+            odd.append((0, k) if kind == "th" else (1, k))
+    if len(set(odd)) < len(odd):
+        return chart.zero()
+    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    generators = tuple(sorted(k for kind, k in odd if kind == 0))
+    word = tuple(sorted(k for kind, k in odd if kind == 1))
+    return _term(chart, coefficient * (-1) ** inversions, exponents, word, generators)
+
+
+def test_random_orders_of_plain_atoms_have_the_graded_sign():
+    doc = parse(SIGN_DOC)
+    m = doc.charts["M"]
+    names = {"x": m.even, "xi": m.odd}
+    rng = random.Random(34)
+    pool = [("n", -2), ("n", 3), ("x", 0), ("x", 1), ("xi", 0), ("xi", 1), ("th", 1), ("th", 2), ("th", 3)]
+    for _ in range(300):
+        atoms = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        words = [f"({k})" if kind == "n" else f"th{k}" if kind == "th" else names[kind][k] for kind, k in atoms]
+        cut = rng.randint(0, len(words))
+        if 0 < cut < len(words) and rng.random() < 0.5:  # a parenthesised product folds as one term
+            words = [f"({'*'.join(words[:cut])})"] + words[cut:]
+        text = "*".join(words)
+        ring = m.one()
+        for kind, k in atoms:
+            ring = ring * (m.constant(k) if kind == "n" else _th(m, k) if kind == "th" else m.var(names[kind][k]))
+        expected = _oracle(m, atoms)
+        assert ring == expected, text
+        assert doc.evaluate(text, m) == expected, text
+
+
+@pytest.mark.parametrize(
+    "deepest, too_deep",
+    [
+        ("(" * 100 + "2*x" + ")" * 100, "(" * 101 + "2*x" + ")" * 101),
+        ("-" * 100 + "x", "-" * 101 + "x"),
+        ("-(" * 50 + "x" + ")" * 50, "-(" * 51 + "x" + ")" * 51),
+    ],
+    ids=["parenthesised_product", "signs", "signed_parentheses"],
+)
+def test_the_nesting_limit_holds_inside_a_folded_product(deepest, too_deep):
+    doc = parse("chart M even x;")
+    x = doc.charts["M"].var("x")
+    assert doc.evaluate(deepest) in (x, x.scale(2))
+    with pytest.raises(DslError) as err:
+        doc.evaluate(too_deep)
+    assert (err.value.message, err.value.line, err.value.col) == ("expression nested deeper than 100 levels", 1, 101)
