@@ -370,17 +370,19 @@ def load_cover(text: str) -> Cover:
             if parts[0] == "simplex" or parts[0] in ("f", "a") and "=" in parts:
                 eq = len(parts) if parts[0] == "simplex" else parts.index("=")
                 verts = tuple(_vertex(p) for p in parts[1:eq])
-                if len(set(verts)) < len(verts):
+                sign, canon = graded_sort(verts)
+                if not sign:
                     raise ValueError(f"repeated vertex in {verts}")
             if parts[0] == "simplex":
                 simplices.append(verts)
             elif parts[0] in ("f", "a") and "=" in parts:
-                val = _value(parts, eq)
+                val = _value(parts, eq) * sign
                 expect = 2 if parts[0] == "f" else 3
                 if len(verts) != expect:
                     raise ValueError(f"{parts[0]}-line needs {expect} vertices")
-                if (f_vals if parts[0] == "f" else a_vals).setdefault(verts, val) != val:
-                    raise ValueError(f"conflicting values on {verts}")
+                # checked on the sorted key, so (1, 0) = 1 then (0, 1) = 1 conflict at their line
+                if (f_vals if parts[0] == "f" else a_vals).setdefault(canon, val) != val:
+                    raise ValueError(f"conflicting values on {canon}")
             elif parts[0] == "d" and parts[1:2] == ["="]:
                 val = _value(parts, 1)
                 if val < 0:

@@ -13,24 +13,24 @@ cover the text: a character the language does not use is the `bad` half of
 its pair, and ("", "") ends the list.  Tokens carry no offsets; a
 `DslError` matches the text again to find its token's line and column.
 
-One pass reads a document.  An expression is products joined by ``+ -``, a
-product is factors joined by ``* /``, and a factor is an operand with its
-``^`` exponents or a leading sign with the factor after it.  Every operator
-is left-associative: `2*x^2` is 2x^2, `-x^2` is -(x^2) and `x^2^3` is x^6,
-as the printers mean them, so printed objects read back as themselves.
-Each operator applies at its own token as it is read, so there is no syntax
-tree, and the first error in reading order is the one reported.
-`_Parser.sequence` reads every comma list.
+One pass reads a document.  `_Parser.expression` is one precedence-climbing
+loop over the binding powers `+ -` 1, `* /` 2, a leading sign 3 and `^` 4,
+every operator left-associative: `2*x^2` is 2x^2, `-x^2` is -(x^2) and
+`x^2^3` is x^6, as the printers mean them, so printed objects read back as
+themselves.  Each operator applies its action in `_ACTIONS` at its own token
+as it is read, so there is no syntax tree, and the first error in reading
+order is the one reported.  `_Parser.sequence` reads every comma list.
 
-Polynomials are folded, not built.  A product of numbers, coordinates,
-``thK``, ``i``, powers and divisors by numbers, parenthesised or not, is
-one pending term (c, key, chart), with key = (e, w, I) as in `charts` (None
-for a number); each factor multiplies it by `charts.term_product`.  The
-terms of a sum go into one dict, (terms, chart), and a factor of several
-terms multiplies out.  One `SuperFunction`, or one `GaussianRational` if no
-letter was read, is built only at the end of the expression or when the
-polynomial meets a form, a field, ``d/dx``, ``c0``/``c1`` or a C-valued
-function, which the actions `_mul`, `_add` and `_pow` take.
+The actions fold polynomials instead of building them.  A product of
+numbers, coordinates, ``thK``, ``i``, powers and divisors by numbers is one
+pending term (c, key, chart), with key = (e, w, I) as in `charts` (None for
+a number); `*` multiplies terms by `charts.term_product`, and `^` multiplies
+out through `*`.  `+` adds into the one dict of a sum (terms, chart), and a
+factor of several terms multiplies out.  One `SuperFunction`, or one
+`GaussianRational` if no letter was read, is built only at the end of the
+expression or when the polynomial meets a form, a field, ``d/dx``,
+``c0``/``c1`` or a C-valued function, which the engine actions `_add`,
+`_mul` and `_pow` take.
 
 A `Document` from `parse` is read-only: its eight name tables are
 `MappingProxyType` views, so the names an expression can resolve are fixed
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-import operator
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
@@ -103,6 +102,10 @@ def _offset(text: str, pos: int) -> int:
 T = TypeVar("T")
 
 MAX_NESTING = 100  # parentheses and signs; keeps parsing off the recursion limit
+
+# binding powers of the infix operators, and of a leading sign: -x^2 is -(x^2)
+BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+PREFIX = 3
 
 
 class CBasis:
@@ -208,12 +211,12 @@ class _Parser:
 
     # expressions ------------------------------------------------------
 
-    def nested(self, at: int, read: Callable[[], T]) -> T:
-        """read() one nesting level deeper than token `at`."""
+    def nested(self, at: int, floor: int = 0):
+        """expression(floor) one nesting level deeper than token `at`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels", at)
-        value = read()
+        value = self.expression(floor)
         self.depth -= 1
         return value
 
@@ -221,64 +224,28 @@ class _Parser:
         """An expression as the engine's object."""
         return _built(self.expression())
 
-    def expression(self):
-        """Products joined by + and -.  The products of a polynomial are
-        added into one terms dict; a non-polynomial product makes the sum an
-        object, and `_add` adds every later product to it."""
-        value = self.product()
-        op = self.peek()
-        if op != "+" and op != "-":
-            return value  # a term stays a term, to fold into an outer product
-        poly = type(value) is tuple
-        terms: Dict = {}
-        chart = self._gather(terms, None, value, None) if poly else None
-        while op == "+" or op == "-":
-            at = self.pos
-            self.pos += 1
-            right = self.product()
-            if op == "-":
-                right = self._negate(right, at)
-            if poly and type(right) is tuple:
-                chart = self._gather(terms, chart, right, at)
-            else:
-                if poly:
-                    value, poly = self._sum(terms, chart), False
-                value = self._act(_Parser._add, value, right, at)
-            op = self.peek()
-        return self._sum(terms, chart) if poly else value
-
-    def product(self):
-        """Factors joined by * and /, folded left to right; a product of
-        plain factors stays one pending term."""
-        value = self.factor()
-        op = self.peek()
-        while op == "*" or op == "/":
-            at = self.pos
-            self.pos += 1
-            right = self.factor()
-            value = self._times(value, right, at) if op == "*" else self._divide(value, right, at)
-            op = self.peek()
-        return value
-
-    def factor(self):
-        """A leading sign with the factor after it (-x^2 is -(x^2)), or an
-        operand with its ^ exponents, each a signed factor or an operand."""
+    def expression(self, floor: int = 0):
+        """An operand, then each operator that binds tighter than `floor`
+        with its right operand, applied at its token by `_ACTIONS`.  A right
+        operand stops at an operator of its own power, so all five associate
+        to the left and a flat chain folds here."""
         at = self.pos
         op = self.peek()
         if op == "-" or op == "+":
             self.pos += 1
-            value = self.nested(at, self.factor)
-            return self._negate(value, at) if op == "-" else value
-        value = self.atom()
-        op = self.peek()
-        while op == "^":
+            value = self.nested(at, PREFIX)
+            if op == "-":
+                value = self._negate(value, at)
+        else:
+            value = self.atom()
+        while True:
+            op = self.peek()
+            power = BINDING.get(op, 0)
+            if power <= floor:
+                return value
             at = self.pos
             self.pos += 1
-            op = self.peek()
-            exponent = self.factor() if op == "-" or op == "+" else self.atom()
-            op = self.peek()  # the token after the exponent is reached before the power is taken
-            value = self._raise(value, exponent, at)
-        return value
+            value = self._ACTIONS[op](self, value, self.expression(power), at)
 
     def atom(self):
         at = self.pos
@@ -288,7 +255,7 @@ class _Parser:
         if text.isidentifier():
             return self._resolve(text, at)
         if text == "(":
-            value = self.nested(at, self.expression)
+            value = self.nested(at)
             self.expect(")")
             return value
         if text.startswith("d/d"):
@@ -301,7 +268,7 @@ class _Parser:
         doc = self.doc
         if name in doc.functions:
             f = doc.functions[name]
-            return f.terms, f.chart
+            return dict(f.terms), f.chart  # a copy: `_plus` adds into a sum's own dict
         for table in (doc.cfunctions, doc.fields, doc.forms):
             if name in table:
                 return table[name]
@@ -342,21 +309,15 @@ class _Parser:
         if left is not right and left != right:
             self.fail(f"{right.name} vs {left.name}", at)
 
-    def _gather(self, terms: Dict, chart: Optional[Chart], value, at: Optional[int]) -> Optional[Chart]:
-        """Add the polynomial `value` into the sum `terms` on `chart`, None
-        while it holds only numbers; the chart of the sum after it."""
-        if at is not None:
-            self._same_chart(chart, value[-1], at)
-        if len(value) == 2:
-            for key, c in value[0].items():
+    def _into(self, terms: Dict, p) -> Dict:
+        """Add the polynomial `p` into `terms`; a number goes to the constant
+        term of the chart in scope."""
+        if len(p) == 2:
+            for key, c in p[0].items():
                 accumulate(terms, key, c)
-        else:  # a number goes to the constant term of the chart in scope
-            accumulate(terms, value[1] or (self.chart and _one(self.chart)), value[0])
-        return chart or value[-1]
-
-    @staticmethod
-    def _sum(terms: Dict, chart: Optional[Chart]):
-        return (terms, chart) if chart is not None else (next(iter(terms.values()), ZERO), None, None)
+        else:
+            accumulate(terms, p[1] or (self.chart and _one(self.chart)), p[0])
+        return terms
 
     def _negate(self, value, at: int):
         if type(value) is tuple:
@@ -368,6 +329,20 @@ class _Parser:
         if isinstance(value, (VectorField, KForm, CKForm, CFunction)):
             return -value
         self.fail("cannot negate this expression", at)
+
+    def _plus(self, a, b, at: int):
+        """a + b.  The terms of b go into the dict of the sum a, which is its
+        own (a term starts one); a sum in which no letter was read is a
+        number.  Any other operand goes to `_add`."""
+        if type(a) is not tuple or type(b) is not tuple:
+            return self._act(_Parser._add, a, b, at)
+        self._same_chart(a[-1], b[-1], at)
+        terms = self._into(a[0] if len(a) == 2 else self._into({}, a), b)
+        chart = a[-1] or b[-1]
+        return (terms, chart) if chart is not None else (next(iter(terms.values()), ZERO), None, None)
+
+    def _minus(self, a, b, at: int):
+        return self._plus(a, self._negate(b, at), at)
 
     def _times(self, a, b, at: int):
         """a * b.  A term times a term is one term; a number scales a sum;
@@ -407,22 +382,18 @@ class _Parser:
         return int(n.re)
 
     def _raise(self, a, b, at: int):
-        """a ^ b.  A polynomial to a number's power: a term of even letters
-        multiplies its exponents, any other multiplies out, so an odd letter
-        or a generator squares to zero by the product's sign.  Any other
-        operand goes to `_pow`."""
+        """a ^ b.  A polynomial to a number's power multiplies out through
+        `_times`, so an odd letter or a generator squares to zero by the
+        product's sign.  Any other operand goes to `_pow`."""
         if type(a) is not tuple or not _is_number(b):
             return self._act(_Parser._pow, a, b, at)
         n = self._exponent(b[0], at)
         if n == 0:
             chart = a[-1]
             return ONE, None if chart is None else _one(chart), chart
-        if len(a) == 3 and (a[1] is None or not (a[1][1] or a[1][2])):
-            c, key, chart = a
-            if key is not None:
-                key = tuple(k * n for k in key[0]), (), ()
-            return _power(c, n, operator.mul), key, chart
         return _power(a, n, lambda u, v: self._times(u, v, at))
+
+    _ACTIONS = {"+": _plus, "-": _minus, "*": _times, "/": _divide, "^": _raise}
 
     # actions on engine objects -----------------------------------------
 
@@ -690,8 +661,6 @@ def _statement(parser: _Parser) -> None:
             cochain = CECochain(algebra, degree, values)
         except CochainKeyError as exc:
             raise parser.error(str(exc), where[exc.key]) from exc
-        except ValueError as exc:
-            raise parser.error(str(exc), at) from exc
         _register(parser, "cocycle", name, name_at, "cocycles", cochain)
 
     elif head == "heisenberg":

@@ -137,8 +137,9 @@ def _pair(alpha: int, v: Fraction) -> Tuple[Fraction, Fraction]:
 
 
 class CochainKeyError(ValueError):
-    """A key of another length, or a value that contradicts an earlier key
-    once both are sorted, refused at the key given."""
+    """A key of another length or off the basis, a value the key's parity or
+    sign forbids, or one that contradicts an earlier key once both are
+    sorted, refused at the key given."""
 
     def __init__(self, message: str, key: Key):
         super().__init__(message)
@@ -168,18 +169,16 @@ class CECochain(Linear):
                 if len(key) != degree:
                     raise CochainKeyError(f"tuple {tuple(key)} needs {degree} indices", key)
                 if not all(0 <= i < len(g.parities) for i in key):
-                    raise ValueError(f"basis index out of range in tuple {tuple(key)}")
+                    raise CochainKeyError(f"basis index out of range in tuple {tuple(key)}", key)
                 sign, canon = sort_with_sign(g.parities, key)
                 if sign == 0:
                     if val != (0, 0):
-                        raise ValueError(f"value on vanishing tuple {key}")
+                        raise CochainKeyError(f"value on vanishing tuple {key}", key)
                     continue
                 val = (Fraction(val[0]), Fraction(val[1]))
                 parity = tuple_parity(g.parities, canon)
                 if val[1 - parity] != 0:
-                    raise ValueError(
-                        f"evenness violated on {key}: component c{1 - parity} must vanish"
-                    )
+                    raise CochainKeyError(f"evenness violated on {key}: component c{1 - parity} must vanish", key)
                 v = val[parity] * sign
                 if given.setdefault(canon, v) != v:
                     raise CochainKeyError(f"conflicting values on tuple {canon}", key)

@@ -582,6 +582,22 @@ def test_cech_periods_exits_2_on_a_bad_cover_line(capsys, tmp_path, line, messag
     assert json.loads(captured.err)["error"] == f"cover file line 2: {message}"
 
 
+def test_a_conflict_found_by_sorting_is_reported_at_its_line(capsys, tmp_path):
+    """f(1, 0) = 1 and f(0, 1) = 1 contradict each other only once sorted;
+    the conflict used to be found after the loop, with no line number."""
+    from supersymp.cli import main
+
+    text = "simplex 0 1 2\nf 1 0 = 1\nf 0 1 = 1\n"
+    with pytest.raises(NerveError, match=r"^cover file line 3: conflicting values on \(0, 1\)$"):
+        load_cover(text)
+    path = tmp_path / "bad.cov"
+    path.write_text(text)
+    assert main(["cech", "periods", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "cover file line 3: conflicting values on (0, 1)"
+
+
 def test_build_nerve_refuses_the_empty_simplex():
     """The empty simplex used to raise a bare KeyError: -1."""
     with pytest.raises(NerveError, match=r"^empty simplex \(\)$"):
@@ -611,11 +627,12 @@ def test_a_key_out_of_vertex_order_is_skew():
 ])
 def test_conflicting_cochain_values_are_refused(values):
     """Two values on one simplex must agree up to the key's sign, a zero
-    included: (0, 1) = 0 then (1, 0) = 3 used to load as f(0, 1) = -3."""
+    included: (0, 1) = 0 then (1, 0) = 3 used to load as f(0, 1) = -3.  A
+    cover file names the line of the second key, which it compares sorted."""
     with pytest.raises(NerveError, match=r"^conflicting values on \(0, 1\)$"):
         CechCochain(solid_triangle(), 1, values)
     text = "".join(f"f {i} {j} = {v}\n" for (i, j), v in values.items())
-    with pytest.raises(NerveError, match=r"^conflicting values on \(0, 1\)$"):
+    with pytest.raises(NerveError, match=r"^cover file line 2: conflicting values on \(0, 1\)$"):
         load_cover(text)
 
 

@@ -124,7 +124,7 @@ COCYCLE_OFF_BASIS = "algebra g parities 0,0; cocycle w on g degree 2 values [1,9
         (("verify-paper", "nosuch"), "section: unknown section 'nosuch'; choose from section3, "),
         (("symplectic", "check", ONE_FORM), "NotSymplectic: symplectic test expects a 2-form"),
         (("prequant", "qop", TWO_FORM_THETA, "--f", "x*c0", "--section", "x"), "the potential must be a 1-form"),
-        (("liecoh", "extend", COCYCLE_OFF_BASIS, "--cocycle", "w"), "line 1, column 25: basis index out of range in tuple (0, 8)"),
+        (("liecoh", "extend", COCYCLE_OFF_BASIS, "--cocycle", "w"), "line 1, column 56: basis index out of range in tuple (0, 8)"),
     ],
     ids=[
         "zero_point", "deep_nesting", "darboux_shape", "zero_denominator",

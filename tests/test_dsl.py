@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_field, random_superfunction
 from supersymp.charts import CFunction, Chart, SuperFunction
+from supersymp import dsl
 from supersymp.dsl import DslError, parse, render
 from supersymp.forms import CKForm, KForm, contract, wedge
 from supersymp.grassmann import GrassmannNumber
@@ -246,6 +247,23 @@ def test_a_cochain_key_of_another_length_is_refused_at_its_declaration():
         parse("\nalgebra g parities 0,0 ; cocycle w on g degree 2 values [1,2] = c0, [2] = c0;")
     assert err.value.message == "tuple (1,) needs 2 indices"
     assert (err.value.line, err.value.col) == (2, 69)
+
+
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("algebra g parities 0,0; cocycle w on g degree 2 values [1,2] = c0, [1,9] = c0;", "basis index out of range in tuple (0, 8)", 68),
+        ("algebra g parities 0,0; cocycle w on g degree 2 values [1,2] = c0, [2,2] = c1;", "value on vanishing tuple (1, 1)", 68),
+        ("algebra g parities 0,1; cocycle w on g degree 2 values [1,2] = c0;", "evenness violated on (0, 1): component c0 must vanish", 56),
+    ],
+    ids=["off_basis", "vanishing", "evenness"],
+)
+def test_a_cochain_key_error_is_reported_at_its_key(text, message, col):
+    """These three errors were reported at the `cocycle` keyword."""
+    with pytest.raises(DslError) as err:
+        parse("\n" + text)
+    assert err.value.message == message
+    assert (err.value.line, err.value.col) == (2, col)
 
 
 def test_a_key_repeated_with_its_value_is_accepted():
@@ -587,3 +605,108 @@ def test_the_nesting_limit_holds_inside_a_folded_product(deepest, too_deep):
     with pytest.raises(DslError) as err:
         doc.evaluate(too_deep)
     assert (err.value.message, err.value.line, err.value.col) == ("expression nested deeper than 100 levels", 1, 101)
+
+
+TREE_DOC = SIGN_DOC + " fn f = 2*x*xi - th1*y + 3;"
+LETTERS = ("x", "y", "xi", "eta", "th1", "th2", "th3", "f")
+# binding powers as the printers mean them: a sum, a product, a leading sign, a power, an operand
+SUM, PRODUCT, SIGN, POWER, OPERAND = range(1, 6)
+
+
+def _tree(rng, depth):
+    """A random expression as (text, binding power, value by the ring, letter read)."""
+    if depth <= 0 or rng.random() < 0.15:
+        leaf = rng.choice(("0", "1", "2", "5", "i") + LETTERS)
+        return leaf, OPERAND, None, leaf in LETTERS
+    kind = rng.choice(("+", "-", "*", "*", "/", "^", "sign", "()"))
+    if kind in ("+", "-", "*"):
+        power = SUM if kind != "*" else PRODUCT
+        return kind, power, (_tree(rng, depth - 1), _tree(rng, depth - 1)), None
+    if kind == "/":
+        return kind, PRODUCT, (_tree(rng, depth - 1), rng.randint(1, 4)), None
+    if kind == "^":
+        return kind, POWER, (_tree(rng, depth - 2), rng.randint(0, 3)), None
+    if kind == "sign":
+        return rng.choice("-+"), SIGN, (_tree(rng, depth - 1),), None
+    return kind, OPERAND, (_tree(rng, depth - 1),), None
+
+
+def _text(node, floor):
+    """The text of `node` with the fewest parentheses that keep its reading
+    on an operand that must bind at least as tightly as `floor`."""
+    op, power, args, _ = node
+    if args is None:
+        text = op
+    elif op == "()":
+        return "(" + _text(args[0], 0) + ")"
+    elif power == SIGN:
+        text = op + _text(args[0], SIGN)
+    elif op in ("/", "^"):
+        text = _text(args[0], power) + op + str(args[1])
+    else:  # a right operand binds tighter: every operator associates to the left
+        text = _text(args[0], power) + f" {op} " + _text(args[1], power + 1)
+    return text if power >= floor else "(" + text + ")"
+
+
+def _ring(node, doc, m):
+    """The value of `node` by SuperFunction arithmetic, and whether a letter was read."""
+    op, power, args, letter = node
+    if args is None:
+        if op == "f":
+            return doc.functions["f"], True
+        if op.startswith("th"):
+            return _th(m, int(op[2:])), True
+        if letter:
+            return m.var(op), True
+        return m.one().scale(GaussianRational(0, 1) if op == "i" else int(op)), False
+    a, la = _ring(args[0], doc, m)
+    if op == "()" or op == "+" and len(args) == 1:
+        return a, la
+    if power == SIGN:
+        return -a, la
+    if op == "/":
+        return a.scale(Fraction(1, args[1])), la
+    if op == "^":
+        out = m.one()
+        for _ in range(args[1]):
+            out = out * a
+        return out, la
+    b, lb = _ring(args[1], doc, m)
+    return (a + b if op == "+" else a - b if op == "-" else a * b), la or lb
+
+
+def test_random_expression_trees_read_as_the_ring_computes_them():
+    """Sums, differences, products, divisions, powers, leading signs and
+    parentheses, written with the fewest parentheses, read as the ring
+    computes them: one number if no letter was read, else one function."""
+    doc = parse(TREE_DOC)
+    m = doc.charts["M"]
+    rng = random.Random(35)
+    for _ in range(500):
+        tree = _tree(rng, rng.randint(2, 6))
+        text = _text(tree, 0)
+        expected, letter = _ring(tree, doc, m)
+        value = doc.evaluate(text, m)
+        assert isinstance(value, SuperFunction if letter else GaussianRational), text
+        assert (value if letter else m.constant(value)) == expected, text
+
+
+def test_a_sum_adds_into_its_own_dict(monkeypatch):
+    """A sum adds each term into one dict, which is never the dict of a
+    declared function: `f + x` leaves f as declared."""
+    doc = parse(TREE_DOC)
+    m = doc.charts["M"]
+    f = doc.functions["f"]
+    terms, before = f.terms, dict(f.terms)
+    assert doc.evaluate("f + x", m) == f + m.var("x")
+    assert doc.evaluate("f + f", m) == f.scale(2)
+    assert doc.evaluate("-f + f", m).is_zero()
+    assert f == doc.evaluate("2*x*xi - th1*y + 3", m)
+    assert f.terms is terms and f.terms == before
+    calls = []
+    real = dsl.accumulate
+    monkeypatch.setattr(dsl, "accumulate", lambda *args: calls.append(args) or real(*args))
+    n = 2000
+    value = doc.evaluate(" + ".join(f"x^{k}" for k in range(1, n + 1)), m)
+    assert len(value.terms) == n
+    assert len(calls) <= 2 * n
