@@ -372,9 +372,6 @@ class VectorField(Graded, Linear):
     def left_multiply(self, f: SuperFunction) -> "VectorField":
         return self._map(lambda name, sf: f * sf)
 
-    def __call__(self, f):
-        return self.apply(f)
-
     def apply(self, f):
         """X f = sum_z X^z d_z f, componentwise on C-valued functions."""
         if isinstance(f, CFunction):

@@ -538,7 +538,6 @@ class Document:
         self.algebras: Mapping[str, SuperLieAlgebra] = {}
         self.cocycles: Mapping[str, CECochain] = {}
         self.heisenbergs: Mapping[str, HeisenbergSpec] = {}
-        self.order: List[Tuple[str, str]] = []  # (kind, name)
         self.current_chart: Optional[str] = None
         self.generators = generators  # of every chart the document declares
         # (text, chart) -> value of every evaluation that succeeded
@@ -568,7 +567,6 @@ def _register(parser: _Parser, kind: str, name: str, at: int, table: str, value)
     chart = getattr(value, "chart", None)
     if chart is not None and chart != parser.chart:
         parser.fail(f"{kind} {name} is on chart {chart.name!r}, not on {parser.chart.name!r}", at)
-    doc.order.append((kind, name))
     getattr(doc, table)[name] = value
 
 
@@ -776,74 +774,3 @@ def _cvalue_expression(parser: _Parser) -> Tuple[Fraction, Fraction]:
     out = _signed_sum(parser, "c0 or c1", basis)
     return out.get(0, Fraction(0)), out.get(1, Fraction(0))
 
-
-# ----------------------------------------------------------------------
-# rendering (canonical form; parse . render = identity)
-# ----------------------------------------------------------------------
-
-
-def render(doc: Document) -> str:
-    lines: List[str] = []
-    for kind, name in doc.order:
-        if kind == "chart":
-            chart = doc.charts[name]
-            chunks = [f"chart {name}"]
-            if chart.even:
-                chunks.append("even " + ",".join(chart.even))
-            if chart.odd:
-                chunks.append("odd " + ",".join(chart.odd))
-            lines.append(" ".join(chunks) + ";")
-        elif kind == "fn":
-            f = doc.functions[name]
-            lines.append(f"fn {name} on {f.chart.name} = {f};")
-        elif kind == "cfn":
-            f = doc.cfunctions[name]
-            lines.append(f"cfn {name} on {f.chart.name} = ({f.f0})*c0 + ({f.f1})*c1;")
-        elif kind == "vf":
-            x = doc.fields[name]
-            lines.append(f"vf {name} on {x.chart.name} = {x if not x.is_zero() else 0};")
-        elif kind == "form":
-            w = doc.forms[name]
-            lines.append(f"form {name} on {w.chart.name} = {w};")
-        elif kind == "algebra":
-            g = doc.algebras[name]
-            chunks = [f"algebra {name} parities " + ",".join(str(p) for p in g.parities)]
-            entries = []
-            for (i, j), vec in sorted(g.brackets.items()):
-                if i > j:
-                    continue
-                body = " + ".join(
-                    (f"{v}*e{k+1}" if v != 1 else f"e{k+1}") for k, v in sorted(vec.items())
-                ).replace("+ -", "- ")
-                entries.append(f"[{i+1},{j+1}] = {body}")
-            if entries:
-                chunks.append("bracket " + ", ".join(entries))
-            lines.append(" ".join(chunks) + ";")
-        elif kind == "cocycle":
-            c = doc.cocycles[name]
-            alg_name = next(n for n, a in doc.algebras.items() if a is c.g)
-            chunks = [f"cocycle {name} on {alg_name} degree {c.degree}"]
-            entries = []
-            for key, (v0, v1) in sorted(c.values.items()):
-                idx = ",".join(str(i + 1) for i in key)
-                parts = []
-                if v0:
-                    parts.append(f"{v0}*c0")
-                if v1:
-                    parts.append(f"{v1}*c1")
-                entries.append(f"[{idx}] = " + " + ".join(parts))
-            if entries:
-                chunks.append("values " + ", ".join(entries))
-            lines.append(" ".join(chunks) + ";")
-        elif kind == "heisenberg":
-            spec = doc.heisenbergs[name]
-
-            def mat(m):
-                return "[" + ",".join("[" + ",".join(str(v) for v in row) + "]" for row in m) + "]"
-
-            lines.append(
-                f"heisenberg {name} parities "
-                + ",".join(str(p) for p in spec.parities)
-                + f" omega0 {mat(spec.omega0)} omega1 {mat(spec.omega1)};"
-            )
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -103,9 +103,6 @@ class KForm(Graded, Linear):
 
     # -- inspection ----------------------------------------------------------
 
-    def component(self, word: Word) -> SuperFunction:
-        return self.terms.get(tuple(word), self.chart.zero())
-
     def as_function(self) -> SuperFunction:
         if self.degree != 0:
             raise DegreeError("not a 0-form")

@@ -139,14 +139,6 @@ class Graded:
             for p in (c._parities() if isinstance(c, Graded) else (0,))
         }
 
-    def homogeneous_parts(self) -> Dict[int, "Graded"]:
-        parts = {}
-        for p in (0, 1):
-            part = self.parity_part(p)
-            if not part.is_zero():
-                parts[p] = part
-        return parts
-
     def is_homogeneous(self) -> bool:
         return len(self._parities()) <= 1
 

@@ -82,9 +82,6 @@ class SuperLieAlgebra:
                     accumulate(out, k, a * b * c)
         return out
 
-    def is_abelian(self) -> bool:
-        return not self.brackets
-
 
 def jacobi_check(g: SuperLieAlgebra) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Graded Jacobi identity; returns (ok, first violating triple)."""
@@ -351,14 +348,6 @@ def extension_equivalent(omega1: CECochain, omega2: CECochain, g: SuperLieAlgebr
     return True, CECochain(g, 1)._like({keys1[c]: x.re for c, x in enumerate(sol) if x})
 
 
-def transported_bracket_isomorphic(g: SuperLieAlgebra, omega1: CECochain, omega2: CECochain, f: CECochain) -> bool:
-    """Check phi(v,e) = (v, e + F(v)) carries the omega1-extension onto the
-    omega2-extension: omega1 = omega2 + dF transported on all basis pairs."""
-    df = ce_coboundary(f, g)
-    target = omega2 + df
-    return omega1 == target
-
-
 # ----------------------------------------------------------------------
 # cocycles from geometry
 # ----------------------------------------------------------------------
@@ -390,14 +379,6 @@ def pullback_class(g: SuperLieAlgebra, x: Sequence[Fraction], xbar: Sequence[Fra
         if c0 or c1:
             vals[key] = (c0, c1)
     return CECochain(g, 2, vals)
-
-
-def class_difference(g: SuperLieAlgebra, point1, point2) -> Tuple[CECochain, Optional[CECochain]]:
-    """Difference of pullback cocycles at two points, with a coboundary
-    witness F solving dF = difference when one exists."""
-    c1 = pullback_class(g, *point1)
-    c2 = pullback_class(g, *point2)
-    return c1 - c2, extension_equivalent(c1, c2, g)[1]
 
 
 def momentum_cocycle(g: SuperLieAlgebra, momentum, bracket) -> Tuple[CECochain, bool]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 from .charts import CFunction, Chart, SuperFunction, VectorField
-from .forms import CKForm, KForm, contract, double, ext_d, lie_derivative, lift_field, lift_form, lift_function
+from .forms import CKForm, KForm, contract, double, ext_d, lie_derivative, lift_form, lift_function
 from .grassmann import Linear, skew_sign
 from .scalars import GaussianRational
 from .symplectic import SymplecticData, require_hamiltonian_field
@@ -87,12 +87,6 @@ class PrequantChart:
     def symmetry_check(self, z: VectorField) -> bool:
         """Does z preserve the doubled connection form componentwise?"""
         return lie_derivative(z, self.alpha).is_zero()
-
-    def project_field(self, z: VectorField) -> VectorField:
-        """Drop the fiber components: the pushforward to the base."""
-        fiber = (self.fiber_even, self.fiber_odd)
-        base = {name: c for name, c in z.components.items() if name not in fiber}
-        return lift_field(VectorField(z.chart, base), self.base.chart)
 
 
 class Section(Linear):

@@ -358,13 +358,6 @@ def poisson_bracket(f: CFunction, g: CFunction, data: SymplecticData, ansatz_deg
     return xf.apply(g)
 
 
-def poisson_bracket_by_contraction(f: CFunction, g: CFunction, data: SymplecticData) -> CFunction:
-    """Independent route: the double contraction i_(X_f) i_(X_g) of doubled omega."""
-    xf = require_hamiltonian_field(f, data)
-    xg = require_hamiltonian_field(g, data)
-    return contract(xf, contract(xg, data.doubled)).as_cfunction()
-
-
 # ----------------------------------------------------------------------
 # pointwise Darboux normal form
 # ----------------------------------------------------------------------

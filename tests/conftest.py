@@ -91,6 +91,12 @@ def random_homogeneous_function(rng, chart, parity, degree=3, **kw):
     return f.parity_part(parity)
 
 
+def homogeneous_parts(x):
+    """The reference parity split: each nonzero parity part of x by its parity."""
+    parts = {p: x.parity_part(p) for p in (0, 1)}
+    return {p: part for p, part in parts.items() if not part.is_zero()}
+
+
 def random_field(rng, chart, parity=None, degree=2, **kw):
     """Random vector field, homogeneous of the given parity when requested."""
     comps = {}

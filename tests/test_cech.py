@@ -110,6 +110,8 @@ def test_cochain_skew_extension():
     f = CechCochain(nerve, 1, {(0, 1): Fraction(3, 2)})
     assert f(0, 1) == Fraction(3, 2)
     assert f(1, 0) == Fraction(-3, 2)
+    assert f(0, 0) == 0  # a degenerate simplex
+    assert repr(f) == "<1-cochain {(0, 1): Fraction(3, 2)}>"
 
 
 def test_delta_delta_zero():
@@ -239,6 +241,13 @@ def test_normalize_exact_cocycle_to_zero():
     assert corrected.is_zero()
 
 
+def test_normalize_without_triangles_changes_nothing():
+    nerve = circle_nerve()
+    a = CechCochain(nerve, 2)
+    bprime, corrected, per = normalize_to_periods(a)
+    assert (bprime, corrected, per) == (CechCochain(nerve, 1), a, PeriodGroup(Fraction(0)))
+
+
 # ----------------------------------------------------------------------
 # existence and classification
 # ----------------------------------------------------------------------
@@ -249,6 +258,7 @@ def test_prequantum_exists_integer_cases():
     assert prequantum_exists(per, 3)
     assert prequantum_exists(per, 1)
     assert not prequantum_exists(per, 2)
+    assert not prequantum_exists(per, 0)
 
 
 def test_prequantum_exists_trivial_periods():

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -125,6 +126,11 @@ COCYCLE_OFF_BASIS = "algebra g parities 0,0; cocycle w on g degree 2 values [1,9
         (("symplectic", "check", ONE_FORM), "NotSymplectic: symplectic test expects a 2-form"),
         (("prequant", "qop", TWO_FORM_THETA, "--f", "x*c0", "--section", "x"), "the potential must be a 1-form"),
         (("liecoh", "extend", COCYCLE_OFF_BASIS, "--cocycle", "w"), "line 1, column 56: basis index out of range in tuple (0, 8)"),
+        (("symplectic", "check", FIXTURES / "nosuch.ssp"), f"cannot read {FIXTURES / 'nosuch.ssp'}: "),
+        (
+            ("symplectic", "check", FIXTURES / "mixed21.ssp", "--name", "nosuch", "--point", "x=0,y=0"),
+            "no form named 'nosuch' in the document",
+        ),
     ],
     ids=[
         "zero_point", "deep_nesting", "darboux_shape", "zero_denominator",
@@ -133,7 +139,7 @@ COCYCLE_OFF_BASIS = "algebra g parities 0,0; cocycle w on g degree 2 values [1,9
         "d_zero_denominator", "d_literal", "cover_zero_denominator",
         "parities_two", "parities_negative", "d_negative_classify", "d_negative_prequantize", "cover_negative_d",
         "d_negative_fraction_spaced", "darboux_not_skew", "darboux_off_homogeneity", "verify_unknown_section",
-        "check_one_form", "prequant_theta_two_form", "cocycle_off_basis",
+        "check_one_form", "prequant_theta_two_form", "cocycle_off_basis", "missing_file", "unknown_name",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, error_start):
@@ -182,6 +188,10 @@ def test_hamiltonian_member_and_nonmember(capsys):
         capsys, "symplectic", "hamiltonian", FIXTURES / "mixed21.ssp", "--f", "y^2*c0", "--point", "x=0,y=0"
     )
     assert code == 1 and rep["status"] == "not_member"
+    # a plain function is the c0 part of a C-valued one
+    code, rep = run(capsys, "symplectic", "hamiltonian", FIXTURES / "even20.ssp", "--f", "x", "--point", "x=0,y=0")
+    assert code == 0 and rep["status"] == "member"
+    assert (rep["f"], rep["field"]) == ("(x)*c0 + (0)*c1", "(-1)*d/dy")
 
 
 VARIABLE_RANK = "chart V even x,y odd xi,eta; form omega = x*dx^dy + dx^dxi + dy^deta;"
@@ -306,6 +316,14 @@ def test_heisenberg_orbit_cases(capsys):
     code, rep = run(capsys, "heisenberg", "momentum", FIXTURES / "heis33.ssp", "--y0", "0", "--ybar1", "1")
     assert code == 0
     assert rep["strongly_hamiltonian"] is True
+    # the orbit of the origin is a point: no form, and a momentum map trivially
+    trivial = (FIXTURES / "heis33.ssp", "--y0", "0", "--ybar1", "0")
+    code, rep = run(capsys, "heisenberg", "kks", *trivial)
+    assert code == 1
+    assert rep == {"command": "heisenberg kks", "error": "trivial orbit has no form"}
+    code, rep = run(capsys, "heisenberg", "momentum", *trivial)
+    assert code == 0
+    assert rep == {"command": "heisenberg momentum", "case": "trivial", "strongly_hamiltonian": True}
 
 
 def test_a_value_with_a_leading_minus_reads_as_with_equals(capsys):
@@ -484,6 +502,17 @@ def test_every_report_begins_with_its_command(capsys, monkeypatch, argv):
     path = " ".join(argv[:1] if argv[0] == "verify-paper" else argv[:2])
     assert next(iter(rep.items())) == ("command", path)
     assert code == (1 if " ".join(argv) in REFUTED else 0)
+
+
+def test_the_module_runs_as_a_script(capsys, monkeypatch):
+    """`python -m supersymp.cli ARGS` exits with the code of `main(ARGS)`."""
+    argv = ["heisenberg", "kks", str(FIXTURES / "heis33.ssp"), "--y0", "0", "--ybar1", "0"]
+    monkeypatch.setattr(sys, "argv", ["supersymp.cli", *argv])
+    # runpy warns that the module it runs afresh is already imported
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), pytest.raises(SystemExit) as exc:
+        runpy.run_module("supersymp.cli", run_name="__main__")
+    assert exc.value.code == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "trivial orbit has no form"
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from supersymp.charts import Chart, vf_apply, vf_commutator
 from supersymp.forms import (
+    CKForm,
     DegreeError,
     KForm,
     canonicalize_word,
@@ -21,7 +22,7 @@ from supersymp.forms import (
 from supersymp.grassmann import graded_sort
 from supersymp.reference import d, mixed_counterexample
 
-from conftest import random_field, random_superfunction
+from conftest import homogeneous_parts, random_field, random_superfunction
 
 
 # ----------------------------------------------------------------------
@@ -77,15 +78,20 @@ def test_canonicalize_matches_oracle(chart22):
 
 def test_lift_to_reordered_odd_coordinates(rng, chart22):
     """Relabelling the odd coordinates in the other order is a ring
-    isomorphism that commutes with d; the reordered words carry the sign."""
+    isomorphism that commutes with d and wedge; the reordered words carry
+    the sign.  So is relabelling the even ones, which reorders the words of
+    the forms."""
     target = Chart("M'", ("x", "y"), ("eta", "xi"), 4)
     xi, eta = chart22.var("xi"), chart22.var("eta")
     assert lift_function(xi * eta, target) == -(target.var("eta") * target.var("xi"))
-    for _ in range(10):
-        f = random_superfunction(rng, chart22)
-        g = random_superfunction(rng, chart22)
-        assert lift_function(f * g, target) == lift_function(f, target) * lift_function(g, target)
-        assert lift_form(ext_d(f), target) == ext_d(lift_function(f, target))
+    for target in (target, Chart("M''", ("y", "x"), ("xi", "eta"), 4)):
+        for _ in range(10):
+            f = random_superfunction(rng, chart22)
+            g = random_superfunction(rng, chart22)
+            assert lift_function(f * g, target) == lift_function(f, target) * lift_function(g, target)
+            assert lift_form(ext_d(f), target) == ext_d(lift_function(f, target))
+            df_dg = wedge(ext_d(f), ext_d(g))
+            assert lift_form(df_dg, target) == wedge(lift_form(ext_d(f), target), lift_form(ext_d(g), target))
 
 
 def test_lift_onto_a_smaller_chart(chart22):
@@ -206,6 +212,13 @@ def test_d_squared_random(rng, chart22):
         assert ext_d(ext_d(w)).is_zero()
 
 
+def test_d_of_a_c_valued_form_is_d_of_each_part(rng, chart22):
+    for _ in range(5):
+        f, g = (random_superfunction(rng, chart22, degree=2, with_grassmann=True) for _ in range(2))
+        w = CKForm(d(chart22, "x").left_multiply(f), d(chart22, "xi").left_multiply(g))
+        assert ext_d(w) == CKForm(ext_d(w.part0), ext_d(w.part1))
+
+
 # ----------------------------------------------------------------------
 # contraction: the 2|2 example pins every sign
 # ----------------------------------------------------------------------
@@ -276,7 +289,7 @@ def test_contraction_degree_and_parity_shift(rng, chart22):
             w = w + wedge(d(chart22, n1), d(chart22, n2)).left_multiply(
                 random_superfunction(rng, chart22, 1, terms=1).parity_part(rng.randrange(2))
             )
-        for pw, wpart in w.homogeneous_parts().items():
+        for pw, wpart in homogeneous_parts(w).items():
             got = contract(X, wpart)
             assert got.degree == 1
             if not got.is_zero():
@@ -393,6 +406,13 @@ def test_double_splits_parity():
     cw = double(w)
     assert cw.part0 == wedge(d(c, "x"), d(c, "y"))
     assert cw.part1 == wedge(d(c, "x"), d(c, "xi"))
+
+
+def test_forms_print_their_words_and_parts(chart22):
+    zero_form = KForm.from_function(chart22.var("x"))
+    assert (str(zero_form), repr(zero_form)) == ("(x)", "<0-form (x) on M>")
+    w = double(wedge(d(chart22, "x"), d(chart22, "y")) + wedge(d(chart22, "x"), d(chart22, "xi")))
+    assert str(w) == "(dx^dy) (x) c0 + (dx^dxi) (x) c1"
 
 
 def test_double_of_even_form_has_no_part1(chart22):

@@ -244,3 +244,4 @@ def test_body_is_ring_homomorphism(rng):
 def test_rendering():
     x = GrassmannNumber.scalar(Q("3/2"), 4) + GrassmannNumber(4, {(1, 3): Q(2)}) + GrassmannNumber(4, {(2,): -Q(0, 1)})
     assert str(x) == "3/2 - i*th2 + 2*th1*th3"
+    assert str(x - x) == "0"

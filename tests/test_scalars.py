@@ -128,6 +128,10 @@ def test_mixed_operands_and_equality(x, r):
     for op in (operator.add, operator.sub, operator.mul):
         agree(op(z, r), op(p, s))
         agree(op(r, z), op(s, p))
+    if r:
+        agree(z / r, p / s)
+    if p.re or p.im:
+        agree(r / z, s / p)
     real = GaussianRational(r)
     assert real == r and r == real and real == Fraction(r) and hash(real) == hash(r) == hash(Fraction(r))
     assert len({real, r}) == 1

@@ -22,7 +22,6 @@ from supersymp.symplectic import (
     hamiltonian_field,
     is_symplectic,
     poisson_bracket,
-    poisson_bracket_by_contraction,
     require_hamiltonian_field,
 )
 
@@ -406,6 +405,13 @@ def test_bracket_of_even_with_itself_vanishes(sd21):
     assert poisson_bracket(f, f, sd).is_zero()
 
 
+def poisson_bracket_by_contraction(f, g, data):
+    """Independent route: the double contraction i_(X_f) i_(X_g) of doubled omega."""
+    xf = require_hamiltonian_field(f, data)
+    xg = require_hamiltonian_field(g, data)
+    return contract(xf, contract(xg, data.doubled)).as_cfunction()
+
+
 def test_bracket_two_routes_agree_on_plane():
     chart = Chart("P", ("x", "y"), (), 4)
     omega = wedge(d(chart, "x"), d(chart, "y"))
@@ -646,6 +652,9 @@ def test_darboux_odd_rescales():
     assert res.canonical_matrix == target
     # transforming the input with the returned basis change gives the target
     assert _congruence(res.basis_change, w) == res.canonical_matrix
+    canonical = res.canonical_chart()
+    assert (canonical.even, canonical.odd) == (("x1",), ("xi1",))
+    assert res.canonical_form() == wedge(d(canonical, "x1"), d(canonical, "xi1"))
 
 
 def test_darboux_negative_odd_square():
@@ -655,6 +664,12 @@ def test_darboux_negative_odd_square():
     res = darboux_normal_form(w, (1,), 0)
     assert res.ell == 0 and res.exact
     assert res.odd_coefficients == (Fraction(-1),)
+
+
+def test_darboux_odd_coefficient_off_the_rational_squares_is_not_exact():
+    """3 dxi^dxi cannot be rescaled to +-1 by a rational change of frame."""
+    res = darboux_normal_form([[6]], (1,), 0)
+    assert (res.ell, res.odd_coefficients, res.exact) == (1, (Fraction(3),), False)
 
 
 def test_darboux_odd_dimension_mismatch():
