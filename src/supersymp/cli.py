@@ -353,7 +353,7 @@ def cmd_heisenberg_kks(args):
 
     orbit = _orbit(args)
     if orbit.case == "trivial":
-        return {"error": "trivial orbit has no form"}, False
+        raise CliError("trivial orbit has no form")
     omega = orbit.kks_form()
     rep = is_symplectic(omega, [{n: 0 for n in orbit.chart.even}])
     return {

@@ -15,12 +15,18 @@ times y0 on the x-slots and S^1 times ybar1 on the xbar-slots.
 
 `orbit_classify` classifies the orbit through a given (y0, ybar1) once per
 spec and generator count and keeps its parts on the spec: every later call
-returns a new read-only `Orbit` on those parts, so the KKS form,
-`SymplecticData` and momentum cocycle are computed once for all callers.
+returns a new read-only `Orbit` on those parts, so the KKS form, the
+momentum check and the momentum cocycle are computed once for all callers.
 The parts do not refer back to the spec, so no reference cycle keeps a
-spec alive once it is dropped.  The momentum map J of an orbit is the
-inclusion, so each fundamental field v* is checked as the field of <v, J>
-and the momentum cocycle reads its brackets off them: nothing is solved.
+spec alive once it is dropped.
+
+The momentum map J of an orbit is the inclusion.  On the orbit chart each
+fundamental field v* is constant, the column m_v of the orbit's tangent
+table, the KKS form is constant, with the contraction matrices W_alpha of
+the parts of its doubling, and each <v, J> is affine.  So i_(v*)
+doubled-omega = d<v, J> reads W_alpha m_v = grad <v, J>^alpha, and the
+momentum cocycle reads its brackets {J_v, J_w} = m_v . grad J_w: neither
+builds a form, and nothing is solved.
 """
 
 from __future__ import annotations
@@ -31,12 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .charts import CFunction, Chart, ReadOnly, SuperFunction, VectorField
-from .forms import KForm, contract, ext_d
+from .forms import KForm, double
 from .grassmann import DEFAULT_GENERATORS, DimensionError, GrassmannNumber, accumulate, add_product, skew_sign
-from .liecoh import CECochain, SuperLieAlgebra, central_extension
-from .liecoh import momentum_cocycle as _momentum_cocycle, pullback_class as _pullback_class
+from .liecoh import CECochain, SuperLieAlgebra, canonical_keys, central_extension, pullback_class as _pullback_class
 from .scalars import ZERO, GaussianRational
-from .symplectic import SymplecticData, form_from_contraction_matrix
+from .symplectic import NotSymplectic, SymplecticData, contraction_matrix, form_from_contraction_matrix
 
 
 class HeisenbergSpec:
@@ -322,16 +327,18 @@ def fundamental_field(spec: HeisenbergSpec, v: Sequence[Fraction], y0, ybar1, ch
     ybar1 Omega^1(v, e_i) on xbar_i.  Restricting `chart` to an orbit chart
     keeps only its coordinates.
     """
-    return _constant_field(spec, _field_coefficients(spec, v, y0, ybar1), chart or ambient_chart(spec))
-
-
-def _constant_field(spec: HeisenbergSpec, coefficients: Sequence[GaussianRational], chart: Chart) -> VectorField:
-    """The constant field with these coefficients on the 2n ambient slots of `chart`."""
+    chart = chart or ambient_chart(spec)
     comps: Dict[str, SuperFunction] = {}
-    for name, c in zip(ambient_names(spec), coefficients):
+    for name, c in zip(ambient_names(spec), _field_coefficients(spec, v, y0, ybar1)):
         if c != 0 and name in chart.coords:
             comps[name] = chart.constant(c)
     return VectorField(chart, comps)
+
+
+def _momentum_slots(spec: HeisenbergSpec, m: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """<e_m, J> = (-1)^eps_m x_m c0 + xbar_m c1 for m < n, as the (sign,
+    ambient slot) of its c0 and of its c1 part."""
+    return (-skew_sign(spec.parities[m], 1), m), (1, spec.dimension + m)
 
 
 # ----------------------------------------------------------------------
@@ -341,9 +348,11 @@ def _constant_field(spec: HeisenbergSpec, coefficients: Sequence[GaussianRationa
 
 class Orbit(ReadOnly):
     """Read-only, since orbits through one point of a spec share their
-    parts: `tangent_fields` and `restrictions` are read-only mappings, and
-    the algebra, the KKS form, its `SymplecticData`, `hamiltonian` and the
-    momentum cocycle are each built on first use and kept in the shared `_memo`."""
+    parts: `tangent` is a tuple and `restrictions` a read-only mapping, and
+    the algebra, the KKS form, the momentum gradients and functions,
+    `hamiltonian` and the momentum cocycle are each built on first use and
+    kept in the shared `_memo`.  `tangent[v]` is m_v for v < n, the
+    constant coefficients of the fundamental field e_v* on the chart's slots."""
 
     def __init__(self, spec: HeisenbergSpec, base: OrbitPoint, parts: Dict):
         vars(self).update(parts, spec=spec, base=base)
@@ -365,25 +374,23 @@ class Orbit(ReadOnly):
     def algebra(self) -> SuperLieAlgebra:
         return self._cached("algebra", lambda: algebra_of(self.spec))
 
-    def ambient_coordinate_function(self, slot: int) -> SuperFunction:
-        """The ambient dual coordinate restricted to the orbit, as an affine
-        function of the chart coordinates.
+    def _gradients(self) -> Tuple[Tuple[Tuple[GaussianRational, ...], ...], ...]:
+        """For each m < n, the constant gradients on the chart's slots of the
+        c0 and c1 parts of <e_m, J>, each sign times an ambient coordinate
+        restricted to the orbit: a unit vector on a chart coordinate, read
+        off `restrictions` on another moved one, zero on an unmoved one."""
+        if self.case == "trivial":
+            raise ValueError("the trivial orbit carries no symplectic form")
+        coords = self.chart.coords
+        names = ambient_names(self.spec)
 
-        Coordinates the action does not move are frozen at the base point;
-        moved coordinates outside the chart are affine in the chart ones
-        (their differences are tied by the orbit invariants).
-        """
-        spec = self.spec
-        chart = self.chart
-        names = ambient_names(spec)
-        if names[slot] in self.coordinates:
-            return chart.var(names[slot])
-        base_vals = [g.body() for g in self.base.x] + [g.body() for g in self.base.xbar]
-        out = chart.constant(base_vals[slot])
-        for name, coeff in self.restrictions.get(slot, ()):
-            idx = names.index(name)
-            out = out + (chart.var(name) - chart.constant(base_vals[idx])).scale(coeff)
-        return out
+        def gradient(sign: int, slot: int) -> Tuple[GaussianRational, ...]:
+            row = [ZERO] * len(coords)
+            for name, c in ((names[slot], 1),) if names[slot] in coords else self.restrictions.get(slot, ()):
+                row[coords.index(name)] = GaussianRational(sign * c)
+            return tuple(row)
+
+        return tuple(tuple(gradient(*part) for part in _momentum_slots(self.spec, m)) for m in range(self.spec.dimension))
 
     def momentum_function(self, m: int) -> CFunction:
         """<e_m, doubled J> as a C-valued function on the orbit chart, for
@@ -391,40 +398,71 @@ class Orbit(ReadOnly):
         return self._cached("momentum", self._momentum_functions)[m]
 
     def _momentum_functions(self) -> Tuple[CFunction, ...]:
-        if self.case == "trivial":
-            raise ValueError("the trivial orbit carries no symplectic form")
-        spec = self.spec
-        n = spec.dimension
-        chart = self.chart
-        out = []
-        for m in range(n):
-            sign = -skew_sign(spec.parities[m], 1)
-            f0 = self.ambient_coordinate_function(m).scale(sign)
-            f1 = self.ambient_coordinate_function(n + m)
-            out.append(CFunction(f0, f1))
+        """Each part of <e_m, J> for m < n is its value at the base point plus
+        its gradient times the moves of the chart coordinates from theirs."""
+        gradients = self._cached("gradients", self._gradients)
+        spec, chart = self.spec, self.chart
+        names = ambient_names(spec)
+        base = dict(zip(names, (g.body() for g in self.base.x + self.base.xbar)))
+
+        def affine(sign: int, slot: int, gradient) -> SuperFunction:
+            out = chart.constant(base[names[slot]] * sign)
+            for name, c in zip(chart.coords, gradient):
+                if c:
+                    out = out + (chart.var(name) - chart.constant(base[name])).scale(c)
+            return out
+
+        out = [CFunction(*(affine(*part, grad) for part, grad in zip(_momentum_slots(spec, m), grads)))
+               for m, grads in enumerate(gradients)]
         out.append(CFunction(chart.constant(self.y0), chart.zero()))
         out.append(CFunction(chart.zero(), chart.constant(self.ybar1)))
         return tuple(out)
 
-    def momentum_field(self, m: int) -> VectorField:
-        """The fundamental field e_m* on the orbit chart, zero on c0 and c1."""
-        return self.tangent_fields[m] if m < self.spec.dimension else VectorField(self.chart, {})
-
     def hamiltonian(self) -> bool:
-        """i_(v*) doubled-omega = d<v, J> for each of the n + 2 generators v."""
-        return self._cached("hamiltonian", lambda: all(
-            ext_d(self.momentum_function(m)) == contract(self.momentum_field(m), self.symplectic_data().doubled)
-            for m in range(self.algebra().dimension)
-        ))
+        """i_(v*) doubled-omega = d<v, J> for each of the n + 2 generators v:
+        W_alpha m_v = grad <v, J>^alpha for the contraction matrix W_alpha of
+        part alpha of the doubled KKS form; for c0 and c1 both sides are zero."""
+        def check():
+            doubled = double(self.kks_form())
+            w = contraction_matrix(doubled.part0), contraction_matrix(doubled.part1)
+            # constant coefficients make the form closed; [W_0 | W_1] of full
+            # rank makes it homogeneously non-degenerate
+            if linalg.rank([w0 + w1 for w0, w1 in zip(*w)]) != len(self.chart.coords):
+                raise NotSymplectic("the KKS form is homogeneously degenerate")
+            for m, grads in zip(self.tangent, self._cached("gradients", self._gradients)):
+                moving = [(k, b) for k, b in enumerate(m) if b]
+                for w_alpha, grad in zip(w, grads):
+                    if tuple(sum((row[k] * b for k, b in moving if row[k]), ZERO) for row in w_alpha) != grad:
+                        return False
+            return True
+
+        return self._cached("hamiltonian", check)
 
     def momentum_cocycle(self) -> Tuple[CECochain, bool]:
-        """The cocycle with {J_i, J_j} = e_i*(J_j), that of J where `hamiltonian`
-        holds: any X with i_X doubled-omega = dJ_i has X(J_j) = i_X i_(e_j*) doubled-omega."""
-        return self._cached("cocycle", lambda: _momentum_cocycle(
-            self.algebra(),
-            self.momentum_function,
-            lambda i, j: self.momentum_field(i).apply(self.momentum_function(j)),
-        ))
+        """The cocycle {J_i, J_j} - <[e_i, e_j], J> on basis pairs, with
+        {J_i, J_j} = e_i*(J_j) = m_i . grad J_j, that of J where `hamiltonian`
+        holds: any X with i_X doubled-omega = dJ_i has X(J_j) = i_X i_(e_j*)
+        doubled-omega.  Every bracket is central, so each entry is constant
+        by construction, and the flag of `liecoh.momentum_cocycle` that
+        reports it is always True."""
+        def build():
+            grads = self._cached("gradients", self._gradients)
+            g = self.algebra()
+            n = self.spec.dimension
+            central = {n: (self.y0, 0), n + 1: (0, self.ybar1)}
+            vals: Dict = {}
+            for i, j in canonical_keys(g.parities, 2):
+                if j >= n:  # a pair with c0 or c1: zero field, constant J, zero bracket
+                    continue
+                m = self.tangent[i]
+                value = [sum((b * c for b, c in zip(m, grad) if b and c), ZERO).re for grad in grads[j]]
+                for c, coeff in g.bracket_basis(i, j).items():
+                    value = [x - coeff * y for x, y in zip(value, central[c])]
+                if any(value):
+                    vals[i, j] = tuple(value)
+            return CECochain(g, 2, vals), True
+
+        return self._cached("cocycle", build)
 
     def pullback_cocycle(self) -> CECochain:
         """<[v,w], mu> on the extended algebra at the base point."""
@@ -464,7 +502,7 @@ def _classify(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction, generators: i
     parts = dict(y0=y0, ybar1=ybar1, _memo={})
     if y0 == 0 and ybar1 == 0:
         return dict(parts, case="trivial", chart=None, coordinates=(), dimension=(0, 0), invariants=(),
-                    tangent_fields=MappingProxyType({}), restrictions=MappingProxyType({}))
+                    tangent=(), restrictions=MappingProxyType({}))
     case = "case_i" if ybar1 == 0 else "case_ii" if y0 == 0 else "case_iii"
 
     # one elimination of the moving tangent rows, taken as columns: the
@@ -489,8 +527,8 @@ def _classify(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction, generators: i
         kernel = sorted([(s, GaussianRational(1))] + [(sel, -c) for sel, c in combo])
         invariants.append(" + ".join(f"({c})*{names[k]}" for k, c in kernel))
 
-    # the fundamental field of e_j is column j of t
-    fields = {j: _constant_field(spec, col, chart) for j, col in enumerate(linalg.transpose(t))}
+    # the fundamental field of e_j is column j of t, read on the chart's slots
+    slots = [names.index(name) for name in chart.coords]
 
     return dict(
         parts,
@@ -499,7 +537,7 @@ def _classify(spec: HeisenbergSpec, y0: Fraction, ybar1: Fraction, generators: i
         coordinates=tuple(names[s] for s in selected),
         dimension=(len(even), len(odd)),
         invariants=tuple(invariants),
-        tangent_fields=MappingProxyType(fields),
+        tangent=tuple(tuple(t[s][j] for s in slots) for j in range(n)),
         restrictions=MappingProxyType(restrictions),
     )
 
@@ -512,16 +550,14 @@ def _solve_kks(orbit: Orbit) -> KForm:
     r = len(chart.coords)
 
     # M: the tangent components of the n generators on the chart's slots, as rows
-    t = tangent_matrix(spec, orbit.y0, orbit.ybar1)
-    names = ambient_names(spec)
-    slots = [names.index(name) for name in chart.coords]
-    m_rows = [[t[s][j] for s in slots] for j in range(n)]
+    m_rows = orbit.tangent
     chosen = linalg.independent(m_rows)
     if len(chosen) != r:
         raise ValueError("tangent fields do not span the orbit chart")
 
     # Omega^0 vanishes on mixed pairs and Omega^1 on unmixed ones, so the
     # tangent rows a and n + a are -y0 Omega^0_a. and -ybar1 Omega^1_a.
+    t = tangent_matrix(spec, orbit.y0, orbit.ybar1)
     target = [[-t[a][b] - t[n + a][b] for b in range(n)] for a in range(n)]
     minv = linalg.inverse([m_rows[j] for j in chosen])
     w_target = [[target[a][b] for b in chosen] for a in chosen]
@@ -537,7 +573,8 @@ def _solve_kks(orbit: Orbit) -> KForm:
 def momentum_check(orbit: Orbit) -> dict:
     """Verify i_(v*) doubled-omega = d<v, J> and the strong-hamiltonian
     bracket identity on all basis pairs of the extended algebra, both read
-    off the orbit's momentum fields."""
+    off the orbit's tangent table, KKS contraction matrices and momentum
+    gradients."""
     hamiltonian_ok = orbit.hamiltonian()
     cocycle, constant = orbit.momentum_cocycle()
     return {

@@ -316,11 +316,13 @@ def test_heisenberg_orbit_cases(capsys):
     code, rep = run(capsys, "heisenberg", "momentum", FIXTURES / "heis33.ssp", "--y0", "0", "--ybar1", "1")
     assert code == 0
     assert rep["strongly_hamiltonian"] is True
-    # the orbit of the origin is a point: no form, and a momentum map trivially
+    # the orbit of the origin is a point: asking for its form is an error
+    # (exit 2), and its momentum map is hamiltonian trivially
     trivial = (FIXTURES / "heis33.ssp", "--y0", "0", "--ybar1", "0")
-    code, rep = run(capsys, "heisenberg", "kks", *trivial)
-    assert code == 1
-    assert rep == {"command": "heisenberg kks", "error": "trivial orbit has no form"}
+    assert main(["heisenberg", "kks", *map(str, trivial)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "trivial orbit has no form"}
     code, rep = run(capsys, "heisenberg", "momentum", *trivial)
     assert code == 0
     assert rep == {"command": "heisenberg momentum", "case": "trivial", "strongly_hamiltonian": True}
@@ -511,8 +513,9 @@ def test_the_module_runs_as_a_script(capsys, monkeypatch):
     # runpy warns that the module it runs afresh is already imported
     with pytest.warns(RuntimeWarning, match="found in sys.modules"), pytest.raises(SystemExit) as exc:
         runpy.run_module("supersymp.cli", run_name="__main__")
-    assert exc.value.code == 1
-    assert json.loads(capsys.readouterr().out)["error"] == "trivial orbit has no form"
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["error"] == "trivial orbit has no form"
 
 
 # ----------------------------------------------------------------------

@@ -151,6 +151,22 @@ def random_kk_spec(rng, k):
     return HeisenbergSpec(parities, omega0, omega1)
 
 
+def tangent_field(orbit, v):
+    """The constant field of column v of the orbit's tangent table on its
+    chart, zero for c0 and c1."""
+    column = orbit.tangent[v] if v < orbit.spec.dimension else ()
+    return orbit.chart.vector_field(dict(zip(orbit.chart.coords, column)))
+
+
+def scaled_tangent(orbit, k):
+    """An orbit on the parts of `orbit` with its tangent table scaled by k
+    and a memo that holds only its KKS form, which stays the true one."""
+    from supersymp.heisenberg import Orbit
+
+    tangent = tuple(tuple(k * c for c in column) for column in orbit.tangent)
+    return Orbit(orbit.spec, orbit.base, dict(vars(orbit), tangent=tangent, _memo={"kks": orbit.kks_form()}))
+
+
 def random_coordinates(rng, parities, generators, zero=False):
     """Grassmann numbers over N = generators, each of the given parity, with
     up to three terms of up to three generators (none when `zero`)."""
@@ -275,7 +291,7 @@ def test_orbit_classify_keeps_one_read_only_orbit_per_key():
     assert again.kks_form() is orbit.kks_form() and again.symplectic_data() is orbit.symplectic_data()
     momentum_check(orbit)
     assert again.momentum_cocycle() is orbit.momentum_cocycle()
-    assert again._memo is orbit._memo and again.tangent_fields is orbit.tangent_fields
+    assert again._memo is orbit._memo and again.tangent is orbit.tangent
     four = orbit_classify(spec, 1, 1, generators=4)
     assert four._memo is not orbit._memo and four.chart.generators == 4
     assert orbit_classify(spec, 1, 1, generators=4)._memo is four._memo
@@ -289,7 +305,7 @@ def test_orbit_classify_keeps_one_read_only_orbit_per_key():
     with pytest.raises(AttributeError):
         del orbit.chart
     with pytest.raises(TypeError):
-        orbit.tangent_fields[0] = orbit.tangent_fields[1]
+        orbit.tangent[0] = orbit.tangent[1]
     slot = next(iter(orbit.restrictions))
     with pytest.raises(TypeError):
         orbit.restrictions[slot] = ()
@@ -644,7 +660,7 @@ def test_kks_pairs_every_pair_of_fundamental_fields(y0, yb1):
     for a in range(n):
         unit = [Fraction(1 if j == a else 0) for j in range(n)]
         fields.append(fundamental_field(spec, unit, y0, yb1, chart))
-        assert orbit.tangent_fields[a] == fields[a]
+        assert tangent_field(orbit, a) == fields[a]
     for a in range(n):
         for b in range(n):
             target = y0 * spec.omega0[a][b] + yb1 * spec.omega1[a][b]
@@ -663,9 +679,9 @@ def _degenerate_spec():
 
 @pytest.mark.parametrize("y0,yb1", [(1, 0), (1, 1), (2, 3)])
 def test_kks_refuses_an_inconsistent_pairing(y0, yb1, monkeypatch):
-    """Scaling the tangent field of a generator outside the solved ones
-    (its column of the tangent matrix) breaks the pairing there, and the
-    well-definedness check sees it."""
+    """Scaling the column of the tangent matrix of a generator outside the
+    solved ones, which the target pairing is read from, breaks the pairing
+    there, and the well-definedness check sees it."""
     from supersymp import heisenberg, linalg
 
     # well defined as built; on its own spec, since orbits are memoized per
@@ -673,13 +689,8 @@ def test_kks_refuses_an_inconsistent_pairing(y0, yb1, monkeypatch):
     orbit_classify(_degenerate_spec(), y0, yb1, generators=NG).kks_form()
     spec = _degenerate_spec()
     orbit = orbit_classify(spec, y0, yb1, generators=NG)
-    coords = orbit.chart.coords
-    rows = [
-        [fld.components[name].constant_value().body() if name in fld.components else 0 for name in coords]
-        for fld in orbit.tangent_fields.values()
-    ]
-    chosen = linalg.independent(rows)
-    moved = [a for a, fld in orbit.tangent_fields.items() if a not in chosen and not fld.is_zero()]
+    chosen = linalg.independent(orbit.tangent)
+    moved = [a for a, column in enumerate(orbit.tangent) if a not in chosen and any(column)]
     assert moved
     t = heisenberg.tangent_matrix(spec, y0, yb1)
     scaled = tuple(tuple(2 * v if j == moved[0] else v for j, v in enumerate(row)) for row in t)
@@ -714,33 +725,72 @@ def test_momentum_check_solves_each_momentum_function_once(solve_calls):
     assert len(solve_calls) == 0
 
 
-def test_momentum_check_refuses_a_wrong_tangent_field(monkeypatch, solve_calls):
-    """Tangent fields scaled by 2 fail i_X doubled-omega = dJ: the check
-    reports them as not hamiltonian without a solve, and the solver's field
+def test_momentum_check_refuses_a_wrong_tangent_field(solve_calls):
+    """A tangent table scaled by 2 fails i_X doubled-omega = dJ: the check
+    reports it as not hamiltonian without a solve, and the solver's field
     of each momentum function is half the wrong one."""
-    from supersymp import heisenberg
     from supersymp.symplectic import hamiltonian_field
 
-    constant_field = heisenberg._constant_field
-    monkeypatch.setattr(heisenberg, "_constant_field",
-                        lambda spec, coefficients, chart: constant_field(spec, [2 * c for c in coefficients], chart))
     orbit = orbit_classify(heisenberg_33(), 1, 1, generators=NG)
     sd = orbit.symplectic_data()
-    rep = momentum_check(orbit)
+    wrong = scaled_tangent(orbit, 2)
+    rep = momentum_check(wrong)
     assert not rep["hamiltonian"] and not rep["strongly_hamiltonian"]
     assert len(solve_calls) == 0
-    wrong = {m: fld for m, fld in orbit.tangent_fields.items() if fld}
-    assert wrong
-    for m, fld in wrong.items():
-        assert hamiltonian_field(orbit.momentum_function(m), sd).field.scale(2) == fld
+    moving = [m for m, column in enumerate(wrong.tangent) if any(column)]
+    assert moving
+    for m in moving:
+        assert hamiltonian_field(orbit.momentum_function(m), sd).field.scale(2) == tangent_field(wrong, m)
+
+
+def form_route(orbit, k=1):
+    """The momentum identities of an orbit through forms, the oracle of the
+    tangent table: i_(v*) doubled-omega = d<v, J> by `ext_d` and `contract`
+    on the fundamental fields of k e_v (zero for c0 and c1) and the doubled
+    form of a fresh SymplecticData, and the cocycle of
+    `liecoh.momentum_cocycle` with the brackets {J_i, J_j} = e_i*(J_j)
+    applied as fields."""
+    from supersymp.forms import ext_d
+    from supersymp.liecoh import momentum_cocycle
+    from supersymp.symplectic import SymplecticData
+
+    spec, chart = orbit.spec, orbit.chart
+    doubled = SymplecticData(orbit.kks_form(), [{name: 0 for name in chart.even}]).doubled
+    n = spec.dimension
+    fields = [fundamental_field(spec, [k if j == v else 0 for j in range(n)], orbit.y0, orbit.ybar1, chart)
+              for v in range(n)] + [chart.vector_field({})] * 2
+    hamiltonian = all(ext_d(orbit.momentum_function(v)) == contract(x, doubled) for v, x in enumerate(fields))
+    cocycle = momentum_cocycle(orbit.algebra(), orbit.momentum_function,
+                               lambda i, j: fields[i].apply(orbit.momentum_function(j)))
+    return hamiltonian, cocycle
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("case", ["heis33_i", "heis33_ii", "heis33_iii", "heis33_-2_3", "random_kk1", "random_kk2", "random_kk3"])
+def test_the_tangent_table_route_matches_the_form_route(case, scale, rng):
+    """`hamiltonian` and `momentum_cocycle` read off the tangent table agree
+    with the form route, on the true tangent table (where both identities
+    hold) and on one scaled by 2 (where neither does, and the cocycle is a
+    nonzero constant)."""
+    if case.startswith("random_kk"):
+        spec, (y0, yb1) = random_kk_spec(rng, int(case[-1])), rng.choice([(Fraction(2, 3), -2), (1, 0), (0, 3)])
+    else:
+        points = {"heis33_i": (1, 0), "heis33_ii": (0, 1), "heis33_iii": (1, 1), "heis33_-2_3": (-2, 3)}
+        spec, (y0, yb1) = heisenberg_33(), points[case]
+    orbit = scaled_tangent(orbit_classify(spec, y0, yb1, generators=NG), scale)
+    hamiltonian, (cocycle, constant) = form_route(orbit, scale)
+    assert constant and orbit.momentum_cocycle() == (cocycle, True)
+    assert orbit.hamiltonian() is hamiltonian is (scale == 1)
+    assert cocycle.is_zero() is (scale == 1)
 
 
 @pytest.mark.parametrize("case", ["heis33_i", "heis33_ii", "heis33_iii", "random_kk"])
 def test_momentum_cocycle_from_fields_matches_the_solver(case, rng):
-    """The brackets e_i*(J_j) of the momentum fields, and the cocycle built
-    from them, equal the Poisson brackets of the momentum functions and
-    `liecoh.momentum_cocycle` on them, solved on a fresh SymplecticData of
-    the same KKS form: the solver stays the independent reference."""
+    """The brackets e_i*(J_j) of the fields of the tangent table, and the
+    cocycle read off that table, equal the Poisson brackets of the momentum
+    functions and `liecoh.momentum_cocycle` on them, solved on a fresh
+    SymplecticData of the same KKS form: the solver stays the independent
+    reference."""
     from supersymp.liecoh import momentum_cocycle
     from supersymp.symplectic import SymplecticData, poisson_bracket
 
@@ -754,7 +804,7 @@ def test_momentum_cocycle_from_fields_matches_the_solver(case, rng):
     for i in range(size):
         for j in range(size):
             f, g = orbit.momentum_function(i), orbit.momentum_function(j)
-            assert orbit.momentum_field(i).apply(g) == poisson_bracket(f, g, sd)
+            assert tangent_field(orbit, i).apply(g) == poisson_bracket(f, g, sd)
     solved = momentum_cocycle(orbit.algebra(), orbit.momentum_function,
                               lambda i, j: poisson_bracket(orbit.momentum_function(i), orbit.momentum_function(j), sd))
     assert orbit.momentum_cocycle() == solved
@@ -762,18 +812,19 @@ def test_momentum_cocycle_from_fields_matches_the_solver(case, rng):
 
 
 def test_a_second_momentum_check_makes_no_contraction(monkeypatch):
-    """The momentum fields are checked once per orbit parts: a second
-    `momentum_check`, on the same orbit or on a later one of the same key,
-    makes no `contract` call and returns the same report."""
+    """The momentum identities are checked once per orbit parts: the first
+    `momentum_check` reads the contraction matrices of the two parts of the
+    doubled KKS form, and a second, on the same orbit or on a later one of
+    the same key, reads none and returns the same report."""
     from supersymp import heisenberg
 
     calls = []
-    contract_ = heisenberg.contract
-    monkeypatch.setattr(heisenberg, "contract", lambda *args: calls.append(1) or contract_(*args))
+    contraction_matrix = heisenberg.contraction_matrix
+    monkeypatch.setattr(heisenberg, "contraction_matrix", lambda *args: calls.append(1) or contraction_matrix(*args))
     spec = heisenberg_33()
     orbit = orbit_classify(spec, 1, 1, generators=NG)
     rep = momentum_check(orbit)
-    assert rep["strongly_hamiltonian"] and len(calls) == spec.dimension + 2
+    assert rep["strongly_hamiltonian"] and len(calls) == 2
     calls.clear()
     assert momentum_check(orbit) == rep
     assert momentum_check(orbit_classify(spec, 1, 1, generators=NG)) == rep
@@ -781,10 +832,10 @@ def test_a_second_momentum_check_makes_no_contraction(monkeypatch):
 
 
 def test_momentum_functions_are_built_once_per_orbit_parts(monkeypatch):
-    """The n + 2 momentum functions are built once for the parts of an orbit
-    and read by both the field check and the cocycle of `momentum_check`; a
-    later orbit of the same key returns the same objects, another spec or an
-    explicit base point builds its own."""
+    """`momentum_check` reads the gradients of the momentum functions off
+    the orbit and builds none of them; the n + 2 functions are built once
+    for the parts of an orbit, a later orbit of the same key returns the
+    same objects, and another spec or an explicit base point builds its own."""
     import weakref
     from supersymp.heisenberg import Orbit
 
@@ -794,8 +845,9 @@ def test_momentum_functions_are_built_once_per_orbit_parts(monkeypatch):
     spec = heisenberg_33()
     orbit = orbit_classify(spec, 1, 1, generators=NG)
     assert momentum_check(orbit)["strongly_hamiltonian"]
-    assert len(builds) == 1
+    assert builds == []
     functions = [orbit.momentum_function(m) for m in range(spec.dimension + 2)]
+    assert len(builds) == 1
     gone = weakref.ref(orbit)
     del orbit
     assert gone() is None

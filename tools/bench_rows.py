@@ -42,9 +42,9 @@ The rows are measured on the checkout that holds this script:
 * two L5 Heisenberg rows on the 3|3 pairing of `fixtures/heis33.ssp`,
   each call on a spec built afresh inside the timed call (so no orbit,
   KKS form or Hamiltonian field is reused): `momentum_check` of the orbit
-  through (1, 1), its classification, KKS form and `SymplecticData`
-  included; and the `orbit`, `kks` and `momentum` operations of the
-  `algebra` workload at (1, 1) in turn, each calling `orbit_classify`;
+  through (1, 1), its classification and KKS form included; and the
+  `orbit`, `kks` and `momentum` operations of the `algebra` workload at
+  (1, 1) in turn, each calling `orbit_classify`;
 * L5 pairing rows on the seed-1 k|k pairings K1, K2, K3 (k = 1-3) and
   the 3|3 pairing H of `fixtures/heis33.ssp`, each call on a spec built
   afresh inside the timed call (so no pairing column or coadjoint shift
