@@ -743,6 +743,19 @@ def test_momentum_check_refuses_a_wrong_tangent_field(solve_calls):
         assert hamiltonian_field(orbit.momentum_function(m), sd).field.scale(2) == tangent_field(wrong, m)
 
 
+def test_momentum_check_refuses_a_degenerate_kks_form():
+    """i_(v*) doubled-omega = dJ is checked on a homogeneously
+    non-degenerate form only: an orbit whose KKS form is zero is refused."""
+    from supersymp.forms import KForm
+    from supersymp.heisenberg import Orbit
+    from supersymp.symplectic import NotSymplectic
+
+    orbit = orbit_classify(heisenberg_33(), 1, 1, generators=NG)
+    degenerate = Orbit(orbit.spec, orbit.base, dict(vars(orbit), _memo={"kks": KForm.zero(orbit.chart, 2)}))
+    with pytest.raises(NotSymplectic, match="^the KKS form is homogeneously degenerate$"):
+        momentum_check(degenerate)
+
+
 def form_route(orbit, k=1):
     """The momentum identities of an orbit through forms, the oracle of the
     tangent table: i_(v*) doubled-omega = d<v, J> by `ext_d` and `contract`
